@@ -97,46 +97,37 @@ class AnalysisReport:
         }
 
 
-def _faces_regular(p: Polyhedron, tolerance: float) -> bool:
+def _faces_regular(p: Polyhedron) -> bool:
     """Equal edge lengths plus per-face equal corner angles (planarity is
     already covered by validation); no full Archimedean classification."""
-    edge_sqs = set()
-    corner_ratios = True
+    k = p.kernel
+    edge_sqs = []
     for (i, j) in p.edges:
         d = vsub(p.vertices[j], p.vertices[i])
-        edge_sqs.add(vdot(d, d) if p.exact else round(float(vdot(d, d)), 9))
-        if len(edge_sqs) > 1:
-            if p.exact:
-                return False
-            lo, hi = min(edge_sqs), max(edge_sqs)
-            if hi - lo > tolerance * max(1.0, hi):
-                return False
-            edge_sqs = {lo}
+        edge_sqs.append(vdot(d, d))
+    if edge_sqs:
+        hi = max(edge_sqs)
+        if not k.is_zero((hi - min(edge_sqs)) / max(1, hi)):
+            return False
     for f in p.faces:
         n = len(f)
-        cos_sqs = set()
-        for k in range(n):
-            a = vsub(p.vertices[f[(k - 1) % n]], p.vertices[f[k]])
-            b = vsub(p.vertices[f[(k + 1) % n]], p.vertices[f[k]])
+        corners = set()
+        for i in range(n):
+            a = vsub(p.vertices[f[(i - 1) % n]], p.vertices[f[i]])
+            b = vsub(p.vertices[f[(i + 1) % n]], p.vertices[f[i]])
             dot = vdot(a, b)
-            denom = vdot(a, a) * vdot(b, b)
-            if p.exact:
-                cos_sqs.add((dot * dot / denom, dot.sign()))
-            else:
-                cos_sqs.add(
-                    (round(float(dot) * float(dot) / float(denom), 9),
-                     float(dot) > 0)
-                )
-        if len(cos_sqs) > 1:
-            corner_ratios = False
-            break
-    return corner_ratios
+            # the corner's side of 90 degrees is read without tolerance, so on
+            # a float mesh right angles with noise of either sign differ
+            corners.add((k.key(dot * dot / (vdot(a, a) * vdot(b, b))), dot > 0))
+        if len(corners) > 1:
+            return False
+    return True
 
 
-def analyze(p: Polyhedron, tolerance: float = 1e-9, name: str = "") -> AnalysisReport:
+def analyze(p: Polyhedron, name: str = "") -> AnalysisReport:
     """Full per-solid report; validation failures yield a partial report
     (census and counts only) instead of raising."""
-    report = validate(p, None if p.exact else tolerance)
+    report = validate(p)
     census = face_census(p)
     base = dict(
         name=name,
@@ -163,10 +154,10 @@ def analyze(p: Polyhedron, tolerance: float = 1e-9, name: str = "") -> AnalysisR
         )
     figures = sorted({vertex_figure(p, v) for v in range(p.n_vertices)})
     uniform = len(figures) == 1
-    sym = symmetry_report(p, tolerance)
-    belts = belts_mod.find_belts(p, tolerance)
-    overlap = belts_mod.belt_square_overlap(p, tolerance) if belts else None
-    regular = _faces_regular(p, tolerance)
+    sym = symmetry_report(p)
+    belts = belts_mod.find_belts(p)
+    overlap = belts_mod.belt_square_overlap(p) if belts else None
+    regular = _faces_regular(p)
     return AnalysisReport(
         partial=False,
         vertex_figures=tuple(figures),

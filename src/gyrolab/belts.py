@@ -9,13 +9,11 @@ exact.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 from . import geom
 from .geom import Vec3, vdot, vsub
-from .qfield import Q2
 from .solids import Polyhedron
 
 
@@ -33,13 +31,10 @@ class Belt:
         return len(self.faces)
 
     def to_dict(self) -> dict:
-        normal = [
-            str(c) if isinstance(c, Q2) else float(c) for c in self.plane_normal
-        ]
         return {
             "faces": list(self.faces),
             "length": self.length,
-            "normal": normal,
+            "normal": geom.json_vec(self.plane_normal),
             "poles": list(self.pole_faces) if self.pole_faces else None,
         }
 
@@ -61,17 +56,14 @@ def _edge_direction(p: Polyhedron, edge: tuple[int, int]) -> Vec3:
     return vsub(p.vertices[edge[1]], p.vertices[edge[0]])
 
 
-def _parallel(p: Polyhedron, e1, e2, tolerance: float) -> bool:
-    cr = geom.vcross(_edge_direction(p, e1), _edge_direction(p, e2))
-    if p.exact:
-        return geom.is_zero_vec(cr)
-    return math.sqrt(float(vdot(cr, cr))) <= tolerance
+def _parallel(p: Polyhedron, e1, e2) -> bool:
+    return p.kernel.is_zero_vec(geom.vcross(_edge_direction(p, e1), _edge_direction(p, e2)))
 
 
-def find_belts(p: Polyhedron, tolerance: float = 1e-9) -> tuple[Belt, ...]:
+def find_belts(p: Polyhedron) -> tuple[Belt, ...]:
     """Every maximal closed zone walk over quads, deduplicated up to
     rotation/reversal; walks that hit a non-quad face are discarded.
-    Crossing edges must be mutually parallel (exactly, in exact mode)."""
+    Crossing edges must be mutually parallel, as the mesh's kernel decides."""
     belts: dict[frozenset, Belt] = {}
     for start_face, face in enumerate(p.faces):
         if len(face) != 4:
@@ -104,61 +96,39 @@ def find_belts(p: Polyhedron, tolerance: float = 1e-9) -> tuple[Belt, ...]:
             if key in belts:
                 continue
             d0 = walk_edges[0]
-            if not all(_parallel(p, d0, e, tolerance) for e in walk_edges[1:]):
+            if not all(_parallel(p, d0, e) for e in walk_edges[1:]):
                 continue
-            normal = _edge_direction(p, d0)
-            if p.exact:
-                normal = geom.canonical_direction_q2(normal)
-            else:
-                nrm = math.sqrt(float(vdot(normal, normal)))
-                normal = tuple(c / nrm for c in normal)
-                lead = next(c for c in normal if abs(c) > 1e-6)
-                if lead < 0:
-                    normal = tuple(-c for c in normal)
-                normal = tuple(round(c, 9) for c in normal)
+            normal = p.kernel.canon_dir(_edge_direction(p, d0))
             belts[key] = Belt(tuple(walk_faces), tuple(walk_edges), normal)
     ordered = sorted(belts.values(), key=lambda b: b.faces)
     return tuple(
-        Belt(b.faces, b.crossing_edges, b.plane_normal, pole_pairs(p, b, tolerance))
+        Belt(b.faces, b.crossing_edges, b.plane_normal, pole_pairs(p, b))
         for b in ordered
     )
 
 
-def pole_pairs(
-    p: Polyhedron, belt: Belt, tolerance: float = 1e-9
-) -> Optional[tuple[int, int]]:
+def pole_pairs(p: Polyhedron, belt: Belt) -> Optional[tuple[int, int]]:
     """The two faces whose centers lie on the belt axis (the line through
-    the centroid along the belt normal); None when no face qualifies."""
+    the centroid along the belt normal), positive side first; None unless
+    exactly one face center lies on each side."""
+    k = p.kernel
     c = p.vertex_centroid()
     d = belt.plane_normal
-    hits: list[tuple[int, object]] = []
+    hits: list[tuple[int, int]] = []
     for fi in range(p.n_faces):
-        ctr = p.face_center(fi)
-        rel = vsub(ctr, c)
-        cr = geom.vcross(rel, d)
-        if p.exact:
-            if geom.is_zero_vec(cr) and not geom.is_zero_vec(rel):
-                hits.append((fi, vdot(rel, d)))
-        else:
-            rel_n = math.sqrt(float(vdot(rel, rel)))
-            if rel_n > tolerance and math.sqrt(float(vdot(cr, cr))) <= tolerance * max(
-                1.0, rel_n
-            ):
-                hits.append((fi, float(vdot(rel, d))))
-    if len(hits) != 2:
+        rel = vsub(p.face_center(fi), c)
+        if k.on_line(rel, d):
+            hits.append((fi, k.sign(vdot(rel, d))))
+    if len(hits) != 2 or hits[0][1] == hits[1][1]:
         return None
-    sides = sorted(
-        hits, key=lambda h: (h[1].sign() if isinstance(h[1], Q2) else h[1]) < 0
-    )
-    if len({(h[1].sign() if isinstance(h[1], Q2) else (h[1] > 0)) for h in hits}) != 2:
-        return None
-    return (sides[0][0], sides[1][0])
+    (f0, s0), (f1, _) = hits
+    return (f0, f1) if s0 > 0 else (f1, f0)
 
 
-def belt_square_overlap(p: Polyhedron, tolerance: float = 1e-9) -> BeltOverlap:
+def belt_square_overlap(p: Polyhedron) -> BeltOverlap:
     """Pairwise face intersections between belts plus their union size,
     against the quad census."""
-    belts = find_belts(p, tolerance)
+    belts = find_belts(p)
     sets = [set(b.faces) for b in belts]
     pairwise = {
         (i, j): len(sets[i] & sets[j])

@@ -84,9 +84,9 @@ def cmd_analyze(parser, args) -> int:
                 text = fh.read()
         except OSError as e:
             raise OSError(f"cannot read {args.input}: {e}") from e
-        poly = read_off(text)
+        poly = read_off(text, args.tolerance)
         name = os.path.basename(args.input)
-    report = analysis.analyze(poly, tolerance=args.tolerance, name=name)
+    report = analysis.analyze(poly, name=name)
     if args.json:
         sys.stdout.write(analysis.report_json(report))
     else:

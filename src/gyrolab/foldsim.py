@@ -180,11 +180,7 @@ def _fold_rotation_degrees(dihedral_target: int) -> int:
 # -- folding ---------------------------------------------------------------------
 
 
-def _q(x: Fraction) -> Q2:
-    return Q2(x)
-
-
-def _strip_flat_point(L: Q2, s: Q2, t: Q2, u: Q2, v: Q2) -> Vec3:
+def _strip_flat_point(s: Q2, t: Q2, u: Q2, v: Q2) -> Vec3:
     # strip lies in the plane x = t; u runs along -y, v along -z
     return (t, s - u, s - v)
 
@@ -208,16 +204,16 @@ def _fold_strip(net: NetSpec, L: Q2, s: Q2, t: Q2) -> list[PlacedSquare]:
     for i, sq in enumerate(squares):
         if i > 0:
             rho = _fold_rotation_degrees(creases[i])
-            anchor = _strip_flat_point(L, s, t, Q2(i) * L, ZERO)
+            anchor = _strip_flat_point(s, t, Q2(i) * L, ZERO)
             transform = transform.then_inner(
                 _rotation_about_line(anchor, axis, rho)
             )
         u0, u1 = Q2(i) * L, Q2(i + 1) * L
         flat = (
-            _strip_flat_point(L, s, t, u0, ZERO),
-            _strip_flat_point(L, s, t, u1, ZERO),
-            _strip_flat_point(L, s, t, u1, L),
-            _strip_flat_point(L, s, t, u0, L),
+            _strip_flat_point(s, t, u0, ZERO),
+            _strip_flat_point(s, t, u1, ZERO),
+            _strip_flat_point(s, t, u1, L),
+            _strip_flat_point(s, t, u0, L),
         )
         out.append(
             PlacedSquare("strip", sq.pos, sq.role, tuple(transform.apply(p) for p in flat))
@@ -318,7 +314,7 @@ def fold(net: NetSpec, gyration: int = 0) -> AssemblyResult:
         raise ValueError(
             f"gyration {gyration} has no exact Q(sqrt2) trigonometry"
         )
-    L = _q(net.edge_len)
+    L = Q2(net.edge_len)
     s = L * Q2(Fraction(1, 2))
     t = (ONE + Q2(0, 1)) * s
 

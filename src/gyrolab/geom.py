@@ -1,14 +1,20 @@
-"""Small vector/matrix helpers shared by the geometry modules.
+"""Vector/matrix helpers and the predicate kernel shared by the geometry modules.
 
 The arithmetic helpers are generic: they work on triples of ``Q2`` (exact
-mode) and on triples of ``float`` (ingested meshes) alike, because both
-support ``+ - *``.  Anything that needs an exact zero test is Q2-only.
+meshes) and on triples of ``float`` (ingested meshes) alike, because both
+support ``+ - * /``.  Every decision (is this zero, which sign, which
+canonical direction, which vertex is this point) goes through a kernel
+instead: ``EXACT`` decides over Q(sqrt2) with no tolerance, and a
+``ToleranceKernel`` decides over floats within the mesh's tolerance.  Both
+expose the same operations, so each geometric algorithm is written once and
+a ``Polyhedron`` picks its kernel once, from its coordinate type.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 from .qfield import ONE, ZERO, Q2
 
@@ -26,10 +32,6 @@ def vsub(u: Vec3, v: Vec3) -> Vec3:
 
 def vneg(u: Vec3) -> Vec3:
     return (-u[0], -u[1], -u[2])
-
-
-def vscale(u: Vec3, s) -> Vec3:
-    return (u[0] * s, u[1] * s, u[2] * s)
 
 
 def vdot(u: Vec3, v: Vec3):
@@ -73,45 +75,45 @@ def q2_identity() -> Mat3:
     return ((ONE, ZERO, ZERO), (ZERO, ONE, ZERO), (ZERO, ZERO, ONE))
 
 
-def mat_inverse_q2(m: Mat3) -> Mat3:
-    """Exact inverse of a 3x3 Q2 matrix (adjugate over determinant)."""
+def mat_inverse(m: Mat3, is_zero: Callable) -> Mat3:
+    """Inverse of a 3x3 matrix (adjugate over determinant)."""
     det = mat_det(m)
-    if det.is_zero():
+    if is_zero(det):
         raise ZeroDivisionError("singular matrix")
-    inv_det = det.inverse()
     cof = [[None] * 3 for _ in range(3)]
     for i in range(3):
         for j in range(3):
-            r = [m[r_][:] for r_ in range(3) if r_ != i]
+            r = [m[r_] for r_ in range(3) if r_ != i]
             minor = [
                 [r[0][c] for c in range(3) if c != j],
                 [r[1][c] for c in range(3) if c != j],
             ]
             d2 = minor[0][0] * minor[1][1] - minor[0][1] * minor[1][0]
-            s = ONE if (i + j) % 2 == 0 else -ONE
-            cof[i][j] = s * d2
+            cof[i][j] = d2 if (i + j) % 2 == 0 else -d2
     # adjugate = transpose of the cofactor matrix
-    return tuple(tuple(cof[j][i] * inv_det for j in range(3)) for i in range(3))
+    return tuple(tuple(cof[j][i] / det for j in range(3)) for i in range(3))
 
 
-def kernel_vector_q2(m: Mat3) -> Vec3 | None:
-    """One nonzero kernel vector of a rank-2 Q2 matrix, None if invertible.
+def kernel_vector(m: Mat3, is_zero: Callable) -> Vec3 | None:
+    """One nonzero kernel vector of a rank-2 matrix, None if invertible.
 
     Used to extract the fixed line of a rotation from M - I; raises if the
     kernel turns out to be more than one-dimensional.
     """
+    zero = m[0][0] * 0  # 0 and 1 in the entries' number type
+    one = zero + 1
     rows = [list(r) for r in m]
     pivot_cols: list[int] = []
     r = 0
     for c in range(3):
-        pr = next((i for i in range(r, 3) if not rows[i][c].is_zero()), None)
+        pr = next((i for i in range(r, 3) if not is_zero(rows[i][c])), None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        inv = rows[r][c].inverse()
+        inv = one / rows[r][c]
         rows[r] = [x * inv for x in rows[r]]
         for i in range(3):
-            if i != r and not rows[i][c].is_zero():
+            if i != r and not is_zero(rows[i][c]):
                 f = rows[i][c]
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
         pivot_cols.append(c)
@@ -122,20 +124,11 @@ def kernel_vector_q2(m: Mat3) -> Vec3 | None:
     if rank != 2:
         raise ValueError(f"kernel is {3 - rank}-dimensional, expected a line")
     free = next(c for c in range(3) if c not in pivot_cols)
-    v = [ZERO, ZERO, ZERO]
-    v[free] = ONE
+    v = [zero, zero, zero]
+    v[free] = one
     for i, pc in enumerate(pivot_cols):
         v[pc] = -rows[i][free]
     return tuple(v)
-
-
-def canonical_direction_q2(v: Vec3) -> Vec3:
-    """Scale so the first nonzero component is +1; identifies v with -v."""
-    lead = next((c for c in v if not c.is_zero()), None)
-    if lead is None:
-        raise ValueError("zero vector has no direction")
-    inv = lead.inverse()
-    return (v[0] * inv, v[1] * inv, v[2] * inv)
 
 
 def exact_cos_sin(degrees: int) -> tuple[Q2, Q2]:
@@ -182,17 +175,190 @@ def rotation_about_axis_q2(u: Vec3, cos: Q2, sin: Q2) -> Mat3:
     )
 
 
-def rotate_about_line_q2(p: Vec3, anchor: Vec3, rot: Mat3) -> Vec3:
-    """Apply a rotation matrix about the line through ``anchor``."""
-    return vadd(anchor, mat_vec(rot, vsub(p, anchor)))
-
-
 def centroid(points: Sequence[Vec3]) -> Vec3:
     n = len(points)
     sx = points[0]
     for p in points[1:]:
         sx = vadd(sx, p)
-    if isinstance(sx[0], Q2):
-        inv = Q2(Fraction(1, n))
-        return vscale(sx, inv)
     return (sx[0] / n, sx[1] / n, sx[2] / n)
+
+
+def json_vec(v: Vec3) -> list:
+    """Exact scalars as their text form, floats as JSON numbers."""
+    return [str(c) if isinstance(c, Q2) else float(c) for c in v]
+
+
+# -- float -> Q2 snapping ------------------------------------------------------
+
+
+_SQRT2_F = math.sqrt(2.0)
+
+
+def snap_scalar_to_q2(x: float, tol: float = 1e-9, max_den: int = 64) -> Q2 | None:
+    """Nearest representable a + b*sqrt2 within tol, small denominators.
+
+    Pure rationals and pure sqrt2 multiples are searched up to
+    ``max_den``; mixed values only over small coefficients (denominator
+    up to 8, magnitude up to 2), which covers every entry an orthogonal
+    matrix over Q(sqrt2) at this scale can have.
+    """
+    r = Fraction(x).limit_denominator(max_den)
+    if abs(x - float(r)) <= tol:
+        return Q2(r)
+    s = Fraction(x / _SQRT2_F).limit_denominator(max_den)
+    if abs(x - float(s) * _SQRT2_F) <= tol:
+        return Q2(0, s)
+    for q in range(1, 9):
+        for num in range(-2 * q, 2 * q + 1):
+            a = Fraction(num, q)
+            b = Fraction((x - float(a)) / _SQRT2_F).limit_denominator(8)
+            if abs(b) <= 2 and abs(x - float(a) - float(b) * _SQRT2_F) <= tol:
+                return Q2(a, b)
+    return None
+
+
+def snap_matrix_to_q2(m: Mat3, tol: float = 1e-9) -> Mat3 | None:
+    rows = []
+    for row in m:
+        out = []
+        for x in row:
+            q = snap_scalar_to_q2(x, tol)
+            if q is None:
+                return None
+            out.append(q)
+        rows.append(tuple(out))
+    return tuple(rows)
+
+
+# -- predicate kernels ---------------------------------------------------------
+
+# Fixed thresholds of the float kernel; the exact kernel ignores them.
+ORIGIN_EPS = 1e-15  # a centroid coordinate this small counts as 0
+DET_EPS = 1e-9  # the isometry search's base flag is singular
+ORTHO_EPS = 1e-7  # M^T M = I and det M = +-1 in the isometry search
+LEAD_EPS = 1e-6  # leading component of a unit direction; fixed z axis
+MATCH_FLOOR = 1e-12  # smallest per-coordinate vertex-match tolerance
+SNAP_EPS = 1e-9  # matrix entries snapped into Q(sqrt2)
+MATRIX_DIGITS = 6  # rounding of matrix keys
+SCALAR_DIGITS = 9  # rounding of directions and scalar keys
+
+
+class ExactKernel:
+    """Decisions over Q(sqrt2): zero means exactly zero."""
+
+    exact = True
+
+    def is_zero(self, x, eps: float | None = None) -> bool:
+        return not x
+
+    def sign(self, x) -> int:
+        return x.sign()
+
+    def is_zero_vec(self, v: Vec3) -> bool:
+        return is_zero_vec(v)
+
+    def on_line(self, rel: Vec3, d: Vec3) -> bool:
+        """rel is a nonzero multiple of d."""
+        return not is_zero_vec(rel) and is_zero_vec(vcross(rel, d))
+
+    def plane_side(self, n: Vec3, w: Vec3) -> int:
+        """Side of w relative to the plane through 0 with normal n."""
+        return vdot(n, w).sign()
+
+    def canon_dir(self, v: Vec3) -> Vec3:
+        """Scale so the first nonzero component is +1; identifies v with -v."""
+        lead = next((c for c in v if c), None)
+        if lead is None:
+            raise ValueError("zero vector has no direction")
+        inv = ONE / lead
+        return (v[0] * inv, v[1] * inv, v[2] * inv)
+
+    def key(self, x):
+        """Hashable stand-in for a scalar: equal keys mean equal values."""
+        return x
+
+    def matrix_key(self, m: Mat3):
+        return m
+
+    def index(self, points: Sequence[Vec3]):
+        """Lookup point -> index with ``.get``."""
+        return {p: i for i, p in enumerate(points)}
+
+    def snap(self, m: Mat3) -> Mat3:
+        """The Q(sqrt2) matrix m stands for (None if there is none)."""
+        return m
+
+    def vec(self, v: Sequence) -> tuple:
+        """v in this kernel's number type."""
+        return tuple(Q2.coerce(x) for x in v)
+
+
+class ToleranceKernel:
+    """Decisions over floats: values within ``tol`` of zero count as zero."""
+
+    exact = False
+
+    def __init__(self, tol: float) -> None:
+        self.tol = tol
+
+    def is_zero(self, x, eps: float | None = None) -> bool:
+        return abs(x) <= (self.tol if eps is None else eps)
+
+    def sign(self, x) -> int:
+        return 0 if self.is_zero(x) else (1 if x > 0 else -1)
+
+    def is_zero_vec(self, v: Vec3) -> bool:
+        return _norm(v) <= self.tol
+
+    def on_line(self, rel: Vec3, d: Vec3) -> bool:
+        rel_n = _norm(rel)
+        return rel_n > self.tol and _norm(vcross(rel, d)) <= self.tol * max(1.0, rel_n)
+
+    def plane_side(self, n: Vec3, w: Vec3) -> int:
+        return self.sign(float(vdot(n, w)) / _norm(n))
+
+    def canon_dir(self, v: Vec3) -> Vec3:
+        """Unit vector, first clearly nonzero component positive, rounded."""
+        nrm = _norm(v)
+        v = tuple(x / nrm for x in v)
+        if next(x for x in v if abs(x) > LEAD_EPS) < 0:
+            v = vneg(v)
+        return tuple(round(x, SCALAR_DIGITS) for x in v)
+
+    def key(self, x):
+        return round(x, SCALAR_DIGITS)
+
+    def matrix_key(self, m: Mat3):
+        return tuple(round(x, MATRIX_DIGITS) for row in m for x in row)
+
+    def index(self, points: Sequence[Vec3]):
+        return _NearIndex(points, max(self.tol, MATCH_FLOOR))
+
+    def snap(self, m: Mat3) -> Mat3 | None:
+        return snap_matrix_to_q2(m, SNAP_EPS)
+
+    def vec(self, v: Sequence) -> tuple:
+        return tuple(float(x) for x in v)
+
+
+class _NearIndex:
+    """First point within ``tol`` in every coordinate."""
+
+    def __init__(self, points: Sequence[Vec3], tol: float) -> None:
+        self.points = points
+        self.tol = tol
+
+    def get(self, w: Vec3) -> int | None:
+        tol = self.tol
+        for i, u in enumerate(self.points):
+            if (abs(w[0] - u[0]) <= tol and abs(w[1] - u[1]) <= tol
+                    and abs(w[2] - u[2]) <= tol):
+                return i
+        return None
+
+
+def _norm(v: Vec3) -> float:
+    return math.sqrt(float(vdot(v, v)))
+
+
+EXACT = ExactKernel()

@@ -60,7 +60,6 @@ class NetSquare:
     piece: str
     pos: tuple[int, int]
     role: str  # "face" | "glue" | "pole"
-    world_target: Optional[int] = None  # filled by assembly verification
 
 
 @dataclass(frozen=True)
@@ -76,7 +75,6 @@ class Gluing:
     kind: str  # "overlap" | "edge"
     piece: str
     pos: tuple[int, int]
-    target_piece: str
     target_pos: Optional[tuple[int, int]]  # None: any belt square, resolved at assembly
 
 
@@ -86,7 +84,6 @@ class NetSpec:
     squares: tuple[NetSquare, ...]
     creases: tuple[Crease, ...]
     gluing: tuple[Gluing, ...]
-    gyration: int = 0  # assembly parameter; the pieces are gyration-independent
 
     def squares_of(self, piece: str) -> tuple[NetSquare, ...]:
         return tuple(s for s in self.squares if s.piece == piece)
@@ -170,7 +167,7 @@ def generate_nets(edge_len: Fraction | int = 50) -> NetSpec:
         squares.append(NetSquare("strip", (i, 0), role))
     for i in range(1, 9):
         creases.append(Crease("strip", (i - 1, 0), (i, 0), targets["strip"]))
-    gluing.append(Gluing("overlap", "strip", (8, 0), "strip", (0, 0)))
+    gluing.append(Gluing("overlap", "strip", (8, 0), (0, 0)))
 
     for piece in ("cap_north", "cap_south"):
         squares.append(NetSquare(piece, (0, 0), "pole"))
@@ -181,8 +178,8 @@ def generate_nets(edge_len: Fraction | int = 50) -> NetSpec:
             creases.append(
                 Crease(piece, (dx, dy), (2 * dx, 2 * dy), targets["cap_tab"])
             )
-            gluing.append(Gluing("overlap", piece, (2 * dx, 2 * dy), "strip", None))
-            gluing.append(Gluing("edge", piece, (dx, dy), "strip", None))
+            gluing.append(Gluing("overlap", piece, (2 * dx, 2 * dy), None))
+            gluing.append(Gluing("edge", piece, (dx, dy), None))
 
     return NetSpec(edge, tuple(squares), tuple(creases), tuple(gluing))
 

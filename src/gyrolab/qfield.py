@@ -188,7 +188,6 @@ class Q2:
 ZERO = Q2(0)
 ONE = Q2(1)
 SQRT2 = Q2(0, 1)
-HALF = Q2(Fraction(1, 2))
 
 
 def sign(x: Q2) -> int:
@@ -201,8 +200,3 @@ def inverse(x: Q2) -> Q2:
 
 def parse(text: str) -> Q2:
     return Q2.parse(text)
-
-
-def to_float(x: "Q2 | float") -> float:
-    """Double-precision view, for SVG/OFF emission and tolerance analysis only."""
-    return float(x)

@@ -6,6 +6,11 @@ contact sets of the convex hull.  That keeps the gyrated builder honest:
 re-identification of the octagonal ring after the 45-degree cap turn is
 positional (exact coordinate coincidence), not index bookkeeping.
 
+Every ``Polyhedron`` carries one predicate kernel (``geom``), chosen from
+its coordinate type when it is made: exact for Q2 coordinates, tolerance
+based for floats read from OFF.  Validation and every later analysis make
+their decisions through it, so one code path serves both kinds of mesh.
+
 Canonical pose: vertex centroid at the origin, the polar axis along z,
 the gyrated cap on top.  Vertices and faces are sorted canonically so
 identical inputs produce byte-identical downstream artifacts.
@@ -15,13 +20,12 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import geom
-from .geom import Vec3, vcross, vdot, vsub
+from .geom import EXACT, ToleranceKernel, Vec3, vcross, vdot, vsub
 from .qfield import ONE, SQRT2, Q2
 
 
@@ -78,18 +82,18 @@ class ValidationReport:
 class Polyhedron:
     """Immutable vertex/face mesh; adjacency derived once at construction.
 
-    ``exact`` distinguishes Q2 coordinates from floats (ingested meshes).
+    Q2 coordinates get the exact kernel; float coordinates (ingested
+    meshes) get a tolerance kernel with the given ``tolerance``.
     Adjacency is purely combinatorial and never raises on malformed
     indices; ``validate`` reports those instead.
     """
 
     def __init__(self, vertices: Sequence[Vec3], faces: Sequence[Sequence[int]],
-                 exact: bool | None = None) -> None:
+                 tolerance: float = 1e-9) -> None:
         self.vertices: tuple[Vec3, ...] = tuple(tuple(v) for v in vertices)
         self.faces: tuple[tuple[int, ...], ...] = tuple(tuple(f) for f in faces)
-        if exact is None:
-            exact = bool(self.vertices) and isinstance(self.vertices[0][0], Q2)
-        self.exact = exact
+        exact = bool(self.vertices) and isinstance(self.vertices[0][0], Q2)
+        self.kernel = EXACT if exact else ToleranceKernel(tolerance)
 
         edge_faces: dict[tuple[int, int], list[int]] = {}
         for fi, face in enumerate(self.faces):
@@ -109,6 +113,10 @@ class Polyhedron:
             i: tuple(fs) for i, fs in vertex_faces.items()
         }
         self._cache: dict = {}
+
+    @property
+    def exact(self) -> bool:
+        return self.kernel.exact
 
     # counts ---------------------------------------------------------------
 
@@ -144,11 +152,6 @@ class Polyhedron:
         if len(fs) != 2:
             return None
         return fs[0] if fs[1] == fi else fs[1]
-
-    def vertex_index(self) -> dict[Vec3, int]:
-        if "vertex_index" not in self._cache:
-            self._cache["vertex_index"] = {v: i for i, v in enumerate(self.vertices)}
-        return self._cache["vertex_index"]
 
     def face_index_sets(self) -> dict[frozenset, int]:
         if "face_sets" not in self._cache:
@@ -212,7 +215,7 @@ def convex_hull_faces(vertices: Sequence[Vec3]) -> list[tuple[int, ...]]:
                 nrm = vcross(eij, vsub(vertices[k], vertices[i]))
                 if geom.is_zero_vec(nrm):
                     continue
-                d = geom.canonical_direction_q2(nrm)
+                d = EXACT.canon_dir(nrm)
                 key = (d, vdot(d, vertices[i]))
                 if key in seen_planes:
                     continue
@@ -234,13 +237,9 @@ def convex_hull_faces(vertices: Sequence[Vec3]) -> list[tuple[int, ...]]:
 # -- builders ---------------------------------------------------------------
 
 
-def _sorted_exact(points: Iterable[Vec3]) -> tuple[Vec3, ...]:
-    return tuple(sorted(points))
-
-
 def _from_exact_points(points: Iterable[Vec3]) -> Polyhedron:
-    verts = _sorted_exact(points)
-    return Polyhedron(verts, convex_hull_faces(verts), exact=True)
+    verts = tuple(sorted(points))
+    return Polyhedron(verts, convex_hull_faces(verts))
 
 
 @functools.lru_cache(maxsize=None)
@@ -349,14 +348,12 @@ def _canonical_cycle(seq: list[int]) -> tuple[int, ...]:
 # -- validation ---------------------------------------------------------------
 
 
-def validate(p: Polyhedron, tolerance: float | None = None) -> ValidationReport:
+def validate(p: Polyhedron) -> ValidationReport:
     """Structural and geometric checks; never raises on malformed input.
 
-    Exact meshes use exact predicates; pass a tolerance for float meshes
-    (required when ``p.exact`` is false).
+    Geometric checks decide through the mesh's kernel: exactly for Q2
+    meshes, within the mesh tolerance for float meshes.
     """
-    if not p.exact and tolerance is None:
-        tolerance = 1e-9
     checks: list[Check] = []
     n = p.n_vertices
 
@@ -412,38 +409,20 @@ def validate(p: Polyhedron, tolerance: float | None = None) -> ValidationReport:
     planar_bad: list[int] = []
     outward_bad: list[int] = []
     convex_ok = True
+    k = p.kernel
     c = p.vertex_centroid()
     for fi, f in enumerate(p.faces):
         nrm = p.face_normal(fi)
         base = p.vertices[f[0]]
-        if p.exact:
-            if any(not vdot(nrm, vsub(p.vertices[i], base)).is_zero() for i in f):
-                planar_bad.append(fi)
-                continue
-            if vdot(nrm, vsub(base, c)).sign() <= 0:
-                outward_bad.append(fi)
-            if any(
-                vdot(nrm, vsub(v, base)).sign() > 0 for v in p.vertices
-            ):
-                convex_ok = False
-        else:
-            nn = math.sqrt(float(vdot(nrm, nrm)))
-            if nn == 0.0:
-                planar_bad.append(fi)
-                continue
-            if any(
-                abs(float(vdot(nrm, vsub(p.vertices[i], base)))) / nn > tolerance
-                for i in f
-            ):
-                planar_bad.append(fi)
-                continue
-            if float(vdot(nrm, vsub(base, c))) <= 0:
-                outward_bad.append(fi)
-            if any(
-                float(vdot(nrm, vsub(v, base))) / nn > tolerance
-                for v in p.vertices
-            ):
-                convex_ok = False
+        if k.is_zero_vec(nrm) or any(
+            k.plane_side(nrm, vsub(p.vertices[i], base)) for i in f
+        ):
+            planar_bad.append(fi)
+            continue
+        if k.plane_side(nrm, vsub(base, c)) <= 0:
+            outward_bad.append(fi)
+        if any(k.plane_side(nrm, vsub(v, base)) > 0 for v in p.vertices):
+            convex_ok = False
     checks.append(
         Check("planarity", not planar_bad,
               f"non-planar faces {planar_bad}" if planar_bad else "all faces planar")
@@ -476,11 +455,12 @@ def write_off(p: Polyhedron) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_off(text: str) -> Polyhedron:
-    """Parse ASCII OFF into a float-mode polyhedron.
+def read_off(text: str, tolerance: float = 1e-9) -> Polyhedron:
+    """Parse ASCII OFF into a float polyhedron with the given tolerance.
 
     Raises OffParseError with the offending line number; blank lines and
     ``#`` comments are skipped, trailing face color values are ignored.
+    Negative counts and lines after the last face are errors.
     """
     numbered = [
         (ln, line.split("#", 1)[0].strip())
@@ -504,6 +484,8 @@ def read_off(text: str) -> Polyhedron:
         nv, nf, _ = (int(x) for x in parts)
     except ValueError:
         raise OffParseError(ln, f"non-integer counts in {counts!r}") from None
+    if nv < 0 or nf < 0:
+        raise OffParseError(ln, f"negative counts in {counts!r}")
     pos += 1
     verts: list[Vec3] = []
     for _ in range(nv):
@@ -533,7 +515,10 @@ def read_off(text: str) -> Polyhedron:
             raise OffParseError(ln, f"face promises {k} indices: {line!r}")
         faces.append(idx)
         pos += 1
-    return Polyhedron(verts, faces, exact=False)
+    if pos < len(rows):
+        ln, line = rows[pos]
+        raise OffParseError(ln, f"unexpected line after the last face: {line!r}")
+    return Polyhedron(verts, faces, tolerance)
 
 
 def to_json_dict(p: Polyhedron, name: str = "") -> dict:

@@ -8,22 +8,36 @@ image points, and keep the matrix iff it is orthogonal with determinant
 verified closed under composition and inverse.  No point-group tables:
 the verification is the point.
 
-Exact meshes run entirely over Q(sqrt2).  Float meshes (ingested OFF)
-run the same search with a tolerance, then try to snap every matrix
-entry back into Q(sqrt2); when all entries snap, axis extraction reuses
-the exact code, otherwise the report is marked approximate.
+There is one search, one axis extraction and one incidence test; every
+decision in them goes through the mesh's predicate kernel (``geom``).
+Exact meshes therefore run entirely over Q(sqrt2).  Float meshes (ingested
+OFF) run the same code within their tolerance, and then snap the whole
+group back into Q(sqrt2): when every matrix entry snaps, the group carries
+the exact kernel from then on; otherwise no matrix is snapped and the
+report is marked approximate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from fractions import Fraction
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 from . import geom
-from .geom import Mat3, Vec3, mat_mul, mat_transpose, mat_vec, vdot, vsub
-from .qfield import ONE, SQRT2, ZERO, Q2
+from .geom import (
+    DET_EPS,
+    EXACT,
+    LEAD_EPS,
+    ORIGIN_EPS,
+    ORTHO_EPS,
+    Mat3,
+    Vec3,
+    mat_mul,
+    mat_transpose,
+    mat_vec,
+    vdot,
+    vsub,
+)
 from .solids import Polyhedron
 
 
@@ -31,19 +45,27 @@ class DegenerateGeometryError(ValueError):
     """Mesh has no three linearly independent vertices."""
 
 
-class InternalGeometryError(RuntimeError):
-    """A symmetry axis missed every surface feature: indicates a bug."""
+class InternalGeometryError(ValueError):
+    """A symmetry result failed its own verification.
+
+    On an exact mesh this indicates a bug; on a float mesh, a tolerance
+    under which the accepted maps do not form a group.
+    """
 
 
 @dataclass(frozen=True)
 class Isometry:
-    """Orthogonal map (about the vertex centroid) permuting the mesh."""
+    """Orthogonal map (about the vertex centroid) permuting the mesh.
+
+    ``kernel`` decides predicates on ``matrix``: exact for Q2 matrices,
+    the mesh's tolerance kernel for an unsnapped float group.
+    """
 
     matrix: Mat3
     proper: bool
-    exact: bool
     vertex_perm: tuple[int, ...]
     face_perm: tuple[int, ...]
+    kernel: object = field(compare=False, repr=False)
 
     def order(self) -> int:
         """Smallest n with self^n = identity, via the vertex permutation.
@@ -71,20 +93,18 @@ class Feature:
     point: Vec3
 
     def to_dict(self) -> dict:
-        pt = [str(c) if isinstance(c, Q2) else float(c) for c in self.point]
-        return {"type": self.kind, "point": pt}
+        return {"type": self.kind, "point": geom.json_vec(self.point)}
 
 
 @dataclass(frozen=True)
 class RotationAxis:
-    direction: Vec3  # canonical: first nonzero component +1 (exact mode)
+    direction: Vec3  # the kernel's canonical direction
     order: int
     features: tuple[Feature, Feature] | None = None
 
     def to_dict(self) -> dict:
-        d = [str(c) if isinstance(c, Q2) else float(c) for c in self.direction]
         return {
-            "direction": d,
+            "direction": geom.json_vec(self.direction),
             "order": self.order,
             "features": [f.to_dict() for f in self.features] if self.features else None,
         }
@@ -131,10 +151,7 @@ class SymmetryReport:
 
 def _translated_vertices(p: Polyhedron) -> tuple[Vec3, ...]:
     c = p.vertex_centroid()
-    if p.exact:
-        if all(x.is_zero() for x in c):
-            return p.vertices
-    elif all(abs(x) < 1e-15 for x in c):
+    if all(p.kernel.is_zero(x, ORIGIN_EPS) for x in c):
         return p.vertices
     return tuple(vsub(v, c) for v in p.vertices)
 
@@ -150,55 +167,24 @@ def _flags(p: Polyhedron):
                 yield a, b, c
 
 
-def _base_flag(p: Polyhedron, verts: Sequence[Vec3], exact: bool):
+def _base_flag(p: Polyhedron, verts: Sequence[Vec3]) -> Mat3:
     for a, b, c in _flags(p):
         cols = geom.mat_from_columns(verts[a], verts[b], verts[c])
-        det = geom.mat_det(cols)
-        if (exact and not det.is_zero()) or (not exact and abs(det) > 1e-9):
-            return (a, b, c), cols
+        if not p.kernel.is_zero(geom.mat_det(cols), DET_EPS):
+            return cols
     raise DegenerateGeometryError("no three linearly independent vertices")
 
 
-def _float_inverse(m: Mat3) -> Mat3:
-    det = geom.mat_det(m)
-    cof = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            sub = [
-                [m[r][c] for c in range(3) if c != j]
-                for r in range(3) if r != i
-            ]
-            d2 = sub[0][0] * sub[1][1] - sub[0][1] * sub[1][0]
-            row.append(((-1) ** (i + j)) * d2)
-        cof.append(row)
-    return tuple(tuple(cof[j][i] / det for j in range(3)) for i in range(3))
+def _is_identity(k, m: Mat3, eps: float | None = None) -> bool:
+    return all(
+        k.is_zero(m[i][j] - (1 if i == j else 0), eps) for i in range(3) for j in range(3)
+    )
 
 
-def _vertex_perm_exact(verts: Sequence[Vec3], index: dict, m: Mat3):
+def _vertex_perm(verts: Sequence[Vec3], index, m: Mat3):
     perm = []
     for v in verts:
-        w = mat_vec(m, v)
-        k = index.get(w)
-        if k is None:
-            return None
-        perm.append(k)
-    return tuple(perm)
-
-
-def _vertex_perm_float(verts: Sequence[Vec3], m: Mat3, tol: float):
-    perm = []
-    for v in verts:
-        w = mat_vec(m, v)
-        k = None
-        for i, u in enumerate(verts):
-            if (
-                abs(w[0] - u[0]) <= tol
-                and abs(w[1] - u[1]) <= tol
-                and abs(w[2] - u[2]) <= tol
-            ):
-                k = i
-                break
+        k = index.get(mat_vec(m, v))
         if k is None:
             return None
         perm.append(k)
@@ -221,256 +207,126 @@ def _verify_group(isos: Sequence[Isometry]) -> None:
     n = len(isos[0].vertex_perm)
     ident = tuple(range(n))
     if ident not in perms:
-        raise AssertionError("isometry group lacks the identity")
+        raise InternalGeometryError("isometry group lacks the identity")
     for a in isos:
         inv = [0] * n
         for i, j in enumerate(a.vertex_perm):
             inv[j] = i
         if tuple(inv) not in perms:
-            raise AssertionError("isometry group not closed under inverse")
+            raise InternalGeometryError("isometry group not closed under inverse")
         for b in isos:
             comp = tuple(a.vertex_perm[j] for j in b.vertex_perm)
             if comp not in perms:
-                raise AssertionError("isometry group not closed under composition")
+                raise InternalGeometryError("isometry group not closed under composition")
 
 
-def isometry_group(
-    p: Polyhedron, proper_only: bool = False, tolerance: float = 1e-9
-) -> tuple[Isometry, ...]:
+def isometry_group(p: Polyhedron, proper_only: bool = False) -> tuple[Isometry, ...]:
     """All orthogonal maps (about the vertex centroid) sending the vertex
     set onto itself and preserving the face set, in canonical order.
 
-    Exact meshes use exact arithmetic throughout; float meshes use the
-    given tolerance and snap matrices back to Q(sqrt2) when possible.
+    A float group is snapped back to Q(sqrt2) only if every matrix snaps.
     """
-    cache_key = "isometry_group"
-    if cache_key not in p._cache:
-        p._cache[cache_key] = (
-            _isometry_group_exact(p) if p.exact else _isometry_group_float(p, tolerance)
-        )
-    group = p._cache[cache_key]
+    if "isometry_group" not in p._cache:
+        p._cache["isometry_group"] = _isometry_group(p)
+    group = p._cache["isometry_group"]
     if proper_only:
         return tuple(iso for iso in group if iso.proper)
     return group
 
 
-def _isometry_group_exact(p: Polyhedron) -> tuple[Isometry, ...]:
+def _isometry_group(p: Polyhedron) -> tuple[Isometry, ...]:
+    k = p.kernel
     verts = _translated_vertices(p)
-    index = {v: i for i, v in enumerate(verts)}
-    (a, b, c), base_cols = _base_flag(p, verts, exact=True)
-    base_inv = geom.mat_inverse_q2(base_cols)
-    ident = geom.q2_identity()
+    index = k.index(verts)
+    base_inv = geom.mat_inverse(_base_flag(p, verts), k.is_zero)
     found: dict[tuple, Isometry] = {}
     for (wa, wb, wc) in _flags(p):
         img_cols = geom.mat_from_columns(verts[wa], verts[wb], verts[wc])
         m = mat_mul(img_cols, base_inv)
-        if mat_mul(mat_transpose(m), m) != ident:
+        if not _is_identity(k, mat_mul(mat_transpose(m), m), ORTHO_EPS):
             continue
         det = geom.mat_det(m)
-        if det == ONE:
+        if k.is_zero(det - 1, ORTHO_EPS):
             proper = True
-        elif det == -ONE:
+        elif k.is_zero(det + 1, ORTHO_EPS):
             proper = False
         else:
             continue
-        vperm = _vertex_perm_exact(verts, index, m)
+        vperm = _vertex_perm(verts, index, m)
         if vperm is None:
             continue
         fperm = _face_perm(p, vperm)
         if fperm is None:
             continue
-        found.setdefault(m, Isometry(m, proper, True, vperm, fperm))
-    isos = sorted(found.values(), key=lambda iso: iso.matrix)
+        found.setdefault(k.matrix_key(m), Isometry(m, proper, vperm, fperm, k))
+    isos = list(found.values())
+    snapped = [k.snap(iso.matrix) for iso in isos]
+    if None not in snapped:
+        isos = [replace(iso, matrix=s, kernel=EXACT) for iso, s in zip(isos, snapped)]
+    isos.sort(key=lambda iso: iso.matrix)
     _verify_group(isos)
     return tuple(isos)
-
-
-def _isometry_group_float(p: Polyhedron, tol: float) -> tuple[Isometry, ...]:
-    verts = _translated_vertices(p)
-    (a, b, c), base_cols = _base_flag(p, verts, exact=False)
-    base_inv = _float_inverse(base_cols)
-    found: dict[tuple, tuple[Mat3, bool, tuple, tuple]] = {}
-    for (wa, wb, wc) in _flags(p):
-        img_cols = geom.mat_from_columns(verts[wa], verts[wb], verts[wc])
-        m = mat_mul(img_cols, base_inv)
-        mtm = mat_mul(mat_transpose(m), m)
-        if any(
-            abs(mtm[i][j] - (1.0 if i == j else 0.0)) > 1e-7
-            for i in range(3)
-            for j in range(3)
-        ):
-            continue
-        det = geom.mat_det(m)
-        if abs(abs(det) - 1.0) > 1e-7:
-            continue
-        vperm = _vertex_perm_float(verts, m, max(tol, 1e-12))
-        if vperm is None:
-            continue
-        fperm = _face_perm(p, vperm)
-        if fperm is None:
-            continue
-        key = tuple(round(m[i][j], 6) for i in range(3) for j in range(3))
-        found.setdefault(key, (m, det > 0, vperm, fperm))
-    isos = []
-    for m, proper, vperm, fperm in found.values():
-        snapped = snap_matrix_to_q2(m, tol=1e-9)
-        if snapped is not None:
-            isos.append(Isometry(snapped, proper, True, vperm, fperm))
-        else:
-            isos.append(Isometry(m, proper, False, vperm, fperm))
-    isos.sort(key=lambda iso: tuple(float(x) for row in iso.matrix for x in row))
-    _verify_group(isos)
-    return tuple(isos)
-
-
-# -- float -> Q2 snapping ------------------------------------------------------
-
-
-_SQRT2_F = math.sqrt(2.0)
-
-
-def snap_scalar_to_q2(x: float, tol: float = 1e-9, max_den: int = 64) -> Q2 | None:
-    """Nearest representable a + b*sqrt2 within tol, small denominators.
-
-    Pure rationals and pure sqrt2 multiples are searched up to
-    ``max_den``; mixed values only over small coefficients (denominator
-    up to 8, magnitude up to 2), which covers every entry an orthogonal
-    matrix over Q(sqrt2) at this scale can have.
-    """
-    r = Fraction(x).limit_denominator(max_den)
-    if abs(x - float(r)) <= tol:
-        return Q2(r)
-    s = Fraction(x / _SQRT2_F).limit_denominator(max_den)
-    if abs(x - float(s) * _SQRT2_F) <= tol:
-        return Q2(0, s)
-    for q in range(1, 9):
-        for num in range(-2 * q, 2 * q + 1):
-            a = Fraction(num, q)
-            b = Fraction((x - float(a)) / _SQRT2_F).limit_denominator(8)
-            if abs(b) <= 2 and abs(x - float(a) - float(b) * _SQRT2_F) <= tol:
-                return Q2(a, b)
-    return None
-
-
-def snap_matrix_to_q2(m: Mat3, tol: float = 1e-9) -> Mat3 | None:
-    rows = []
-    for row in m:
-        out = []
-        for x in row:
-            q = snap_scalar_to_q2(x, tol)
-            if q is None:
-                return None
-            out.append(q)
-        rows.append(tuple(out))
-    return tuple(rows)
 
 
 # -- rotation axes -------------------------------------------------------------
 
 
-# traces 1 + 2cos(2 pi k/n) (gcd(k, n) = 1) that are representable in Q(sqrt2)
-_ALLOWED_TRACES = {
-    2: (Q2(-1),),
-    3: (Q2(0),),
-    4: (Q2(1),),
-    6: (Q2(2),),
-    8: (ONE + SQRT2, ONE - SQRT2),
-}
-
-
 def rotation_axes(group: Iterable[Isometry]) -> tuple[RotationAxis, ...]:
     """Fixed lines of the non-identity rotations, deduplicated by
     canonical direction; order = maximal rotation order about the line."""
-    rotations = [iso for iso in group if iso.proper]
-    if not rotations:
-        return ()
-    exact = rotations[0].exact
     axes: dict[tuple, int] = {}
-    for iso in rotations:
-        if iso.order() == 1:
+    for iso in group:
+        if not iso.proper or iso.order() == 1:
             continue
-        d = _fixed_direction(iso.matrix, exact)
-        order = iso.order()
-        if exact:
-            _verify_rotation(iso, order)
-        key = d
-        axes[key] = max(axes.get(key, 0), order)
+        order = _verify_rotation(iso)
+        d = _fixed_direction(iso)
+        axes[d] = max(axes.get(d, 0), order)
     out = [RotationAxis(d, n) for d, n in axes.items()]
-    if exact:
-        out.sort(key=lambda ax: (-ax.order, ax.direction))
-    else:
-        out.sort(key=lambda ax: (-ax.order, tuple(float(x) for x in ax.direction)))
+    out.sort(key=lambda ax: (-ax.order, ax.direction))
     return tuple(out)
 
 
-def _fixed_direction(m: Mat3, exact: bool) -> Vec3:
-    if exact:
-        ident = geom.q2_identity()
-        diff = tuple(
-            tuple(m[i][j] - ident[i][j] for j in range(3)) for i in range(3)
-        )
-        v = geom.kernel_vector_q2(diff)
-        if v is None:
-            raise ValueError("matrix has no fixed line (is it the identity?)")
-        return geom.canonical_direction_q2(v)
-    return _fixed_direction_float(m)
+def _fixed_direction(iso: Isometry) -> Vec3:
+    m = iso.matrix
+    diff = tuple(tuple(m[i][j] - (1 if i == j else 0) for j in range(3)) for i in range(3))
+    v = geom.kernel_vector(diff, iso.kernel.is_zero)
+    if v is None:
+        raise ValueError("matrix has no fixed line (is it the identity?)")
+    return iso.kernel.canon_dir(v)
 
 
-def _fixed_direction_float(m: Mat3) -> Vec3:
-    # axis from the skew part; fall back to columns of M + I for half-turns
-    v = (m[2][1] - m[1][2], m[0][2] - m[2][0], m[1][0] - m[0][1])
-    nrm = math.sqrt(sum(x * x for x in v))
-    if nrm < 1e-9:
-        cols = [tuple(m[i][j] + (1.0 if i == j else 0.0) for i in range(3)) for j in range(3)]
-        v = max(cols, key=lambda c: sum(x * x for x in c))
-        nrm = math.sqrt(sum(x * x for x in v))
-    v = tuple(x / nrm for x in v)
-    lead = next(x for x in v if abs(x) > 1e-6)
-    if lead < 0:
-        v = tuple(-x for x in v)
-    return tuple(round(x, 9) for x in v)
+def _verify_rotation(iso: Isometry) -> int:
+    """The rotation's order n, checked as M^n = I with no smaller power.
 
-
-def _verify_rotation(iso: Isometry, order: int) -> None:
-    trace = iso.matrix[0][0] + iso.matrix[1][1] + iso.matrix[2][2]
-    elem_order = iso.order()
-    allowed = _ALLOWED_TRACES.get(elem_order)
-    if allowed is None or trace not in allowed:
-        raise InternalGeometryError(
-            f"rotation of order {elem_order} has unexpected trace {trace}"
-        )
-    ident = geom.q2_identity()
-    power = iso.matrix
-    for k in range(1, elem_order):
-        if power == ident:
+    For an orthogonal M with det +1 this also fixes its trace to
+    1 + 2cos(2 pi k/n), so no trace table is needed.
+    """
+    k, m = iso.kernel, iso.matrix
+    order = iso.order()
+    power = m
+    for _ in range(1, order):
+        if _is_identity(k, power):
             raise InternalGeometryError("rotation order overestimated")
-        power = mat_mul(power, iso.matrix)
-    if power != ident:
+        power = mat_mul(power, m)
+    if not _is_identity(k, power):
         raise InternalGeometryError("rotation order underestimated")
+    return order
 
 
 # -- feature incidence ---------------------------------------------------------
 
 
 def axis_feature_incidence(
-    p: Polyhedron, axis: RotationAxis | Vec3, tolerance: float = 1e-9
+    p: Polyhedron, axis: RotationAxis | Vec3
 ) -> tuple[Feature, Feature]:
     """The two antipodal surface features (face center, vertex, edge
     midpoint) met by the axis line through the centroid."""
-    d = axis.direction if isinstance(axis, RotationAxis) else axis
-    exact = p.exact
-    if not exact and isinstance(d[0], Q2):
-        d = tuple(float(x) for x in d)
+    k = p.kernel
+    d = k.vec(axis.direction if isinstance(axis, RotationAxis) else axis)
     c = p.vertex_centroid()
 
     def on_line(pt: Vec3) -> bool:
-        rel = vsub(pt, c)
-        cr = geom.vcross(rel, d)
-        if exact:
-            return geom.is_zero_vec(cr) and not geom.is_zero_vec(rel)
-        nrm = math.sqrt(float(vdot(cr, cr)))
-        rel_n = math.sqrt(float(vdot(rel, rel)))
-        return rel_n > tolerance and nrm <= tolerance * max(1.0, rel_n)
+        return k.on_line(vsub(pt, c), d)
 
     candidates: list[Feature] = []
     for i, v in enumerate(p.vertices):
@@ -488,8 +344,7 @@ def axis_feature_incidence(
     pos: list[Feature] = []
     neg: list[Feature] = []
     for f in candidates:
-        t = vdot(vsub(f.point, c), d)
-        side = t.sign() if exact else (1 if float(t) > 0 else -1)
+        side = k.sign(vdot(vsub(f.point, c), d))
         (pos if side > 0 else neg).append(f)
 
     def pick(side: list[Feature], label: str) -> Feature:
@@ -507,43 +362,17 @@ def axis_feature_incidence(
 # -- polar rotations and transitivity -----------------------------------------
 
 
-_ANGLE_BY_COS_SIN = {geom.exact_cos_sin(d): d for d in range(0, 360, 45)}
-
-
-def polar_axis_rotations(p: Polyhedron, tolerance: float = 1e-9) -> tuple[int, ...]:
+def polar_axis_rotations(p: Polyhedron) -> tuple[int, ...]:
     """Non-identity rotation angles (degrees) about the z axis present in
-    the proper group, each verified by exact matrix powers in exact mode."""
+    the proper group, each verified by matrix powers."""
     angles = set()
-    ident = geom.q2_identity()
-    for iso in isometry_group(p, proper_only=True, tolerance=tolerance):
-        m = iso.matrix
-        if iso.exact:
-            ez = (ZERO, ZERO, ONE)
-            if mat_vec(m, ez) != ez or m == ident:
-                continue
-            key = (m[0][0], m[1][0])
-            deg = _ANGLE_BY_COS_SIN.get(key)
-            if deg is None:
-                deg = round(math.degrees(math.atan2(float(m[1][0]), float(m[0][0])))) % 360
-            else:
-                n = iso.order()
-                power = m
-                for _ in range(1, n):
-                    power = mat_mul(power, m)
-                if power != ident:
-                    raise InternalGeometryError("polar rotation power check failed")
-        else:
-            ez_img = mat_vec(m, (0.0, 0.0, 1.0))
-            if (
-                abs(ez_img[0]) > 1e-6
-                or abs(ez_img[1]) > 1e-6
-                or abs(ez_img[2] - 1.0) > 1e-6
-            ):
-                continue
-            deg = round(math.degrees(math.atan2(float(m[1][0]), float(m[0][0])))) % 360
-            if deg == 0:
-                continue
+    for iso in isometry_group(p, proper_only=True):
+        k, m = iso.kernel, iso.matrix
+        if not all(k.is_zero(x, LEAD_EPS) for x in (m[0][2], m[1][2], m[2][2] - 1)):
+            continue
+        deg = round(math.degrees(math.atan2(float(m[1][0]), float(m[0][0])))) % 360
         if deg:
+            _verify_rotation(iso)
             angles.add(deg)
     return tuple(sorted(angles))
 
@@ -574,20 +403,17 @@ def is_vertex_transitive(
     return len(orbits) == 1, tuple(orbits)
 
 
-def symmetry_report(p: Polyhedron, tolerance: float = 1e-9) -> SymmetryReport:
+def symmetry_report(p: Polyhedron) -> SymmetryReport:
     """Full symmetry summary: group orders, axes with surface features,
     transitivity and the axis class equation."""
-    key = ("symmetry_report", tolerance if not p.exact else None)
-    if key in p._cache:
-        return p._cache[key]
-    full = isometry_group(p, tolerance=tolerance)
+    if "symmetry_report" in p._cache:
+        return p._cache["symmetry_report"]
+    full = isometry_group(p)
     proper = tuple(iso for iso in full if iso.proper)
     axes = rotation_axes(proper)
-    approximate = any(not iso.exact for iso in full)
-    with_features = []
-    for ax in axes:
-        feats = axis_feature_incidence(p, ax, tolerance)
-        with_features.append(replace(ax, features=feats))
+    with_features = [
+        replace(ax, features=axis_feature_incidence(p, ax)) for ax in axes
+    ]
     vt_full, orbits = is_vertex_transitive(p, full)
     vt_proper, _ = is_vertex_transitive(p, proper)
     class_eq = sum(ax.order - 1 for ax in axes) + 1 == len(proper)
@@ -599,7 +425,7 @@ def symmetry_report(p: Polyhedron, tolerance: float = 1e-9) -> SymmetryReport:
         vertex_transitive_proper=vt_proper,
         orbit_sizes=tuple(len(o) for o in orbits),
         class_equation_ok=class_eq,
-        approximate=approximate,
+        approximate=not full[0].kernel.exact,  # the group was not snapped
     )
-    p._cache[key] = report
+    p._cache["symmetry_report"] = report
     return report

@@ -1,4 +1,5 @@
 import os
+import random
 
 import pytest
 
@@ -15,12 +16,22 @@ from gyrolab.symmetry import symmetry_report
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 
+def noisy_off(text: str, eps: float, rng: random.Random) -> str:
+    """OFF text with uniform noise in [-eps, eps] added to every coordinate."""
+    lines = text.splitlines()
+    nv = int(lines[1].split()[0])
+    for k in range(2, 2 + nv):
+        coords = [float(x) + rng.uniform(-eps, eps) for x in lines[k].split()]
+        lines[k] = " ".join(f"{c:.17g}" for c in coords)
+    return "\n".join(lines) + "\n"
+
+
 def make_cube(half: int = 1) -> Polyhedron:
     verts = sorted(
         {(Q2(sx), Q2(sy), Q2(sz))
          for sx in (half, -half) for sy in (half, -half) for sz in (half, -half)}
     )
-    return Polyhedron(verts, convex_hull_faces(verts), exact=True)
+    return Polyhedron(verts, convex_hull_faces(verts))
 
 
 @pytest.fixture(scope="session")

@@ -154,11 +154,11 @@ def test_criterion_10_ingestion_robustness(rco, pseudo, rco_sym, pseudo_sym):
     with _verdict(10, "OFF round trip at 1e-9 reproduces group/axis/belt counts"):
         for p, rep in ((rco, rco_sym), (pseudo, pseudo_sym)):
             q = read_off(write_off(p))
-            float_rep = symmetry_report(q, 1e-9)
+            float_rep = symmetry_report(q)
             assert float_rep.proper_order == rep.proper_order
             assert float_rep.full_order == rep.full_order
             assert len(float_rep.axes) == len(rep.axes)
-            assert len(find_belts(q, 1e-9)) == len(find_belts(p))
+            assert len(find_belts(q)) == len(find_belts(p))
 
 
 def test_criterion_11_property_suites(rco, cube):
@@ -183,7 +183,7 @@ def test_criterion_11_property_suites(rco, cube):
             a, b = rng.choice(group), rng.choice(group)
             assert mat_mul(a.matrix, b.matrix) in mats
             assert geom.mat_transpose(a.matrix) in mats
-        broken = Polyhedron(cube.vertices, cube.faces[:-1], exact=True)
+        broken = Polyhedron(cube.vertices, cube.faces[:-1])
         report = validate(broken)
         assert not report.ok
         assert len(report.open_edges) == 4

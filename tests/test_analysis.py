@@ -52,7 +52,7 @@ def test_report_json_schema(rco):
 
 
 def test_partial_report_on_broken_mesh(cube):
-    broken = Polyhedron(cube.vertices, cube.faces[:-1], exact=True)
+    broken = Polyhedron(cube.vertices, cube.faces[:-1])
     r = analyze(broken, name="broken")
     assert r.partial
     assert not r.validation.ok
@@ -70,7 +70,7 @@ def test_analysis_invariant_under_vertex_relabeling(rco):
     for old, new in enumerate(perm):
         verts[new] = rco.vertices[old]
     faces = [tuple(perm[i] for i in f) for f in rco.faces]
-    shuffled = Polyhedron(verts, faces, exact=True)
+    shuffled = Polyhedron(verts, faces)
     a = analyze(rco, name="x")
     b = analyze(shuffled, name="x")
     assert a.to_dict() == b.to_dict()

@@ -1,10 +1,12 @@
 import json
+import random
 
 import pytest
+from conftest import noisy_off
 
 from gyrolab.cli import main
 from gyrolab.qfield import parse as q2_parse
-from gyrolab.solids import read_off
+from gyrolab.solids import read_off, write_off
 
 
 def run(capsys, *argv):
@@ -92,6 +94,18 @@ def test_analyze_broken_mesh_partial_exit_1(tmp_path, capsys):
     code, out, _ = run(capsys, "analyze", "--input", str(bad))
     assert code == 1
     assert "FAILED" in out
+
+
+def test_noisy_input_fails_cleanly(tmp_path, capsys, rco, pseudo, cube_off_text):
+    # at this noise the float symmetry search may fail, but only with an
+    # exit code, never with a traceback
+    rng = random.Random(3)
+    for name, text in (("rco", write_off(rco)), ("pseudo", write_off(pseudo)),
+                       ("cube", cube_off_text)):
+        mesh = tmp_path / f"{name}.off"
+        mesh.write_text(noisy_off(text, 1e-7, rng), encoding="utf-8")
+        code, _, _ = run(capsys, "analyze", "--input", str(mesh), "--tolerance", "1e-5")
+        assert code in (0, 1)
 
 
 def test_analyze_missing_file(capsys):

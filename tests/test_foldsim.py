@@ -146,7 +146,7 @@ def test_missing_crease_is_an_inconsistent_instruction(net50):
 def test_unknown_glue_kind_rejected(net50):
     bad = dataclasses.replace(
         net50,
-        gluing=net50.gluing + (Gluing("staple", "strip", (0, 0), "strip", (1, 0)),),
+        gluing=net50.gluing + (Gluing("staple", "strip", (0, 0), (1, 0)),),
     )
     with pytest.raises(ValueError, match="inconsistent gluing"):
         fold(bad, 0)

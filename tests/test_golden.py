@@ -19,6 +19,7 @@ import random
 import sys
 
 import pytest
+from conftest import noisy_off
 
 from gyrolab.cli import main
 
@@ -85,16 +86,6 @@ def test_golden_output(name, argv, tmp_path):
 # -- regeneration ----------------------------------------------------------------
 
 
-def _noisy_off(text: str, eps: float, rng: random.Random) -> str:
-    """Add uniform noise in [-eps, eps] to every vertex coordinate."""
-    lines = text.splitlines()
-    nv = int(lines[1].split()[0])
-    for k in range(2, 2 + nv):
-        coords = [float(x) + rng.uniform(-eps, eps) for x in lines[k].split()]
-        lines[k] = " ".join(f"{c:.17g}" for c in coords)
-    return "\n".join(lines) + "\n"
-
-
 def _write_inputs() -> None:
     os.makedirs(INPUT_DIR, exist_ok=True)
     rng = random.Random(20251114)
@@ -107,7 +98,7 @@ def _write_inputs() -> None:
     for base in INPUT_BASES:
         for noise in NOISE:
             with open(_input_path(base, noise), "w", encoding="utf-8") as fh:
-                fh.write(_noisy_off(bases[base], float(noise), rng))
+                fh.write(noisy_off(bases[base], float(noise), rng))
 
 
 def _write_golden() -> None:

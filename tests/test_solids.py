@@ -132,11 +132,11 @@ def test_vertex_figure_cube(cube):
 def test_cube_fixture_passes_validation(cube_off_text):
     p = read_off(cube_off_text)
     assert not p.exact
-    assert validate(p, 1e-9).ok
+    assert validate(p).ok
 
 
 def test_open_edge_detection(cube):
-    broken = Polyhedron(cube.vertices, cube.faces[:-1], exact=True)
+    broken = Polyhedron(cube.vertices, cube.faces[:-1])
     report = validate(broken)
     assert not report.ok
     assert not report.passed("manifold")
@@ -144,7 +144,7 @@ def test_open_edge_detection(cube):
 
 
 def test_dangling_index_reported_not_raised(cube):
-    bad = Polyhedron(cube.vertices, list(cube.faces) + [(0, 1, 99)], exact=True)
+    bad = Polyhedron(cube.vertices, list(cube.faces) + [(0, 1, 99)])
     report = validate(bad)
     assert not report.ok
     assert not report.passed("indices")
@@ -153,7 +153,7 @@ def test_dangling_index_reported_not_raised(cube):
 def test_flipped_face_breaks_winding(cube):
     faces = list(cube.faces)
     faces[0] = tuple(reversed(faces[0]))
-    report = validate(Polyhedron(cube.vertices, faces, exact=True))
+    report = validate(Polyhedron(cube.vertices, faces))
     assert not report.passed("winding")
 
 
@@ -163,7 +163,7 @@ def test_off_round_trip(rco):
     assert p.faces == rco.faces
     for u, v in zip(p.vertices, rco.vertices):
         assert max(abs(a - float(b)) for a, b in zip(u, v)) < 1e-12
-    assert validate(p, 1e-9).ok
+    assert validate(p).ok
 
 
 def test_off_counts_line_matches_contents(rco):
@@ -179,6 +179,8 @@ def test_off_counts_line_matches_contents(rco):
         ("OFF\n1 2\n", 2),
         ("OFF\n1 0 0\n0.0 0.0\n", 3),
         ("OFF\n1 1 0\n0 0 0\n4 0 0 0\n", 4),
+        ("OFF\n-3 -1 0\n", 2),
+        ("OFF\n1 0 0\n0 0 0\n# comment\n3 0 0 0\n", 5),
     ],
 )
 def test_off_parse_errors_carry_line_numbers(text, line):
@@ -212,7 +214,7 @@ def test_off_floats_have_full_precision(edge):
     base = build_rhombicuboctahedron(2)
     scale = Q2(edge) * Q2(Fraction(1, 2))
     p = Polyhedron(
-        [tuple(c * scale for c in v) for v in base.vertices], base.faces, exact=True
+        [tuple(c * scale for c in v) for v in base.vertices], base.faces
     )
     q = read_off(write_off(p))
     for u, v in zip(q.vertices, p.vertices):

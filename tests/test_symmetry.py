@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -6,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from gyrolab import geom
-from gyrolab.geom import mat_mul, mat_vec, vdot, vsub
+from gyrolab.geom import mat_mul, mat_vec, snap_scalar_to_q2, vcross, vdot, vsub
 from gyrolab.qfield import ONE, SQRT2, ZERO, Q2
 from gyrolab.solids import Polyhedron, read_off, write_off
 from gyrolab.symmetry import (
@@ -16,7 +17,6 @@ from gyrolab.symmetry import (
     isometry_group,
     polar_axis_rotations,
     rotation_axes,
-    snap_scalar_to_q2,
     symmetry_report,
 )
 
@@ -235,7 +235,7 @@ def test_symmetry_group_permutes_belt_set(rco):
 
 def test_degenerate_geometry_error():
     verts = [(Q2(0), Q2(0), Q2(0)), (Q2(1), Q2(0), Q2(0)), (Q2(2), Q2(0), Q2(0))]
-    flat = Polyhedron(verts, [(0, 1, 2), (2, 1, 0)], exact=True)
+    flat = Polyhedron(verts, [(0, 1, 2), (2, 1, 0)])
     with pytest.raises(DegenerateGeometryError):
         isometry_group(flat)
 
@@ -260,13 +260,31 @@ def test_float_mode_reproduces_exact_results(rco, pseudo, rco_sym, pseudo_sym):
 
     for p, exact_rep in ((rco, rco_sym), (pseudo, pseudo_sym)):
         q = read_off(write_off(p))
-        rep = symmetry_report(q, 1e-9)
+        rep = symmetry_report(q)
         assert rep.proper_order == exact_rep.proper_order
         assert rep.full_order == exact_rep.full_order
         assert len(rep.axes) == len(exact_rep.axes)
         assert rep.axes_by_order() == exact_rep.axes_by_order()
         assert not rep.approximate  # every matrix snapped back into Q(sqrt2)
-        assert len(find_belts(q, 1e-9)) == len(find_belts(p))
+        assert len(find_belts(q)) == len(find_belts(p))
+
+
+def test_group_outside_q2_stays_float_and_approximate():
+    # the icosahedron's golden-ratio matrices cannot snap into Q(sqrt2)
+    phi = (1 + 5 ** 0.5) / 2
+    verts = [p for a in (-1, 1) for b in (-phi, phi)
+             for p in ((0.0, a, b), (a, b, 0.0), (b, 0.0, a))]
+    faces = []
+    for i, j, k in itertools.combinations(range(12), 3):
+        if all(abs(math.dist(verts[x], verts[y]) - 2) < 1e-9
+               for x, y in ((i, j), (j, k), (i, k))):
+            nrm = vcross(vsub(verts[j], verts[i]), vsub(verts[k], verts[i]))
+            faces.append((i, j, k) if vdot(nrm, verts[i]) > 0 else (i, k, j))
+    rep = symmetry_report(Polyhedron(verts, faces))
+    assert rep.approximate
+    assert (rep.full_order, rep.proper_order) == (120, 60)
+    assert rep.axes_by_order() == {5: 6, 3: 10, 2: 15}
+    assert all(isinstance(x, float) for ax in rep.axes for x in ax.direction)
 
 
 def test_report_json_shape(rco_sym):
