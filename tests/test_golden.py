@@ -28,6 +28,8 @@ INPUT_DIR = os.path.join(GOLDEN_DIR, "inputs")
 CUBE_OFF = os.path.join(os.path.dirname(__file__), "data", "cube.off")
 
 SOLIDS = ("rco", "pseudo-rco")
+# non-canonical edges: the default, a rational and a Q(sqrt2) literal
+SCALED_EDGES = {"5": "5", "5_4": "5/4", "q2": "7/3+1/5*sqrt2"}
 NOISE = ("0", "1e-12", "1e-10")
 INPUT_BASES = ("rco", "pseudo", "cube")
 
@@ -45,6 +47,14 @@ def _cases() -> list[tuple[str, list[str]]]:
         cases.append((f"analyze_{solid}.txt", ["analyze", "--solid", solid, "--edge", "2"]))
         cases.append((f"analyze_{solid}.json",
                       ["analyze", "--solid", solid, "--edge", "2", "--json"]))
+    for tag, edge in SCALED_EDGES.items():
+        for solid in SOLIDS:
+            for fmt in ("off", "json"):
+                cases.append((f"build_{solid}_e{tag}.{fmt}",
+                              ["build", "--solid", solid, "--edge", edge, "--format", fmt]))
+            cases.append((f"analyze_{solid}_e{tag}.json",
+                          ["analyze", "--solid", solid, "--edge", edge, "--json"]))
+        cases.append((f"compare_e{tag}.json", ["compare", "--edge", edge, "--json"]))
     cases.append(("compare.txt", ["compare", "--edge", "2"]))
     cases.append(("compare.json", ["compare", "--edge", "2", "--json"]))
     for gyration in ("0", "45"):
