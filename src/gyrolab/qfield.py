@@ -7,9 +7,17 @@ cosines stay inside the field.  Keeping the arithmetic exact turns every
 geometric predicate (coincidence, coplanarity, orthogonality) into integer
 arithmetic with no tolerances.
 
-``Q2`` values are immutable and hashable; ``+ - * /`` are the field
-operations.  ``sign()`` decides the sign of the real value a + b*sqrt(2)
-by rational case analysis, never through floating point.
+A ``Q2`` holds three integers ``(p, q, d)`` standing for (p + q*sqrt2)/d,
+kept canonical: d > 0 and gcd(p, q, d) = 1, so equal values have equal
+components.  ``+ - * /`` are the field operations, each a few integer
+products and at most one ``math.gcd`` (none for results in Z[sqrt2]);
+operands with the same denominator skip the cross-multiplication.  ``sign()`` decides the sign of p + q*sqrt2 by
+comparing p^2 with 2*q^2, never through floating point.
+
+``Fraction`` appears only at the boundary: the constructor accepts
+int/``Fraction`` components, ``.a``/``.b`` return them as ``Fraction``,
+``parse`` reads rational literals, and ``str`` prints each component in
+lowest terms.
 """
 
 from __future__ import annotations
@@ -18,27 +26,54 @@ import math
 import re
 from fractions import Fraction
 from functools import total_ordering
+from math import gcd
 
 _RATIONAL = r"-?\d+(?:/\d+)?"
 _LITERAL_RE = re.compile(
     rf"^(?P<rat>{_RATIONAL})?"
     rf"(?:(?P<sgn>[+-])?(?:(?P<coef>\d+(?:/\d+)?)\*)?(?P<s2>sqrt2))?$"
 )
+_SQRT2_F = math.sqrt(2.0)
+
+
+def _sign(p: int, q: int) -> int:
+    """Sign of p + q*sqrt2 for integers p, q.
+
+    With opposite signs, |p| vs |q|*sqrt2 is decided by p^2 vs 2*q^2;
+    sqrt(2) being irrational, p + q*sqrt2 = 0 only for p = q = 0.
+    """
+    if not q:
+        return (p > 0) - (p < 0)
+    if p >= 0 and q > 0:
+        return 1
+    if p <= 0 and q < 0:
+        return -1
+    if p * p > 2 * q * q:
+        return 1 if p > 0 else -1
+    return 1 if q > 0 else -1
 
 
 @total_ordering
 class Q2:
-    """The number a + b*sqrt(2) with rational a, b in lowest terms.
+    """The number (p + q*sqrt(2))/d with integers d > 0, gcd(p, q, d) = 1.
 
-    ``Fraction`` keeps (a, b) canonical, so value equality coincides with
-    component equality and instances hash consistently.
+    Immutable and hashable; rational values hash like the equal
+    ``Fraction`` (and ``int``), so they compare and hash consistently with
+    those.  The rational components a = p/d and b = q/d are available as
+    ``.a`` and ``.b``.
     """
 
-    __slots__ = ("a", "b")
+    __slots__ = ("p", "q", "d", "_hash")
 
     def __init__(self, a: int | Fraction = 0, b: int | Fraction = 0) -> None:
-        self.a = Fraction(a)
-        self.b = Fraction(b)
+        if type(a) is int and type(b) is int:
+            self.p, self.q, self.d = a, b, 1
+            return
+        a, b = Fraction(a), Fraction(b)
+        da, db = a.denominator, b.denominator
+        d = da // gcd(da, db) * db
+        # a, b in lowest terms with d their lcm: gcd(p, q, d) = 1 already
+        self.p, self.q, self.d = a.numerator * (d // da), b.numerator * (d // db), d
 
     @classmethod
     def coerce(cls, x: "Q2 | int | Fraction") -> "Q2":
@@ -69,49 +104,74 @@ class Q2:
                 b = -b
         return cls(a, b)
 
+    @property
+    def a(self) -> Fraction:
+        """The rational part p/d."""
+        return Fraction(self.p, self.d)
+
+    @property
+    def b(self) -> Fraction:
+        """The coefficient q/d of sqrt2."""
+        return Fraction(self.q, self.d)
+
     # -- field operations ------------------------------------------------
 
     def __add__(self, other: "Q2 | int | Fraction") -> "Q2":
-        o = Q2.coerce(other)
-        return Q2(self.a + o.a, self.b + o.b)
+        if type(other) is not Q2:
+            if type(other) is int:  # gcd(p + k*d, q, d) = gcd(p, q, d) = 1
+                return _new(self.p + other * self.d, self.q, self.d)
+            other = Q2.coerce(other)
+        d, e = self.d, other.d
+        if d == e:
+            return _reduced(self.p + other.p, self.q + other.q, d)
+        return _reduced(self.p * e + other.p * d, self.q * e + other.q * d, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other: "Q2 | int | Fraction") -> "Q2":
-        o = Q2.coerce(other)
-        return Q2(self.a - o.a, self.b - o.b)
+        if type(other) is not Q2:
+            if type(other) is int:
+                return _new(self.p - other * self.d, self.q, self.d)
+            other = Q2.coerce(other)
+        d, e = self.d, other.d
+        if d == e:
+            return _reduced(self.p - other.p, self.q - other.q, d)
+        return _reduced(self.p * e - other.p * d, self.q * e - other.q * d, d * e)
 
     def __rsub__(self, other: "Q2 | int | Fraction") -> "Q2":
         return Q2.coerce(other) - self
 
     def __neg__(self) -> "Q2":
-        return Q2(-self.a, -self.b)
+        return _new(-self.p, -self.q, self.d)
 
     def __mul__(self, other: "Q2 | int | Fraction") -> "Q2":
-        o = Q2.coerce(other)
-        return Q2(self.a * o.a + 2 * self.b * o.b, self.a * o.b + self.b * o.a)
+        if type(other) is not Q2:
+            other = Q2.coerce(other)
+        p, q, r, s = self.p, self.q, other.p, other.q
+        return _reduced(p * r + 2 * q * s, p * s + q * r, self.d * other.d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Q2":
-        """Multiplicative inverse via the conjugate: (a - b*sqrt2)/(a^2 - 2b^2)."""
-        norm = self.a * self.a - 2 * self.b * self.b
-        if norm == 0:
+        """Multiplicative inverse via the conjugate: d(p - q*sqrt2)/(p^2 - 2q^2)."""
+        p, q, d = self.p, self.q, self.d
+        norm = p * p - 2 * q * q
+        if not norm:
             raise ZeroDivisionError("Q2 division by zero")
-        return Q2(self.a / norm, -self.b / norm)
+        return _reduced(d * p, -d * q, norm)
 
     def __truediv__(self, other: "Q2 | int | Fraction") -> "Q2":
         return self * Q2.coerce(other).inverse()
 
     def __rtruediv__(self, other: "Q2 | int | Fraction") -> "Q2":
-        return Q2.coerce(other) * self.inverse()
+        return Q2.coerce(other) / self
 
     def __pow__(self, n: int) -> "Q2":
         if not isinstance(n, int):
             return NotImplemented
         base = self.inverse() if n < 0 else self
         n = abs(n)
-        out = Q2(1)
+        out = ONE
         while n:
             if n & 1:
                 out = out * base
@@ -120,69 +180,85 @@ class Q2:
         return out
 
     def conjugate(self) -> "Q2":
-        return Q2(self.a, -self.b)
+        return _new(self.p, -self.q, self.d)
 
     # -- predicates and order ---------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.a and not self.b
+        return not self.p and not self.q
 
     def sign(self) -> int:
-        """Exact sign of the real value a + b*sqrt2 (-1, 0 or +1).
-
-        Decided by comparing a^2 against 2*b^2 with case analysis on the
-        component signs; sqrt(2) being irrational, a + b*sqrt2 = 0 only
-        for a = b = 0.
-        """
-        if self.b == 0:
-            return (self.a > 0) - (self.a < 0)
-        if self.a == 0:
-            return 1 if self.b > 0 else -1
-        if self.a > 0 and self.b > 0:
-            return 1
-        if self.a < 0 and self.b < 0:
-            return -1
-        # opposite signs: |a| vs |b|*sqrt2  <=>  a^2 vs 2 b^2
-        a2, b2 = self.a * self.a, 2 * self.b * self.b
-        if a2 == b2:  # impossible for nonzero rationals, kept for safety
-            return 0
-        bigger_rational = a2 > b2
-        return (1 if bigger_rational else -1) if self.a > 0 else (-1 if bigger_rational else 1)
+        """Exact sign of the real value (-1, 0 or +1); d > 0 leaves it to
+        p + q*sqrt2."""
+        return _sign(self.p, self.q)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, Q2):
-            return self.a == other.a and self.b == other.b
-        if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
+        if type(other) is Q2:
+            return self.p == other.p and self.q == other.q and self.d == other.d
+        if isinstance(other, int):
+            return not self.q and self.d == 1 and self.p == other
+        if isinstance(other, Fraction):
+            return (not self.q and self.p == other.numerator
+                    and self.d == other.denominator)
         return NotImplemented
 
     def __lt__(self, other: "Q2 | int | Fraction") -> bool:
-        return (self - Q2.coerce(other)).sign() < 0
+        """Decided by the sign of the unreduced difference."""
+        if type(other) is not Q2:
+            other = Q2.coerce(other)
+        d, e = self.d, other.d
+        if d == e:
+            return _sign(self.p - other.p, self.q - other.q) < 0
+        return _sign(self.p * e - other.p * d, self.q * e - other.q * d) < 0
 
     def __hash__(self) -> int:
-        # rational values must hash like their Fraction (== with int/Fraction)
-        if not self.b:
-            return hash(self.a)
-        return hash((self.a, self.b))
+        try:
+            return self._hash
+        except AttributeError:
+            pass
+        if self.q:
+            h = hash((self.p, self.q, self.d))
+        else:  # rational values must hash like their Fraction (== with int/Fraction)
+            h = hash(self.p) if self.d == 1 else hash(Fraction(self.p, self.d))
+        self._hash = h
+        return h
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return bool(self.p or self.q)
 
     # -- conversions -------------------------------------------------------
 
     def __float__(self) -> float:
-        return float(self.a) + float(self.b) * math.sqrt(2.0)
+        return self.p / self.d + self.q / self.d * _SQRT2_F
 
     def __str__(self) -> str:
-        sep = "-" if self.b < 0 else "+"
-        b = abs(self.b)
-        return (
-            f"{self.a.numerator}/{self.a.denominator}"
-            f"{sep}{b.numerator}/{b.denominator}*sqrt2"
-        )
+        p, q, d = self.p, self.q, self.d
+        ga, gb = gcd(p, d), gcd(q, d)
+        sep = "-" if q < 0 else "+"
+        return f"{p // ga}/{d // ga}{sep}{abs(q) // gb}/{d // gb}*sqrt2"
 
     def __repr__(self) -> str:
         return f"Q2({self.a!r}, {self.b!r})"
+
+
+def _new(p: int, q: int, d: int) -> Q2:
+    """A Q2 from components already in canonical form."""
+    x = object.__new__(Q2)
+    x.p, x.q, x.d = p, q, d
+    return x
+
+
+def _reduced(p: int, q: int, d: int) -> Q2:
+    """A Q2 from any components with d != 0."""
+    if d != 1:  # values in Z[sqrt2] skip the gcd
+        if d < 0:
+            p, q, d = -p, -q, -d
+        g = gcd(p, q, d)
+        if g != 1:
+            p, q, d = p // g, q // g, d // g
+    x = object.__new__(Q2)
+    x.p, x.q, x.d = p, q, d
+    return x
 
 
 ZERO = Q2(0)

@@ -6,6 +6,11 @@ contact sets of the convex hull.  That keeps the gyrated builder honest:
 re-identification of the octagonal ring after the 45-degree cap turn is
 positional (exact coordinate coincidence), not index bookkeeping.
 
+Each solid's hull runs once per process, at the canonical edge 2 where
+every coordinate lies in Z[sqrt2]; a builder at any other edge scales those
+vertices by edge/2 and keeps the faces, since a positive scaling changes
+neither the vertex order nor the faces nor their winding.
+
 Every ``Polyhedron`` carries one predicate kernel (``geom``), chosen from
 its coordinate type when it is made: exact for Q2 coordinates, tolerance
 based for floats read from OFF.  Validation and every later analysis make
@@ -22,7 +27,7 @@ import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import geom
 from .geom import EXACT, ToleranceKernel, Vec3, vcross, vdot, vsub
@@ -203,6 +208,7 @@ def convex_hull_faces(vertices: Sequence[Vec3]) -> list[tuple[int, ...]]:
     Enumerates supporting planes through vertex triples; a plane with all
     remaining points strictly on one side contributes the face of every
     point it contains, wound counterclockwise around the outward normal.
+    The scan of a plane stops at the first point found on its second side.
     Intended for small vertex sets (the built-ins have 24).
     """
     n = len(vertices)
@@ -220,71 +226,107 @@ def convex_hull_faces(vertices: Sequence[Vec3]) -> list[tuple[int, ...]]:
                 if key in seen_planes:
                     continue
                 seen_planes.add(key)
-                offs = [vdot(nrm, vsub(vertices[m], vertices[i])) for m in range(n)]
-                signs = [o.sign() for o in offs]
-                if any(s > 0 for s in signs) and any(s < 0 for s in signs):
-                    continue
-                members = [m for m in range(n) if signs[m] == 0]
-                outward = nrm if any(s < 0 for s in signs) else geom.vneg(nrm)
-                ordered = _ccw_sort_in_plane(members, vertices, outward)
-                # canonical rotation: smallest index first, orientation kept
-                lo = ordered.index(min(ordered))
-                face = tuple(ordered[lo:] + ordered[:lo])
-                faces[frozenset(face)] = face
+                h = vdot(nrm, vertices[i])
+                side = 0  # the sign seen off the plane so far
+                members = []
+                for m, v in enumerate(vertices):
+                    s = (vdot(nrm, v) - h).sign()
+                    if not s:
+                        members.append(m)
+                    elif s != side:
+                        if side:
+                            break  # points on both sides: not a supporting plane
+                        side = s
+                else:
+                    outward = nrm if side < 0 else geom.vneg(nrm)
+                    ordered = _ccw_sort_in_plane(members, vertices, outward)
+                    # canonical rotation: smallest index first, orientation kept
+                    lo = ordered.index(min(ordered))
+                    face = tuple(ordered[lo:] + ordered[:lo])
+                    faces[frozenset(face)] = face
     return sorted(faces.values(), key=lambda f: tuple(sorted(f)))
 
 
 # -- builders ---------------------------------------------------------------
 
 
-def _from_exact_points(points: Iterable[Vec3]) -> Polyhedron:
-    verts = tuple(sorted(points))
+def _rco_points() -> set:
+    """All coordinate permutations of (±1, ±1, ±(1+sqrt2)): edge 2."""
+    t = ONE + SQRT2
+    pts = set()
+    for axis in range(3):
+        for sx in (ONE, -ONE):
+            for sy in (ONE, -ONE):
+                for st in (t, -t):
+                    p = [sx, sy]
+                    p.insert(axis, st)
+                    pts.add(tuple(p))
+    return pts
+
+
+def _pseudo_points() -> set:
+    """The rco points with the top cap turned 45 degrees about the z axis.
+
+    The octagonal ring at z = 1 maps onto itself, so only the 4 polar
+    vertices (z = 1+sqrt2) move.
+    """
+    t = ONE + SQRT2
+    cos45, sin45 = geom.exact_cos_sin(45)
+    pts = set()
+    for v in _rco_points():
+        x, y, z = v
+        if z == t:
+            pts.add((x * cos45 - y * sin45, x * sin45 + y * cos45, z))
+        else:
+            pts.add(v)
+    return pts
+
+
+@functools.lru_cache(maxsize=None)
+def _canonical(kind: str) -> Polyhedron:
+    """The solid at edge 2 (every coordinate in Z[sqrt2]); the only hull
+    each solid ever needs."""
+    verts = tuple(sorted(_rco_points() if kind == "rco" else _pseudo_points()))
     return Polyhedron(verts, convex_hull_faces(verts))
+
+
+def _scaled(kind: str, edge_len) -> Polyhedron:
+    """The canonical solid scaled by edge_len/2.
+
+    A positive factor keeps the sorted vertex order, the faces and their
+    winding, so the hull at edge 2 serves every edge length.
+    """
+    k = _positive_half_edge(edge_len)
+    base = _canonical(kind)
+    verts = tuple((x * k, y * k, z * k) for x, y, z in base.vertices)
+    return Polyhedron(verts, base.faces)
 
 
 @functools.lru_cache(maxsize=None)
 def build_rhombicuboctahedron(edge_len: Q2 | int | Fraction = 2) -> Polyhedron:
     """The 26-face solid with square edge ``edge_len``: all coordinate
-    permutations of (±s, ±s, ±(1+sqrt2)s), s = edge_len/2."""
-    s = _positive_half_edge(edge_len)
-    t = (ONE + SQRT2) * s
-    pts = set()
-    for axis in range(3):
-        for sx in (s, -s):
-            for sy in (s, -s):
-                for st in (t, -t):
-                    p = [sx, sy]
-                    p.insert(axis, st)
-                    pts.add(tuple(p))
-    return _from_exact_points(pts)
+    permutations of (±s, ±s, ±(1+sqrt2)s), s = edge_len/2.
+
+    One hull at edge 2, then scaled.
+    """
+    return _scaled("rco", edge_len)
 
 
 @functools.lru_cache(maxsize=None)
 def build_pseudo_rhombicuboctahedron(edge_len: Q2 | int | Fraction = 2) -> Polyhedron:
     """The gyrate twin: the top cap turned 45 degrees about the polar axis.
 
-    The octagonal ring at z = s maps onto itself, so only the 4 polar
-    vertices move; the hull re-derives the cap faces from the new
-    positions.
+    The cap is turned on the rco point set and the hull re-derives the
+    cap faces from the new positions; one hull at edge 2, then scaled.
     """
-    s = _positive_half_edge(edge_len)
-    t = (ONE + SQRT2) * s
-    cos45, sin45 = geom.exact_cos_sin(45)
-    pts = set()
-    for v in build_rhombicuboctahedron(edge_len).vertices:
-        x, y, z = v
-        if z == t:
-            pts.add((x * cos45 - y * sin45, x * sin45 + y * cos45, z))
-        else:
-            pts.add(v)
-    return _from_exact_points(pts)
+    return _scaled("pseudo", edge_len)
 
 
 def _positive_half_edge(edge_len) -> Q2:
     e = Q2.coerce(edge_len)
     if e.sign() <= 0:
         raise ValueError("edge length must be positive")
-    return e * Q2(Fraction(1, 2))
+    return e / 2
 
 
 # -- census and vertex figures ----------------------------------------------

@@ -1,7 +1,8 @@
 """Isometry-group detection, rotation axes and vertex transitivity.
 
 The group search is deliberately brute force: fix one flag (vertex,
-incident edge, incident face), try every flag of the mesh as its image,
+incident edge, incident face), try every flag of the mesh whose face and
+face across the edge have the base flag's sizes as its image,
 solve the 3x3 linear system sending three independent base points to the
 image points, and keep the matrix iff it is orthogonal with determinant
 +-1 and permutes both the vertex set and the face set.  The result is
@@ -121,9 +122,6 @@ class SymmetryReport:
     class_equation_ok: bool
     approximate: bool
 
-    def axis_count(self) -> int:
-        return len(self.axes)
-
     def axes_by_order(self) -> dict[int, int]:
         out: dict[int, int] = {}
         for ax in self.axes:
@@ -157,6 +155,9 @@ def _translated_vertices(p: Polyhedron) -> tuple[Vec3, ...]:
 
 
 def _flags(p: Polyhedron):
+    """Every flag as (a, b, c, sizes): vertex a, directed edge a->b, the
+    face through a, b and c (c the other neighbour of b in it), and sizes =
+    (that face's size, the size of the face across edge ab or 0)."""
     for (i, j) in p.edges:
         for (a, b) in ((i, j), (j, i)):
             for fi in p.edge_faces[(i, j)]:
@@ -164,14 +165,15 @@ def _flags(p: Polyhedron):
                 k = face.index(b)
                 prev, nxt = face[k - 1], face[(k + 1) % len(face)]
                 c = nxt if prev == a else prev
-                yield a, b, c
+                other = p.other_face((i, j), fi)
+                yield a, b, c, (len(face), 0 if other is None else len(p.faces[other]))
 
 
-def _base_flag(p: Polyhedron, verts: Sequence[Vec3]) -> Mat3:
-    for a, b, c in _flags(p):
+def _base_flag(p: Polyhedron, verts: Sequence[Vec3]) -> tuple[Mat3, tuple[int, int]]:
+    for a, b, c, sizes in _flags(p):
         cols = geom.mat_from_columns(verts[a], verts[b], verts[c])
         if not p.kernel.is_zero(geom.mat_det(cols), DET_EPS):
-            return cols
+            return cols, sizes
     raise DegenerateGeometryError("no three linearly independent vertices")
 
 
@@ -238,9 +240,12 @@ def _isometry_group(p: Polyhedron) -> tuple[Isometry, ...]:
     k = p.kernel
     verts = _translated_vertices(p)
     index = k.index(verts)
-    base_inv = geom.mat_inverse(_base_flag(p, verts), k.is_zero)
+    base, base_sizes = _base_flag(p, verts)
+    base_inv = geom.mat_inverse(base, k.is_zero)
     found: dict[tuple, Isometry] = {}
-    for (wa, wb, wc) in _flags(p):
+    for wa, wb, wc, sizes in _flags(p):
+        if sizes != base_sizes:  # an isometry maps faces to faces of equal size
+            continue
         img_cols = geom.mat_from_columns(verts[wa], verts[wb], verts[wc])
         m = mat_mul(img_cols, base_inv)
         if not _is_identity(k, mat_mul(mat_transpose(m), m), ORTHO_EPS):

@@ -1,9 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gyrolab.qfield import ONE, SQRT2, ZERO, Q2, inverse, parse, sign
@@ -133,3 +134,119 @@ def test_sign_of_near_cancellation():
     assert sign(Q2(8119, -5741)) == -1
     assert sign(Q2(-8119, 5741)) == 1
     assert sign(Q2(3363, -2378)) == 1
+
+
+# -- the integer form against a (Fraction, Fraction) reference ------------------
+
+# small integers reach the near-cancellations p^2 = 2q^2 +- 1 of sign()
+components = st.one_of(rationals, st.integers(min_value=-20, max_value=20).map(Fraction))
+pairs = st.tuples(components, components)
+# a Q2 operand or a plain int/Fraction one, with its reference pair
+operands = st.one_of(
+    pairs.map(lambda ab: (Q2(*ab), ab)),
+    st.integers(min_value=-50, max_value=50).map(lambda n: (n, (Fraction(n), Fraction(0)))),
+    rationals.map(lambda f: (f, (f, Fraction(0)))),
+)
+
+
+def ref_mul(x, y):
+    (a, b), (c, d) = x, y
+    return a * c + 2 * b * d, a * d + b * c
+
+
+def ref_inverse(x):
+    a, b = x
+    norm = a * a - 2 * b * b
+    return a / norm, -b / norm
+
+
+def ref_sign(x):
+    a, b = x
+    if a == b == 0:
+        return 0
+    lead = a if a * a > 2 * b * b else b  # the term of larger magnitude
+    return 1 if lead > 0 else -1
+
+
+REF_OPS = {
+    "+": (lambda x, y: x + y, lambda x, y: (x[0] + y[0], x[1] + y[1])),
+    "-": (lambda x, y: x - y, lambda x, y: (x[0] - y[0], x[1] - y[1])),
+    "*": (lambda x, y: x * y, ref_mul),
+    "/": (lambda x, y: x / y, lambda x, y: ref_mul(x, ref_inverse(y))),
+}
+
+
+def assert_canonical(x: Q2, ref) -> None:
+    assert isinstance(x, Q2)
+    assert x.d > 0 and math.gcd(x.p, x.q, x.d) == 1
+    assert (x.a, x.b) == ref
+    assert (Fraction(x.p, x.d), Fraction(x.q, x.d)) == ref
+
+
+@given(pairs, operands, st.sampled_from(sorted(REF_OPS)))
+def test_operations_match_the_fraction_reference(x, other, op):
+    fn, ref_fn = REF_OPS[op]
+    y, y_ref = other
+    for left, right, l_ref, r_ref in ((Q2(*x), y, x, y_ref), (y, Q2(*x), y_ref, x)):
+        if not isinstance(left, Q2) and not isinstance(right, Q2):
+            continue
+        if op == "/" and r_ref == (0, 0):
+            with pytest.raises(ZeroDivisionError):
+                fn(left, right)
+            continue
+        assert_canonical(fn(left, right), ref_fn(l_ref, r_ref))
+
+
+@given(pairs)
+@example((Fraction(1), Fraction(-1)))  # p^2 = 2q^2 - 1
+@example((Fraction(-3), Fraction(2)))  # p^2 = 2q^2 + 1
+@example((Fraction(41, 3), Fraction(-29, 3)))
+def test_unary_operations_match_the_fraction_reference(x):
+    q = Q2(*x)
+    assert_canonical(q, x)
+    assert_canonical(-q, (-x[0], -x[1]))
+    assert_canonical(q.conjugate(), (x[0], -x[1]))
+    assert q.sign() == ref_sign(x)
+    assert q.is_zero() == (not q) == (x == (0, 0))
+    a, b = x
+    sep = "-" if b < 0 else "+"
+    assert str(q) == f"{a.numerator}/{a.denominator}{sep}{abs(b).numerator}/{abs(b).denominator}*sqrt2"
+    if x == (0, 0):
+        with pytest.raises(ZeroDivisionError):
+            q.inverse()
+    else:
+        assert_canonical(q.inverse(), ref_inverse(x))
+
+
+@settings(max_examples=50)
+@given(pairs.filter(lambda ab: ab != (0, 0)), st.integers(min_value=-5, max_value=5))
+def test_powers_match_the_fraction_reference(x, n):
+    expected = (Fraction(1), Fraction(0))
+    base = x if n >= 0 else ref_inverse(x)
+    for _ in range(abs(n)):
+        expected = ref_mul(expected, base)
+    assert_canonical(Q2(*x) ** n, expected)
+
+
+@given(pairs, operands)
+def test_equality_order_and_hash_follow_the_values(x, other):
+    q = Q2(*x)
+    y, y_ref = other
+    equal = x == y_ref
+    assert (q == y) == (y == q) == equal
+    assert (q != y) == (not equal)
+    diff = ref_sign((x[0] - y_ref[0], x[1] - y_ref[1]))
+    assert (q < y, q <= y, q > y, q >= y) == (diff < 0, diff <= 0, diff > 0, diff >= 0)
+    if equal:
+        assert hash(q) == hash(y)
+    if x[1] == 0:
+        assert q == x[0] and hash(q) == hash(x[0])
+
+
+@given(pairs)
+def test_equal_values_share_components_however_built(x):
+    a, b = x
+    k = Fraction(7, 3)
+    rebuilt = (Q2(a * k, b * k) / k + Q2(a + 1, b) - 1) * Q2(1, 0) - Q2(a, b)
+    assert (rebuilt.p, rebuilt.q, rebuilt.d) == (Q2(*x).p, Q2(*x).q, Q2(*x).d)
+    assert hash(rebuilt) == hash(Q2(*x))

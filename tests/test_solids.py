@@ -6,13 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gyrolab import solids
+from gyrolab.foldsim import fold
 from gyrolab.geom import vdot, vsub
+from gyrolab.netgen import generate_nets
 from gyrolab.qfield import ONE, SQRT2, Q2, parse
 from gyrolab.solids import (
     OffParseError,
     Polyhedron,
     build_pseudo_rhombicuboctahedron,
     build_rhombicuboctahedron,
+    convex_hull_faces,
     face_census,
     read_off,
     to_json,
@@ -32,6 +36,14 @@ def brute_force_vertex_set(edge) -> set:
         for perm in itertools.permutations(range(3)):
             out.add(tuple(base[perm.index(k)] for k in range(3)))
     return out
+
+
+def brute_force_pseudo_vertex_set(edge) -> set:
+    """The rco oracle set with its 4 top vertices turned 45 degrees about z."""
+    top = (ONE + SQRT2) * Q2.coerce(edge) * Q2(Fraction(1, 2))
+    h = Q2(0, Fraction(1, 2))  # cos 45 = sin 45
+    return {(h * (x - y), h * (x + y), z) if z == top else (x, y, z)
+            for x, y, z in brute_force_vertex_set(edge)}
 
 
 def test_vertex_count_against_brute_force(rco):
@@ -108,6 +120,44 @@ def test_scaling_changes_no_combinatorics(edge, rco):
     assert p.faces == rco.faces
     assert face_census(p) == face_census(rco)
     assert validate(p).ok
+
+
+@pytest.mark.parametrize("edge", [1, Fraction(3, 2), Q2(1, 1), 50])
+@pytest.mark.parametrize("builder,oracle", [
+    (build_rhombicuboctahedron, brute_force_vertex_set),
+    (build_pseudo_rhombicuboctahedron, brute_force_pseudo_vertex_set),
+])
+def test_scaled_build_equals_a_fresh_hull(edge, builder, oracle):
+    p = builder(edge)
+    verts = tuple(sorted(oracle(edge)))
+    assert p.vertices == verts
+    assert p.faces == tuple(convex_hull_faces(verts))  # same faces, same winding
+    assert validate(p).ok
+
+
+def _clear_build_caches():
+    build_rhombicuboctahedron.cache_clear()
+    build_pseudo_rhombicuboctahedron.cache_clear()
+    solids._canonical.cache_clear()
+
+
+def test_one_hull_per_solid_whatever_the_edge(monkeypatch):
+    calls = []
+    hull = solids.convex_hull_faces
+
+    def counting_hull(verts):
+        calls.append(len(verts))
+        return hull(verts)
+
+    monkeypatch.setattr(solids, "convex_hull_faces", counting_hull)
+    _clear_build_caches()
+    for edge in (1, Fraction(3, 2), Q2(1, 1)):
+        build_pseudo_rhombicuboctahedron(edge)
+    assert calls == [24]
+    calls.clear()
+    _clear_build_caches()
+    fold(generate_nets(50), 45)
+    assert len(calls) <= 2
 
 
 def test_positive_edge_required():
