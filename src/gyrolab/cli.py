@@ -18,6 +18,7 @@ from . import __version__, analysis, foldsim, netgen, qfield
 from .solids import (
     build_pseudo_rhombicuboctahedron,
     build_rhombicuboctahedron,
+    check_tolerance,
     read_off,
     to_json,
     write_off,
@@ -50,6 +51,13 @@ def _parse_edge_mm(parser: argparse.ArgumentParser, text: str) -> Fraction:
     if edge <= 0:
         parser.error(f"edge length must be positive, got {text!r}")
     return edge
+
+
+def _parse_tolerance(text: str) -> float:
+    try:
+        return check_tolerance(float(text))
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
 
 
 def _write_output(path: str | None, content: str) -> None:
@@ -172,8 +180,9 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--solid", choices=sorted(SOLIDS))
     src.add_argument("--input", metavar="FILE.off", help="analyze an OFF mesh")
     p_an.add_argument("--edge", default=DEFAULT_BUILD_EDGE)
-    p_an.add_argument("--tolerance", type=float, default=1e-9,
-                      help="tolerance for ingested meshes (default 1e-9)")
+    p_an.add_argument("--tolerance", type=_parse_tolerance, default=1e-9,
+                      help="tolerance for ingested meshes, finite and positive"
+                      " (default 1e-9)")
     p_an.add_argument("--json", action="store_true")
     p_an.set_defaults(func=cmd_analyze)
 

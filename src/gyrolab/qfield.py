@@ -12,7 +12,10 @@ kept canonical: d > 0 and gcd(p, q, d) = 1, so equal values have equal
 components.  ``+ - * /`` are the field operations, each a few integer
 products and at most one ``math.gcd`` (none for results in Z[sqrt2]);
 operands with the same denominator skip the cross-multiplication.  ``sign()`` decides the sign of p + q*sqrt2 by
-comparing p^2 with 2*q^2, never through floating point.
+comparing p^2 with 2*q^2, never through floating point.  That integer
+test is public as ``sign_z2(p, q)``, so code that clears denominators
+itself (the convex hull in ``solids``) decides signs the same way on plain
+ints, without building a ``Q2``.
 
 ``Fraction`` appears only at the boundary: the constructor accepts
 int/``Fraction`` components, ``.a``/``.b`` return them as ``Fraction``,
@@ -36,7 +39,7 @@ _LITERAL_RE = re.compile(
 _SQRT2_F = math.sqrt(2.0)
 
 
-def _sign(p: int, q: int) -> int:
+def sign_z2(p: int, q: int) -> int:
     """Sign of p + q*sqrt2 for integers p, q.
 
     With opposite signs, |p| vs |q|*sqrt2 is decided by p^2 vs 2*q^2;
@@ -94,14 +97,15 @@ class Q2:
         m = _LITERAL_RE.match(text)
         if m is None or (m.group("rat") is None and m.group("s2") is None):
             raise ValueError(f"invalid Q2 literal: {text!r}")
-        a = Fraction(m.group("rat")) if m.group("rat") else Fraction(0)
-        b = Fraction(0)
-        if m.group("s2"):
-            if m.group("rat") and m.group("sgn") is None:
-                raise ValueError(f"invalid Q2 literal: {text!r}")
-            b = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
-            if m.group("sgn") == "-":
-                b = -b
+        if m.group("s2") and m.group("rat") and m.group("sgn") is None:
+            raise ValueError(f"invalid Q2 literal: {text!r}")
+        try:
+            a = Fraction(m.group("rat") or 0)
+            b = Fraction(m.group("coef") or 1) if m.group("s2") else Fraction(0)
+        except ZeroDivisionError:  # a zero denominator, as in "1/0"
+            raise ValueError(f"invalid Q2 literal: {text!r}") from None
+        if m.group("sgn") == "-":
+            b = -b
         return cls(a, b)
 
     @property
@@ -190,7 +194,7 @@ class Q2:
     def sign(self) -> int:
         """Exact sign of the real value (-1, 0 or +1); d > 0 leaves it to
         p + q*sqrt2."""
-        return _sign(self.p, self.q)
+        return sign_z2(self.p, self.q)
 
     def __eq__(self, other: object) -> bool:
         if type(other) is Q2:
@@ -208,8 +212,8 @@ class Q2:
             other = Q2.coerce(other)
         d, e = self.d, other.d
         if d == e:
-            return _sign(self.p - other.p, self.q - other.q) < 0
-        return _sign(self.p * e - other.p * d, self.q * e - other.q * d) < 0
+            return sign_z2(self.p - other.p, self.q - other.q) < 0
+        return sign_z2(self.p * e - other.p * d, self.q * e - other.q * d) < 0
 
     def __hash__(self) -> int:
         try:

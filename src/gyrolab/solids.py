@@ -24,14 +24,16 @@ identical inputs produce byte-identical downstream artifacts.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from . import geom
 from .geom import EXACT, ToleranceKernel, Vec3, vcross, vdot, vsub
-from .qfield import ONE, SQRT2, Q2
+from .qfield import ONE, SQRT2, Q2, sign_z2
 
 
 class OffParseError(ValueError):
@@ -84,17 +86,27 @@ class ValidationReport:
         }
 
 
+def check_tolerance(tolerance: float) -> float:
+    """``tolerance`` itself if it is finite and positive; ValueError
+    otherwise, since no other value can separate zero from nonzero."""
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {tolerance!r}")
+    return tolerance
+
+
 class Polyhedron:
     """Immutable vertex/face mesh; adjacency derived once at construction.
 
     Q2 coordinates get the exact kernel; float coordinates (ingested
-    meshes) get a tolerance kernel with the given ``tolerance``.
+    meshes) get a tolerance kernel with the given ``tolerance``, which
+    must be finite and positive (ValueError otherwise).
     Adjacency is purely combinatorial and never raises on malformed
     indices; ``validate`` reports those instead.
     """
 
     def __init__(self, vertices: Sequence[Vec3], faces: Sequence[Sequence[int]],
                  tolerance: float = 1e-9) -> None:
+        check_tolerance(tolerance)
         self.vertices: tuple[Vec3, ...] = tuple(tuple(v) for v in vertices)
         self.faces: tuple[tuple[int, ...], ...] = tuple(tuple(f) for f in faces)
         exact = bool(self.vertices) and isinstance(self.vertices[0][0], Q2)
@@ -205,46 +217,78 @@ def _ccw_sort_in_plane(indices: list[int], vertices: Sequence[Vec3],
 def convex_hull_faces(vertices: Sequence[Vec3]) -> list[tuple[int, ...]]:
     """Faces of the convex hull of exact points in general convex position.
 
-    Enumerates supporting planes through vertex triples; a plane with all
-    remaining points strictly on one side contributes the face of every
-    point it contains, wound counterclockwise around the outward normal.
-    The scan of a plane stops at the first point found on its second side.
-    Intended for small vertex sets (the built-ins have 24).
+    Exact and tolerance-free: every plane test is integer arithmetic.  The
+    coordinates are first brought to a common denominator L (the lcm of
+    every coordinate's), so each vertex becomes six ints, the Z[sqrt2]
+    components of its x, y and z; a positive scaling changes neither the
+    faces nor their winding.  For each vertex triple (i, j, k) the plane
+    normal is the Z[sqrt2] cross product of the vectors from vertex i, and
+    the side of every other point is the exact sign (``qfield.sign_z2``)
+    of its Z[sqrt2] dot product with that normal.  A plane with all points
+    on one side contributes the face of every point it contains, wound
+    counterclockwise around the outward normal (that ordering, and the
+    rotation that puts the smallest index first, run on the Q2 vertices).
+
+    Two shortcuts keep the O(n^4) scan cheap without changing its result:
+    a triple whose three points lie in a face already found is skipped, as
+    its plane is that face's; and points are tried in move-to-front order,
+    each point that shows a plane its second side moving to the front, so
+    a plane that does not support the hull is usually refuted after two or
+    three tests.  Intended for small vertex sets (the built-ins have 24).
     """
     n = len(vertices)
-    seen_planes: set = set()
-    faces: dict[frozenset, tuple[int, ...]] = {}
+    scale = math.lcm(*(c.d for v in vertices for c in v))
+    pts = [tuple(x for c in v for x in (c.p * (scale // c.d), c.q * (scale // c.d)))
+           for v in vertices]
+    order = list(range(n))  # points in move-to-front order
+    covered: set = set()  # triples lying in a face already found
+    faces = []
     for i in range(n):
+        pi = pts[i]
+        rel = [tuple(a - b for a, b in zip(p, pi)) for p in pts]
         for j in range(i + 1, n):
-            eij = vsub(vertices[j], vertices[i])
+            uxp, uxq, uyp, uyq, uzp, uzq = rel[j]
             for k in range(j + 1, n):
-                nrm = vcross(eij, vsub(vertices[k], vertices[i]))
-                if geom.is_zero_vec(nrm):
+                if (i, j, k) in covered:
                     continue
-                d = EXACT.canon_dir(nrm)
-                key = (d, vdot(d, vertices[i]))
-                if key in seen_planes:
-                    continue
-                seen_planes.add(key)
-                h = vdot(nrm, vertices[i])
+                vxp, vxq, vyp, vyq, vzp, vzq = rel[k]
+                # normal u x v, each component (p, q) for p + q*sqrt2
+                xp = uyp * vzp + 2 * uyq * vzq - uzp * vyp - 2 * uzq * vyq
+                xq = uyp * vzq + uyq * vzp - uzp * vyq - uzq * vyp
+                yp = uzp * vxp + 2 * uzq * vxq - uxp * vzp - 2 * uxq * vzq
+                yq = uzp * vxq + uzq * vxp - uxp * vzq - uxq * vzp
+                zp = uxp * vyp + 2 * uxq * vyq - uyp * vxp - 2 * uyq * vxq
+                zq = uxp * vyq + uxq * vyp - uyp * vxq - uyq * vxp
+                if not (xp or xq or yp or yq or zp or zq):
+                    continue  # collinear
+                xq2, yq2, zq2 = 2 * xq, 2 * yq, 2 * zq
                 side = 0  # the sign seen off the plane so far
                 members = []
-                for m, v in enumerate(vertices):
-                    s = (vdot(nrm, v) - h).sign()
+                for m in order:
+                    wxp, wxq, wyp, wyq, wzp, wzq = rel[m]
+                    s = sign_z2(xp * wxp + xq2 * wxq + yp * wyp + yq2 * wyq
+                                + zp * wzp + zq2 * wzq,
+                                xp * wxq + xq * wxp + yp * wyq + yq * wyp
+                                + zp * wzq + zq * wzp)
                     if not s:
                         members.append(m)
                     elif s != side:
-                        if side:
-                            break  # points on both sides: not a supporting plane
+                        if side:  # points on both sides: not a supporting plane
+                            order.remove(m)
+                            order.insert(0, m)
+                            break
                         side = s
                 else:
-                    outward = nrm if side < 0 else geom.vneg(nrm)
+                    if side >= 0:
+                        xp, xq, yp, yq, zp, zq = -xp, -xq, -yp, -yq, -zp, -zq
+                    outward = (Q2(xp, xq), Q2(yp, yq), Q2(zp, zq))
+                    members.sort()
+                    covered.update(itertools.combinations(members, 3))
                     ordered = _ccw_sort_in_plane(members, vertices, outward)
                     # canonical rotation: smallest index first, orientation kept
-                    lo = ordered.index(min(ordered))
-                    face = tuple(ordered[lo:] + ordered[:lo])
-                    faces[frozenset(face)] = face
-    return sorted(faces.values(), key=lambda f: tuple(sorted(f)))
+                    lo = ordered.index(members[0])
+                    faces.append(tuple(ordered[lo:] + ordered[:lo]))
+    return sorted(faces, key=sorted)
 
 
 # -- builders ---------------------------------------------------------------
@@ -498,7 +542,8 @@ def write_off(p: Polyhedron) -> str:
 
 
 def read_off(text: str, tolerance: float = 1e-9) -> Polyhedron:
-    """Parse ASCII OFF into a float polyhedron with the given tolerance.
+    """Parse ASCII OFF into a float polyhedron with the given tolerance
+    (finite and positive, as for ``Polyhedron``).
 
     Raises OffParseError with the offending line number; blank lines and
     ``#`` comments are skipped, trailing face color values are ignored.

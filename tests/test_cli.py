@@ -48,6 +48,17 @@ def test_build_bad_edge_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["build", "--solid", "rco", "--edge", "1/0"],
+    ["compare", "--edge", "3/0"],
+])
+def test_zero_denominator_edge_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"error: invalid Q2 literal: '{argv[-1]}'" in capsys.readouterr().err
+
+
 def test_build_to_file(tmp_path, capsys):
     out_file = tmp_path / "rco.off"
     code, _, _ = run(capsys, "build", "--solid", "rco", "-o", str(out_file))
@@ -106,6 +117,19 @@ def test_noisy_input_fails_cleanly(tmp_path, capsys, rco, pseudo, cube_off_text)
         mesh.write_text(noisy_off(text, 1e-7, rng), encoding="utf-8")
         code, _, _ = run(capsys, "analyze", "--input", str(mesh), "--tolerance", "1e-5")
         assert code in (0, 1)
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf", "0"])
+def test_meaningless_tolerance_is_usage_error(tmp_path, capsys, cube_off_text, tol):
+    mesh = tmp_path / "cube.off"
+    mesh.write_text(cube_off_text, encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--input", str(mesh), f"--tolerance={tol}"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert not out.out
+    errors = [line for line in out.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "finite and positive" in errors[0]
 
 
 def test_analyze_missing_file(capsys):

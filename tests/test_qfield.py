@@ -59,9 +59,10 @@ def test_parse_shorthands():
     assert parse("1/2-3/4*sqrt2") == Q2(Fraction(1, 2), Fraction(-3, 4))
 
 
-@pytest.mark.parametrize("bad", ["", "1 + sqrt2", "sqrt3", "2*sqrt2+1", "1sqrt2", "++1"])
+@pytest.mark.parametrize("bad", ["", "1 + sqrt2", "sqrt3", "2*sqrt2+1", "1sqrt2", "++1",
+                                 "1/0", "1+1/0*sqrt2"])
 def test_parse_rejects_garbage(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="invalid Q2 literal"):
         parse(bad)
 
 

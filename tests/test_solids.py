@@ -1,14 +1,17 @@
+import collections
+import functools
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gyrolab import solids
 from gyrolab.foldsim import fold
-from gyrolab.geom import vdot, vsub
+from gyrolab.geom import EXACT, is_zero_vec, vcross, vdot, vneg, vsub
 from gyrolab.netgen import generate_nets
 from gyrolab.qfield import ONE, SQRT2, Q2, parse
 from gyrolab.solids import (
@@ -269,3 +272,136 @@ def test_off_floats_have_full_precision(edge):
     q = read_off(write_off(p))
     for u, v in zip(q.vertices, p.vertices):
         assert max(abs(a - float(b)) for a, b in zip(u, v)) <= 1e-13 * float(edge)
+
+
+@pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf, 0.0])
+def test_meaningless_tolerance_rejected(cube, cube_off_text, tol):
+    with pytest.raises(ValueError, match="finite and positive"):
+        read_off(cube_off_text, tol)
+    with pytest.raises(ValueError, match="finite and positive"):
+        Polyhedron(cube.vertices, cube.faces, tol)
+
+
+# -- the hull against the Q2 triple scan it replaced --------------------------
+
+
+def _oracle_hull(vertices):
+    """The Q2 triple scan: every supporting plane through a vertex triple,
+    deduplicated by canonical direction and offset."""
+    n = len(vertices)
+    seen_planes: set = set()
+    faces = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            eij = vsub(vertices[j], vertices[i])
+            for k in range(j + 1, n):
+                nrm = vcross(eij, vsub(vertices[k], vertices[i]))
+                if is_zero_vec(nrm):
+                    continue
+                d = EXACT.canon_dir(nrm)
+                key = (d, vdot(d, vertices[i]))
+                if key in seen_planes:
+                    continue
+                seen_planes.add(key)
+                h = vdot(nrm, vertices[i])
+                side = 0
+                members = []
+                for m, v in enumerate(vertices):
+                    s = (vdot(nrm, v) - h).sign()
+                    if not s:
+                        members.append(m)
+                    elif s != side:
+                        if side:
+                            break
+                        side = s
+                else:
+                    outward = nrm if side < 0 else vneg(nrm)
+                    ordered = solids._ccw_sort_in_plane(members, vertices, outward)
+                    lo = ordered.index(min(ordered))
+                    face = tuple(ordered[lo:] + ordered[:lo])
+                    faces[frozenset(face)] = face
+    return sorted(faces.values(), key=lambda f: tuple(sorted(f)))
+
+
+def _signed_permutations(base) -> list:
+    """Every coordinate permutation of (±base[0], ±base[1], ±base[2])."""
+    return sorted({
+        perm
+        for signs in itertools.product((1, -1), repeat=3)
+        for perm in itertools.permutations([s * c for s, c in zip(signs, base)])
+    })
+
+
+_CUBE = _signed_permutations((ONE, ONE, ONE))
+_OCTAGONAL_PRISM = sorted(
+    (sx * a, sy * b, z)
+    for a, b in ((ONE, ONE + SQRT2), (ONE + SQRT2, ONE))
+    for sx in (1, -1) for sy in (1, -1) for z in (ONE, -ONE)
+)
+_TRUNCATED_CUBE = _signed_permutations((SQRT2 - 1, ONE, ONE))
+_TRUNCATED_CUBOCTAHEDRON = _signed_permutations((ONE, ONE + SQRT2, ONE + 2 * SQRT2))
+_HULL_POINT_SETS = {
+    "rco": tuple(sorted(solids._rco_points())),
+    "pseudo": tuple(sorted(solids._pseudo_points())),
+    "truncated cube": tuple(_TRUNCATED_CUBE),
+    "truncated cuboctahedron": tuple(_TRUNCATED_CUBOCTAHEDRON),
+}
+
+_ORIGIN = (Q2(0), Q2(0), Q2(0))
+_small_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+_q2s = st.builds(Q2, _small_rationals, _small_rationals)
+
+
+@functools.lru_cache(maxsize=None)
+def _full_set_oracle(name: str):
+    """The oracle's faces of a full point set plus the origin.  A positive
+    scaling and a translation change no face, so this O(n^4) Q2 scan, over
+    a second for the 48 points, runs once per set, untransformed."""
+    return _oracle_hull(list(_HULL_POINT_SETS[name]) + [_ORIGIN])
+
+
+@st.composite
+def _hull_inputs(draw):
+    """(points, name of the full set or None): a subset of 5 to 24 points
+    of one solid, or its full set plus the origin (the last point, strictly
+    interior), under a random positive scale and translation."""
+    name = draw(st.sampled_from(sorted(_HULL_POINT_SETS)))
+    points = _HULL_POINT_SETS[name]
+    if draw(st.booleans()):
+        picked = list(points) + [_ORIGIN]
+    else:
+        name = None
+        idx = draw(st.lists(st.integers(0, len(points) - 1), min_size=5,
+                            max_size=24, unique=True))
+        picked = [points[i] for i in idx]
+        a, b, c = picked[:3]
+        nrm = vcross(vsub(b, a), vsub(c, a))
+        assume(any(vdot(nrm, vsub(v, a)) for v in picked[3:]))  # not all coplanar
+    scale = draw(_q2s.filter(lambda x: x.sign() > 0))
+    shift = (draw(_q2s), draw(_q2s), draw(_q2s))
+    return [tuple(c * scale + t for c, t in zip(v, shift)) for v in picked], name
+
+
+@settings(max_examples=30, deadline=None)
+@given(_hull_inputs())
+def test_hull_equals_the_q2_triple_scan(case):
+    points, full_set = case
+    faces = convex_hull_faces(points)
+    if full_set is None:
+        assert faces == _oracle_hull(points)  # same faces, winding and order
+    else:
+        assert faces == _full_set_oracle(full_set)
+        assert all(len(points) - 1 not in f for f in faces)  # the origin
+
+
+@pytest.mark.parametrize("points,census", [
+    (_CUBE, {4: 6}),
+    (_OCTAGONAL_PRISM, {4: 8, 8: 2}),
+    (_TRUNCATED_CUBE, {3: 8, 8: 6}),
+    (_TRUNCATED_CUBOCTAHEDRON, {4: 12, 6: 8, 8: 6}),
+], ids=["cube", "octagonal prism", "truncated cube", "truncated cuboctahedron"])
+def test_known_answer_hulls(points, census):
+    p = Polyhedron(points, convex_hull_faces(points))
+    assert validate(p).ok, [c for c in validate(p).checks if not c.passed]
+    assert p.euler_characteristic == 2
+    assert collections.Counter(len(f) for f in p.faces) == census
