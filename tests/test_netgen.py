@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from gyrolab.netgen import (
+    PIECES,
     DoesNotFitError,
     generate_nets,
     piece_bbox,
@@ -205,3 +206,87 @@ def test_cap_outline_is_a_cross(net50):
     assert len(pts) == 12  # cross polygon has 12 corners
     xs = {float(x) for x, _ in pts}
     assert min(xs) == 0.0 and max(xs) == 250.0
+
+
+# (edge, paper) -> each piece's "x,y" in PIECES order, ",R" when rotated; or
+# the suggestion of the DoesNotFitError (None: no standard sheet fits).  Edge
+# 10 on 125x85, 150x100 at 25/2 and 225x145 at 20 fit only as rows.
+_PINNED_LAYOUTS = {
+    ("10", "A4"): "10,10 10,25 10,80",
+    ("10", "A3"): "10,10 10,25 10,80",
+    ("10", "A2"): "10,10 10,25 10,80",
+    ("10", "125x85"): "10,10 10,25 65,25",
+    ("10", "85x125"): "10,10,R 25,10 25,65",
+    ("10", "150x100"): "10,10 10,25 65,25",
+    ("10", "225x145"): "10,10 10,25 10,80",
+    ("10", "300x120"): "10,10 10,25 105,10",
+    ("10", "120x300"): "10,10 10,25 10,80",
+    ("10", "600x600"): "10,10 10,25 10,80",
+    ("25/2", "A4"): "10,10 10,55/2 10,95",
+    ("25/2", "A3"): "10,10 10,55/2 10,95",
+    ("25/2", "A2"): "10,10 10,55/2 10,95",
+    ("25/2", "125x85"): "A4",
+    ("25/2", "85x125"): "A4",
+    ("25/2", "150x100"): "10,10 10,55/2 155/2,55/2",
+    ("25/2", "225x145"): "10,10 10,55/2 255/2,10",
+    ("25/2", "300x120"): "10,10 10,55/2 255/2,10",
+    ("25/2", "120x300"): "10,10,R 10,255/2 10,195",
+    ("25/2", "600x600"): "10,10 10,55/2 10,95",
+    ("20", "A4"): "10,10 10,35 10,140",
+    ("20", "A3"): "10,10 10,35 10,140",
+    ("20", "A2"): "10,10 10,35 10,140",
+    ("20", "125x85"): "A4",
+    ("20", "85x125"): "A4",
+    ("20", "150x100"): "A4",
+    ("20", "225x145"): "10,10 10,35 115,35",
+    ("20", "300x120"): "A4",
+    ("20", "120x300"): "A4",
+    ("20", "600x600"): "10,10 10,35 10,140",
+    ("30", "A4"): "A3",
+    ("30", "A3"): "10,10 10,45 10,200",
+    ("30", "A2"): "10,10 10,45 10,200",
+    ("30", "125x85"): "A3",
+    ("30", "85x125"): "A3",
+    ("30", "150x100"): "A3",
+    ("30", "225x145"): "A3",
+    ("30", "300x120"): "A3",
+    ("30", "120x300"): "A3",
+    ("30", "600x600"): "10,10 10,45 10,200",
+    ("50", "A4"): "A2",
+    ("50", "A3"): "A2",
+    ("50", "A2"): "10,10,R 65,10 65,265",
+    ("50", "125x85"): "A2",
+    ("50", "85x125"): "A2",
+    ("50", "150x100"): "A2",
+    ("50", "225x145"): "A2",
+    ("50", "300x120"): "A2",
+    ("50", "120x300"): "A2",
+    ("50", "600x600"): "10,10 10,65 10,320",
+    ("300", "A4"): None,
+    ("300", "A3"): None,
+    ("300", "A2"): None,
+    ("300", "125x85"): None,
+    ("300", "85x125"): None,
+    ("300", "150x100"): None,
+    ("300", "225x145"): None,
+    ("300", "300x120"): None,
+    ("300", "120x300"): None,
+    ("300", "600x600"): None,
+}
+
+
+@pytest.mark.parametrize("edge,paper", sorted(_PINNED_LAYOUTS))
+def test_plan_layout_is_pinned(edge, paper):
+    net = generate_nets(Fraction(edge))
+    want = _PINNED_LAYOUTS[(edge, paper)]
+    if want is None or "," not in want:
+        with pytest.raises(DoesNotFitError) as exc:
+            plan_layout(net, paper)
+        assert exc.value.suggestion == want
+        return
+    _, _, layout = plan_layout(net, paper)
+    got = " ".join(
+        f"{layout[piece][0]},{layout[piece][1]}" + (",R" if layout[piece][2] else "")
+        for piece in PIECES
+    )
+    assert got == want
