@@ -172,6 +172,14 @@ def analyze(p: Polyhedron, name: str = "") -> AnalysisReport:
     )
 
 
+def _yn(v: bool) -> str:
+    return "yes" if v else "no"
+
+
+def _figures(r: AnalysisReport) -> str:
+    return ", ".join("(" + ",".join(map(str, f)) + ")" for f in r.vertex_figures)
+
+
 def text_report(r: AnalysisReport) -> str:
     """Human-readable summary; the last line carries the axis count."""
     lines = [f"analysis: {r.name or 'polyhedron'} ({r.mode})"]
@@ -194,11 +202,9 @@ def text_report(r: AnalysisReport) -> str:
     if r.partial:
         lines.append("analysis stopped: validation failed")
         return "\n".join(lines) + "\n"
-    figs = ", ".join("(" + ",".join(map(str, f)) + ")" for f in r.vertex_figures)
-    lines.append(
-        f"vertex figures: {figs}{' (uniform)' if r.uniform_vertex_figure else ''}"
-    )
-    lines.append(f"faces regular: {'yes' if r.faces_regular else 'no'}")
+    uniform = " (uniform)" if r.uniform_vertex_figure else ""
+    lines.append(f"vertex figures: {_figures(r)}{uniform}")
+    lines.append(f"faces regular: {_yn(r.faces_regular)}")
     belt_lens = ", ".join(str(b.length) for b in r.belts) or "none"
     lines.append(
         f"equatorial belts: {len(r.belts)} (lengths: {belt_lens});"
@@ -215,14 +221,14 @@ def text_report(r: AnalysisReport) -> str:
     )
     lines.append(f"axis breakdown: {breakdown or 'none'}")
     lines.append(
-        f"vertex transitive: {'yes' if sym.vertex_transitive else 'no'}"
+        f"vertex transitive: {_yn(sym.vertex_transitive)}"
         f" ({len(sym.orbit_sizes)} orbit"
         f"{'s' if len(sym.orbit_sizes) != 1 else ''}:"
         f" {', '.join(map(str, sym.orbit_sizes))})"
     )
     lines.append(
-        f"archimedean candidate: {'yes' if r.archimedean_candidate else 'no'};"
-        f" pseudo uniform: {'yes' if r.pseudo_uniform else 'no'}"
+        f"archimedean candidate: {_yn(r.archimedean_candidate)};"
+        f" pseudo uniform: {_yn(r.pseudo_uniform)}"
     )
     lines.append(f"rotation axes: {len(sym.axes)}")
     return "\n".join(lines) + "\n"
@@ -268,58 +274,37 @@ class ComparisonTable:
         return "\n".join(lines) + "\n"
 
 
-def compare(a: AnalysisReport, b: AnalysisReport) -> ComparisonTable:
-    def axis_breakdown(r: AnalysisReport) -> str:
-        if r.symmetry is None:
-            return "-"
-        by = r.symmetry.axes_by_order()
-        return " + ".join(f"{by[o]}x order {o}" for o in sorted(by, reverse=True)) or "0"
-
-    def yn(v: bool) -> str:
-        return "yes" if v else "no"
-
-    rows = [
-        ComparisonRow("faces", str(a.face_count), str(b.face_count)),
-        ComparisonRow("triangles", str(a.census.triangles), str(b.census.triangles)),
-        ComparisonRow("quads", str(a.census.quads), str(b.census.quads)),
-        ComparisonRow("vertices", str(a.vertex_count), str(b.vertex_count)),
-        ComparisonRow("edges", str(a.edge_count), str(b.edge_count)),
-        ComparisonRow(
-            "vertex figure",
-            ", ".join("(" + ",".join(map(str, f)) + ")" for f in a.vertex_figures),
-            ", ".join("(" + ",".join(map(str, f)) + ")" for f in b.vertex_figures),
-        ),
-        ComparisonRow(
-            "proper group order",
-            str(a.symmetry.proper_order if a.symmetry else "-"),
-            str(b.symmetry.proper_order if b.symmetry else "-"),
-        ),
-        ComparisonRow(
-            "full group order",
-            str(a.symmetry.full_order if a.symmetry else "-"),
-            str(b.symmetry.full_order if b.symmetry else "-"),
-        ),
-        ComparisonRow(
-            "axes",
-            str(len(a.symmetry.axes) if a.symmetry else "-"),
-            str(len(b.symmetry.axes) if b.symmetry else "-"),
-        ),
-        ComparisonRow("axis breakdown", axis_breakdown(a), axis_breakdown(b)),
-        ComparisonRow("belts", str(len(a.belts)), str(len(b.belts))),
-        ComparisonRow("pole pairs", str(a.pole_pair_count), str(b.pole_pair_count)),
-        ComparisonRow(
-            "vertex transitive",
-            yn(a.symmetry.vertex_transitive if a.symmetry else False),
-            yn(b.symmetry.vertex_transitive if b.symmetry else False),
-        ),
-        ComparisonRow(
-            "archimedean candidate",
-            yn(a.archimedean_candidate),
-            yn(b.archimedean_candidate),
-        ),
-        ComparisonRow("pseudo uniform", yn(a.pseudo_uniform), yn(b.pseudo_uniform)),
+def _summary(r: AnalysisReport) -> list[tuple[str, str]]:
+    """One report's side of the comparison, as (label, value) rows; "-"
+    where the symmetry analysis did not run."""
+    sym = r.symmetry
+    by = sym.axes_by_order() if sym else {}
+    breakdown = " + ".join(f"{by[o]}x order {o}" for o in sorted(by, reverse=True))
+    return [
+        ("faces", str(r.face_count)),
+        ("triangles", str(r.census.triangles)),
+        ("quads", str(r.census.quads)),
+        ("vertices", str(r.vertex_count)),
+        ("edges", str(r.edge_count)),
+        ("vertex figure", _figures(r)),
+        ("proper group order", str(sym.proper_order) if sym else "-"),
+        ("full group order", str(sym.full_order) if sym else "-"),
+        ("axes", str(len(sym.axes)) if sym else "-"),
+        ("axis breakdown", (breakdown or "0") if sym else "-"),
+        ("belts", str(len(r.belts))),
+        ("pole pairs", str(r.pole_pair_count)),
+        ("vertex transitive", _yn(sym is not None and sym.vertex_transitive)),
+        ("archimedean candidate", _yn(r.archimedean_candidate)),
+        ("pseudo uniform", _yn(r.pseudo_uniform)),
     ]
-    return ComparisonTable(a.name or "left", b.name or "right", tuple(rows))
+
+
+def compare(a: AnalysisReport, b: AnalysisReport) -> ComparisonTable:
+    rows = tuple(
+        ComparisonRow(label, left, right)
+        for (label, left), (_, right) in zip(_summary(a), _summary(b))
+    )
+    return ComparisonTable(a.name or "left", b.name or "right", rows)
 
 
 def report_json(r: AnalysisReport) -> str:

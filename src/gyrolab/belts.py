@@ -63,7 +63,10 @@ def _parallel(p: Polyhedron, e1, e2) -> bool:
 def find_belts(p: Polyhedron) -> tuple[Belt, ...]:
     """Every maximal closed zone walk over quads, deduplicated up to
     rotation/reversal; walks that hit a non-quad face are discarded.
-    Crossing edges must be mutually parallel, as the mesh's kernel decides."""
+    Crossing edges must be mutually parallel, as the mesh's kernel decides.
+    Computed once per mesh."""
+    if "belts" in p._cache:
+        return p._cache["belts"]
     belts: dict[frozenset, Belt] = {}
     for start_face, face in enumerate(p.faces):
         if len(face) != 4:
@@ -101,10 +104,11 @@ def find_belts(p: Polyhedron) -> tuple[Belt, ...]:
             normal = p.kernel.canon_dir(_edge_direction(p, d0))
             belts[key] = Belt(tuple(walk_faces), tuple(walk_edges), normal)
     ordered = sorted(belts.values(), key=lambda b: b.faces)
-    return tuple(
+    p._cache["belts"] = tuple(
         Belt(b.faces, b.crossing_edges, b.plane_normal, pole_pairs(p, b))
         for b in ordered
     )
+    return p._cache["belts"]
 
 
 def pole_pairs(p: Polyhedron, belt: Belt) -> Optional[tuple[int, int]]:

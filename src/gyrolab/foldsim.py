@@ -1,13 +1,14 @@
 """Rigid fold verification: assemble the nets in exact arithmetic.
 
-Each piece folds along a spanning tree of creases (a path for the strip,
-a star for the caps); a crease rotates its entire subtree about the
-crease line by 180 degrees minus the target dihedral.  All crease lines
-have exact unit directions and all targets are multiples of 45 degrees,
-so every placed corner stays in Q(sqrt2)^3 and closure is checked, never
-solved: square 9 must land exactly on square 1, every glue tab must lie
-inside a belt square, and the assembled face squares must reproduce the
-target solid's faces as exact point sets.
+Every piece folds by one walk over its creases as a tree from square
+(0, 0).  The flat squares come from ``netgen.square_local_rect``, the same
+layout the SVG prints, mapped into space by a per-piece embedding; a crease
+rotates its child side by 180 degrees minus the target dihedral about the
+shared edge.  All crease lines have exact unit directions and all targets
+are multiples of 45 degrees, so every placed corner stays in Q(sqrt2)^3
+and closure is checked, never solved: square 9 must land exactly on
+square 1, every glue tab must lie inside a belt square, and the assembled
+face squares must reproduce the target solid's faces as exact point sets.
 
 Pose convention: strip square 1 starts on the belt face whose outward
 normal is +x, in the builders' canonical pose; the north cap is the one
@@ -19,11 +20,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from . import geom
 from .geom import Mat3, Vec3, mat_mul, mat_vec, vadd, vdot, vsub
-from .netgen import _CAP_DIRS, NetSpec
+from .netgen import NetSpec, square_local_rect
 from .qfield import ONE, ZERO, Q2
 from .solids import build_pseudo_rhombicuboctahedron, build_rhombicuboctahedron
 
@@ -159,10 +160,6 @@ class _Affine:
         return _Affine(mat_mul(self.m, inner.m), vadd(mat_vec(self.m, inner.b), self.b))
 
 
-def _identity_affine() -> _Affine:
-    return _Affine(geom.q2_identity(), (ZERO, ZERO, ZERO))
-
-
 def _rotation_about_line(anchor: Vec3, axis_unit: Vec3, degrees: int) -> _Affine:
     cos, sin = geom.exact_cos_sin(degrees)
     m = geom.rotation_about_axis_q2(axis_unit, cos, sin)
@@ -180,113 +177,62 @@ def _fold_rotation_degrees(dihedral_target: int) -> int:
 # -- folding ---------------------------------------------------------------------
 
 
-def _strip_flat_point(s: Q2, t: Q2, u: Q2, v: Q2) -> Vec3:
-    # strip lies in the plane x = t; u runs along -y, v along -z
-    return (t, s - u, s - v)
+def _fold_piece(net: NetSpec, piece: str, embed: Callable[[Q2, Q2], Vec3],
+                n_out: Vec3, root: _Affine) -> list[PlacedSquare]:
+    """Fold one piece by walking its creases as a tree from square (0, 0).
 
-
-def _fold_strip(net: NetSpec, L: Q2, s: Q2, t: Q2) -> list[PlacedSquare]:
-    squares = sorted(net.squares_of("strip"), key=lambda sq: sq.pos)
-    if [sq.pos for sq in squares] != [(i, 0) for i in range(9)]:
-        raise ValueError("inconsistent gluing instruction: unexpected strip layout")
-    creases = {}
-    for c in net.creases_of("strip"):
-        i = max(c.a[0], c.b[0])
-        if {c.a, c.b} != {(i - 1, 0), (i, 0)}:
-            raise ValueError("inconsistent gluing instruction: bad strip crease")
-        creases[i] = c.fold_target
-    if sorted(creases) != list(range(1, 9)):
-        raise ValueError("inconsistent gluing instruction: strip creases missing")
-
-    axis = (ZERO, ZERO, -ONE)  # outward normal (+x) crossed with walk direction (-y)
-    out: list[PlacedSquare] = []
-    transform = _identity_affine()
-    for i, sq in enumerate(squares):
-        if i > 0:
-            rho = _fold_rotation_degrees(creases[i])
-            anchor = _strip_flat_point(s, t, Q2(i) * L, ZERO)
-            transform = transform.then_inner(
-                _rotation_about_line(anchor, axis, rho)
-            )
-        u0, u1 = Q2(i) * L, Q2(i + 1) * L
-        flat = (
-            _strip_flat_point(s, t, u0, ZERO),
-            _strip_flat_point(s, t, u1, ZERO),
-            _strip_flat_point(s, t, u1, L),
-            _strip_flat_point(s, t, u0, L),
-        )
-        out.append(
-            PlacedSquare("strip", sq.pos, sq.role, tuple(transform.apply(p) for p in flat))
-        )
-    return out
-
-
-def _fold_cap(net: NetSpec, piece: str, L: Q2, s: Q2, t: Q2,
-              gyration: int) -> list[PlacedSquare]:
-    north = piece == "cap_north"
-    z_pole = t if north else -t
-    n_out = (ZERO, ZERO, ONE if north else -ONE)
-    half = L * Q2(Fraction(1, 2))
-
-    def flat_point(u: Q2, v: Q2) -> Vec3:
-        return (u, v, z_pole)
-
-    targets: dict[tuple, int] = {}
+    ``embed`` maps the flat layout (``square_local_rect``) into space and
+    ``n_out`` is the flat piece's outward normal there.  Each crease turns
+    the child side by 180 degrees minus its target about the shared edge,
+    whose axis is ``n_out`` crossed with the unit step away from the root:
+    T(child) = T(parent) o R, with T(0, 0) = ``root``.
+    """
+    L = Q2(net.edge_len)
+    rects = {sq.pos: tuple(map(Q2, square_local_rect(net, sq)))
+             for sq in net.squares_of(piece)}
+    links: dict[tuple, list] = {}
     for c in net.creases_of(piece):
-        targets[(c.a, c.b)] = c.fold_target
-        targets[(c.b, c.a)] = c.fold_target
+        if c.a not in rects or c.b not in rects:
+            raise ValueError(
+                f"inconsistent gluing instruction: {piece} crease {c.a}-{c.b}"
+                " leaves the piece"
+            )
+        (xa, ya, _, _), (xb, yb, _, _) = rects[c.a], rects[c.b]
+        if {(xb - xa) * (xb - xa), (yb - ya) * (yb - ya)} != {0, L * L}:
+            raise ValueError(
+                f"inconsistent gluing instruction: {piece} crease {c.a}-{c.b}"
+                " joins squares sharing no edge"
+            )
+        links.setdefault(c.a, []).append((c.b, c.fold_target))
+        links.setdefault(c.b, []).append((c.a, c.fold_target))
 
-    gyr = (
-        _rotation_about_line((ZERO, ZERO, ZERO), (ZERO, ZERO, ONE), gyration)
-        if north and gyration % 360 != 0
-        else _identity_affine()
-    )
+    transforms = {(0, 0): root}
+    stack = [(0, 0)] if (0, 0) in rects else []
+    while stack:
+        pos = stack.pop()
+        xa, ya = rects[pos][:2]
+        for child, target in links.get(pos, ()):
+            if child in transforms:
+                continue
+            xb, yb = rects[child][:2]
+            step = vsub(embed(xb, yb), embed(xa, ya))
+            axis = tuple(v / L for v in geom.vcross(n_out, step))
+            crease = _rotation_about_line(embed(max(xa, xb), max(ya, yb)), axis,
+                                          _fold_rotation_degrees(target))
+            transforms[child] = transforms[pos].then_inner(crease)
+            stack.append(child)
+    if set(transforms) != set(rects) or len(net.creases_of(piece)) != len(rects) - 1:
+        raise ValueError(
+            f"inconsistent gluing instruction: {piece} creases do not join"
+            " every square to (0, 0) by exactly one path"
+        )
 
     out: list[PlacedSquare] = []
-    pole_sq = net.square_at(piece, (0, 0))
-    corners_flat = (
-        flat_point(-half, -half),
-        flat_point(half, -half),
-        flat_point(half, half),
-        flat_point(-half, half),
-    )
-    out.append(
-        PlacedSquare(piece, (0, 0), pole_sq.role,
-                     tuple(gyr.apply(p) for p in corners_flat))
-    )
-
-    for dx, dy in _CAP_DIRS:
-        w = (Q2(dx), Q2(dy), ZERO)
-        axis = geom.vcross(n_out, w)
-        try:
-            t_side = targets[((0, 0), (dx, dy))]
-            t_tab = targets[((dx, dy), (2 * dx, 2 * dy))]
-        except KeyError:
-            raise ValueError(
-                f"inconsistent gluing instruction: {piece} branch {(dx, dy)}"
-                " lacks creases"
-            ) from None
-        r1 = _rotation_about_line(
-            (Q2(dx) * half, Q2(dy) * half, z_pole), axis,
-            _fold_rotation_degrees(t_side),
-        )
-        r2 = _rotation_about_line(
-            (Q2(3 * dx) * half, Q2(3 * dy) * half, z_pole), axis,
-            _fold_rotation_degrees(t_tab),
-        )
-        for pos, tr in (((dx, dy), r1), ((2 * dx, 2 * dy), r1.then_inner(r2))):
-            sq = net.square_at(piece, pos)
-            cx, cy = Q2(pos[0]) * L, Q2(pos[1]) * L
-            flat = (
-                flat_point(cx - half, cy - half),
-                flat_point(cx + half, cy - half),
-                flat_point(cx + half, cy + half),
-                flat_point(cx - half, cy + half),
-            )
-            out.append(
-                PlacedSquare(piece, pos, sq.role,
-                             tuple(gyr.apply(tr.apply(p)) for p in flat))
-            )
+    for sq in net.squares_of(piece):
+        x, y, w, h = rects[sq.pos]
+        flat = (embed(x, y), embed(x + w, y), embed(x + w, y + h), embed(x, y + h))
+        corners = tuple(transforms[sq.pos].apply(p) for p in flat)
+        out.append(PlacedSquare(piece, sq.pos, sq.role, corners))
     return out
 
 
@@ -317,11 +263,18 @@ def fold(net: NetSpec, gyration: int = 0) -> AssemblyResult:
     L = Q2(net.edge_len)
     s = L * Q2(Fraction(1, 2))
     t = (ONE + Q2(0, 1)) * s
+    c = L * Q2(Fraction(5, 2))  # centre of a cap's 5 x 5 layout box
+
+    def turn(degrees: int) -> _Affine:
+        return _rotation_about_line((ZERO, ZERO, ZERO), (ZERO, ZERO, ONE), degrees)
 
     placed = {
-        "strip": _fold_strip(net, L, s, t),
-        "cap_north": _fold_cap(net, "cap_north", L, s, t, gyration % 360),
-        "cap_south": _fold_cap(net, "cap_south", L, s, t, 0),
+        "strip": _fold_piece(net, "strip", lambda x, y: (t, s - x, s - y),
+                             (ONE, ZERO, ZERO), turn(0)),
+        "cap_north": _fold_piece(net, "cap_north", lambda x, y: (x - c, y - c, t),
+                                 (ZERO, ZERO, ONE), turn(gyration)),
+        "cap_south": _fold_piece(net, "cap_south", lambda x, y: (x - c, y - c, -t),
+                                 (ZERO, ZERO, -ONE), turn(0)),
     }
     for sqs in placed.values():
         for sq in sqs:
@@ -421,7 +374,9 @@ def check_closure(result: AssemblyResult) -> ClosureReport:
     """
     net = result.net
     strip = {sq.pos: sq for sq in result.squares["strip"]}
-    belt_squares = [strip[(i, 0)] for i in range(8)]
+    belt_squares = [strip.get((i, 0)) for i in range(8)]
+    if None in belt_squares:
+        raise ValueError("inconsistent gluing instruction: missing belt square")
     caps = {piece: {sq.pos: sq for sq in result.squares[piece]}
             for piece in ("cap_north", "cap_south")}
     checks: list[ClosureCheck] = []

@@ -247,62 +247,43 @@ def _piece_outline_local(net: NetSpec, piece: str) -> list[tuple]:
 # -- packing ----------------------------------------------------------------------
 
 
-def _compositions3():
-    return ([3], [1, 2], [2, 1], [1, 1, 1])
+# the three boxes, in order, cut into consecutive shelves
+_SHELVES = (((0, 1, 2),), ((0,), (1, 2)), ((0, 1), (2,)), ((0,), (1,), (2,)))
 
 
 def _pack(sizes, avail_w: Fraction, avail_h: Fraction):
-    """Deterministic shelf packing of up to three boxes with optional
-    90-degree rotation; returns (x, y, rotated) per box or None."""
+    """Deterministic shelf packing of three boxes with optional
+    90-degree rotation; returns (x, y, rotated) per box or None.  Columns
+    are tried first; rows are columns on the transposed sheet."""
     n = len(sizes)
-    for axis in ("columns", "rows"):
-        for split in _compositions3():
+    for rows in (False, True):
+        if rows:
+            sizes = [(h, w) for w, h in sizes]
+            avail_w, avail_h = avail_h, avail_w
+        for groups in _SHELVES:
             for mask in range(2 ** n):
                 dims = [
                     (sizes[i][1], sizes[i][0]) if (mask >> i) & 1 else sizes[i]
                     for i in range(n)
                 ]
-                groups = []
-                k = 0
-                for g in split:
-                    groups.append(list(range(k, k + g)))
-                    k += g
-                if axis == "columns":
-                    widths = [max(dims[i][0] for i in g) for g in groups]
-                    heights = [
-                        sum(dims[i][1] for i in g) + GAP_MM * (len(g) - 1)
-                        for g in groups
-                    ]
-                    total_w = sum(widths) + GAP_MM * (len(groups) - 1)
-                    if total_w > avail_w or any(h > avail_h for h in heights):
-                        continue
-                    out = [None] * n
-                    x = Fraction(0)
-                    for gi, g in enumerate(groups):
-                        y = Fraction(0)
-                        for i in g:
-                            out[i] = (x, y, bool((mask >> i) & 1))
-                            y += dims[i][1] + GAP_MM
-                        x += widths[gi] + GAP_MM
-                    return out
-                else:
-                    heights = [max(dims[i][1] for i in g) for g in groups]
-                    widths = [
-                        sum(dims[i][0] for i in g) + GAP_MM * (len(g) - 1)
-                        for g in groups
-                    ]
-                    total_h = sum(heights) + GAP_MM * (len(groups) - 1)
-                    if total_h > avail_h or any(w > avail_w for w in widths):
-                        continue
-                    out = [None] * n
+                widths = [max(dims[i][0] for i in g) for g in groups]
+                heights = [
+                    sum(dims[i][1] for i in g) + GAP_MM * (len(g) - 1)
+                    for g in groups
+                ]
+                total_w = sum(widths) + GAP_MM * (len(groups) - 1)
+                if total_w > avail_w or any(h > avail_h for h in heights):
+                    continue
+                out = [None] * n
+                x = Fraction(0)
+                for gi, g in enumerate(groups):
                     y = Fraction(0)
-                    for gi, g in enumerate(groups):
-                        x = Fraction(0)
-                        for i in g:
-                            out[i] = (x, y, bool((mask >> i) & 1))
-                            x += dims[i][0] + GAP_MM
-                        y += heights[gi] + GAP_MM
-                    return out
+                    for i in g:
+                        xy = (y, x) if rows else (x, y)
+                        out[i] = (*xy, bool((mask >> i) & 1))
+                        y += dims[i][1] + GAP_MM
+                    x += widths[gi] + GAP_MM
+                return out
     return None
 
 

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
 
+from gyrolab import belts as belts_mod
+from gyrolab.analysis import analyze
 from gyrolab.belts import belt_square_overlap, find_belts, pole_pairs
 from gyrolab.geom import is_zero_vec, vcross, vsub
 from gyrolab.qfield import Q2
-from gyrolab.solids import build_rhombicuboctahedron, face_census
+from gyrolab.solids import Polyhedron, build_rhombicuboctahedron, face_census
 from gyrolab.symmetry import isometry_group, rotation_axes
 
 
@@ -120,3 +122,18 @@ def test_pole_pairs_none_when_axis_misses(cube):
         shifted_belt.faces, shifted_belt.crossing_edges, (Q2(1), Q2(1), Q2(0))
     )
     assert pole_pairs(cube, fake) is None
+
+
+def test_belts_are_walked_once_per_mesh(rco, monkeypatch):
+    p = Polyhedron(rco.vertices, rco.faces)  # a fresh mesh, nothing cached
+    walks = []
+    real = belts_mod.pole_pairs
+
+    def counted(*args):
+        walks.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(belts_mod, "pole_pairs", counted)
+    analyze(p)  # find_belts, then belt_square_overlap
+    assert find_belts(p) is find_belts(p)
+    assert len(walks) == 3  # one walk: a pole pair per belt, once

@@ -6,7 +6,7 @@ import pytest
 
 from gyrolab.foldsim import check_closure, fold
 from gyrolab.geom import vdot, vsub
-from gyrolab.netgen import Gluing
+from gyrolab.netgen import Crease, Gluing, square_local_rect
 from gyrolab.qfield import Q2
 from gyrolab.solids import (
     build_pseudo_rhombicuboctahedron,
@@ -189,3 +189,70 @@ def test_assembly_json(net50):
 
     corner = doc["squares"]["cap_north"][0]["corners"][0]
     assert len(corner) == 3 and all(isinstance(parse(c), Q2) for c in corner)
+
+
+# -- one crease-tree walk over netgen's layout ----------------------------------
+
+
+def _flat_embeddings(net):
+    """Each piece's flat layout in space: the strip in the plane x = t, the
+    caps in z = +-t, centred on the polar axis."""
+    L = Q2(net.edge_len)
+    s = L / 2
+    t = (Q2(1) + Q2(0, 1)) * s
+    c = L * Q2(Fraction(5, 2))
+    return {
+        "strip": lambda x, y: (t, s - x, s - y),
+        "cap_north": lambda x, y: (x - c, y - c, t),
+        "cap_south": lambda x, y: (x - c, y - c, -t),
+    }
+
+
+def test_straight_creases_keep_every_square_where_the_svg_draws_it(net50):
+    straight = tuple(dataclasses.replace(c, fold_target=180) for c in net50.creases)
+    flat_net = dataclasses.replace(net50, creases=straight)
+    result = fold(flat_net, 0)
+    embed = _flat_embeddings(net50)
+    assert sum(len(sqs) for sqs in result.squares.values()) == 27
+    for piece, sqs in result.squares.items():
+        for sq in sqs:
+            x, y, w, h = square_local_rect(net50, net50.square_at(piece, sq.pos))
+            flat = ((x, y), (x + w, y), (x + w, y + h), (x, y + h))
+            assert sq.corners == tuple(embed[piece](Q2(u), Q2(v)) for u, v in flat)
+
+
+def _without_crease(net, piece, a, b):
+    return tuple(c for c in net.creases if (c.piece, {c.a, c.b}) != (piece, {a, b}))
+
+
+def test_crease_between_non_adjacent_squares_is_inconsistent(net50):
+    creases = _without_crease(net50, "cap_north", (0, 0), (1, 0)) + (
+        Crease("cap_north", (0, 0), (2, 0), 135),
+    )
+    with pytest.raises(ValueError, match="inconsistent gluing"):
+        fold(dataclasses.replace(net50, creases=creases), 0)
+
+
+def test_crease_closing_a_loop_is_inconsistent(net50):
+    # a second crease between strip squares 3 and 4 would be ignored by the walk
+    creases = net50.creases + (Crease("strip", (3, 0), (4, 0), 90),)
+    with pytest.raises(ValueError, match="inconsistent gluing"):
+        fold(dataclasses.replace(net50, creases=creases), 0)
+
+
+def test_cap_square_without_a_crease_path_is_inconsistent(net50):
+    creases = _without_crease(net50, "cap_south", (0, 1), (0, 2))
+    with pytest.raises(ValueError, match="inconsistent gluing"):
+        fold(dataclasses.replace(net50, creases=creases), 45)
+
+
+def test_strip_missing_a_square_is_inconsistent(net50):
+    squares = tuple(s for s in net50.squares if (s.piece, s.pos) != ("strip", (3, 0)))
+    with pytest.raises(ValueError, match="inconsistent gluing"):
+        fold(dataclasses.replace(net50, squares=squares), 0)
+    result = fold(net50, 0)
+    result.squares = dict(
+        result.squares, strip=[sq for sq in result.squares["strip"] if sq.pos != (3, 0)]
+    )
+    with pytest.raises(ValueError, match="inconsistent gluing"):
+        check_closure(result)

@@ -6,7 +6,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from gyrolab import solids
@@ -382,7 +382,10 @@ def _hull_inputs(draw):
     return [tuple(c * scale + t for c, t in zip(v, shift)) for v in picked], name
 
 
-@settings(max_examples=30, deadline=None)
+# no shrinking: each shrink step reruns the O(n^4) oracle, so a failure
+# took minutes to report
+@settings(max_examples=30, deadline=None,
+          phases=[ph for ph in Phase if ph is not Phase.shrink])
 @given(_hull_inputs())
 def test_hull_equals_the_q2_triple_scan(case):
     points, full_set = case
