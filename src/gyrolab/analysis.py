@@ -111,15 +111,15 @@ def _faces_regular(p: Polyhedron) -> bool:
             return False
     for f in p.faces:
         n = len(f)
-        corners = set()
+        corners = []
         for i in range(n):
             a = vsub(p.vertices[f[(i - 1) % n]], p.vertices[f[i]])
             b = vsub(p.vertices[f[(i + 1) % n]], p.vertices[f[i]])
             dot = vdot(a, b)
-            # the corner's side of 90 degrees is read without tolerance, so on
-            # a float mesh right angles with noise of either sign differ
-            corners.add((k.key(dot * dot / (vdot(a, a) * vdot(b, b))), dot > 0))
-        if len(corners) > 1:
+            corners.append((dot * dot / (vdot(a, a) * vdot(b, b)), k.sign(dot)))
+        # each corner has the first corner's cos^2 and side of 90 degrees
+        cos2, side = corners[0]
+        if any(not k.is_zero(c - cos2) or s != side for c, s in corners[1:]):
             return False
     return True
 
