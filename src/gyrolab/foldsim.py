@@ -406,7 +406,7 @@ def check_closure(result: AssemblyResult) -> ClosureReport:
                     )
                 )
         elif glue.kind == "overlap":
-            tab = caps[glue.piece].get(glue.pos)
+            tab = caps.get(glue.piece, {}).get(glue.pos)
             if tab is None:
                 raise ValueError("inconsistent gluing instruction: missing tab")
             best_host, best_dev = None, None
@@ -432,8 +432,9 @@ def check_closure(result: AssemblyResult) -> ClosureReport:
                     )
                 )
         elif glue.kind == "edge":
-            side = caps[glue.piece].get(glue.pos)
-            tab = caps[glue.piece].get((2 * glue.pos[0], 2 * glue.pos[1]))
+            cap = caps.get(glue.piece, {})
+            side = cap.get(glue.pos)
+            tab = cap.get((2 * glue.pos[0], 2 * glue.pos[1]))
             if side is None or tab is None:
                 raise ValueError("inconsistent gluing instruction: missing cap square")
             shared = side.corner_set() & tab.corner_set()

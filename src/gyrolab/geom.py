@@ -3,11 +3,11 @@
 The arithmetic helpers are generic: they work on triples of ``Q2`` (exact
 meshes) and on triples of ``float`` (ingested meshes) alike, because both
 support ``+ - * /``.  Every decision (is this zero, which sign, which
-canonical direction, which vertex is this point) goes through a kernel
-instead: ``EXACT`` decides over Q(sqrt2) with no tolerance, and a
-``ToleranceKernel`` decides over floats within the mesh's tolerance.  Both
-expose the same operations, so each geometric algorithm is written once and
-a ``Polyhedron`` picks its kernel once, from its coordinate type.
+canonical direction) goes through a kernel instead: ``EXACT`` decides over
+Q(sqrt2) with no tolerance, and a ``ToleranceKernel`` decides over floats
+within the mesh's tolerance.  Both expose the same operations, so each
+geometric algorithm is written once and a ``Polyhedron`` picks its kernel
+once, from its coordinate type.
 """
 
 from __future__ import annotations
@@ -65,10 +65,6 @@ def mat_transpose(m: Mat3) -> Mat3:
 
 def mat_det(m: Mat3):
     return vdot(m[0], vcross(m[1], m[2]))
-
-
-def mat_from_columns(c0: Vec3, c1: Vec3, c2: Vec3) -> Mat3:
-    return mat_transpose((c0, c1, c2))
 
 
 def q2_identity() -> Mat3:
@@ -233,14 +229,9 @@ def snap_matrix_to_q2(m: Mat3, tol: float = 1e-9) -> Mat3 | None:
 # -- predicate kernels ---------------------------------------------------------
 
 # Fixed thresholds of the float kernel; the exact kernel ignores them.
-ORIGIN_EPS = 1e-15  # a centroid coordinate this small counts as 0
-DET_EPS = 1e-9  # the isometry search's base flag is singular
-ORTHO_EPS = 1e-7  # M^T M = I and det M = +-1 in the isometry search
 LEAD_EPS = 1e-6  # leading component of a unit direction; fixed z axis
-MATCH_FLOOR = 1e-12  # smallest per-coordinate vertex-match tolerance
 SNAP_EPS = 1e-9  # matrix entries snapped into Q(sqrt2)
-MATRIX_DIGITS = 6  # rounding of matrix keys
-SCALAR_DIGITS = 9  # rounding of directions and scalar keys
+SCALAR_DIGITS = 9  # rounding of directions
 
 
 class ExactKernel:
@@ -248,13 +239,19 @@ class ExactKernel:
 
     exact = True
 
+    @property
+    def coarse(self) -> "ExactKernel":
+        """Itself: an exact decision is never a near miss."""
+        return self
+
     def is_zero(self, x, eps: float | None = None) -> bool:
         return not x
 
     def sign(self, x) -> int:
         return x.sign()
 
-    def is_zero_vec(self, v: Vec3) -> bool:
+    def is_zero_vec(self, v: Vec3, scale: float = 1.0) -> bool:
+        """v = 0; ``scale`` (a length v is measured against) is ignored."""
         return is_zero_vec(v)
 
     def on_line(self, rel: Vec3, d: Vec3) -> bool:
@@ -273,17 +270,6 @@ class ExactKernel:
         inv = ONE / lead
         return (v[0] * inv, v[1] * inv, v[2] * inv)
 
-    def key(self, x):
-        """Hashable stand-in for a scalar: equal keys mean equal values."""
-        return x
-
-    def matrix_key(self, m: Mat3):
-        return m
-
-    def index(self, points: Sequence[Vec3]):
-        """Lookup point -> index with ``.get``."""
-        return {p: i for i, p in enumerate(points)}
-
     def snap(self, m: Mat3) -> Mat3:
         """The Q(sqrt2) matrix m stands for (None if there is none)."""
         return m
@@ -301,14 +287,22 @@ class ToleranceKernel:
     def __init__(self, tol: float) -> None:
         self.tol = tol
 
+    @property
+    def coarse(self) -> "ToleranceKernel":
+        """The kernel at tolerance sqrt(tol), midway between tol and 1 on a
+        log scale: a value it calls zero but this kernel does not is a near
+        miss, which cannot be told apart from noise in the input."""
+        return ToleranceKernel(math.sqrt(self.tol))
+
     def is_zero(self, x, eps: float | None = None) -> bool:
         return abs(x) <= (self.tol if eps is None else eps)
 
     def sign(self, x) -> int:
         return 0 if self.is_zero(x) else (1 if x > 0 else -1)
 
-    def is_zero_vec(self, v: Vec3) -> bool:
-        return _norm(v) <= self.tol
+    def is_zero_vec(self, v: Vec3, scale: float = 1.0) -> bool:
+        """|v| within tolerance x ``scale``."""
+        return _norm(v) <= self.tol * scale
 
     def on_line(self, rel: Vec3, d: Vec3) -> bool:
         rel_n = _norm(rel)
@@ -325,36 +319,11 @@ class ToleranceKernel:
             v = vneg(v)
         return tuple(round(x, SCALAR_DIGITS) for x in v)
 
-    def key(self, x):
-        return round(x, SCALAR_DIGITS)
-
-    def matrix_key(self, m: Mat3):
-        return tuple(round(x, MATRIX_DIGITS) for row in m for x in row)
-
-    def index(self, points: Sequence[Vec3]):
-        return _NearIndex(points, max(self.tol, MATCH_FLOOR))
-
     def snap(self, m: Mat3) -> Mat3 | None:
         return snap_matrix_to_q2(m, SNAP_EPS)
 
     def vec(self, v: Sequence) -> tuple:
         return tuple(float(x) for x in v)
-
-
-class _NearIndex:
-    """First point within ``tol`` in every coordinate."""
-
-    def __init__(self, points: Sequence[Vec3], tol: float) -> None:
-        self.points = points
-        self.tol = tol
-
-    def get(self, w: Vec3) -> int | None:
-        tol = self.tol
-        for i, u in enumerate(self.points):
-            if (abs(w[0] - u[0]) <= tol and abs(w[1] - u[1]) <= tol
-                    and abs(w[2] - u[2]) <= tol):
-                return i
-        return None
 
 
 def _norm(v: Vec3) -> float:

@@ -170,13 +170,6 @@ class Polyhedron:
             return None
         return fs[0] if fs[1] == fi else fs[1]
 
-    def face_index_sets(self) -> dict[frozenset, int]:
-        if "face_sets" not in self._cache:
-            self._cache["face_sets"] = {
-                frozenset(f): i for i, f in enumerate(self.faces)
-            }
-        return self._cache["face_sets"]
-
 
 # -- exact convex hull ------------------------------------------------------
 
@@ -491,7 +484,15 @@ def validate(p: Polyhedron) -> ValidationReport:
 
     if not structural_ok:
         return ValidationReport(tuple(checks), open_edges, overfull)
+    if n:  # the geometric checks measure from the vertex centroid
+        checks += _geometric_checks(p)
+    euler = p.euler_characteristic
+    checks.append(Check("euler", euler == 2, f"V - E + F = {euler}"))
+    return ValidationReport(tuple(checks), open_edges, overfull)
 
+
+def _geometric_checks(p: Polyhedron) -> list[Check]:
+    """Planarity, outward normals and convexity, decided by the kernel."""
     planar_bad: list[int] = []
     outward_bad: list[int] = []
     convex_ok = True
@@ -509,23 +510,16 @@ def validate(p: Polyhedron) -> ValidationReport:
             outward_bad.append(fi)
         if any(k.plane_side(nrm, vsub(v, base)) > 0 for v in p.vertices):
             convex_ok = False
-    checks.append(
+    return [
         Check("planarity", not planar_bad,
-              f"non-planar faces {planar_bad}" if planar_bad else "all faces planar")
-    )
-    checks.append(
+              f"non-planar faces {planar_bad}" if planar_bad else "all faces planar"),
         Check("outward", not outward_bad,
               f"inward-facing faces {outward_bad}" if outward_bad else
-              "all face normals point away from the centroid")
-    )
-    checks.append(
+              "all face normals point away from the centroid"),
         Check("convexity", convex_ok,
               "every vertex on the non-positive side of every face plane"
-              if convex_ok else "a vertex lies strictly outside a face plane")
-    )
-    euler = p.euler_characteristic
-    checks.append(Check("euler", euler == 2, f"V - E + F = {euler}"))
-    return ValidationReport(tuple(checks), open_edges, overfull)
+              if convex_ok else "a vertex lies strictly outside a face plane"),
+    ]
 
 
 # -- OFF and JSON interchange -------------------------------------------------

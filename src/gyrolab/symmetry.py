@@ -1,36 +1,34 @@
 """Isometry-group detection, rotation axes and vertex transitivity.
 
-The group search is deliberately brute force: fix one flag (vertex,
-incident edge, incident face), try every flag of the mesh whose face and
-face across the edge have the base flag's sizes as its image,
-solve the 3x3 linear system sending three independent base points to the
-image points, and keep the matrix iff it is orthogonal with determinant
-+-1 and permutes both the vertex set and the face set.  The result is
-verified closed under composition and inverse.  No point-group tables:
-the verification is the point.
-
-There is one search, one axis extraction and one incidence test; every
-decision in them goes through the mesh's predicate kernel (``geom``).
-Exact meshes therefore run entirely over Q(sqrt2).  Float meshes (ingested
-OFF) run the same code within their tolerance, and then snap the whole
-group back into Q(sqrt2): when every matrix entry snaps, the group carries
-the exact kernel from then on; otherwise no matrix is snapped and the
-report is marked approximate.
+Symmetries are face-lattice automorphisms first; geometry only accepts or
+rejects them.  Each flag whose face and face across the edge have the base
+flag's sizes extends, by a walk over the faces, to at most one automorphism:
+vertex and face permutations found with integers only.  Every isometry of a
+convex polyhedron induces one, so they bound the group from above (Mani
+1971).  The filter, the same for exact and float meshes, fits M = H G^-1
+(H = sum v_pi(i) v_i^T, G = sum v_i v_i^T, vertices about their centroid)
+and keeps the permutation iff M^T M = I and M v_i = v_pi(i) for every i,
+decided by the mesh's kernel (``geom``): exactly over Q(sqrt2), or within
+tolerance x diameter.  A float mesh that misses a lattice symmetry by more
+than its tolerance but less than the tolerance's square root raises rather
+than report a smaller group.  The accepted maps are verified to be a group;
+each rotation's axis is named by the two features (vertex, reversed edge,
+face) it fixes.  A float group is snapped into Q(sqrt2) only when every
+matrix snaps; otherwise the report is marked approximate.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
+from operator import mul
 from typing import Iterable, Sequence
 
 from . import geom
 from .geom import (
-    DET_EPS,
     EXACT,
     LEAD_EPS,
-    ORIGIN_EPS,
-    ORTHO_EPS,
     Mat3,
     Vec3,
     mat_mul,
@@ -43,14 +41,15 @@ from .solids import Polyhedron
 
 
 class DegenerateGeometryError(ValueError):
-    """Mesh has no three linearly independent vertices."""
+    """Mesh has no faces or no three linearly independent vertices."""
 
 
 class InternalGeometryError(ValueError):
     """A symmetry result failed its own verification.
 
     On an exact mesh this indicates a bug; on a float mesh, a tolerance
-    under which the accepted maps do not form a group.
+    under which the accepted maps do not form a group, or a face-lattice
+    symmetry that the mesh misses by too little to call it broken.
     """
 
 
@@ -101,13 +100,13 @@ class Feature:
 class RotationAxis:
     direction: Vec3  # the kernel's canonical direction
     order: int
-    features: tuple[Feature, Feature] | None = None
+    features: tuple[Feature, Feature]  # the two the axis line meets
 
     def to_dict(self) -> dict:
         return {
             "direction": geom.json_vec(self.direction),
             "order": self.order,
-            "features": [f.to_dict() for f in self.features] if self.features else None,
+            "features": [f.to_dict() for f in self.features],
         }
 
 
@@ -147,61 +146,72 @@ class SymmetryReport:
 # -- group search -------------------------------------------------------------
 
 
-def _translated_vertices(p: Polyhedron) -> tuple[Vec3, ...]:
-    c = p.vertex_centroid()
-    if all(p.kernel.is_zero(x, ORIGIN_EPS) for x in c):
-        return p.vertices
-    return tuple(vsub(v, c) for v in p.vertices)
-
-
 def _flags(p: Polyhedron):
-    """Every flag as (a, b, c, sizes): vertex a, directed edge a->b, the
-    face through a, b and c (c the other neighbour of b in it), and sizes =
-    (that face's size, the size of the face across edge ab or 0)."""
+    """Every flag as (a, b, fi, sizes): vertex a, directed edge a->b, a face
+    fi through that edge, and sizes = (that face's size, the size of the
+    face across edge ab or 0)."""
     for (i, j) in p.edges:
-        for (a, b) in ((i, j), (j, i)):
-            for fi in p.edge_faces[(i, j)]:
-                face = p.faces[fi]
-                k = face.index(b)
-                prev, nxt = face[k - 1], face[(k + 1) % len(face)]
-                c = nxt if prev == a else prev
-                other = p.other_face((i, j), fi)
-                yield a, b, c, (len(face), 0 if other is None else len(p.faces[other]))
+        for fi in p.edge_faces[(i, j)]:
+            other = p.other_face((i, j), fi)
+            sizes = (len(p.faces[fi]), 0 if other is None else len(p.faces[other]))
+            yield i, j, fi, sizes
+            yield j, i, fi, sizes
 
 
-def _base_flag(p: Polyhedron, verts: Sequence[Vec3]) -> tuple[Mat3, tuple[int, int]]:
-    for a, b, c, sizes in _flags(p):
-        cols = geom.mat_from_columns(verts[a], verts[b], verts[c])
-        if not p.kernel.is_zero(geom.mat_det(cols), DET_EPS):
-            return cols, sizes
-    raise DegenerateGeometryError("no three linearly independent vertices")
+def _across(p: Polyhedron) -> list[list[int | None]]:
+    """across[f][t]: the face across edge (f[t], f[t+1]) of face f."""
+    return [[p.other_face(tuple(sorted((f[t], f[(t + 1) % len(f)]))), fi)
+             for t in range(len(f))] for fi, f in enumerate(p.faces)]
 
 
-def _is_identity(k, m: Mat3, eps: float | None = None) -> bool:
-    return all(
-        k.is_zero(m[i][j] - (1 if i == j else 0), eps) for i in range(3) for j in range(3)
-    )
+def _automorphism(p: Polyhedron, across, base, image):
+    """Extend the flag map base -> image to an automorphism of the face
+    lattice, as (vertex_perm, face_perm); None if there is none.
 
-
-def _vertex_perm(verts: Sequence[Vec3], index, m: Mat3):
-    perm = []
-    for v in verts:
-        k = index.get(mat_vec(m, v))
-        if k is None:
+    Integers only: a walk over the faces maps each face onto its image,
+    aligned at an edge already mapped; the maps must be consistent and,
+    at the end, bijections.
+    """
+    vmap: dict[int, int] = {}
+    fmap: dict[int, int] = {}
+    todo = [(base[2], base[0], base[1], image[2], image[0], image[1])]
+    while todo:
+        f, a, b, g, x, y = todo.pop()
+        if f in fmap:
+            if fmap[f] != g:
+                return None
+            continue
+        fmap[f] = g
+        src, dst = p.faces[f], p.faces[g]
+        n = len(src)
+        if len(dst) != n:
             return None
-        perm.append(k)
-    return tuple(perm)
+        i, j = src.index(a), dst.index(x)
+        di = 1 if src[(i + 1) % n] == b else -1
+        dj = 1 if dst[(j + 1) % n] == y else -1
+        for t in range(n):
+            # aligned vertices t, and the edge from them to aligned vertices
+            # t + 1, which a backward walk finds one place earlier in the face
+            u, w = src[(i + di * t) % n], dst[(j + dj * t) % n]
+            if vmap.setdefault(u, w) != w:
+                return None
+            h = across[f][(i + di * t - (di < 0)) % n]
+            h_img = across[g][(j + dj * t - (dj < 0)) % n]
+            if h is None or h_img is None:
+                return None
+            todo.append((h, u, src[(i + di * (t + 1)) % n],
+                         h_img, w, dst[(j + dj * (t + 1)) % n]))
+    vperm = tuple(vmap.get(i, -1) for i in range(p.n_vertices))
+    fperm = tuple(fmap.get(i, -1) for i in range(p.n_faces))
+    if sorted(vperm) != list(range(p.n_vertices)) or sorted(fperm) != list(range(p.n_faces)):
+        return None
+    return vperm, fperm
 
 
-def _face_perm(p: Polyhedron, vperm: tuple[int, ...]):
-    sets = p.face_index_sets()
-    out = []
-    for f in p.faces:
-        g = sets.get(frozenset(vperm[i] for i in f))
-        if g is None:
-            return None
-        out.append(g)
-    return tuple(out)
+def _cross_moments(ws: Sequence[Vec3], vs: Sequence[Vec3]) -> Mat3:
+    """The 3x3 matrix sum of w_i v_i^T."""
+    wcols, vcols = tuple(zip(*ws)), tuple(zip(*vs))
+    return tuple(tuple(sum(map(mul, wc, vc)) for vc in vcols) for wc in wcols)
 
 
 def _verify_group(isos: Sequence[Isometry]) -> None:
@@ -217,7 +227,7 @@ def _verify_group(isos: Sequence[Isometry]) -> None:
         if tuple(inv) not in perms:
             raise InternalGeometryError("isometry group not closed under inverse")
         for b in isos:
-            comp = tuple(a.vertex_perm[j] for j in b.vertex_perm)
+            comp = tuple(map(a.vertex_perm.__getitem__, b.vertex_perm))
             if comp not in perms:
                 raise InternalGeometryError("isometry group not closed under composition")
 
@@ -237,58 +247,105 @@ def isometry_group(p: Polyhedron, proper_only: bool = False) -> tuple[Isometry, 
 
 
 def _isometry_group(p: Polyhedron) -> tuple[Isometry, ...]:
+    """Face-lattice automorphisms of the base flag's images, kept iff the
+    least-squares map M = H G^-1 of the vertex pairs is orthogonal and
+    sends every vertex onto its image."""
     k = p.kernel
-    verts = _translated_vertices(p)
-    index = k.index(verts)
-    base, base_sizes = _base_flag(p, verts)
-    base_inv = geom.mat_inverse(base, k.is_zero)
-    found: dict[tuple, Isometry] = {}
-    for wa, wb, wc, sizes in _flags(p):
-        if sizes != base_sizes:  # an isometry maps faces to faces of equal size
+    c = p.vertex_centroid()
+    verts = tuple(vsub(v, c) for v in p.vertices)
+    gram = _cross_moments(verts, verts)
+    trace = (gram[0][0] + gram[1][1] + gram[2][2]) / 3
+    flags = list(_flags(p))
+    if not flags or k.is_zero(trace) or k.is_zero(geom.mat_det(gram) / trace ** 3):
+        raise DegenerateGeometryError("no faces or no three linearly independent vertices")
+    gram_inv = geom.mat_inverse(gram, k.is_zero)
+    points = [tuple(map(float, v)) for v in verts]
+    diameter = max(math.dist(u, w) for u, w in itertools.combinations(points, 2))
+    base, across = flags[0], _across(p)
+    isos = []
+    for flag in flags:
+        if flag[3] != base[3]:  # an isometry maps faces to faces of equal size
             continue
-        img_cols = geom.mat_from_columns(verts[wa], verts[wb], verts[wc])
-        m = mat_mul(img_cols, base_inv)
-        if not _is_identity(k, mat_mul(mat_transpose(m), m), ORTHO_EPS):
+        perms = _automorphism(p, across, base, flag)
+        if perms is None:
             continue
-        det = geom.mat_det(m)
-        if k.is_zero(det - 1, ORTHO_EPS):
-            proper = True
-        elif k.is_zero(det + 1, ORTHO_EPS):
-            proper = False
-        else:
-            continue
-        vperm = _vertex_perm(verts, index, m)
-        if vperm is None:
-            continue
-        fperm = _face_perm(p, vperm)
-        if fperm is None:
-            continue
-        found.setdefault(k.matrix_key(m), Isometry(m, proper, vperm, fperm, k))
-    isos = list(found.values())
-    snapped = [k.snap(iso.matrix) for iso in isos]
-    if None not in snapped:
-        isos = [replace(iso, matrix=s, kernel=EXACT) for iso, s in zip(isos, snapped)]
+        images = [verts[j] for j in perms[0]]
+        m = mat_mul(_cross_moments(images, verts), gram_inv)
+        if _is_isometry(k, m, verts, images, diameter):
+            isos.append(Isometry(m, k.sign(geom.mat_det(m)) > 0, *perms, k))
+        elif _is_isometry(k.coarse, m, verts, images, diameter):
+            raise InternalGeometryError(
+                "a symmetry of the face lattice misses an isometry by more than"
+                " the tolerance but less than its square root")
+    snapped = []
+    for iso in isos:  # all or nothing: stop at the first matrix that does not snap
+        m = k.snap(iso.matrix)
+        if m is None:
+            break
+        snapped.append(replace(iso, matrix=m, kernel=EXACT))
+    else:
+        isos = snapped
     isos.sort(key=lambda iso: iso.matrix)
     _verify_group(isos)
     return tuple(isos)
 
 
+def _is_isometry(k, m: Mat3, verts: Sequence[Vec3], images: Sequence[Vec3],
+                 diameter: float) -> bool:
+    """M^T M = I, and M v = w for every vertex v and its image w."""
+    return _is_identity(k, mat_mul(mat_transpose(m), m)) and all(
+        k.is_zero_vec(vsub(mat_vec(m, v), w), diameter) for v, w in zip(verts, images)
+    )
+
+
+def _is_identity(k, m: Mat3) -> bool:
+    return all(k.is_zero(m[i][j] - (1 if i == j else 0)) for i in range(3) for j in range(3))
+
+
 # -- rotation axes -------------------------------------------------------------
 
 
-def rotation_axes(group: Iterable[Isometry]) -> tuple[RotationAxis, ...]:
-    """Fixed lines of the non-identity rotations, deduplicated by
-    canonical direction; order = maximal rotation order about the line."""
-    axes: dict[tuple, int] = {}
+def rotation_axes(p: Polyhedron, group: Iterable[Isometry]) -> tuple[RotationAxis, ...]:
+    """One axis per pair of surface features fixed by a non-identity
+    rotation; order = maximal rotation order about it.
+
+    The features are read off the permutations, so two rotations share
+    an axis exactly when they fix the same pair.  The direction is the
+    kernel's canonical direction of the first such rotation's fixed line.
+    """
+    k, c = p.kernel, p.vertex_centroid()
+    axes: dict[frozenset, RotationAxis] = {}
     for iso in group:
         if not iso.proper or iso.order() == 1:
             continue
         order = _verify_rotation(iso)
-        d = _fixed_direction(iso)
-        axes[d] = max(axes.get(d, 0), order)
-    out = [RotationAxis(d, n) for d, n in axes.items()]
-    out.sort(key=lambda ax: (-ax.order, ax.direction))
-    return tuple(out)
+        features = _fixed_features(p, iso)
+        key = frozenset((f.kind, f.ref) for f in features)
+        ax = axes.get(key)
+        if ax is None:
+            d = _fixed_direction(iso)
+            a, b = features  # the one on the positive side of d first
+            if k.sign(vdot(vsub(a.point, c), k.vec(d))) < 0:
+                a, b = b, a
+            axes[key] = RotationAxis(d, order, (a, b))
+        elif order > ax.order:
+            axes[key] = replace(ax, order=order)
+    return tuple(sorted(axes.values(), key=lambda ax: (-ax.order, ax.direction)))
+
+
+def _fixed_features(p: Polyhedron, iso: Isometry) -> list[Feature]:
+    """The vertices, reversed edges and faces a rotation maps to
+    themselves: exactly the two features its axis meets."""
+    vp, fp = iso.vertex_perm, iso.face_perm
+    fixed = [Feature("vertex", i, p.vertices[i]) for i in range(p.n_vertices) if vp[i] == i]
+    fixed += [
+        Feature("edge", (i, j), geom.centroid([p.vertices[i], p.vertices[j]]))
+        for (i, j) in p.edges if vp[i] == j and vp[j] == i
+    ]
+    fixed += [Feature("face", f, p.face_center(f)) for f in range(p.n_faces) if fp[f] == f]
+    if len(fixed) != 2:
+        raise InternalGeometryError(f"rotation fixes {len(fixed)} surface features, not 2")
+    return fixed
 
 
 def _fixed_direction(iso: Isometry) -> Vec3:
@@ -329,39 +386,19 @@ def axis_feature_incidence(
     k = p.kernel
     d = k.vec(axis.direction if isinstance(axis, RotationAxis) else axis)
     c = p.vertex_centroid()
-
-    def on_line(pt: Vec3) -> bool:
-        return k.on_line(vsub(pt, c), d)
-
-    candidates: list[Feature] = []
-    for i, v in enumerate(p.vertices):
-        if on_line(v):
-            candidates.append(Feature("vertex", i, v))
-    for (i, j) in p.edges:
-        mid = geom.centroid([p.vertices[i], p.vertices[j]])
-        if on_line(mid):
-            candidates.append(Feature("edge", (i, j), mid))
-    for fi in range(p.n_faces):
-        ctr = p.face_center(fi)
-        if on_line(ctr):
-            candidates.append(Feature("face", fi, ctr))
-
-    pos: list[Feature] = []
-    neg: list[Feature] = []
-    for f in candidates:
-        side = k.sign(vdot(vsub(f.point, c), d))
-        (pos if side > 0 else neg).append(f)
-
-    def pick(side: list[Feature], label: str) -> Feature:
-        points = {tuple(f.point) for f in side}
-        if len(points) != 1:
-            raise InternalGeometryError(
-                f"axis meets {len(points)} features on its {label} side"
-            )
-        rank = {"vertex": 0, "edge": 1, "face": 2}
-        return min(side, key=lambda f: rank[f.kind])
-
-    return pick(pos, "positive"), pick(neg, "negative")
+    features = [Feature("vertex", i, v) for i, v in enumerate(p.vertices)]
+    features += [Feature("edge", (i, j), geom.centroid([p.vertices[i], p.vertices[j]]))
+                 for (i, j) in p.edges]
+    features += [Feature("face", fi, p.face_center(fi)) for fi in range(p.n_faces)]
+    sides: dict[bool, list[Feature]] = {True: [], False: []}
+    for f in features:
+        rel = vsub(f.point, c)
+        if k.on_line(rel, d):
+            sides[k.sign(vdot(rel, d)) > 0].append(f)
+    for label, side in (("positive", sides[True]), ("negative", sides[False])):
+        if len(side) != 1:
+            raise InternalGeometryError(f"axis meets {len(side)} features on its {label} side")
+    return sides[True][0], sides[False][0]
 
 
 # -- polar rotations and transitivity -----------------------------------------
@@ -415,17 +452,14 @@ def symmetry_report(p: Polyhedron) -> SymmetryReport:
         return p._cache["symmetry_report"]
     full = isometry_group(p)
     proper = tuple(iso for iso in full if iso.proper)
-    axes = rotation_axes(proper)
-    with_features = [
-        replace(ax, features=axis_feature_incidence(p, ax)) for ax in axes
-    ]
+    axes = rotation_axes(p, proper)
     vt_full, orbits = is_vertex_transitive(p, full)
     vt_proper, _ = is_vertex_transitive(p, proper)
     class_eq = sum(ax.order - 1 for ax in axes) + 1 == len(proper)
     report = SymmetryReport(
         proper_order=len(proper),
         full_order=len(full),
-        axes=tuple(with_features),
+        axes=axes,
         vertex_transitive=vt_full,
         vertex_transitive_proper=vt_proper,
         orbit_sizes=tuple(len(o) for o in orbits),

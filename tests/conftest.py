@@ -1,8 +1,12 @@
+import itertools
+import math
 import os
 import random
+from fractions import Fraction
 
 import pytest
 
+from gyrolab.geom import vcross, vdot, vsub
 from gyrolab.netgen import generate_nets
 from gyrolab.qfield import Q2
 from gyrolab.solids import (
@@ -32,6 +36,30 @@ def make_cube(half: int = 1) -> Polyhedron:
          for sx in (half, -half) for sy in (half, -half) for sz in (half, -half)}
     )
     return Polyhedron(verts, convex_hull_faces(verts))
+
+
+def make_box() -> Polyhedron:
+    """The 1 x 2 x 3 box, exact and centred: the cube's face lattice, but
+    only the 8 isometries of a box."""
+    half = (Fraction(1, 2), Fraction(1), Fraction(3, 2))
+    verts = sorted({tuple(Q2(s * h) for s, h in zip(signs, half))
+                    for signs in itertools.product((1, -1), repeat=3)})
+    return Polyhedron(verts, convex_hull_faces(verts))
+
+
+def make_icosahedron() -> Polyhedron:
+    """The regular icosahedron of edge 2 as a float mesh: its golden-ratio
+    coordinates are not in Q(sqrt2)."""
+    phi = (1 + 5 ** 0.5) / 2
+    verts = [p for a in (-1, 1) for b in (-phi, phi)
+             for p in ((0.0, a, b), (a, b, 0.0), (b, 0.0, a))]
+    faces = []
+    for i, j, k in itertools.combinations(range(12), 3):
+        if all(abs(math.dist(verts[x], verts[y]) - 2) < 1e-9
+               for x, y in ((i, j), (j, k), (i, k))):
+            nrm = vcross(vsub(verts[j], verts[i]), vsub(verts[k], verts[i]))
+            faces.append((i, j, k) if vdot(nrm, verts[i]) > 0 else (i, k, j))
+    return Polyhedron(verts, faces)
 
 
 @pytest.fixture(scope="session")

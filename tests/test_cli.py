@@ -2,11 +2,16 @@ import json
 import random
 
 import pytest
-from conftest import noisy_off
+from conftest import make_cube, make_icosahedron, noisy_off
 
 from gyrolab.cli import main
 from gyrolab.qfield import parse as q2_parse
-from gyrolab.solids import read_off, write_off
+from gyrolab.solids import (
+    build_pseudo_rhombicuboctahedron,
+    build_rhombicuboctahedron,
+    read_off,
+    write_off,
+)
 
 
 def run(capsys, *argv):
@@ -117,6 +122,62 @@ def test_noisy_input_fails_cleanly(tmp_path, capsys, rco, pseudo, cube_off_text)
         mesh.write_text(noisy_off(text, 1e-7, rng), encoding="utf-8")
         code, _, _ = run(capsys, "analyze", "--input", str(mesh), "--tolerance", "1e-5")
         assert code in (0, 1)
+
+
+# full order, axes, vertex orbit sizes
+LADDER_ANSWERS = {
+    "rco": (48, 13, [24]),
+    "pseudo": (16, 5, [16, 8]),
+    "cube": (48, 13, [8]),
+    "icosahedron": (120, 31, [12]),
+}
+
+
+@pytest.fixture(scope="module")
+def ladder_off():
+    return {
+        "rco": write_off(build_rhombicuboctahedron(2)),
+        "pseudo": write_off(build_pseudo_rhombicuboctahedron(2)),
+        "cube": write_off(make_cube()),
+        "icosahedron": write_off(make_icosahedron()),
+    }
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-5, 1e-3])
+@pytest.mark.parametrize("eps", [0, 1e-12, 1e-10, 1e-8, 1e-7, 1e-6])
+@pytest.mark.parametrize("solid", sorted(LADDER_ANSWERS))
+def test_noise_ladder(tmp_path, capsys, ladder_off, solid, eps, tol):
+    # noise well under the tolerance gives the right answer; above it, the
+    # right answer or a clean exit 1, never other counts
+    mesh = tmp_path / "mesh.off"
+    rng = random.Random(f"{solid}/{eps}/{tol}")
+    mesh.write_text(noisy_off(ladder_off[solid], eps, rng), encoding="utf-8")
+    code, out, err = run(capsys, "analyze", "--input", str(mesh),
+                         "--tolerance", f"{tol:g}", "--json")
+    if eps <= tol / 10:
+        assert code == 0
+        assert json.loads(out)["faces_regular"]
+    if code == 0:
+        sym = json.loads(out)["symmetry"]
+        full, axes, orbits = LADDER_ANSWERS[solid]
+        assert (sym["full_order"], len(sym["axes"])) == (full, axes)
+        assert sym["orbits"]["sizes"] == orbits
+        assert not err
+    else:
+        assert code == 1
+        if out:
+            assert json.loads(out)["partial"] and not err
+        else:
+            assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_empty_off_is_a_partial_report(tmp_path, capsys):
+    mesh = tmp_path / "empty.off"
+    mesh.write_text("OFF\n0 0 0\n", encoding="utf-8")
+    code, out, err = run(capsys, "analyze", "--input", str(mesh))
+    assert code == 1
+    assert "validation: FAILED" in out and "analysis stopped" in out
+    assert not err
 
 
 @pytest.mark.parametrize("tol", ["-1", "nan", "inf", "0"])

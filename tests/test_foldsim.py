@@ -256,3 +256,18 @@ def test_strip_missing_a_square_is_inconsistent(net50):
     )
     with pytest.raises(ValueError, match="inconsistent gluing"):
         check_closure(result)
+
+
+@pytest.mark.parametrize("glue", [
+    Gluing("edge", "strip", (1, 0), None),
+    Gluing("overlap", "cap_east", (1, 0), None),
+    Gluing("edge", "cap_east", (1, 0), None),
+], ids=["edge-on-strip", "overlap-on-unknown-piece", "edge-on-unknown-piece"])
+def test_gluing_on_a_wrong_piece_is_inconsistent(net50, glue):
+    bad = dataclasses.replace(net50, gluing=net50.gluing + (glue,))
+    with pytest.raises(ValueError, match="inconsistent gluing instruction"):
+        fold(bad, 0)
+    result = fold(net50, 0)
+    result.net = bad
+    with pytest.raises(ValueError, match="inconsistent gluing instruction"):
+        check_closure(result)

@@ -5,9 +5,10 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from conftest import make_box, make_cube, make_icosahedron
 
 from gyrolab import geom
-from gyrolab.geom import mat_mul, mat_vec, snap_scalar_to_q2, vcross, vdot, vsub
+from gyrolab.geom import mat_mul, mat_vec, snap_scalar_to_q2, vdot, vsub
 from gyrolab.qfield import ONE, SQRT2, ZERO, Q2
 from gyrolab.solids import Polyhedron, read_off, write_off
 from gyrolab.symmetry import (
@@ -236,12 +237,14 @@ def test_symmetry_group_permutes_belt_set(rco):
 def test_degenerate_geometry_error():
     verts = [(Q2(0), Q2(0), Q2(0)), (Q2(1), Q2(0), Q2(0)), (Q2(2), Q2(0), Q2(0))]
     flat = Polyhedron(verts, [(0, 1, 2), (2, 1, 0)])
-    with pytest.raises(DegenerateGeometryError):
-        isometry_group(flat)
+    faceless = Polyhedron(verts + [(Q2(0), Q2(1), Q2(0)), (Q2(0), Q2(0), Q2(1))], [])
+    for p in (flat, faceless):
+        with pytest.raises(DegenerateGeometryError):
+            isometry_group(p)
 
 
-def test_rotation_axes_empty_for_identity_only():
-    assert rotation_axes([]) == ()
+def test_rotation_axes_empty_for_identity_only(cube):
+    assert rotation_axes(cube, []) == ()
 
 
 def test_snap_scalar_to_q2():
@@ -271,16 +274,7 @@ def test_float_mode_reproduces_exact_results(rco, pseudo, rco_sym, pseudo_sym):
 
 def test_group_outside_q2_stays_float_and_approximate():
     # the icosahedron's golden-ratio matrices cannot snap into Q(sqrt2)
-    phi = (1 + 5 ** 0.5) / 2
-    verts = [p for a in (-1, 1) for b in (-phi, phi)
-             for p in ((0.0, a, b), (a, b, 0.0), (b, 0.0, a))]
-    faces = []
-    for i, j, k in itertools.combinations(range(12), 3):
-        if all(abs(math.dist(verts[x], verts[y]) - 2) < 1e-9
-               for x, y in ((i, j), (j, k), (i, k))):
-            nrm = vcross(vsub(verts[j], verts[i]), vsub(verts[k], verts[i]))
-            faces.append((i, j, k) if vdot(nrm, verts[i]) > 0 else (i, k, j))
-    rep = symmetry_report(Polyhedron(verts, faces))
+    rep = symmetry_report(make_icosahedron())
     assert rep.approximate
     assert (rep.full_order, rep.proper_order) == (120, 60)
     assert rep.axes_by_order() == {5: 6, 3: 10, 2: 15}
@@ -298,3 +292,28 @@ def test_report_json_shape(rco_sym):
     ax = doc["axes"][0]
     assert set(ax) == {"direction", "order", "features"}
     assert len(ax["features"]) == 2
+
+
+@pytest.mark.parametrize("name", ["rco", "pseudo", "cube", "icosahedron", "box"])
+def test_axis_features_match_the_geometric_incidence(name, rco, pseudo):
+    # the features read off each rotation's permutations are the ones the
+    # axis line meets
+    p = {"rco": rco, "pseudo": pseudo, "cube": make_cube(),
+         "icosahedron": make_icosahedron(), "box": make_box()}[name]
+    axes = symmetry_report(p).axes
+    assert axes
+    for ax in axes:
+        assert ax.features == axis_feature_incidence(p, ax.direction)
+
+
+def test_box_group_is_a_known_answer():
+    # every symmetry of the cube's face lattice that swaps two axes of the
+    # box has an exact linear map, which is not orthogonal
+    box = make_box()
+    for p in (box, read_off(write_off(box))):
+        rep = symmetry_report(p)
+        assert (rep.full_order, rep.proper_order) == (8, 4)
+        assert rep.axes_by_order() == {2: 3}
+        assert {f.kind for ax in rep.axes for f in ax.features} == {"face"}
+        assert rep.orbit_sizes == (8,)
+        assert not rep.approximate
