@@ -60,6 +60,15 @@ def _parse_tolerance(text: str) -> float:
         raise argparse.ArgumentTypeError(str(e)) from None
 
 
+def _parse_paper(text: str) -> str:
+    # returns the text, not the size: a size would retitle A2 as 420x594 in the SVG
+    try:
+        netgen.resolve_paper(text)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+    return text
+
+
 def _write_output(path: str | None, content: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(content)
@@ -191,6 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="square side in mm (default 50)")
     p_net.add_argument(
         "--paper",
+        type=_parse_paper,
         default=os.environ.get("GYROLAB_PAPER", "A2"),
         help="A2, A3, A4 or WIDTHxHEIGHT in mm (default A2; env GYROLAB_PAPER)",
     )

@@ -6,9 +6,11 @@ layout the SVG prints, mapped into space by a per-piece embedding; a crease
 rotates its child side by 180 degrees minus the target dihedral about the
 shared edge.  All crease lines have exact unit directions and all targets
 are multiples of 45 degrees, so every placed corner stays in Q(sqrt2)^3
-and closure is checked, never solved: square 9 must land exactly on
-square 1, every glue tab must lie inside a belt square, and the assembled
-face squares must reproduce the target solid's faces as exact point sets.
+and every placed square is an exact L x L square.  Congruent squares
+overlap flat only by coinciding, so closure is decided by exact corner-set
+lookups, never by a distance search: square 9 on square 1, each glue tab on
+a belt square, each cap side edge on a belt square edge, and each face
+square on a face of the target solid.
 
 Pose convention: strip square 1 starts on the belt face whose outward
 normal is +x, in the builders' canonical pose; the north cap is the one
@@ -18,7 +20,7 @@ rotated by the gyration parameter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -48,12 +50,10 @@ class ClosureCheck:
     passed: bool
     detail: str = ""
     witness: Optional[tuple[Vec3, ...]] = None
-    deviation_sq: Optional[Q2] = None  # exact squared distance witness
+    deviation_sq: Q2 = ZERO  # exact squared distance of the witness
 
     @property
     def distance(self) -> float:
-        if self.deviation_sq is None:
-            return 0.0
         return math.sqrt(float(self.deviation_sq))
 
 
@@ -77,8 +77,15 @@ class AssemblyResult:
     squares: dict
     matched: bool
     correspondence: dict
-    closure: ClosureReport
-    closure_residual: Q2
+    closure: ClosureReport = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.closure = check_closure(self)
+
+    @property
+    def closure_residual(self) -> Q2:
+        """The largest squared deviation among the closure checks."""
+        return max((c.deviation_sq for c in self.closure.checks), default=ZERO)
 
     def placed(self) -> list[PlacedSquare]:
         return [sq for piece in self.squares.values() for sq in piece]
@@ -229,11 +236,15 @@ def _fold_piece(net: NetSpec, piece: str, embed: Callable[[Q2, Q2], Vec3],
 
     out: list[PlacedSquare] = []
     for sq in net.squares_of(piece):
-        x, y, w, h = rects[sq.pos]
-        flat = (embed(x, y), embed(x + w, y), embed(x + w, y + h), embed(x, y + h))
-        corners = tuple(transforms[sq.pos].apply(p) for p in flat)
+        corners = tuple(transforms[sq.pos].apply(embed(u, v))
+                        for u, v in _rect_corners(*rects[sq.pos]))
         out.append(PlacedSquare(piece, sq.pos, sq.role, corners))
     return out
+
+
+def _rect_corners(x, y, w, h) -> tuple:
+    """A layout rectangle's corners, in the order ``PlacedSquare`` keeps."""
+    return ((x, y), (x + w, y), (x + w, y + h), (x, y + h))
 
 
 def _check_square_shape(sq: PlacedSquare, L: Q2) -> None:
@@ -305,170 +316,97 @@ def fold(net: NetSpec, gyration: int = 0) -> AssemblyResult:
     if corner_union != set(target.vertices):
         matched = False
 
-    result = AssemblyResult(
+    return AssemblyResult(
         net=net,
         gyration=gyration,
         target_name=target_name,
         squares=placed,
         matched=matched,
         correspondence=correspondence,
-        closure=ClosureReport(()),
-        closure_residual=Q2(0),
     )
-    report = check_closure(result)
-    result.closure = report
-    residual = Q2(0)
-    for c in report.checks:
-        if not c.passed and c.deviation_sq is not None and c.deviation_sq > residual:
-            residual = c.deviation_sq
-    result.closure_residual = residual
-    return result
 
 
 # -- closure checks ----------------------------------------------------------------
 
 
-def _sq_distance(p: Vec3, q: Vec3) -> Q2:
-    d = vsub(p, q)
-    return vdot(d, d)
+def _witness(points, candidates) -> tuple[Vec3, Q2]:
+    """The point of ``points`` farthest from its nearest point of the
+    closest candidate point set, and that exact squared distance: zero
+    iff ``points`` coincides with a candidate of its own size."""
+    def farthest(targets):
+        return max(((p, min(vdot(vsub(p, q), vsub(p, q)) for q in targets))
+                    for p in points), key=lambda pd: pd[1])
 
-
-def _host_deviation(host: PlacedSquare, tab: PlacedSquare) -> Q2:
-    """Exact squared distance witnessing how far the tab is from lying
-    flat inside the host square: zero iff coplanar and contained."""
-    c = host.corners
-    normal = geom.vcross(vsub(c[1], c[0]), vsub(c[3], c[0]))
-    nn = vdot(normal, normal)
-    worst = Q2(0)
-    for p in tab.corners:
-        off = vdot(normal, vsub(p, c[0]))
-        plane_sq = off * off / nn
-        if plane_sq > worst:
-            worst = plane_sq
-        signs = []
-        excess = Q2(0)
-        for k in range(4):
-            edge = vsub(c[(k + 1) % 4], c[k])
-            cr = vdot(geom.vcross(edge, vsub(p, c[k])), normal)
-            signs.append(cr.sign())
-        if not (all(s >= 0 for s in signs) or all(s <= 0 for s in signs)):
-            # in-plane violation: squared distance to the nearest edge line
-            for k in range(4):
-                edge = vsub(c[(k + 1) % 4], c[k])
-                cr = vdot(geom.vcross(edge, vsub(p, c[k])), normal)
-                d_sq = cr * cr / (vdot(edge, edge) * nn)
-                excess = max(excess, d_sq)
-            worst = max(worst, excess)
-    return worst
+    return min(map(farthest, candidates), key=lambda pd: pd[1])
 
 
 def check_closure(result: AssemblyResult) -> ClosureReport:
     """Verify the gluing instructions on the folded result.
 
-    (a) the strip's glue square exactly overlaps its first square;
-    (b) every cap glue tab is coplanar with and contained in a belt
-        square; (c) every cap side square's outer edge coincides with an
-        edge of a belt square (its top edge for the north cap, bottom for
-        the south).  Failures become report entries with exact witness
-        points, never exceptions.
+    (a) the strip's glue square coincides with its target square; (b) every
+    cap glue tab coincides with a belt square; (c) the edge each cap side
+    square shares with its tab in the net coincides with a belt square edge.
+    Placed squares are congruent, so a tab flat inside a belt square is that
+    square, and each check is one exact lookup.  A failed check is a report
+    entry, not an exception: its witness is the point farthest from its
+    nearest target point, and ``deviation_sq`` that squared distance, zero
+    exactly when the point set coincides.
     """
     net = result.net
     strip = {sq.pos: sq for sq in result.squares["strip"]}
     belt_squares = [strip.get((i, 0)) for i in range(8)]
     if None in belt_squares:
         raise ValueError("inconsistent gluing instruction: missing belt square")
+    hosts = {sq.corner_set(): sq for sq in reversed(belt_squares)}
+    host_edges = {frozenset((sq.corners[k - 1], sq.corners[k])): sq
+                  for sq in reversed(belt_squares) for k in range(4)}
     caps = {piece: {sq.pos: sq for sq in result.squares[piece]}
             for piece in ("cap_north", "cap_south")}
     checks: list[ClosureCheck] = []
 
     for glue in net.gluing:
         if glue.kind == "overlap" and glue.piece == "strip":
-            a = strip.get(glue.pos)
-            b = strip.get(glue.target_pos)
+            a, b = strip.get(glue.pos), strip.get(glue.target_pos)
             if a is None or b is None:
                 raise ValueError("inconsistent gluing instruction: missing strip square")
-            if a.corner_set() == b.corner_set():
-                checks.append(
-                    ClosureCheck("lap_joint", glue.piece, glue.pos, True,
-                                 "glue square exactly overlaps the first square")
-                )
-            else:
-                worst_pt, worst_sq = None, None
-                for p in a.corners:
-                    best = min(_sq_distance(p, q) for q in b.corners)
-                    if worst_sq is None or best > worst_sq:
-                        worst_pt, worst_sq = p, best
-                checks.append(
-                    ClosureCheck(
-                        "lap_joint", glue.piece, glue.pos, False,
-                        "strip does not close into the octagonal belt",
-                        witness=(worst_pt,), deviation_sq=worst_sq,
-                    )
-                )
+            name, points, targets = "lap_joint", a.corners, {b.corner_set(): b}
+            passed = "glue square exactly overlaps the first square"
+            failed = "strip does not close into the octagonal belt"
         elif glue.kind == "overlap":
             tab = caps.get(glue.piece, {}).get(glue.pos)
             if tab is None:
                 raise ValueError("inconsistent gluing instruction: missing tab")
-            best_host, best_dev = None, None
-            for host in belt_squares:
-                dev = _host_deviation(host, tab)
-                if best_dev is None or dev < best_dev:
-                    best_host, best_dev = host, dev
-                if dev.is_zero():
-                    break
-            if best_dev is not None and best_dev.is_zero():
-                checks.append(
-                    ClosureCheck(
-                        "tab_in_belt_square", glue.piece, glue.pos, True,
-                        f"tab coplanar with and inside strip square {best_host.pos[0] + 1}",
-                    )
-                )
-            else:
-                checks.append(
-                    ClosureCheck(
-                        "tab_in_belt_square", glue.piece, glue.pos, False,
-                        "glue tab lies flat in no belt square",
-                        witness=(tab.corners[0],), deviation_sq=best_dev,
-                    )
-                )
+            name, points, targets = "tab_in_belt_square", tab.corners, hosts
+            passed = "tab coplanar with and inside strip square {}"
+            failed = "glue tab lies flat in no belt square"
         elif glue.kind == "edge":
             cap = caps.get(glue.piece, {})
             side = cap.get(glue.pos)
             tab = cap.get((2 * glue.pos[0], 2 * glue.pos[1]))
             if side is None or tab is None:
                 raise ValueError("inconsistent gluing instruction: missing cap square")
-            shared = side.corner_set() & tab.corner_set()
-            hit = None
-            best_dev = None
-            if len(shared) == 2:
-                edge = frozenset(shared)
-                pts = tuple(shared)
-                for host in belt_squares:
-                    c = host.corners
-                    for k in range(4):
-                        host_edge = (c[k], c[(k + 1) % 4])
-                        if frozenset(host_edge) == edge:
-                            hit = host
-                            break
-                        dev = min(
-                            max(_sq_distance(pts[0], host_edge[0]),
-                                _sq_distance(pts[1], host_edge[1])),
-                            max(_sq_distance(pts[0], host_edge[1]),
-                                _sq_distance(pts[1], host_edge[0])),
-                        )
-                        if best_dev is None or dev < best_dev:
-                            best_dev = dev
-                    if hit:
-                        break
-            checks.append(
-                ClosureCheck(
-                    "cap_edge_on_belt", glue.piece, glue.pos, hit is not None,
-                    f"outer edge coincides with an edge of strip square {hit.pos[0] + 1}"
-                    if hit else "outer edge matches no belt square edge",
-                    witness=None if hit else tuple(sorted(side.corner_set() & tab.corner_set() or side.corner_set())[:2]),
-                    deviation_sq=None if hit else best_dev,
+            # decided on the flat layout: a tab folded back onto its side
+            # square shares all four corners with it in space
+            side_flat, tab_flat = (_rect_corners(*square_local_rect(net, sq))
+                                   for sq in (side, tab))
+            shared = [k for k, p in enumerate(side_flat) if p in tab_flat]
+            if len(shared) != 2:
+                raise ValueError(
+                    f"inconsistent gluing instruction: {glue.piece} square {glue.pos}"
+                    " shares no single edge with its tab"
                 )
-            )
+            name, points = "cap_edge_on_belt", sorted(side.corners[k] for k in shared)
+            targets = host_edges
+            passed = "outer edge coincides with an edge of strip square {}"
+            failed = "outer edge matches no belt square edge"
         else:
             raise ValueError(f"inconsistent gluing instruction: unknown kind {glue.kind!r}")
+        host = targets.get(frozenset(points))
+        if host is not None:
+            checks.append(ClosureCheck(name, glue.piece, glue.pos, True,
+                                       passed.format(host.pos[0] + 1)))
+        else:
+            point, dev = _witness(points, targets)
+            checks.append(ClosureCheck(name, glue.piece, glue.pos, False, failed,
+                                       witness=(point,), deviation_sq=dev))
     return ClosureReport(tuple(checks))

@@ -293,8 +293,10 @@ def resolve_paper(paper) -> tuple[str, tuple[Fraction, Fraction]]:
         if name.upper() in PAPER_SIZES:
             return name.upper(), PAPER_SIZES[name.upper()]
         if "x" in name.lower():
-            w_s, h_s = name.lower().split("x", 1)
-            w, h = Fraction(w_s), Fraction(h_s)
+            try:
+                w, h = map(Fraction, name.lower().split("x", 1))
+            except (ValueError, ZeroDivisionError):
+                w = h = Fraction(0)
             if w <= 0 or h <= 0:
                 raise ValueError(f"bad paper size {paper!r}")
             return f"{float(w):g}x{float(h):g}", (w, h)

@@ -229,6 +229,25 @@ def test_net_fit_errors(tmp_path, capsys, monkeypatch):
     assert "A3" in err
 
 
+@pytest.mark.parametrize("paper,env", [
+    ("foo", None), ("1x0", None), ("-3x5", None), ("1/0x5", None), (None, "1/0x5"),
+], ids=["unknown", "zero-height", "negative-width", "zero-denominator", "env"])
+def test_bad_paper_is_usage_error(tmp_path, capsys, monkeypatch, paper, env):
+    monkeypatch.delenv("GYROLAB_PAPER", raising=False)
+    if env is not None:
+        monkeypatch.setenv("GYROLAB_PAPER", env)
+    argv = ["net", "-o", str(tmp_path / "x.svg")]
+    if paper is not None:
+        argv.append(f"--paper={paper}")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert not out.out and not (tmp_path / "x.svg").exists()
+    errors = [line for line in out.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and repr(paper or env) in errors[0]
+
+
 def test_net_paper_env_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("GYROLAB_PAPER", "A4")
     code, _, err = run(capsys, "net", "-o", str(tmp_path / "z.svg"))

@@ -3,10 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import Phase, example, given, settings
+from hypothesis import strategies as st
 
 from gyrolab.foldsim import check_closure, fold
-from gyrolab.geom import vdot, vsub
-from gyrolab.netgen import Crease, Gluing, square_local_rect
+from gyrolab.geom import vcross, vdot, vsub
+from gyrolab.netgen import Crease, Gluing, generate_nets, square_local_rect
 from gyrolab.qfield import Q2
 from gyrolab.solids import (
     build_pseudo_rhombicuboctahedron,
@@ -262,7 +264,9 @@ def test_strip_missing_a_square_is_inconsistent(net50):
     Gluing("edge", "strip", (1, 0), None),
     Gluing("overlap", "cap_east", (1, 0), None),
     Gluing("edge", "cap_east", (1, 0), None),
-], ids=["edge-on-strip", "overlap-on-unknown-piece", "edge-on-unknown-piece"])
+    Gluing("edge", "cap_north", (0, 0), None),
+], ids=["edge-on-strip", "overlap-on-unknown-piece", "edge-on-unknown-piece",
+        "edge-sharing-no-single-edge"])
 def test_gluing_on_a_wrong_piece_is_inconsistent(net50, glue):
     bad = dataclasses.replace(net50, gluing=net50.gluing + (glue,))
     with pytest.raises(ValueError, match="inconsistent gluing instruction"):
@@ -271,3 +275,76 @@ def test_gluing_on_a_wrong_piece_is_inconsistent(net50, glue):
     result.net = bad
     with pytest.raises(ValueError, match="inconsistent gluing instruction"):
         check_closure(result)
+
+
+# -- closure by exact coincidence ----------------------------------------------
+
+
+def _host_deviation(host, tab):
+    """Geometric oracle, independent of corner-set lookups: exact squared
+    distance witnessing how far the tab is from lying flat inside the host
+    square by plane distance and containment, zero iff coplanar and
+    contained."""
+    c = host.corners
+    normal = vcross(vsub(c[1], c[0]), vsub(c[3], c[0]))
+    nn = vdot(normal, normal)
+    worst = Q2(0)
+    for p in tab.corners:
+        off = vdot(normal, vsub(p, c[0]))
+        plane_sq = off * off / nn
+        if plane_sq > worst:
+            worst = plane_sq
+        signs = []
+        excess = Q2(0)
+        for k in range(4):
+            edge = vsub(c[(k + 1) % 4], c[k])
+            cr = vdot(vcross(edge, vsub(p, c[k])), normal)
+            signs.append(cr.sign())
+        if not (all(s >= 0 for s in signs) or all(s <= 0 for s in signs)):
+            for k in range(4):
+                edge = vsub(c[(k + 1) % 4], c[k])
+                cr = vdot(vcross(edge, vsub(p, c[k])), normal)
+                d_sq = cr * cr / (vdot(edge, edge) * nn)
+                excess = max(excess, d_sq)
+            worst = max(worst, excess)
+    return worst
+
+
+_CAP_TARGETS = [c.fold_target for c in generate_nets(50).creases if c.piece != "strip"]
+
+
+# no shrinking, like the hull oracle: each step reruns the Q2 host search
+@settings(max_examples=30, deadline=None,
+          phases=[ph for ph in Phase if ph is not Phase.shrink])
+@given(st.lists(st.sampled_from((0, 45, 90, 135, 180)),
+                min_size=len(_CAP_TARGETS), max_size=len(_CAP_TARGETS)),
+       st.sampled_from(range(0, 360, 45)))
+@example(_CAP_TARGETS, 0)
+@example(_CAP_TARGETS, 45)
+def test_tab_lookup_agrees_with_the_geometric_host_search(net50, targets, gyration):
+    drawn = iter(targets)
+    creases = tuple(c if c.piece == "strip" else dataclasses.replace(c, fold_target=next(drawn))
+                    for c in net50.creases)
+    result = fold(dataclasses.replace(net50, creases=creases), gyration)
+    belt = [sq for sq in result.squares["strip"] if sq.role == "face"]
+    for c in result.closure.checks:
+        if c.name == "tab_in_belt_square":
+            tab = next(sq for sq in result.squares[c.piece] if sq.pos == c.pos)
+            assert c.passed == any(_host_deviation(h, tab).is_zero() for h in belt)
+        if not c.passed:
+            assert c.deviation_sq > Q2(0)
+    assert (result.closure_residual > Q2(0)) == (not result.closure.ok)
+
+
+def test_one_flat_tab_crease_fails_only_that_tab(net50):
+    creases = tuple(dataclasses.replace(c, fold_target=180)
+                    if (c.piece, c.b) == ("cap_north", (2, 0)) else c
+                    for c in net50.creases)
+    result = fold(dataclasses.replace(net50, creases=creases), 0)
+    failed = result.closure.failures()
+    assert len(result.closure.checks) == 17
+    assert [(c.name, c.piece, c.pos) for c in failed] == [
+        ("tab_in_belt_square", "cap_north", (2, 0))
+    ]
+    assert result.matched
+    assert result.closure_residual == failed[0].deviation_sq > Q2(0)
