@@ -5,17 +5,10 @@ Builds both solids over Q(sqrt2), detects their rotation axes and
 equatorial belts, decides vertex transitivity, generates the three-piece
 papercraft nets as SVG, and verifies by rigid fold simulation that the
 nets assemble into either solid depending on a 45-degree cap gyration.
-"""
 
-from .qfield import Q2, SQRT2
-from .solids import (
-    Polyhedron,
-    build_pseudo_rhombicuboctahedron,
-    build_rhombicuboctahedron,
-    face_census,
-    validate,
-    vertex_figure,
-)
+The names in ``__all__`` are imported from their modules on first access
+(PEP 562), so ``import gyrolab`` alone loads no submodule.
+"""
 
 __version__ = "0.1.0"
 
@@ -30,3 +23,27 @@ __all__ = [
     "vertex_figure",
     "__version__",
 ]
+
+# public name -> the submodule that defines it
+_LAZY = {
+    "Q2": "qfield",
+    "SQRT2": "qfield",
+    "Polyhedron": "solids",
+    "build_rhombicuboctahedron": "solids",
+    "build_pseudo_rhombicuboctahedron": "solids",
+    "face_census": "solids",
+    "validate": "solids",
+    "vertex_figure": "solids",
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(f".{_LAZY[name]}", __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

@@ -166,8 +166,8 @@ def analyze(p: Polyhedron, name: str = "") -> AnalysisReport:
         symmetry=sym,
         belts=belts,
         belt_overlap=overlap,
-        archimedean_candidate=sym.vertex_transitive and uniform,
-        pseudo_uniform=uniform and not sym.vertex_transitive,
+        archimedean_candidate=regular and uniform and sym.vertex_transitive,
+        pseudo_uniform=regular and uniform and not sym.vertex_transitive,
         **base,
     )
 

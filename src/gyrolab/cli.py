@@ -9,31 +9,34 @@ identical invocations, no timestamps.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from fractions import Fraction
 
-from . import __version__, analysis, foldsim, netgen, qfield
-from .solids import (
-    build_pseudo_rhombicuboctahedron,
-    build_rhombicuboctahedron,
-    check_tolerance,
-    read_off,
-    to_json,
-    write_off,
-)
+from . import __version__
 
+# Each command and argparse type imports the modules it runs when it runs, so
+# a call loads only its own subcommand's code (``--version`` loads none).
+# SOLIDS names each builder, which is looked up on ``solids`` at call time.
 SOLIDS = {
-    "rco": ("rhombicuboctahedron", build_rhombicuboctahedron),
-    "pseudo-rco": ("pseudo-rhombicuboctahedron", build_pseudo_rhombicuboctahedron),
+    "rco": ("rhombicuboctahedron", "build_rhombicuboctahedron"),
+    "pseudo-rco": ("pseudo-rhombicuboctahedron", "build_pseudo_rhombicuboctahedron"),
 }
 
 DEFAULT_BUILD_EDGE = "5"  # cm semantics: 5 cm squares
 DEFAULT_NET_EDGE = "50"  # mm
 
 
+def _build(key: str, edge):
+    """(display name, solid SOLIDS[key] at the given edge)."""
+    from . import solids
+
+    name, builder = SOLIDS[key]
+    return name, getattr(solids, builder)(edge)
+
+
 def _parse_edge_q2(parser: argparse.ArgumentParser, text: str):
+    from . import qfield
+
     try:
         edge = qfield.parse(text)
     except ValueError as e:
@@ -43,7 +46,9 @@ def _parse_edge_q2(parser: argparse.ArgumentParser, text: str):
     return edge
 
 
-def _parse_edge_mm(parser: argparse.ArgumentParser, text: str) -> Fraction:
+def _parse_edge_mm(parser: argparse.ArgumentParser, text: str):
+    from fractions import Fraction
+
     try:
         edge = Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -54,6 +59,8 @@ def _parse_edge_mm(parser: argparse.ArgumentParser, text: str) -> Fraction:
 
 
 def _parse_tolerance(text: str) -> float:
+    from .solids import check_tolerance
+
     try:
         return check_tolerance(float(text))
     except ValueError as e:
@@ -62,6 +69,8 @@ def _parse_tolerance(text: str) -> float:
 
 def _parse_paper(text: str) -> str:
     # returns the text, not the size: a size would retitle A2 as 420x594 in the SVG
+    from . import netgen
+
     try:
         netgen.resolve_paper(text)
     except ValueError as e:
@@ -81,9 +90,9 @@ def _write_output(path: str | None, content: str) -> None:
 
 
 def cmd_build(parser, args) -> int:
-    edge = _parse_edge_q2(parser, args.edge)
-    name, builder = SOLIDS[args.solid]
-    solid = builder(edge)
+    from .solids import to_json, write_off
+
+    name, solid = _build(args.solid, _parse_edge_q2(parser, args.edge))
     if args.format == "off":
         _write_output(args.output, write_off(solid))
     else:
@@ -92,9 +101,11 @@ def cmd_build(parser, args) -> int:
 
 
 def cmd_analyze(parser, args) -> int:
+    from . import analysis
+    from .solids import read_off
+
     if args.solid is not None:
-        name, builder = SOLIDS[args.solid]
-        poly = builder(_parse_edge_q2(parser, args.edge))
+        name, poly = _build(args.solid, _parse_edge_q2(parser, args.edge))
     else:
         try:
             with open(args.input, "r", encoding="utf-8") as fh:
@@ -112,6 +123,8 @@ def cmd_analyze(parser, args) -> int:
 
 
 def cmd_net(parser, args) -> int:
+    from . import netgen
+
     edge = _parse_edge_mm(parser, args.edge)
     net = netgen.generate_nets(edge)
     svg = netgen.render_svg(net, args.paper)
@@ -120,6 +133,11 @@ def cmd_net(parser, args) -> int:
 
 
 def cmd_fold_check(parser, args) -> int:
+    import json
+    from fractions import Fraction
+
+    from . import foldsim, netgen
+
     net = netgen.generate_nets(Fraction(DEFAULT_NET_EDGE))
     result = foldsim.fold(net, args.gyration)
     if args.json:
@@ -150,11 +168,11 @@ def cmd_fold_check(parser, args) -> int:
 
 
 def cmd_compare(parser, args) -> int:
+    from . import analysis
+
     edge = _parse_edge_q2(parser, args.edge)
-    a = analysis.analyze(build_rhombicuboctahedron(edge), name="rhombicuboctahedron")
-    b = analysis.analyze(
-        build_pseudo_rhombicuboctahedron(edge), name="pseudo-rhombicuboctahedron"
-    )
+    a, b = (analysis.analyze(solid, name=name)
+            for name, solid in (_build(key, edge) for key in SOLIDS))
     table = analysis.compare(a, b)
     if args.json:
         sys.stdout.write(analysis.comparison_json(table))

@@ -577,9 +577,12 @@ def read_off(text: str, tolerance: float = 1e-9) -> Polyhedron:
         if len(parts) != 3:
             raise OffParseError(ln, f"vertex line needs 3 coordinates: {line!r}")
         try:
-            verts.append(tuple(float(x) for x in parts))
+            vertex = tuple(float(x) for x in parts)
         except ValueError:
             raise OffParseError(ln, f"bad coordinate in {line!r}") from None
+        if not all(map(math.isfinite, vertex)):
+            raise OffParseError(ln, f"non-finite coordinate in {line!r}")
+        verts.append(vertex)
         pos += 1
     faces: list[tuple[int, ...]] = []
     for _ in range(nf):

@@ -1,8 +1,11 @@
 import json
 import random
 
+from conftest import make_box
+
 from gyrolab.analysis import analyze, compare, comparison_json, report_json, text_report
-from gyrolab.solids import Polyhedron
+from gyrolab.qfield import Q2
+from gyrolab.solids import Polyhedron, convex_hull_faces
 
 
 def test_rco_is_archimedean_candidate(rco):
@@ -34,6 +37,17 @@ def test_cube_is_candidate(cube):
     r = analyze(cube, name="cube")
     assert r.archimedean_candidate
     assert r.vertex_figures == ((4, 4, 4),)
+
+
+def test_irregular_faces_are_neither_candidate_nor_pseudo():
+    # the box is vertex-transitive, the corner tetrahedron has one vertex
+    # figure and is not; neither has regular faces
+    corner = [(Q2(x), Q2(y), Q2(z)) for x, y, z in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    for p in (make_box(), Polyhedron(corner, convex_hull_faces(corner))):
+        r = analyze(p)
+        assert not r.partial and r.uniform_vertex_figure and not r.faces_regular
+        assert not r.archimedean_candidate
+        assert not r.pseudo_uniform
 
 
 def test_text_report_ends_with_axis_count(rco, pseudo):

@@ -1,9 +1,13 @@
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
-from conftest import make_cube, make_icosahedron, noisy_off
+from conftest import DATA_DIR, make_cube, make_icosahedron, noisy_off
 
+import gyrolab
 from gyrolab.cli import main
 from gyrolab.qfield import parse as q2_parse
 from gyrolab.solids import (
@@ -305,3 +309,69 @@ def test_version(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "gyrolab" in capsys.readouterr().out
+
+
+def fresh_python(code, *args):
+    """Run code in a new interpreter that imports this checkout's gyrolab;
+    return its last line of stderr, parsed as JSON."""
+    src = os.path.dirname(os.path.dirname(gyrolab.__file__))
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    return json.loads(proc.stderr.splitlines()[-1])
+
+
+# runs `python -m gyrolab ARG...`; prints its exit code and the gyrolab modules it loaded
+MODULES_LOADED = """
+import json, runpy, sys
+code = None
+try:
+    runpy.run_module("gyrolab", run_name="__main__")
+except SystemExit as e:
+    code = e.code
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("gyrolab"))]),
+      file=sys.stderr)
+"""
+
+CLI = {"gyrolab", "gyrolab.cli"}
+BUILD = CLI | {"gyrolab.qfield", "gyrolab.geom", "gyrolab.solids"}
+ANALYZE = BUILD | {"gyrolab.belts", "gyrolab.symmetry", "gyrolab.analysis"}
+NET = BUILD | {"gyrolab.belts", "gyrolab.netgen"}
+
+
+@pytest.mark.parametrize("argv,modules", [
+    (["--version"], CLI),
+    (["build", "--solid", "rco"], BUILD),
+    (["analyze", "--solid", "pseudo-rco"], ANALYZE),
+    (["analyze", "--input", os.path.join(DATA_DIR, "cube.off")], ANALYZE),
+    (["compare"], ANALYZE),
+    (["net", "-o", "{tmp}/nets.svg"], NET),
+    (["fold-check", "--gyration", "45"], NET | {"gyrolab.foldsim"}),
+], ids=["version", "build", "analyze-solid", "analyze-input", "compare", "net", "fold-check"])
+def test_subcommand_imports_only_what_it_runs(tmp_path, argv, modules):
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert fresh_python(MODULES_LOADED, *argv) == [0, sorted(modules)]
+
+
+def test_package_names_resolve_on_first_access():
+    facts = fresh_python("""
+import json, sys
+import gyrolab
+loaded = sorted(m for m in sys.modules if m.startswith("gyrolab"))
+star = {}
+exec("from gyrolab import *", star)
+from gyrolab import qfield, solids
+try:
+    gyrolab.nope
+    nope = None
+except AttributeError as e:
+    nope = str(e)
+print(json.dumps({
+    "loaded_by_import": loaded,
+    "unbound": [n for n in gyrolab.__all__ if n not in star],
+    "q2": gyrolab.Q2 is qfield.Q2,
+    "builder": gyrolab.build_rhombicuboctahedron is solids.build_rhombicuboctahedron,
+    "nope": nope,
+}), file=sys.stderr)
+""")
+    assert facts == {"loaded_by_import": ["gyrolab"], "unbound": [], "q2": True, "builder": True,
+                     "nope": "module 'gyrolab' has no attribute 'nope'"}

@@ -234,6 +234,9 @@ def test_off_counts_line_matches_contents(rco):
         ("OFF\n1 1 0\n0 0 0\n4 0 0 0\n", 4),
         ("OFF\n-3 -1 0\n", 2),
         ("OFF\n1 0 0\n0 0 0\n# comment\n3 0 0 0\n", 5),
+        ("OFF\n1 0 0\nnan 0 0\n", 3),
+        ("OFF\n2 0 0\n0 0 0\n0 inf 0\n", 4),
+        ("OFF\n1 0 0\n# comment\n0 0 -inf\n", 4),
     ],
 )
 def test_off_parse_errors_carry_line_numbers(text, line):
