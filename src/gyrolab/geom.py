@@ -8,6 +8,10 @@ Q(sqrt2) with no tolerance, and a ``ToleranceKernel`` decides over floats
 within the mesh's tolerance.  Both expose the same operations, so each
 geometric algorithm is written once and a ``Polyhedron`` picks its kernel
 once, from its coordinate type.
+
+``cycle_order`` is the one cyclic walk: it orders a hull face's vertices,
+the faces around a vertex and a net piece's outline from adjacency alone,
+with no arithmetic.
 """
 
 from __future__ import annotations
@@ -177,6 +181,24 @@ def centroid(points: Sequence[Vec3]) -> Vec3:
     for p in points[1:]:
         sx = vadd(sx, p)
     return (sx[0] / n, sx[1] / n, sx[2] / n)
+
+
+def cycle_order(neighbours: dict) -> list:
+    """Every node in cyclic order, given each node's two neighbours: the
+    walk starts at the smallest node and steps first to its first-listed
+    neighbour.  ValueError if the nodes do not form a single cycle."""
+    if any(len(ns) != 2 or any(v not in neighbours.get(w, ()) for w in ns)
+           for v, ns in neighbours.items()):
+        raise ValueError("every node needs two neighbours that list it back")
+    start = min(neighbours)
+    ring, prev, cur = [start], start, neighbours[start][0]
+    while cur != start:  # each step can be undone, so the walk comes back
+        ring.append(cur)
+        a, b = neighbours[cur]
+        prev, cur = cur, b if a == prev else a
+    if not len(ring) == len(set(ring)) == len(neighbours):
+        raise ValueError("the nodes do not form a single cycle")
+    return ring
 
 
 def json_vec(v: Vec3) -> list:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import belts as belts_mod
-from .geom import vdot
+from .geom import cycle_order, vdot
 from .qfield import Q2
 from .solids import Polyhedron, build_rhombicuboctahedron
 
@@ -223,16 +223,7 @@ def _piece_outline_local(net: NetSpec, piece: str) -> list[tuple]:
     for a, b in edges:
         adj.setdefault(a, []).append(b)
         adj.setdefault(b, []).append(a)
-    start = min(adj)
-    loop = [start]
-    prev = None
-    while True:
-        nxts = sorted(n for n in adj[loop[-1]] if n != prev)
-        nxt = nxts[0]
-        if nxt == start:
-            break
-        prev = loop[-1]
-        loop.append(nxt)
+    loop = cycle_order({pt: sorted(ns) for pt, ns in adj.items()})
     merged: list[tuple] = []
     m = len(loop)
     for k in range(m):

@@ -2,9 +2,10 @@
 
 The two built-in solids share one construction path: generate the exact
 vertex set over Q(sqrt2), then recover the faces as the supporting-plane
-contact sets of the convex hull.  That keeps the gyrated builder honest:
-re-identification of the octagonal ring after the 45-degree cap turn is
-positional (exact coordinate coincidence), not index bookkeeping.
+contact sets of the convex hull, on integers only.  That keeps the gyrated
+builder honest: re-identification of the octagonal ring after the
+45-degree cap turn is positional (exact coordinate coincidence), not index
+bookkeeping.
 
 Each solid's hull runs once per process, at the canonical edge 2 where
 every coordinate lies in Z[sqrt2]; a builder at any other edge scales those
@@ -23,6 +24,7 @@ identical inputs produce byte-identical downstream artifacts.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import json
@@ -32,7 +34,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import geom
-from .geom import EXACT, ToleranceKernel, Vec3, vcross, vdot, vsub
+from .geom import EXACT, ToleranceKernel, Vec3, vcross, vsub
 from .qfield import ONE, SQRT2, Q2, sign_z2
 
 
@@ -174,39 +176,6 @@ class Polyhedron:
 # -- exact convex hull ------------------------------------------------------
 
 
-def _ccw_sort_in_plane(indices: list[int], vertices: Sequence[Vec3],
-                       normal: Vec3) -> list[int]:
-    """Order coplanar points counterclockwise around their centroid,
-    as seen from the tip of ``normal``.  Exact angular comparator."""
-    c = geom.centroid([vertices[i] for i in indices])
-    e1 = vsub(vertices[indices[0]], c)
-    e2 = vcross(normal, e1)
-
-    def coords(i: int):
-        d = vsub(vertices[i], c)
-        return vdot(d, e1), vdot(d, e2)
-
-    def half(uw) -> int:
-        u, w = uw
-        if w.sign() > 0 or (w.is_zero() and u.sign() > 0):
-            return 0
-        return 1
-
-    pts = {i: coords(i) for i in indices}
-
-    def cmp(i: int, j: int) -> int:
-        hi, hj = half(pts[i]), half(pts[j])
-        if hi != hj:
-            return -1 if hi < hj else 1
-        ui, wi = pts[i]
-        uj, wj = pts[j]
-        cross = ui * wj - wi * uj
-        s = cross.sign()
-        return -s  # positive cross => i strictly before j going CCW
-
-    return sorted(indices, key=functools.cmp_to_key(cmp))
-
-
 def convex_hull_faces(vertices: Sequence[Vec3]) -> list[tuple[int, ...]]:
     """Faces of the convex hull of exact points in general convex position.
 
@@ -219,8 +188,11 @@ def convex_hull_faces(vertices: Sequence[Vec3]) -> list[tuple[int, ...]]:
     the side of every other point is the exact sign (``qfield.sign_z2``)
     of its Z[sqrt2] dot product with that normal.  A plane with all points
     on one side contributes the face of every point it contains, wound
-    counterclockwise around the outward normal (that ordering, and the
-    rotation that puts the smallest index first, run on the Q2 vertices).
+    counterclockwise around the outward normal with no further arithmetic:
+    two points of a face are neighbours on it iff another face holds both,
+    ``geom.cycle_order`` walks that ring from the smallest index, and the
+    sign of the triple's normal says whether to reverse it.  A flat point
+    set has no such rings and raises ValueError.
 
     Two shortcuts keep the O(n^4) scan cheap without changing its result:
     a triple whose three points lie in a face already found is skipped, as
@@ -235,7 +207,7 @@ def convex_hull_faces(vertices: Sequence[Vec3]) -> list[tuple[int, ...]]:
            for v in vertices]
     order = list(range(n))  # points in move-to-front order
     covered: set = set()  # triples lying in a face already found
-    faces = []
+    planes = []  # (sorted members, j, k, whether u x v points outward)
     for i in range(n):
         pi = pts[i]
         rel = [tuple(a - b for a, b in zip(p, pi)) for p in pts]
@@ -272,15 +244,22 @@ def convex_hull_faces(vertices: Sequence[Vec3]) -> list[tuple[int, ...]]:
                             break
                         side = s
                 else:
-                    if side >= 0:
-                        xp, xq, yp, yq, zp, zq = -xp, -xq, -yp, -yq, -zp, -zq
-                    outward = (Q2(xp, xq), Q2(yp, yq), Q2(zp, zq))
                     members.sort()
                     covered.update(itertools.combinations(members, 3))
-                    ordered = _ccw_sort_in_plane(members, vertices, outward)
-                    # canonical rotation: smallest index first, orientation kept
-                    lo = ordered.index(members[0])
-                    faces.append(tuple(ordered[lo:] + ordered[:lo]))
+                    planes.append((members, j, k, side < 0))
+    # an edge of a convex polytope lies in exactly two facets, so two
+    # members of a face are adjacent on it iff another face holds both
+    shared = collections.Counter(
+        pair for members, *_ in planes for pair in itertools.permutations(members, 2))
+    faces = []
+    for members, j, k, outward in planes:
+        ring = geom.cycle_order({a: [b for b in members if shared[a, b] > 1]
+                                 for a in members})
+        # the ring starts at i, as the scan meets each face first at its
+        # smallest point; u x v points outward iff j comes before k
+        if (ring.index(j) < ring.index(k)) != outward:
+            ring = ring[:1] + ring[:0:-1]
+        faces.append(tuple(ring))
     return sorted(faces, key=sorted)
 
 
@@ -380,48 +359,20 @@ def vertex_figure(p: Polyhedron, v: int) -> tuple[int, ...]:
     canonicalized up to rotation and reflection."""
     if v not in p.vertex_faces:
         raise KeyError(f"unknown vertex index {v}")
-    incident = list(p.vertex_faces[v])
-    # edges at v within each incident face
-    def edges_at(fi: int) -> list[tuple[int, int]]:
+    across = {}  # each face at v -> the two faces across its edges at v
+    for fi in p.vertex_faces[v]:
         face = p.faces[fi]
         k = face.index(v)
-        prev, nxt = face[k - 1], face[(k + 1) % len(face)]
-        return [tuple(sorted((v, prev))), tuple(sorted((v, nxt)))]
-
-    cycle = [incident[0]]
-    used_edges: set = set()
-    while True:
-        cur = cycle[-1]
-        nxt = None
-        for e in edges_at(cur):
-            if e in used_edges:
-                continue
-            g = p.other_face(e, cur)
-            if g is None:
-                raise ValueError(f"surface around vertex {v} is not closed")
-            if g in incident and (len(cycle) == 1 or g != cycle[-2]):
-                used_edges.add(e)
-                nxt = g
-                break
-        if nxt is None or (nxt == cycle[0] and len(cycle) == len(incident)):
-            break
-        cycle.append(nxt)
-        if len(cycle) > len(incident):
-            raise ValueError(f"faces around vertex {v} do not form a cycle")
-    if len(cycle) != len(incident):
-        raise ValueError(f"faces around vertex {v} do not form a cycle")
+        across[fi] = [p.other_face(tuple(sorted((v, w))), fi)
+                      for w in (face[k - 1], face[(k + 1) % len(face)])]
+        if None in across[fi]:
+            raise ValueError(f"surface around vertex {v} is not closed")
+    try:
+        cycle = geom.cycle_order(across)
+    except ValueError:
+        raise ValueError(f"faces around vertex {v} do not form a cycle") from None
     degs = [len(p.faces[fi]) for fi in cycle]
-    return _canonical_cycle(degs)
-
-
-def _canonical_cycle(seq: list[int]) -> tuple[int, ...]:
-    best = None
-    for s in (seq, seq[::-1]):
-        for r in range(len(s)):
-            cand = tuple(s[r:] + s[:r])
-            if best is None or cand < best:
-                best = cand
-    return best
+    return min(tuple(s[r:] + s[:r]) for s in (degs, degs[::-1]) for r in range(len(s)))
 
 
 # -- validation ---------------------------------------------------------------
@@ -442,6 +393,7 @@ def validate(p: Polyhedron) -> ValidationReport:
     dup_faces = [f for f in p.faces if len(set(f)) != len(f)]
     small = [f for f in p.faces if len(f) < 3]
     structural_ok = not bad_idx and not dup_faces and not small
+    unused = [i for i in range(n) if i not in p.vertex_faces]
     detail = []
     if bad_idx:
         detail.append(f"dangling vertex indices {bad_idx}")
@@ -449,7 +401,9 @@ def validate(p: Polyhedron) -> ValidationReport:
         detail.append(f"{len(dup_faces)} faces with repeated vertices")
     if small:
         detail.append(f"{len(small)} faces with fewer than 3 vertices")
-    checks.append(Check("indices", structural_ok, "; ".join(detail)))
+    if unused:
+        detail.append(f"vertices on no face {unused}")
+    checks.append(Check("indices", structural_ok and not unused, "; ".join(detail)))
 
     open_edges = tuple(e for e, fs in sorted(p.edge_faces.items()) if len(fs) == 1)
     overfull = tuple(e for e, fs in sorted(p.edge_faces.items()) if len(fs) > 2)

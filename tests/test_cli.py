@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import random
@@ -5,6 +7,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from conftest import DATA_DIR, make_cube, make_icosahedron, noisy_off
 
 import gyrolab
@@ -182,6 +186,36 @@ def test_empty_off_is_a_partial_report(tmp_path, capsys):
     assert code == 1
     assert "validation: FAILED" in out and "analysis stopped" in out
     assert not err
+
+
+@st.composite
+def _small_off_documents(draw):
+    """OFF text: 0-8 vertices on a few coordinates, 0-6 faces of 3-4
+    in-range indices."""
+    nv = draw(st.integers(0, 8))
+    coords = st.sampled_from((-1, 0, 1, 2))
+    verts = draw(st.lists(st.tuples(coords, coords, coords), min_size=nv, max_size=nv))
+    faces = draw(st.lists(st.lists(st.integers(0, max(nv - 1, 0)), min_size=3, max_size=4),
+                          max_size=6 if nv else 0))
+    rows = ["OFF", f"{nv} {len(faces)} 0"]
+    rows += [" ".join(map(str, v)) for v in verts]
+    rows += [" ".join(map(str, [len(f), *f])) for f in faces]
+    return "\n".join(rows) + "\n"
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@example("OFF\n2 0 0\n0 0 0\n1 0 0\n")  # passes Euler, has no vertex figure
+@given(_small_off_documents())
+def test_analyze_any_small_mesh_without_a_traceback(tmp_path_factory, text):
+    mesh = tmp_path_factory.getbasetemp() / "fuzz.off"
+    mesh.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["analyze", "--input", str(mesh)])
+    assert code in (0, 1)
+    err = err.getvalue()
+    assert not err or (err.startswith("error: ") and err.count("\n") == 1
+                       and err.endswith("\n")), err
 
 
 @pytest.mark.parametrize("tol", ["-1", "nan", "inf", "0"])

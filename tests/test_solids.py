@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from gyrolab import solids
 from gyrolab.foldsim import fold
-from gyrolab.geom import EXACT, is_zero_vec, vcross, vdot, vneg, vsub
+from gyrolab.geom import EXACT, centroid, cycle_order, is_zero_vec, vcross, vdot, vneg, vsub
 from gyrolab.netgen import generate_nets
 from gyrolab.qfield import ONE, SQRT2, Q2, parse
 from gyrolab.solids import (
@@ -182,6 +182,40 @@ def test_vertex_figure_cube(cube):
         vertex_figure(cube, 99)
 
 
+_TETRAHEDRON = ((0, 2, 1), (0, 1, 3), (0, 3, 2), (1, 2, 3))
+
+
+@pytest.mark.parametrize("faces,v,message", [
+    # two tetrahedra sharing vertex 0: two rings of three faces there
+    (_TETRAHEDRON + tuple(tuple(4 * (x > 0) + x for x in f) for f in _TETRAHEDRON),
+     0, "faces around vertex 0 do not form a cycle"),
+    (_TETRAHEDRON[:3], 1, "surface around vertex 1 is not closed"),
+], ids=["two rings", "open surface"])
+def test_vertex_figure_rejects_a_broken_vertex_star(faces, v, message):
+    verts = [(float(i), float(i * i), float(i ** 3)) for i in range(8)]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        vertex_figure(Polyhedron(verts, faces), v)
+
+
+def test_cycle_order_walks_from_the_smallest_node():
+    assert cycle_order({2: [1, 3], 0: [3, 1], 3: [2, 0], 1: [0, 2]}) == [0, 3, 2, 1]
+
+
+@pytest.mark.parametrize("neighbours", [
+    {0: [1, 2], 1: [2, 0], 2: [0, 1], 3: [4, 5], 4: [5, 3], 5: [3, 4]},
+    {0: [1, 2, 3], 1: [0, 2], 2: [1, 0], 3: [0, 1]},
+], ids=["two triangles", "three neighbours"])
+def test_cycle_order_rejects_anything_but_one_cycle(neighbours):
+    with pytest.raises(ValueError):
+        cycle_order(neighbours)
+
+
+def test_vertex_on_no_face_fails_the_index_check(cube):
+    p = Polyhedron(cube.vertices + ((Q2(0), Q2(0), Q2(0)),), cube.faces)
+    check = next(c for c in validate(p).checks if c.name == "indices")
+    assert not check.passed and check.detail == "vertices on no face [8]"
+
+
 def test_cube_fixture_passes_validation(cube_off_text):
     p = read_off(cube_off_text)
     assert not p.exact
@@ -288,9 +322,33 @@ def test_meaningless_tolerance_rejected(cube, cube_off_text, tol):
 # -- the hull against the Q2 triple scan it replaced --------------------------
 
 
+def _ccw_sort_in_plane(indices, vertices, normal):
+    """Order coplanar points counterclockwise around their centroid, as
+    seen from the tip of ``normal``: an exact angular comparator, so the
+    oracle orders each face by geometry, not by the hull's edge lattice."""
+    c = centroid([vertices[i] for i in indices])
+    e1 = vsub(vertices[indices[0]], c)
+    e2 = vcross(normal, e1)
+    pts = {i: (vdot(vsub(vertices[i], c), e1), vdot(vsub(vertices[i], c), e2))
+           for i in indices}
+
+    def half(i):  # 0 on the half-plane from angle 0 up to, not including, 180
+        u, w = pts[i]
+        return 0 if w.sign() > 0 or (w.is_zero() and u.sign() > 0) else 1
+
+    def cmp(i, j):
+        if half(i) != half(j):
+            return -1 if half(i) < half(j) else 1
+        (ui, wi), (uj, wj) = pts[i], pts[j]
+        return -(ui * wj - wi * uj).sign()  # positive cross: i before j
+
+    return sorted(indices, key=functools.cmp_to_key(cmp))
+
+
 def _oracle_hull(vertices):
     """The Q2 triple scan: every supporting plane through a vertex triple,
-    deduplicated by canonical direction and offset."""
+    deduplicated by canonical direction and offset, each face ordered by
+    its angles around the centroid."""
     n = len(vertices)
     seen_planes: set = set()
     faces = {}
@@ -319,7 +377,7 @@ def _oracle_hull(vertices):
                         side = s
                 else:
                     outward = nrm if side < 0 else vneg(nrm)
-                    ordered = solids._ccw_sort_in_plane(members, vertices, outward)
+                    ordered = _ccw_sort_in_plane(members, vertices, outward)
                     lo = ordered.index(min(ordered))
                     face = tuple(ordered[lo:] + ordered[:lo])
                     faces[frozenset(face)] = face
