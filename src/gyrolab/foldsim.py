@@ -1,12 +1,13 @@
 """Rigid fold verification: assemble the nets in exact arithmetic.
 
 Every piece folds by one walk over its creases as a tree from square
-(0, 0).  The flat squares come from ``netgen.square_local_rect``, the same
-layout the SVG prints, mapped into space by a per-piece embedding; a crease
-rotates its child side by 180 degrees minus the target dihedral about the
-shared edge.  All crease lines have exact unit directions and all targets
-are multiples of 45 degrees, so every placed corner stays in Q(sqrt2)^3
-and every placed square is an exact L x L square.  Congruent squares
+(0, 0).  Each square's flat corners come from ``netgen.square_corners`` and
+each crease's edge from ``netgen.shared_edge``, the layout the SVG prints,
+mapped into space by a per-piece embedding; a crease rotates its child side
+by 180 degrees minus the target dihedral about that edge.  All crease lines
+have exact unit directions and all targets are multiples of 45 degrees, so
+every placed corner stays in Q(sqrt2)^3 and every placed square is an exact
+L x L square.  Congruent squares
 overlap flat only by coinciding, so closure is decided by exact corner-set
 lookups, never by a distance search: square 9 on square 1, each glue tab on
 a belt square, each cap side edge on a belt square edge, and each face
@@ -26,7 +27,7 @@ from typing import Callable, Optional
 
 from . import geom
 from .geom import Mat3, Vec3, mat_mul, mat_vec, vadd, vdot, vsub
-from .netgen import NetSpec, square_local_rect
+from .netgen import NetSpec, NetSquare, shared_edge, square_cell, square_corners
 from .qfield import ONE, ZERO, Q2
 from .solids import build_pseudo_rhombicuboctahedron, build_rhombicuboctahedron
 
@@ -184,67 +185,54 @@ def _fold_rotation_degrees(dihedral_target: int) -> int:
 # -- folding ---------------------------------------------------------------------
 
 
-def _fold_piece(net: NetSpec, piece: str, embed: Callable[[Q2, Q2], Vec3],
+def _fold_piece(net: NetSpec, piece: str, embed: Callable[[int, int], Vec3],
                 n_out: Vec3, root: _Affine) -> list[PlacedSquare]:
     """Fold one piece by walking its creases as a tree from square (0, 0).
 
-    ``embed`` maps the flat layout (``square_local_rect``) into space and
-    ``n_out`` is the flat piece's outward normal there.  Each crease turns
-    the child side by 180 degrees minus its target about the shared edge,
-    whose axis is ``n_out`` crossed with the unit step away from the root:
+    ``embed`` maps a layout corner (``netgen.square_corners``, in edge
+    lengths) into space and ``n_out`` is the flat piece's outward normal
+    there.  Each crease turns the child side by 180 degrees minus its target
+    about the edge ``netgen.shared_edge`` gives, whose axis is ``n_out``
+    crossed with the unit step away from the root:
     T(child) = T(parent) o R, with T(0, 0) = ``root``.
     """
     L = Q2(net.edge_len)
-    rects = {sq.pos: tuple(map(Q2, square_local_rect(net, sq)))
-             for sq in net.squares_of(piece)}
+    squares = {sq.pos: sq for sq in net.squares_of(piece)}
     links: dict[tuple, list] = {}
     for c in net.creases_of(piece):
-        if c.a not in rects or c.b not in rects:
+        if c.a not in squares or c.b not in squares:
             raise ValueError(
                 f"inconsistent gluing instruction: {piece} crease {c.a}-{c.b}"
                 " leaves the piece"
             )
-        (xa, ya, _, _), (xb, yb, _, _) = rects[c.a], rects[c.b]
-        if {(xb - xa) * (xb - xa), (yb - ya) * (yb - ya)} != {0, L * L}:
-            raise ValueError(
-                f"inconsistent gluing instruction: {piece} crease {c.a}-{c.b}"
-                " joins squares sharing no edge"
-            )
-        links.setdefault(c.a, []).append((c.b, c.fold_target))
-        links.setdefault(c.b, []).append((c.a, c.fold_target))
+        anchor = shared_edge(squares[c.a], squares[c.b])[0]
+        links.setdefault(c.a, []).append((c.b, anchor, c.fold_target))
+        links.setdefault(c.b, []).append((c.a, anchor, c.fold_target))
 
     transforms = {(0, 0): root}
-    stack = [(0, 0)] if (0, 0) in rects else []
+    stack = [(0, 0)] if (0, 0) in squares else []
     while stack:
         pos = stack.pop()
-        xa, ya = rects[pos][:2]
-        for child, target in links.get(pos, ()):
+        for child, anchor, target in links.get(pos, ()):
             if child in transforms:
                 continue
-            xb, yb = rects[child][:2]
-            step = vsub(embed(xb, yb), embed(xa, ya))
+            step = vsub(embed(*square_cell(squares[child])),
+                        embed(*square_cell(squares[pos])))
             axis = tuple(v / L for v in geom.vcross(n_out, step))
-            crease = _rotation_about_line(embed(max(xa, xb), max(ya, yb)), axis,
+            crease = _rotation_about_line(embed(*anchor), axis,
                                           _fold_rotation_degrees(target))
             transforms[child] = transforms[pos].then_inner(crease)
             stack.append(child)
-    if set(transforms) != set(rects) or len(net.creases_of(piece)) != len(rects) - 1:
+    if set(transforms) != set(squares) or len(net.creases_of(piece)) != len(squares) - 1:
         raise ValueError(
             f"inconsistent gluing instruction: {piece} creases do not join"
             " every square to (0, 0) by exactly one path"
         )
 
-    out: list[PlacedSquare] = []
-    for sq in net.squares_of(piece):
-        corners = tuple(transforms[sq.pos].apply(embed(u, v))
-                        for u, v in _rect_corners(*rects[sq.pos]))
-        out.append(PlacedSquare(piece, sq.pos, sq.role, corners))
-    return out
-
-
-def _rect_corners(x, y, w, h) -> tuple:
-    """A layout rectangle's corners, in the order ``PlacedSquare`` keeps."""
-    return ((x, y), (x + w, y), (x + w, y + h), (x, y + h))
+    return [PlacedSquare(piece, sq.pos, sq.role,
+                         tuple(transforms[sq.pos].apply(embed(u, v))
+                               for u, v in square_corners(sq)))
+            for sq in net.squares_of(piece)]
 
 
 def _check_square_shape(sq: PlacedSquare, L: Q2) -> None:
@@ -274,17 +262,20 @@ def fold(net: NetSpec, gyration: int = 0) -> AssemblyResult:
     L = Q2(net.edge_len)
     s = L * Q2(Fraction(1, 2))
     t = (ONE + Q2(0, 1)) * s
-    c = L * Q2(Fraction(5, 2))  # centre of a cap's 5 x 5 layout box
+    # each cap's pole square, the root of its fold, is centred on the polar axis
+    cx, cy = (L * v + s for v in square_cell(NetSquare("cap_north", (0, 0), "pole")))
 
     def turn(degrees: int) -> _Affine:
         return _rotation_about_line((ZERO, ZERO, ZERO), (ZERO, ZERO, ONE), degrees)
 
     placed = {
-        "strip": _fold_piece(net, "strip", lambda x, y: (t, s - x, s - y),
+        "strip": _fold_piece(net, "strip", lambda x, y: (t, s - L * x, s - L * y),
                              (ONE, ZERO, ZERO), turn(0)),
-        "cap_north": _fold_piece(net, "cap_north", lambda x, y: (x - c, y - c, t),
+        "cap_north": _fold_piece(net, "cap_north",
+                                 lambda x, y: (L * x - cx, L * y - cy, t),
                                  (ZERO, ZERO, ONE), turn(gyration)),
-        "cap_south": _fold_piece(net, "cap_south", lambda x, y: (x - c, y - c, -t),
+        "cap_south": _fold_piece(net, "cap_south",
+                                 lambda x, y: (L * x - cx, L * y - cy, -t),
                                  (ZERO, ZERO, -ONE), turn(0)),
     }
     for sqs in placed.values():
@@ -387,15 +378,9 @@ def check_closure(result: AssemblyResult) -> ClosureReport:
                 raise ValueError("inconsistent gluing instruction: missing cap square")
             # decided on the flat layout: a tab folded back onto its side
             # square shares all four corners with it in space
-            side_flat, tab_flat = (_rect_corners(*square_local_rect(net, sq))
-                                   for sq in (side, tab))
-            shared = [k for k, p in enumerate(side_flat) if p in tab_flat]
-            if len(shared) != 2:
-                raise ValueError(
-                    f"inconsistent gluing instruction: {glue.piece} square {glue.pos}"
-                    " shares no single edge with its tab"
-                )
-            name, points = "cap_edge_on_belt", sorted(side.corners[k] for k in shared)
+            flat = square_corners(side)
+            name = "cap_edge_on_belt"
+            points = sorted(side.corners[flat.index(q)] for q in shared_edge(side, tab))
             targets = host_edges
             passed = "outer edge coincides with an edge of strip square {}"
             failed = "outer edge matches no belt square edge"

@@ -16,6 +16,7 @@ with no arithmetic.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Callable, Sequence, Tuple
@@ -92,43 +93,6 @@ def mat_inverse(m: Mat3, is_zero: Callable) -> Mat3:
             cof[i][j] = d2 if (i + j) % 2 == 0 else -d2
     # adjugate = transpose of the cofactor matrix
     return tuple(tuple(cof[j][i] / det for j in range(3)) for i in range(3))
-
-
-def kernel_vector(m: Mat3, is_zero: Callable) -> Vec3 | None:
-    """One nonzero kernel vector of a rank-2 matrix, None if invertible.
-
-    Used to extract the fixed line of a rotation from M - I; raises if the
-    kernel turns out to be more than one-dimensional.
-    """
-    zero = m[0][0] * 0  # 0 and 1 in the entries' number type
-    one = zero + 1
-    rows = [list(r) for r in m]
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(3):
-        pr = next((i for i in range(r, 3) if not is_zero(rows[i][c])), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = one / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(3):
-            if i != r and not is_zero(rows[i][c]):
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivot_cols.append(c)
-        r += 1
-    rank = len(pivot_cols)
-    if rank == 3:
-        return None
-    if rank != 2:
-        raise ValueError(f"kernel is {3 - rank}-dimensional, expected a line")
-    free = next(c for c in range(3) if c not in pivot_cols)
-    v = [zero, zero, zero]
-    v[free] = one
-    for i, pc in enumerate(pivot_cols):
-        v[pc] = -rows[i][free]
-    return tuple(v)
 
 
 def exact_cos_sin(degrees: int) -> tuple[Q2, Q2]:
@@ -276,6 +240,10 @@ class ExactKernel:
         """v = 0; ``scale`` (a length v is measured against) is ignored."""
         return is_zero_vec(v)
 
+    def diameter(self, points: Sequence[Vec3]) -> float:
+        """1.0, measuring nothing: ``is_zero_vec`` ignores the scale."""
+        return 1.0
+
     def on_line(self, rel: Vec3, d: Vec3) -> bool:
         """rel is a nonzero multiple of d."""
         return not is_zero_vec(rel) and is_zero_vec(vcross(rel, d))
@@ -325,6 +293,11 @@ class ToleranceKernel:
     def is_zero_vec(self, v: Vec3, scale: float = 1.0) -> bool:
         """|v| within tolerance x ``scale``."""
         return _norm(v) <= self.tol * scale
+
+    def diameter(self, points: Sequence[Vec3]) -> float:
+        """The largest distance between two points, a scale for ``is_zero_vec``."""
+        pts = [tuple(map(float, v)) for v in points]
+        return max(math.dist(u, w) for u, w in itertools.combinations(pts, 2))
 
     def on_line(self, rel: Vec3, d: Vec3) -> bool:
         rel_n = _norm(rel)

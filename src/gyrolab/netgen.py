@@ -7,6 +7,12 @@ four side squares on its edges - with a glue tab on the outer edge of
 each side square, so the tabs land inside belt squares after folding.
 Triangular faces are deliberately absent: they stay open on the model.
 
+This module alone decides the flat layout: ``square_cell`` puts each square
+on an integer grid in edge lengths, ``square_corners`` gives its corners and
+``shared_edge`` the edge two squares share.  The piece boxes, outlines and
+SVG, and ``foldsim``'s fold and closure checks, all read those, so the pieces
+that are folded are the pieces that are printed.
+
 Fold targets are interior dihedral angles derived from the built solid,
 not hard-coded; every crease of these nets comes out at the square-square
 dihedral (135 degrees), whose trigonometry is exact over Q(sqrt2).
@@ -15,6 +21,7 @@ dihedral (135 degrees), whose trigonometry is exact over Q(sqrt2).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -87,12 +94,6 @@ class NetSpec:
 
     def squares_of(self, piece: str) -> tuple[NetSquare, ...]:
         return tuple(s for s in self.squares if s.piece == piece)
-
-    def square_at(self, piece: str, pos: tuple[int, int]) -> NetSquare:
-        for s in self.squares:
-            if s.piece == piece and s.pos == pos:
-                return s
-        raise KeyError((piece, pos))
 
     def creases_of(self, piece: str) -> tuple[Crease, ...]:
         return tuple(c for c in self.creases if c.piece == piece)
@@ -184,55 +185,61 @@ def generate_nets(edge_len: Fraction | int = 50) -> NetSpec:
     return NetSpec(edge, tuple(squares), tuple(creases), tuple(gluing))
 
 
-# -- 2D piece geometry (mm, y down) ----------------------------------------------
+# -- 2D piece layout (edge lengths, y down) ------------------------------------
+
+
+def square_cell(sq) -> tuple[int, int]:
+    """The cell of a square (anything with ``piece`` and ``pos``) in its
+    piece's layout, in edge lengths from the layout corner: strip cells run
+    along x, and a cap's pole sits at (2, 2)."""
+    x, y = sq.pos
+    return (x, y) if sq.piece == "strip" else (x + 2, y + 2)
+
+
+def square_corners(sq) -> tuple[tuple[int, int], ...]:
+    """The square's four layout corners, in the order ``PlacedSquare`` keeps."""
+    x, y = square_cell(sq)
+    return ((x, y), (x + 1, y), (x + 1, y + 1), (x, y + 1))
+
+
+def shared_edge(a, b) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The two layout corners squares a and b share, sorted; an inconsistent
+    gluing instruction unless they share exactly one edge."""
+    common = sorted(set(square_corners(a)).intersection(square_corners(b)))
+    if len(common) != 2:
+        raise ValueError(
+            f"inconsistent gluing instruction: {a.piece} squares {a.pos} and"
+            f" {b.pos} share no single edge"
+        )
+    return common[0], common[1]
 
 
 def piece_bbox(net: NetSpec, piece: str) -> tuple[Fraction, Fraction]:
-    L = net.edge_len
-    if piece == "strip":
-        return 9 * L, L
-    return 5 * L, 5 * L
-
-
-def square_local_rect(net: NetSpec, sq: NetSquare):
-    """Piece-local (x, y, w, h) of one net square, origin at the piece
-    bounding-box corner."""
-    L = net.edge_len
-    if sq.piece == "strip":
-        return (sq.pos[0] * L, Fraction(0), L, L)
-    return ((sq.pos[0] + 2) * L, (sq.pos[1] + 2) * L, L, L)
+    """The piece's layout box in mm: its largest cell corner."""
+    w, h = map(max, zip(*(square_corners(sq)[2] for sq in net.squares_of(piece))))
+    return w * net.edge_len, h * net.edge_len
 
 
 def _piece_outline_local(net: NetSpec, piece: str) -> list[tuple]:
-    """Closed boundary polygon of the piece (unit-edge walk, collinear
-    runs merged)."""
-    cells = {s.pos for s in net.squares_of(piece)}
-    edges: set[tuple] = set()
-    for (cx, cy) in cells:
-        for seg, neighbor in (
-            ((((0, 0)), ((1, 0))), (cx, cy - 1)),
-            ((((0, 1)), ((1, 1))), (cx, cy + 1)),
-            ((((0, 0)), ((0, 1))), (cx - 1, cy)),
-            ((((1, 0)), ((1, 1))), (cx + 1, cy)),
-        ):
-            if neighbor in cells:
-                continue
-            (ax, ay), (bx, by) = seg
-            edges.add(((cx + ax, cy + ay), (cx + bx, cy + by)))
+    """Closed boundary polygon of the piece in mm: the square sides that
+    occur exactly once, walked in cyclic order, collinear runs merged."""
+    sides = Counter()
+    for sq in net.squares_of(piece):
+        c = square_corners(sq)
+        sides.update(tuple(sorted((c[k - 1], c[k]))) for k in range(4))
     adj: dict[tuple, list[tuple]] = {}
-    for a, b in edges:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
+    for (a, b), n in sides.items():
+        if n == 1:
+            adj.setdefault(a, []).append(b)
+            adj.setdefault(b, []).append(a)
     loop = cycle_order({pt: sorted(ns) for pt, ns in adj.items()})
-    merged: list[tuple] = []
-    m = len(loop)
+    L, m = net.edge_len, len(loop)
+    corners: list[tuple] = []
     for k in range(m):
         a, b, c = loop[k - 1], loop[k], loop[(k + 1) % m]
         if (b[0] - a[0]) * (c[1] - b[1]) != (b[1] - a[1]) * (c[0] - b[0]):
-            merged.append(b)
-    L = net.edge_len
-    off = Fraction(2) if piece != "strip" else Fraction(0)
-    return [((x + off) * L, (y + off) * L) for (x, y) in merged]
+            corners.append((b[0] * L, b[1] * L))
+    return corners
 
 
 # -- packing ----------------------------------------------------------------------
@@ -284,13 +291,13 @@ def resolve_paper(paper) -> tuple[str, tuple[Fraction, Fraction]]:
         if name.upper() in PAPER_SIZES:
             return name.upper(), PAPER_SIZES[name.upper()]
         if "x" in name.lower():
-            try:
+            try:  # a size too large for a float cannot name the sheet
                 w, h = map(Fraction, name.lower().split("x", 1))
-            except (ValueError, ZeroDivisionError):
-                w = h = Fraction(0)
-            if w <= 0 or h <= 0:
-                raise ValueError(f"bad paper size {paper!r}")
-            return f"{float(w):g}x{float(h):g}", (w, h)
+                if w > 0 and h > 0:
+                    return f"{float(w):g}x{float(h):g}", (w, h)
+            except (ValueError, ZeroDivisionError, OverflowError):
+                pass
+            raise ValueError(f"bad paper size {paper!r}")
         raise ValueError(
             f"unknown paper {paper!r}; use A2, A3, A4 or WIDTHxHEIGHT in mm"
         )
@@ -325,107 +332,66 @@ def _fmt(v) -> str:
     return f"{float(v):.4f}".rstrip("0").rstrip(".")
 
 
-def _map_point(origin, rot: bool, bbox, x, y):
-    ox, oy = origin
-    w, h = bbox
-    if rot:  # 90 degrees clockwise: piece bbox becomes h x w
-        return ox + (h - y), oy + x
-    return ox + x, oy + y
-
-
-def _map_rect(origin, rot, bbox, rect):
-    x, y, w, h = rect
-    if rot:
-        x0, y0 = _map_point(origin, rot, bbox, x, y + h)
-        return x0, y0, h, w
-    x0, y0 = _map_point(origin, rot, bbox, x, y)
-    return x0, y0, w, h
-
-
 def render_svg(net: NetSpec, paper="A2") -> str:
     """One printable SVG: solid 0.5 mm cut lines, dashed 0.35 mm creases,
     grey glue squares, 6 mm pole crosses; millimetre units, document size
     equal to the sheet.  Byte-identical across runs for equal inputs."""
     name, (pw, ph), layout = plan_layout(net, paper)
     L = net.edge_len
-    body: list[str] = []
-
-    body.append("  <g class=\"squares\">")
+    rects: list[str] = []
+    creases: list[str] = []
+    cuts: list[str] = []
+    poles: list[tuple] = []
     for piece in PIECES:
-        origin_x, origin_y, rot = layout[piece]
-        bbox = piece_bbox(net, piece)
-        for sq in sorted(net.squares_of(piece), key=lambda s: s.pos):
-            rx, ry, rw, rh = _map_rect(
-                (origin_x, origin_y), rot, bbox, square_local_rect(net, sq)
-            )
+        ox, oy, rot = layout[piece]
+        if rot:  # a clockwise quarter turn, then the translation
+            ox += piece_bbox(net, piece)[1]
+
+            def place(x, y):
+                return ox - y, oy + x
+        else:
+            def place(x, y):
+                return ox + x, oy + y
+
+        squares = {sq.pos: sq for sq in net.squares_of(piece)}
+        for pos in sorted(squares):
+            sq = squares[pos]
+            # the turn carries the bottom-left corner to the top-left
+            u, v = square_corners(sq)[3 if rot else 0]
+            rx, ry = place(u * L, v * L)
             fill = "#cccccc" if sq.role == "glue" else "none"
-            body.append(
+            rects.append(
                 f'    <rect class="square {sq.role}" x="{_fmt(rx)}" y="{_fmt(ry)}"'
-                f' width="{_fmt(rw)}" height="{_fmt(rh)}" fill="{fill}" stroke="none"/>'
+                f' width="{_fmt(L)}" height="{_fmt(L)}" fill="{fill}" stroke="none"/>'
             )
-    body.append("  </g>")
-
-    body.append("  <g class=\"creases\" stroke=\"#000000\" stroke-width=\"0.35\""
-                " stroke-dasharray=\"2 1\">")
-    for piece in PIECES:
-        origin_x, origin_y, rot = layout[piece]
-        bbox = piece_bbox(net, piece)
+            if sq.role == "pole":
+                poles.append((rx + L / 2, ry + L / 2))
         for cr in sorted(net.creases_of(piece), key=lambda c: (c.a, c.b)):
-            ra = square_local_rect(net, net.square_at(piece, cr.a))
-            rb = square_local_rect(net, net.square_at(piece, cr.b))
-            # shared edge of the two grid squares
-            if ra[0] == rb[0]:  # vertical neighbors: horizontal crease
-                y = max(ra[1], rb[1])
-                p1 = (ra[0], y)
-                p2 = (ra[0] + L, y)
-            else:
-                x = max(ra[0], rb[0])
-                p1 = (x, ra[1])
-                p2 = (x, ra[1] + L)
-            a = _map_point((origin_x, origin_y), rot, bbox, *p1)
-            b = _map_point((origin_x, origin_y), rot, bbox, *p2)
-            body.append(
+            a, b = (place(x * L, y * L)
+                    for x, y in shared_edge(squares[cr.a], squares[cr.b]))
+            creases.append(
                 f'    <line class="crease" x1="{_fmt(a[0])}" y1="{_fmt(a[1])}"'
                 f' x2="{_fmt(b[0])}" y2="{_fmt(b[1])}" data-fold="{cr.fold_target}"/>'
             )
-    body.append("  </g>")
+        d = " L ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in
+                       (place(*pt) for pt in _piece_outline_local(net, piece)))
+        cuts.append(f'    <path class="cut" d="M {d} Z"/>')
 
-    body.append(
-        "  <g class=\"cuts\" stroke=\"#000000\" stroke-width=\"0.5\" fill=\"none\">"
-    )
-    for piece in PIECES:
-        origin_x, origin_y, rot = layout[piece]
-        bbox = piece_bbox(net, piece)
-        pts = [
-            _map_point((origin_x, origin_y), rot, bbox, x, y)
-            for (x, y) in _piece_outline_local(net, piece)
+    body = ["  <g class=\"squares\">", *rects, "  </g>",
+            "  <g class=\"creases\" stroke=\"#000000\" stroke-width=\"0.35\""
+            " stroke-dasharray=\"2 1\">", *creases, "  </g>",
+            "  <g class=\"cuts\" stroke=\"#000000\" stroke-width=\"0.5\""
+            " fill=\"none\">", *cuts, "  </g>"]
+    k = 3 / math.sqrt(2.0)  # two 6 mm strokes
+    for cx, cy in poles:
+        body += [
+            "  <g class=\"pole-cross\" stroke=\"#000000\" stroke-width=\"0.5\">",
+            f'    <line x1="{_fmt(cx - k)}" y1="{_fmt(cy - k)}"'
+            f' x2="{_fmt(cx + k)}" y2="{_fmt(cy + k)}"/>',
+            f'    <line x1="{_fmt(cx - k)}" y1="{_fmt(cy + k)}"'
+            f' x2="{_fmt(cx + k)}" y2="{_fmt(cy - k)}"/>',
+            "  </g>",
         ]
-        d = "M " + " L ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts) + " Z"
-        body.append(f'    <path class="cut" d="{d}"/>')
-    body.append("  </g>")
-
-    cross_half = Fraction(3)  # two 6 mm strokes
-    for piece in PIECES:
-        origin_x, origin_y, rot = layout[piece]
-        bbox = piece_bbox(net, piece)
-        for sq in net.squares_of(piece):
-            if sq.role != "pole":
-                continue
-            rx, ry, rw, rh = square_local_rect(net, sq)
-            cx, cy = rx + rw / 2, ry + rh / 2
-            c = _map_point((origin_x, origin_y), rot, bbox, cx, cy)
-            k = float(cross_half) / math.sqrt(2.0)
-            body.append("  <g class=\"pole-cross\" stroke=\"#000000\""
-                        " stroke-width=\"0.5\">")
-            body.append(
-                f'    <line x1="{_fmt(c[0] - k)}" y1="{_fmt(c[1] - k)}"'
-                f' x2="{_fmt(c[0] + k)}" y2="{_fmt(c[1] + k)}"/>'
-            )
-            body.append(
-                f'    <line x1="{_fmt(c[0] - k)}" y1="{_fmt(c[1] + k)}"'
-                f' x2="{_fmt(c[0] + k)}" y2="{_fmt(c[1] - k)}"/>'
-            )
-            body.append("  </g>")
 
     desc_lines = [
         "gyrolab 0.1.0 papercraft net",

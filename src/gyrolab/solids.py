@@ -68,7 +68,6 @@ class Check:
 class ValidationReport:
     checks: tuple[Check, ...]
     open_edges: tuple[tuple[int, int], ...] = ()
-    overfull_edges: tuple[tuple[int, int], ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -406,13 +405,13 @@ def validate(p: Polyhedron) -> ValidationReport:
     checks.append(Check("indices", structural_ok and not unused, "; ".join(detail)))
 
     open_edges = tuple(e for e, fs in sorted(p.edge_faces.items()) if len(fs) == 1)
-    overfull = tuple(e for e, fs in sorted(p.edge_faces.items()) if len(fs) > 2)
+    overfull = sum(len(fs) > 2 for fs in p.edge_faces.values())
     manifold_ok = not open_edges and not overfull
     checks.append(
         Check(
             "manifold",
             manifold_ok,
-            f"{len(open_edges)} open edges, {len(overfull)} edges on >2 faces"
+            f"{len(open_edges)} open edges, {overfull} edges on >2 faces"
             if not manifold_ok
             else "every edge shared by exactly 2 faces",
         )
@@ -437,12 +436,12 @@ def validate(p: Polyhedron) -> ValidationReport:
     )
 
     if not structural_ok:
-        return ValidationReport(tuple(checks), open_edges, overfull)
+        return ValidationReport(tuple(checks), open_edges)
     if n:  # the geometric checks measure from the vertex centroid
         checks += _geometric_checks(p)
     euler = p.euler_characteristic
     checks.append(Check("euler", euler == 2, f"V - E + F = {euler}"))
-    return ValidationReport(tuple(checks), open_edges, overfull)
+    return ValidationReport(tuple(checks), open_edges)
 
 
 def _geometric_checks(p: Polyhedron) -> list[Check]:

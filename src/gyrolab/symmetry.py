@@ -19,7 +19,6 @@ matrix snaps; otherwise the report is marked approximate.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 from operator import mul
@@ -259,8 +258,7 @@ def _isometry_group(p: Polyhedron) -> tuple[Isometry, ...]:
     if not flags or k.is_zero(trace) or k.is_zero(geom.mat_det(gram) / trace ** 3):
         raise DegenerateGeometryError("no faces or no three linearly independent vertices")
     gram_inv = geom.mat_inverse(gram, k.is_zero)
-    points = [tuple(map(float, v)) for v in verts]
-    diameter = max(math.dist(u, w) for u, w in itertools.combinations(points, 2))
+    diameter = k.diameter(verts)
     base, across = flags[0], _across(p)
     isos = []
     for flag in flags:
@@ -349,12 +347,14 @@ def _fixed_features(p: Polyhedron, iso: Isometry) -> list[Feature]:
 
 
 def _fixed_direction(iso: Isometry) -> Vec3:
+    """The rotation's axis in closed form: S = M + M^T - (tr M - 1) I equals
+    2 (1 - cos t) u u^T, so its longest column, the one with the largest
+    diagonal entry, lies along the axis u, half turns included."""
     m = iso.matrix
-    diff = tuple(tuple(m[i][j] - (1 if i == j else 0) for j in range(3)) for i in range(3))
-    v = geom.kernel_vector(diff, iso.kernel.is_zero)
-    if v is None:
-        raise ValueError("matrix has no fixed line (is it the identity?)")
-    return iso.kernel.canon_dir(v)
+    t = m[0][0] + m[1][1] + m[2][2] - 1
+    i = max(range(3), key=lambda i: m[i][i])  # S_ii = 2 M_ii - t
+    return iso.kernel.canon_dir(
+        tuple(m[i][j] + m[j][i] - (t if i == j else 0) for j in range(3)))
 
 
 def _verify_rotation(iso: Isometry) -> int:
@@ -422,27 +422,11 @@ def polar_axis_rotations(p: Polyhedron) -> tuple[int, ...]:
 def is_vertex_transitive(
     p: Polyhedron, group: Sequence[Isometry]
 ) -> tuple[bool, tuple[tuple[int, ...], ...]]:
-    """Orbit closure of the vertex set under the group's permutations."""
-    n = p.n_vertices
-    seen = [False] * n
-    orbits: list[tuple[int, ...]] = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            for iso in group:
-                w = iso.vertex_perm[v]
-                if w not in orbit:
-                    orbit.add(w)
-                    frontier.append(w)
-        for v in orbit:
-            seen[v] = True
-        orbits.append(tuple(sorted(orbit)))
-    orbits.sort(key=lambda o: (-len(o), o))
-    return len(orbits) == 1, tuple(orbits)
+    """Vertex orbits under a verified group: the orbit of v is {g(v)}."""
+    orbits = {tuple(sorted({iso.vertex_perm[v] for iso in group}))
+              for v in range(p.n_vertices)}
+    ordered = sorted(orbits, key=lambda o: (-len(o), o))
+    return len(ordered) == 1, tuple(ordered)
 
 
 def symmetry_report(p: Polyhedron) -> SymmetryReport:

@@ -269,7 +269,9 @@ def test_net_fit_errors(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("paper,env", [
     ("foo", None), ("1x0", None), ("-3x5", None), ("1/0x5", None), (None, "1/0x5"),
-], ids=["unknown", "zero-height", "negative-width", "zero-denominator", "env"])
+    ("1e400x1e400", None), (None, "1e400x1"),
+], ids=["unknown", "zero-height", "negative-width", "zero-denominator", "env",
+        "float-overflow", "env-float-overflow"])
 def test_bad_paper_is_usage_error(tmp_path, capsys, monkeypatch, paper, env):
     monkeypatch.delenv("GYROLAB_PAPER", raising=False)
     if env is not None:

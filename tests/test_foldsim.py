@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 from gyrolab.foldsim import check_closure, fold
 from gyrolab.geom import vcross, vdot, vsub
-from gyrolab.netgen import Crease, Gluing, generate_nets, square_local_rect
+from gyrolab.netgen import Crease, Gluing, generate_nets, square_corners
 from gyrolab.qfield import Q2
 from gyrolab.solids import (
     build_pseudo_rhombicuboctahedron,
@@ -216,11 +218,28 @@ def test_straight_creases_keep_every_square_where_the_svg_draws_it(net50):
     result = fold(flat_net, 0)
     embed = _flat_embeddings(net50)
     assert sum(len(sqs) for sqs in result.squares.values()) == 27
+    squares = {(s.piece, s.pos): s for s in net50.squares}
+    L = net50.edge_len
     for piece, sqs in result.squares.items():
         for sq in sqs:
-            x, y, w, h = square_local_rect(net50, net50.square_at(piece, sq.pos))
-            flat = ((x, y), (x + w, y), (x + w, y + h), (x, y + h))
-            assert sq.corners == tuple(embed[piece](Q2(u), Q2(v)) for u, v in flat)
+            flat = square_corners(squares[(piece, sq.pos)])
+            assert sq.corners == tuple(embed[piece](Q2(u * L), Q2(v * L)) for u, v in flat)
+
+
+def test_cap_missing_a_tab_still_folds_onto_the_solid(net50):
+    # the pole square stays on the polar axis whatever the cap's outline
+    def kept(piece, pos):
+        return (piece, pos) != ("cap_north", (2, 0))
+
+    net = dataclasses.replace(
+        net50,
+        squares=tuple(s for s in net50.squares if kept(s.piece, s.pos)),
+        creases=tuple(c for c in net50.creases if kept(c.piece, c.b)),
+        gluing=tuple(g for g in net50.gluing
+                     if kept(g.piece, g.pos) and kept(g.piece, (2 * g.pos[0], 2 * g.pos[1]))),
+    )
+    result = fold(net, 0)
+    assert result.matched and result.closure.ok and len(result.closure.checks) == 15
 
 
 def _without_crease(net, piece, a, b):
@@ -348,3 +367,32 @@ def test_one_flat_tab_crease_fails_only_that_tab(net50):
     ]
     assert result.matched
     assert result.closure_residual == failed[0].deviation_sq > Q2(0)
+
+
+# sha256 of the fold-check JSON at every turn: a change of layout or fold code
+# must reproduce these bytes exactly
+_PINNED_FOLD_SHA256 = {
+    ("50", 0): "e15d4c6e38779e99d1c255889946ea7daff95e77298865ec6986d81fd507af73",
+    ("50", 45): "17545af6eacf85966f51789c2bf2a029c9b103ec43f31d0b27f048d40ee53c43",
+    ("50", 90): "3b2619abf5c23997e15d7b175a80ab8b1adaef92a568bd00b89d317bfc2bf6ee",
+    ("50", 135): "6fae3f90a8a2f948968d8098d74c82b398a516cbf7e9f4eed945344a090bd9a6",
+    ("50", 180): "f8b93ebbd04c8642aa78d9f245b73a2e9154e2ae96b7faf8ad98e248b305b610",
+    ("50", 225): "ffe5bc535d2dce0aa9064a741cbca114ebc6cef73ff43b7284fb97ebedc2f70f",
+    ("50", 270): "6b6ec5cd0a24702a074d2904b982236f147f5761ebc43fbd96cbc791debdeb44",
+    ("50", 315): "0240ed17de038882beeba28a3ff49272106ad7e3271470e9b65108c0f28984b1",
+    ("7/3", 0): "9d5eba3bb3c3ac0cabcc9fd57595d3649edf9e11d822793a5c0596a348e9b4e9",
+    ("7/3", 45): "336f93829764a186777e046b6dfd20db2d554fa0b12deb6aa3265adbe2848f89",
+    ("7/3", 90): "0f0e2dbba9054ac4d0ba68f3d31151b43df8fd23d5bcad97ff5cb149ad8cf3c6",
+    ("7/3", 135): "609e4dc6f77134737a3838aad5c3a4daea995bc81dd021a544ee4128d9e148ad",
+    ("7/3", 180): "47a8bf93324964e48e6897645010cd75cbe900294dcda047ff0bbad2509a41d1",
+    ("7/3", 225): "feda67e7033e5fc35a97c6b33464b29ff820755921a64ac3c96ff4fa7b19d662",
+    ("7/3", 270): "1a59cf09871a3aaa938371569396dbc2817904b1540374c693da55dae63289be",
+    ("7/3", 315): "606aa985f8e97bd437216ef80083fe1dd540e32395220a679c26ebe0e1d761a2",
+}
+
+
+@pytest.mark.parametrize("edge,turn", sorted(_PINNED_FOLD_SHA256))
+def test_fold_json_is_pinned(edge, turn):
+    doc = json.dumps(fold(generate_nets(Fraction(edge)), turn).to_json_dict(), indent=2)
+    digest = hashlib.sha256((doc + "\n").encode()).hexdigest()
+    assert digest == _PINNED_FOLD_SHA256[(edge, turn)]

@@ -93,6 +93,20 @@ def test_golden_output(name, argv, tmp_path):
         assert got == fh.read()
 
 
+# the text reports are scale-free: at edges no float can hold they equal the
+# edge-2 goldens, so the exact path must compute no float from the edge
+EXTREME_EDGES = {"1e400": "1" + "0" * 400, "1e-400": "1/1" + "0" * 400}
+SCALE_FREE = {"analyze_rco.txt": ["analyze", "--solid", "rco"],
+              "analyze_pseudo-rco.txt": ["analyze", "--solid", "pseudo-rco"],
+              "compare.txt": ["compare"]}
+
+
+@pytest.mark.parametrize("tag", sorted(EXTREME_EDGES))
+@pytest.mark.parametrize("name", sorted(SCALE_FREE))
+def test_text_report_at_extreme_edge(name, tag, tmp_path):
+    test_golden_output(name, SCALE_FREE[name] + ["--edge", EXTREME_EDGES[tag]], tmp_path)
+
+
 # -- regeneration ----------------------------------------------------------------
 
 

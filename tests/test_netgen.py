@@ -1,3 +1,4 @@
+import hashlib
 import math
 import xml.etree.ElementTree as ET
 from fractions import Fraction
@@ -12,8 +13,7 @@ from gyrolab.netgen import (
     plan_layout,
     render_svg,
     resolve_paper,
-    square_local_rect,
-    _map_rect,
+    shared_edge,
 )
 from gyrolab.solids import build_rhombicuboctahedron
 
@@ -69,10 +69,21 @@ def test_cap_structure(net50):
 
 def test_creases_join_adjacent_squares_of_one_piece(net50):
     assert len(net50.creases) == 24
+    squares = {(s.piece, s.pos) for s in net50.squares}
     for c in net50.creases:
-        net50.square_at(c.piece, c.a)
-        net50.square_at(c.piece, c.b)
+        assert (c.piece, c.a) in squares and (c.piece, c.b) in squares
         assert abs(c.a[0] - c.b[0]) + abs(c.a[1] - c.b[1]) == 1
+
+
+def test_shared_edge_is_the_crease_line(net50):
+    squares = {(s.piece, s.pos): s for s in net50.squares}
+    assert shared_edge(squares[("strip", (1, 0))], squares[("strip", (0, 0))]) == (
+        (1, 0), (1, 1))
+    pole, side = squares[("cap_north", (0, 0))], squares[("cap_north", (0, -1))]
+    assert shared_edge(pole, side) == ((2, 2), (3, 2))
+    for other in (squares[("cap_north", (2, 0))], pole):
+        with pytest.raises(ValueError, match="inconsistent gluing instruction"):
+            shared_edge(pole, other)
 
 
 def test_fold_targets_derived_not_hardcoded(net50):
@@ -146,15 +157,19 @@ def test_svg_coordinates_round_trip(net50):
          float(r.get("width")), float(r.get("height")))
         for r in root.findall(f".//{SVG_NS}rect")
     ]
+    # a square at cell (u, v) of its piece's box (strip cells (i, 0), cap
+    # cells centred on (2, 2)) sits at (u L, v L); a rotated piece is turned
+    # a quarter clockwise, (x, y) -> (h - y, x), inside its h x w box
+    L = Fraction(50)
     expected = []
     for piece in ("strip", "cap_north", "cap_south"):
         ox, oy, rot = layout[piece]
-        bbox = piece_bbox(net50, piece)
+        h = L if piece == "strip" else 5 * L
         for sq in sorted(net50.squares_of(piece), key=lambda s: s.pos):
-            expected.append(
-                tuple(map(float, _map_rect((ox, oy), rot, bbox,
-                                           square_local_rect(net50, sq))))
-            )
+            u, v = sq.pos if piece == "strip" else (sq.pos[0] + 2, sq.pos[1] + 2)
+            x, y = u * L, v * L
+            rect = (ox + h - y - L, oy + x) if rot else (ox + x, oy + y)
+            expected.append((float(rect[0]), float(rect[1]), 50.0, 50.0))
     assert len(parsed) == len(expected)
     for got, want in zip(parsed, expected):
         assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-3
@@ -275,6 +290,67 @@ _PINNED_LAYOUTS = {
 }
 
 
+# sha256 of render_svg for each fitting case above: a change of layout or SVG
+# code must reproduce these bytes exactly
+_PINNED_SVG_SHA256 = {
+    ("10", "120x300"):
+        "d63bcdcdf76dee2ab7442d76d81fc9404a14e1014080aad9302d03f614da64e9",
+    ("10", "125x85"):
+        "e2fcae78c27098dd764adbe6cb98d20a8515c07bf6a89390a926889162565239",
+    ("10", "150x100"):
+        "27b7e85d6a21149e99993934adbdfb4845698fb0fba2f4dbd67fbaffb42ae445",
+    ("10", "225x145"):
+        "7538bd31e38d00b4d021ae21b733758e1edee38a14899f4bd1cb5f550d6bfdcd",
+    ("10", "300x120"):
+        "031d55cf802c86751e189e0f01721b09db4e589236bbb2e873d465ec3346df14",
+    ("10", "600x600"):
+        "77cbf1cbb96e228239e2d293e63f10163569b0238c7280659b7e6ba816725458",
+    ("10", "85x125"):
+        "de178945c81a5a5b44ff702fe497da860ddd17d156fc0a83b2cd0176c66ced15",
+    ("10", "A2"):
+        "e4c9da408d5ffff2268b3b7c8d93e2d5d218a4663b1019a64907e5532ca6d4bd",
+    ("10", "A3"):
+        "703e48c1bbd27e519044a14c8526730f314c66fb1e2e75e183fbdfee482756af",
+    ("10", "A4"):
+        "3137f0890b0224e26e0e897d7d297ca200826d9ebb21291d07ee4b31a410d162",
+    ("20", "225x145"):
+        "99f365d3561ffad9426675bb854b31029ffeb08d3a3654471dc31cd84878a84c",
+    ("20", "600x600"):
+        "aba747a83b9557a8bc514c2c0d7d2d3dde96c3215607479142db48f1d8aad898",
+    ("20", "A2"):
+        "04cc059cce8a7a13feee165e040d5f9c62502e13efb357e79a11dda92980cf25",
+    ("20", "A3"):
+        "f39eea0dc974ce2db8f239b684db3697a229d6db3135d3ab7762dabdbcbeffd5",
+    ("20", "A4"):
+        "71e217e55b28ee5e6dcf89cbd3dd699162e7fa6c085936920d883077129ef53d",
+    ("25/2", "120x300"):
+        "1376491a5ccc2034f783a7ba4a21693c303b6468db5ff77f377c68a6f7c8f25d",
+    ("25/2", "150x100"):
+        "0d58be96efd7aba74464aba9b0c33fe83017eab2728952fe34e6035cfe9e0794",
+    ("25/2", "225x145"):
+        "8ff0ae3f71eda5ad62190811ada91582f145508133f34710248ee95f36442d9d",
+    ("25/2", "300x120"):
+        "019045e3091378ac6dff6014533a598ad6aae3083b7b4e199a5610f6a86ce69d",
+    ("25/2", "600x600"):
+        "3a834151ec7939aa141578474b88c47ddd0fe53e32912f2c832c4bf42325791a",
+    ("25/2", "A2"):
+        "b8089329268fd454e925695527f92dcf5380815210f53c55de642aff43220e9f",
+    ("25/2", "A3"):
+        "1339009cae4ecc71d161bc8e82aba11586d867ff43bbcf6cfb974cbfc65b0ccf",
+    ("25/2", "A4"):
+        "de92966b377ad1b0c8c257c464e7519e07f9d0b9203b20d208a5bc74283f949e",
+    ("30", "600x600"):
+        "9e3ceb936b714c7048ca180916e516bcd25eb73d122370abe7278972b6fd9c42",
+    ("30", "A2"):
+        "ae9213165f0a7926c38dee83c952a111b4f335d7fc8893b710649b65736608e9",
+    ("30", "A3"):
+        "46556d6cfaecf815c2317a8a825de721c90bf10842d5ff3494e208cb57b0e6a6",
+    ("50", "600x600"):
+        "62a3b9da52e4e1a57f9c174797116804bb4afa9f2886c29ad9a0089bf334f039",
+    ("50", "A2"):
+        "2aab61372f36f8aca817b46d3abd9b066d9a58b11eed4dd6e79c41b905d6a4c9",
+}
+
 @pytest.mark.parametrize("edge,paper", sorted(_PINNED_LAYOUTS))
 def test_plan_layout_is_pinned(edge, paper):
     net = generate_nets(Fraction(edge))
@@ -290,3 +366,5 @@ def test_plan_layout_is_pinned(edge, paper):
         for piece in PIECES
     )
     assert got == want
+    svg = render_svg(net, paper).encode()
+    assert hashlib.sha256(svg).hexdigest() == _PINNED_SVG_SHA256[(edge, paper)]
