@@ -93,10 +93,13 @@ def cmd_build(parser, args) -> int:
     from .solids import to_json, write_off
 
     name, solid = _build(args.solid, _parse_edge_q2(parser, args.edge))
-    if args.format == "off":
-        _write_output(args.output, write_off(solid))
-    else:
+    if args.format == "json":
         _write_output(args.output, to_json(solid, name))
+        return 0
+    try:
+        _write_output(args.output, write_off(solid))
+    except (ValueError, OverflowError) as e:
+        raise ValueError(f"edge {args.edge} cannot be written as OFF: {e}") from None
     return 0
 
 

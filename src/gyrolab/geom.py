@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Callable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .qfield import ONE, ZERO, Q2
 
@@ -74,25 +74,6 @@ def mat_det(m: Mat3):
 
 def q2_identity() -> Mat3:
     return ((ONE, ZERO, ZERO), (ZERO, ONE, ZERO), (ZERO, ZERO, ONE))
-
-
-def mat_inverse(m: Mat3, is_zero: Callable) -> Mat3:
-    """Inverse of a 3x3 matrix (adjugate over determinant)."""
-    det = mat_det(m)
-    if is_zero(det):
-        raise ZeroDivisionError("singular matrix")
-    cof = [[None] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(3):
-            r = [m[r_] for r_ in range(3) if r_ != i]
-            minor = [
-                [r[0][c] for c in range(3) if c != j],
-                [r[1][c] for c in range(3) if c != j],
-            ]
-            d2 = minor[0][0] * minor[1][1] - minor[0][1] * minor[1][0]
-            cof[i][j] = d2 if (i + j) % 2 == 0 else -d2
-    # adjugate = transpose of the cofactor matrix
-    return tuple(tuple(cof[j][i] / det for j in range(3)) for i in range(3))
 
 
 def exact_cos_sin(degrees: int) -> tuple[Q2, Q2]:
@@ -236,12 +217,15 @@ class ExactKernel:
     def sign(self, x) -> int:
         return x.sign()
 
-    def is_zero_vec(self, v: Vec3, scale: float = 1.0) -> bool:
-        """v = 0; ``scale`` (a length v is measured against) is ignored."""
+    def equal(self, x, y, scale: float = 1.0) -> bool:
+        """x = y; ``scale`` (the size x and y are measured against) is ignored."""
+        return x == y
+
+    def is_zero_vec(self, v: Vec3) -> bool:
         return is_zero_vec(v)
 
     def diameter(self, points: Sequence[Vec3]) -> float:
-        """1.0, measuring nothing: ``is_zero_vec`` ignores the scale."""
+        """1.0, measuring nothing: ``equal`` ignores the scale."""
         return 1.0
 
     def on_line(self, rel: Vec3, d: Vec3) -> bool:
@@ -290,12 +274,15 @@ class ToleranceKernel:
     def sign(self, x) -> int:
         return 0 if self.is_zero(x) else (1 if x > 0 else -1)
 
-    def is_zero_vec(self, v: Vec3, scale: float = 1.0) -> bool:
-        """|v| within tolerance x ``scale``."""
-        return _norm(v) <= self.tol * scale
+    def equal(self, x, y, scale: float = 1.0) -> bool:
+        """|x - y| within tolerance x ``scale``."""
+        return abs(x - y) <= self.tol * scale
+
+    def is_zero_vec(self, v: Vec3) -> bool:
+        return _norm(v) <= self.tol
 
     def diameter(self, points: Sequence[Vec3]) -> float:
-        """The largest distance between two points, a scale for ``is_zero_vec``."""
+        """The largest distance between two points, a scale for ``equal``."""
         pts = [tuple(map(float, v)) for v in points]
         return max(math.dist(u, w) for u, w in itertools.combinations(pts, 2))
 

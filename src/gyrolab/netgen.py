@@ -42,6 +42,7 @@ _STANDARD_ORDER = ("A4", "A3", "A2", "A1", "A0")
 
 MARGIN_MM = Fraction(10)
 GAP_MM = Fraction(5)
+MIN_SVG_EDGE = Fraction(1, 100)  # the SVG's 4 decimals move a corner by <= 1/200 of it
 
 PIECES = ("strip", "cap_north", "cap_south")
 _CAP_DIRS = ((1, 0), (-1, 0), (0, 1), (0, -1))
@@ -335,9 +336,12 @@ def _fmt(v) -> str:
 def render_svg(net: NetSpec, paper="A2") -> str:
     """One printable SVG: solid 0.5 mm cut lines, dashed 0.35 mm creases,
     grey glue squares, 6 mm pole crosses; millimetre units, document size
-    equal to the sheet.  Byte-identical across runs for equal inputs."""
-    name, (pw, ph), layout = plan_layout(net, paper)
+    equal to the sheet; ValueError under ``MIN_SVG_EDGE``.  Byte-identical
+    across runs for equal inputs."""
     L = net.edge_len
+    if L < MIN_SVG_EDGE:
+        raise ValueError(f"edge {L} mm is below the SVG's smallest edge, {MIN_SVG_EDGE} mm")
+    name, (pw, ph), layout = plan_layout(net, paper)
     rects: list[str] = []
     creases: list[str] = []
     cuts: list[str] = []

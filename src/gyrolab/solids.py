@@ -29,6 +29,7 @@ import functools
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -479,10 +480,14 @@ def _geometric_checks(p: Polyhedron) -> list[Check]:
 
 
 def write_off(p: Polyhedron) -> str:
-    """ASCII OFF with 17-significant-digit floats."""
+    """ASCII OFF with 17-significant-digit floats.  ValueError if a nonzero
+    coordinate becomes zero or subnormal; OverflowError if one is too large."""
     lines = ["OFF", f"{p.n_vertices} {p.n_faces} {p.n_edges}"]
     for v in p.vertices:
-        lines.append(" ".join(f"{float(c):.17g}" for c in v))
+        xs = [float(c) for c in v]
+        if any(c and not sys.float_info.min <= abs(x) < math.inf for c, x in zip(v, xs)):
+            raise ValueError("a coordinate underflows a float")
+        lines.append(" ".join(f"{x:.17g}" for x in xs))
     for f in p.faces:
         lines.append(" ".join(str(x) for x in (len(f), *f)))
     return "\n".join(lines) + "\n"

@@ -5,23 +5,25 @@ rejects them.  Each flag whose face and face across the edge have the base
 flag's sizes extends, by a walk over the faces, to at most one automorphism:
 vertex and face permutations found with integers only.  Every isometry of a
 convex polyhedron induces one, so they bound the group from above (Mani
-1971).  The filter, the same for exact and float meshes, fits M = H G^-1
-(H = sum v_pi(i) v_i^T, G = sum v_i v_i^T, vertices about their centroid)
-and keeps the permutation iff M^T M = I and M v_i = v_pi(i) for every i,
-decided by the mesh's kernel (``geom``): exactly over Q(sqrt2), or within
-tolerance x diameter.  A float mesh that misses a lattice symmetry by more
-than its tolerance but less than the tolerance's square root raises rather
-than report a smaller group.  The accepted maps are verified to be a group;
-each rotation's axis is named by the two features (vertex, reversed edge,
-face) it fixes.  A float group is snapped into Q(sqrt2) only when every
-matrix snaps; otherwise the report is marked approximate.
+1971).  The filter, the same for exact and float meshes, compares rows of
+the Gram matrix G_ij = <v_i, v_j> (vertices about their centroid): pi is
+kept iff G_fj = G_pi(f)pi(j) for the three vertices f of a well-conditioned
+frame and every j, decided by the mesh's kernel: exactly over Q(sqrt2), or
+within tolerance x diameter^2.  The map of the frame onto its image is then
+orthogonal and sends every vertex onto its image (Alt, Mehlhorn, Wagener
+and Welzl 1988); nothing is fitted.  A float mesh that misses a lattice
+symmetry by more than its tolerance but less than its square root raises
+rather than report a smaller group.  The accepted maps are verified to be
+a group; each rotation's axis is named by the two features (vertex,
+reversed edge, face) it fixes.  A float group is snapped into Q(sqrt2) only
+when every matrix snaps; otherwise the report is marked approximate.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
-from operator import mul
 from typing import Iterable, Sequence
 
 from . import geom
@@ -32,7 +34,7 @@ from .geom import (
     Vec3,
     mat_mul,
     mat_transpose,
-    mat_vec,
+    vcross,
     vdot,
     vsub,
 )
@@ -207,28 +209,12 @@ def _automorphism(p: Polyhedron, across, base, image):
     return vperm, fperm
 
 
-def _cross_moments(ws: Sequence[Vec3], vs: Sequence[Vec3]) -> Mat3:
-    """The 3x3 matrix sum of w_i v_i^T."""
-    wcols, vcols = tuple(zip(*ws)), tuple(zip(*vs))
-    return tuple(tuple(sum(map(mul, wc, vc)) for vc in vcols) for wc in wcols)
-
-
 def _verify_group(isos: Sequence[Isometry]) -> None:
+    """The vertex permutations are nonempty and closed under composition:
+    then each one's inverse and the identity are among its powers."""
     perms = {iso.vertex_perm for iso in isos}
-    n = len(isos[0].vertex_perm)
-    ident = tuple(range(n))
-    if ident not in perms:
-        raise InternalGeometryError("isometry group lacks the identity")
-    for a in isos:
-        inv = [0] * n
-        for i, j in enumerate(a.vertex_perm):
-            inv[j] = i
-        if tuple(inv) not in perms:
-            raise InternalGeometryError("isometry group not closed under inverse")
-        for b in isos:
-            comp = tuple(map(a.vertex_perm.__getitem__, b.vertex_perm))
-            if comp not in perms:
-                raise InternalGeometryError("isometry group not closed under composition")
+    if not perms or any(tuple(map(a.__getitem__, b)) not in perms for a in perms for b in perms):
+        raise InternalGeometryError("isometry group not closed under composition")
 
 
 def isometry_group(p: Polyhedron, proper_only: bool = False) -> tuple[Isometry, ...]:
@@ -246,19 +232,25 @@ def isometry_group(p: Polyhedron, proper_only: bool = False) -> tuple[Isometry, 
 
 
 def _isometry_group(p: Polyhedron) -> tuple[Isometry, ...]:
-    """Face-lattice automorphisms of the base flag's images, kept iff the
-    least-squares map M = H G^-1 of the vertex pairs is orthogonal and
-    sends every vertex onto its image."""
+    """Face-lattice automorphisms of the base flag's images, kept iff they
+    keep the frame's rows of the Gram matrix; a kept one's matrix maps the
+    frame onto its image."""
     k = p.kernel
     c = p.vertex_centroid()
     verts = tuple(vsub(v, c) for v in p.vertices)
-    gram = _cross_moments(verts, verts)
-    trace = (gram[0][0] + gram[1][1] + gram[2][2]) / 3
     flags = list(_flags(p))
-    if not flags or k.is_zero(trace) or k.is_zero(geom.mat_det(gram) / trace ** 3):
+    if not flags:
         raise DegenerateGeometryError("no faces or no three linearly independent vertices")
-    gram_inv = geom.mat_inverse(gram, k.is_zero)
-    diameter = k.diameter(verts)
+    gram = [[None] * len(verts) for _ in verts]
+    for i, j in itertools.combinations_with_replacement(range(len(verts)), 2):
+        gram[i][j] = gram[j][i] = vdot(verts[i], verts[j])
+    scale = k.diameter(verts) ** 2  # the size of a Gram entry
+    frame, frame_inv = _frame(k, verts, gram, scale)
+
+    def keeps_gram_rows(kernel, vperm):  # G_fj = G_pi(f)pi(j), frame f, every j
+        return all(kernel.equal(x, gram[vperm[f]][pj], scale)
+                   for f in frame for x, pj in zip(gram[f], vperm))
+
     base, across = flags[0], _across(p)
     isos = []
     for flag in flags:
@@ -267,11 +259,10 @@ def _isometry_group(p: Polyhedron) -> tuple[Isometry, ...]:
         perms = _automorphism(p, across, base, flag)
         if perms is None:
             continue
-        images = [verts[j] for j in perms[0]]
-        m = mat_mul(_cross_moments(images, verts), gram_inv)
-        if _is_isometry(k, m, verts, images, diameter):
+        if keeps_gram_rows(k, perms[0]):
+            m = mat_mul(mat_transpose([verts[perms[0][f]] for f in frame]), frame_inv)
             isos.append(Isometry(m, k.sign(geom.mat_det(m)) > 0, *perms, k))
-        elif _is_isometry(k.coarse, m, verts, images, diameter):
+        elif keeps_gram_rows(k.coarse, perms[0]):
             raise InternalGeometryError(
                 "a symmetry of the face lattice misses an isometry by more than"
                 " the tolerance but less than its square root")
@@ -288,12 +279,21 @@ def _isometry_group(p: Polyhedron) -> tuple[Isometry, ...]:
     return tuple(isos)
 
 
-def _is_isometry(k, m: Mat3, verts: Sequence[Vec3], images: Sequence[Vec3],
-                 diameter: float) -> bool:
-    """M^T M = I, and M v = w for every vertex v and its image w."""
-    return _is_identity(k, mat_mul(mat_transpose(m), m)) and all(
-        k.is_zero_vec(vsub(mat_vec(m, v), w), diameter) for v, w in zip(verts, images)
-    )
+def _frame(k, verts: Sequence[Vec3], gram, scale) -> tuple[tuple[int, int, int], Mat3]:
+    """A well-conditioned frame (a, b, c) and the inverse of F = [v_a v_b v_c]:
+    a has the largest norm, b maximises G_aa G_bb - G_ab^2 and c the Gram
+    determinant of (a, b, c), which is (det F)^2 = (v_c . v_a x v_b)^2.
+    F^-1 has rows v_b x v_c, v_c x v_a and v_a x v_b over det F."""
+    n = range(len(verts))
+    a = max(n, key=lambda i: gram[i][i])
+    b = max(n, key=lambda j: gram[a][a] * gram[j][j] - gram[a][j] * gram[a][j])
+    normal = vcross(verts[a], verts[b])
+    heights = [vdot(normal, v) for v in verts]
+    c = max(n, key=lambda j: heights[j] * heights[j])
+    if k.equal(heights[c] * heights[c], 0, scale ** 3):
+        raise DegenerateGeometryError("no faces or no three linearly independent vertices")
+    rows = (vcross(verts[b], verts[c]), vcross(verts[c], verts[a]), normal)
+    return (a, b, c), tuple(tuple(x / heights[c] for x in r) for r in rows)
 
 
 def _is_identity(k, m: Mat3) -> bool:

@@ -8,7 +8,7 @@ import pytest
 
 from gyrolab.geom import vcross, vdot, vsub
 from gyrolab.netgen import generate_nets
-from gyrolab.qfield import Q2
+from gyrolab.qfield import ONE, SQRT2, Q2
 from gyrolab.solids import (
     Polyhedron,
     build_pseudo_rhombicuboctahedron,
@@ -28,6 +28,26 @@ def noisy_off(text: str, eps: float, rng: random.Random) -> str:
         coords = [float(x) + rng.uniform(-eps, eps) for x in lines[k].split()]
         lines[k] = " ".join(f"{c:.17g}" for c in coords)
     return "\n".join(lines) + "\n"
+
+
+def signed_permutations(base) -> list:
+    """Every coordinate permutation of (±base[0], ±base[1], ±base[2])."""
+    return sorted({
+        perm
+        for signs in itertools.product((1, -1), repeat=3)
+        for perm in itertools.permutations([s * c for s, c in zip(signs, base)])
+    })
+
+
+# exact point sets of known solids, each centred on the origin
+CUBE = signed_permutations((ONE, ONE, ONE))
+OCTAGONAL_PRISM = sorted(
+    (sx * a, sy * b, z)
+    for a, b in ((ONE, ONE + SQRT2), (ONE + SQRT2, ONE))
+    for sx in (1, -1) for sy in (1, -1) for z in (ONE, -ONE)
+)
+TRUNCATED_CUBE = signed_permutations((SQRT2 - 1, ONE, ONE))
+TRUNCATED_CUBOCTAHEDRON = signed_permutations((ONE, ONE + SQRT2, ONE + 2 * SQRT2))
 
 
 def make_cube(half: int = 1) -> Polyhedron:

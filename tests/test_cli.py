@@ -110,6 +110,42 @@ def test_analyze_ingested_off_matches_exact(tmp_path, capsys):
     assert len(doc["belts"]) == 3
 
 
+@pytest.mark.parametrize("edge", ["2/1000", "2/10000"])
+@pytest.mark.parametrize("solid,group", [("rco", "48 (proper 24)"),
+                                         ("pseudo-rco", "16 (proper 8)")])
+def test_analyze_small_float_mesh(tmp_path, capsys, solid, group, edge):
+    # the float symmetry search measures its decisions against the mesh's size
+    mesh = tmp_path / "small.off"
+    run(capsys, "build", "--solid", solid, "--edge", edge, "-o", str(mesh))
+    code, out, err = run(capsys, "analyze", "--input", str(mesh))
+    assert (code, err) == (0, "")
+    assert f"symmetry group: {group}\n" in out
+
+
+_TEN_TO_400 = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("edge", [f"1/{_TEN_TO_400}", _TEN_TO_400],
+                         ids=["underflow", "overflow"])
+def test_off_refuses_an_edge_floats_cannot_hold(capsys, edge):
+    code, out, err = run(capsys, "build", "--solid", "rco", "--edge", edge, "--format", "off")
+    assert code == 1 and not out
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: edge {edge} ")
+    code, out, _ = run(capsys, "build", "--solid", "rco", "--edge", edge, "--format", "json")
+    assert code == 0 and json.loads(out)["vertices"]
+
+
+def test_net_refuses_an_edge_the_svg_cannot_draw(tmp_path, capsys):
+    svg = tmp_path / "net.svg"
+    code, out, err = run(capsys, "net", "--edge", "1/1000000", "-o", str(svg))
+    assert code == 1 and not out and not svg.exists()
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: edge 1/1000000 mm ")
+    code, _, _ = run(capsys, "net", "--edge", "1/100", "-o", str(svg))
+    assert code == 0 and 'width="0.01"' in svg.read_text()
+
+
 def test_analyze_broken_mesh_partial_exit_1(tmp_path, capsys):
     bad = tmp_path / "open.off"
     bad.write_text(

@@ -6,6 +6,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from conftest import CUBE, OCTAGONAL_PRISM, TRUNCATED_CUBE, TRUNCATED_CUBOCTAHEDRON
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
@@ -384,28 +385,11 @@ def _oracle_hull(vertices):
     return sorted(faces.values(), key=lambda f: tuple(sorted(f)))
 
 
-def _signed_permutations(base) -> list:
-    """Every coordinate permutation of (±base[0], ±base[1], ±base[2])."""
-    return sorted({
-        perm
-        for signs in itertools.product((1, -1), repeat=3)
-        for perm in itertools.permutations([s * c for s, c in zip(signs, base)])
-    })
-
-
-_CUBE = _signed_permutations((ONE, ONE, ONE))
-_OCTAGONAL_PRISM = sorted(
-    (sx * a, sy * b, z)
-    for a, b in ((ONE, ONE + SQRT2), (ONE + SQRT2, ONE))
-    for sx in (1, -1) for sy in (1, -1) for z in (ONE, -ONE)
-)
-_TRUNCATED_CUBE = _signed_permutations((SQRT2 - 1, ONE, ONE))
-_TRUNCATED_CUBOCTAHEDRON = _signed_permutations((ONE, ONE + SQRT2, ONE + 2 * SQRT2))
 _HULL_POINT_SETS = {
     "rco": tuple(sorted(solids._rco_points())),
     "pseudo": tuple(sorted(solids._pseudo_points())),
-    "truncated cube": tuple(_TRUNCATED_CUBE),
-    "truncated cuboctahedron": tuple(_TRUNCATED_CUBOCTAHEDRON),
+    "truncated cube": tuple(TRUNCATED_CUBE),
+    "truncated cuboctahedron": tuple(TRUNCATED_CUBOCTAHEDRON),
 }
 
 _ORIGIN = (Q2(0), Q2(0), Q2(0))
@@ -459,10 +443,10 @@ def test_hull_equals_the_q2_triple_scan(case):
 
 
 @pytest.mark.parametrize("points,census", [
-    (_CUBE, {4: 6}),
-    (_OCTAGONAL_PRISM, {4: 8, 8: 2}),
-    (_TRUNCATED_CUBE, {3: 8, 8: 6}),
-    (_TRUNCATED_CUBOCTAHEDRON, {4: 12, 6: 8, 8: 6}),
+    (CUBE, {4: 6}),
+    (OCTAGONAL_PRISM, {4: 8, 8: 2}),
+    (TRUNCATED_CUBE, {3: 8, 8: 6}),
+    (TRUNCATED_CUBOCTAHEDRON, {4: 12, 6: 8, 8: 6}),
 ], ids=["cube", "octagonal prism", "truncated cube", "truncated cuboctahedron"])
 def test_known_answer_hulls(points, census):
     p = Polyhedron(points, convex_hull_faces(points))

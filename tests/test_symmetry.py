@@ -5,14 +5,31 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from conftest import make_box, make_cube, make_icosahedron
+from conftest import (
+    OCTAGONAL_PRISM,
+    TRUNCATED_CUBE,
+    make_box,
+    make_cube,
+    make_icosahedron,
+    noisy_off,
+)
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
-from gyrolab import geom
-from gyrolab.geom import mat_mul, mat_vec, snap_scalar_to_q2, vdot, vsub
-from gyrolab.qfield import ONE, SQRT2, ZERO, Q2
-from gyrolab.solids import Polyhedron, read_off, write_off
+from gyrolab import geom, symmetry
+from gyrolab.geom import mat_mul, mat_transpose, mat_vec, snap_scalar_to_q2, vcross, vdot, vsub
+from gyrolab.qfield import ONE, SQRT2, ZERO, Q2, parse
+from gyrolab.solids import (
+    Polyhedron,
+    build_pseudo_rhombicuboctahedron,
+    build_rhombicuboctahedron,
+    convex_hull_faces,
+    read_off,
+    write_off,
+)
 from gyrolab.symmetry import (
     DegenerateGeometryError,
+    Isometry,
     axis_feature_incidence,
     is_vertex_transitive,
     isometry_group,
@@ -317,3 +334,148 @@ def test_box_group_is_a_known_answer():
         assert {f.kind for ax in rep.axes for f in ax.features} == {"face"}
         assert rep.orbit_sizes == (8,)
         assert not rep.approximate
+
+
+# -- the least-squares oracle ---------------------------------------------------
+# An independent filter of the same lattice automorphisms: fit M = H G^-1
+# with H = sum v_pi(i) v_i^T and G = sum v_i v_i^T over the centred vertices,
+# and keep pi iff M^T M = I and M v_i = v_pi(i) for every i, decided by the
+# mesh's kernel (within tolerance x diameter on a float mesh).
+
+
+def _moments(ws, vs):
+    """The 3x3 matrix sum of w_i v_i^T."""
+    return tuple(tuple(sum(w[r] * v[s] for w, v in zip(ws, vs)) for s in range(3))
+                 for r in range(3))
+
+
+def _inverse(m):
+    """m^-1: its columns are the cross products of m's rows over det m."""
+    det = geom.mat_det(m)
+    cols = (vcross(m[1], m[2]), vcross(m[2], m[0]), vcross(m[0], m[1]))
+    return mat_transpose(tuple(tuple(x / det for x in col) for col in cols))
+
+
+def _is_small(k, v, diameter) -> bool:
+    """v = 0 on an exact mesh, |v| <= tolerance x diameter on a float one."""
+    if k.exact:
+        return not any(v)
+    return math.sqrt(sum(float(x) ** 2 for x in v)) <= k.tol * diameter
+
+
+def least_squares_group(p) -> dict:
+    """{(vertex_perm, face_perm): M} for every lattice automorphism the
+    least-squares filter keeps; float matrices stay unsnapped."""
+    k = p.kernel
+    c = p.vertex_centroid()
+    verts = [vsub(v, c) for v in p.vertices]
+    gram_inv = _inverse(_moments(verts, verts))
+    diameter = k.diameter(verts)
+    flags = list(symmetry._flags(p))
+    base, across = flags[0], symmetry._across(p)
+    kept = {}
+    for flag in flags:
+        if flag[3] != base[3]:
+            continue
+        perms = symmetry._automorphism(p, across, base, flag)
+        if perms is None:
+            continue
+        images = [verts[j] for j in perms[0]]
+        m = mat_mul(_moments(images, verts), gram_inv)
+        mtm = mat_mul(mat_transpose(m), m)
+        if all(k.is_zero(mtm[i][j] - (1 if i == j else 0)) for i in range(3) for j in range(3)) \
+                and all(_is_small(k, vsub(mat_vec(m, v), w), diameter)
+                        for v, w in zip(verts, images)):
+            kept[perms] = m
+    return kept
+
+
+def _elements(group) -> set:
+    return {(iso.matrix, iso.vertex_perm, iso.face_perm) for iso in group}
+
+
+def _oracle_elements(p) -> set:
+    return {(m, *perms) for perms, m in least_squares_group(p).items()}
+
+
+def _hull_mesh(points) -> Polyhedron:
+    return Polyhedron(points, convex_hull_faces(points))
+
+
+_EDGES = {"2": 2, "5": 5, "7/3+1/5*sqrt2": parse("7/3+1/5*sqrt2")}
+_ORACLE_MESHES = {
+    **{f"rco edge {e}": (build_rhombicuboctahedron, x) for e, x in _EDGES.items()},
+    **{f"pseudo edge {e}": (build_pseudo_rhombicuboctahedron, x) for e, x in _EDGES.items()},
+    "cube": (make_cube, 1),
+    "box": (lambda _: make_box(), None),
+    "truncated cube": (_hull_mesh, TRUNCATED_CUBE),
+    "octagonal prism": (_hull_mesh, OCTAGONAL_PRISM),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_MESHES))
+def test_search_keeps_what_the_least_squares_oracle_keeps(name):
+    make, arg = _ORACLE_MESHES[name]
+    p = make(arg)
+    group = isometry_group(p)
+    assert len(group) == len(_elements(group))
+    assert _elements(group) == _oracle_elements(p)
+
+
+def _cayley(a, b, c):
+    """The rotation (I - S)(I + S)^-1 of the skew matrix S of (a, b, c):
+    rational, and orthogonal with determinant 1."""
+    s = ((ZERO, -c, b), (c, ZERO, -a), (-b, a, ZERO))
+    ident = geom.q2_identity()
+    minus = tuple(tuple(ident[i][j] - s[i][j] for j in range(3)) for i in range(3))
+    plus = tuple(tuple(ident[i][j] + s[i][j] for j in range(3)) for i in range(3))
+    return mat_mul(minus, _inverse(plus))
+
+
+_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=7).map(Q2)
+
+
+# no shrinking: each shrink step reruns the oracle, as in the hull test
+@settings(max_examples=15, deadline=None,
+          phases=[ph for ph in Phase if ph is not Phase.shrink])
+@given(_rationals, _rationals, _rationals, st.tuples(_rationals, _rationals, _rationals))
+def test_search_matches_the_oracle_on_rotated_rco(a, b, c, shift):
+    rot = _cayley(a, b, c)
+    rco = build_rhombicuboctahedron(2)
+    moved = [tuple(x + t for x, t in zip(mat_vec(rot, v), shift)) for v in rco.vertices]
+    p = Polyhedron(moved, rco.faces)
+    group = isometry_group(p)
+    assert len(group) == 48
+    assert _elements(group) == _oracle_elements(p)
+
+
+def _float_mesh(p, factor: float) -> Polyhedron:
+    return Polyhedron([tuple(float(x) * factor for x in v) for v in p.vertices], p.faces)
+
+
+@pytest.mark.parametrize("k", [-6, -3, 0, 3, 6])
+@pytest.mark.parametrize("solid,full", [("rco", 48), ("pseudo", 16), ("cube", 48)])
+def test_float_search_is_scale_free(rco, pseudo, cube, solid, full, k):
+    p = _float_mesh({"rco": rco, "pseudo": pseudo, "cube": cube}[solid], 10.0 ** k)
+    group = isometry_group(p)
+    assert len(group) == full
+    assert all(iso.kernel.exact for iso in group)  # every matrix snapped
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("solid", ["rco", "pseudo", "cube"])
+def test_unsnapped_directions_stay_near_the_least_squares_ones(rco, pseudo, cube, solid, seed):
+    # noise 1e-7 at tolerance 1e-5: the group stays float, and each axis
+    # direction comes from the frame's map instead of the least-squares fit
+    tol = 1e-5
+    text = write_off({"rco": rco, "pseudo": pseudo, "cube": cube}[solid])
+    p = read_off(noisy_off(text, 1e-7, random.Random(f"{solid}/{seed}")), tol)
+    assert symmetry_report(p).approximate
+    oracle = least_squares_group(p)
+    rotations = [iso for iso in isometry_group(p) if iso.proper and iso.order() > 1]
+    assert rotations
+    for iso in rotations:
+        fit = Isometry(oracle[iso.vertex_perm, iso.face_perm], True,
+                       iso.vertex_perm, iso.face_perm, iso.kernel)
+        d, d_fit = symmetry._fixed_direction(iso), symmetry._fixed_direction(fit)
+        assert math.dist(d, d_fit) <= tol
