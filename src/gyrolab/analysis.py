@@ -9,9 +9,7 @@ symmetry inventory.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import belts as belts_mod
 from .belts import Belt, BeltOverlap
@@ -29,8 +27,7 @@ from .symmetry import SymmetryReport, symmetry_report
 SCHEMA = "gyrolab/1"
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     name: str
     mode: str  # "exact" | "float"
     validation: ValidationReport
@@ -237,8 +234,7 @@ def text_report(r: AnalysisReport) -> str:
 # -- comparison ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(NamedTuple):
     label: str
     left: str
     right: str
@@ -248,8 +244,7 @@ class ComparisonRow:
         return self.left == self.right
 
 
-@dataclass(frozen=True)
-class ComparisonTable:
+class ComparisonTable(NamedTuple):
     left_name: str
     right_name: str
     rows: tuple[ComparisonRow, ...]
@@ -308,8 +303,12 @@ def compare(a: AnalysisReport, b: AnalysisReport) -> ComparisonTable:
 
 
 def report_json(r: AnalysisReport) -> str:
+    import json
+
     return json.dumps(r.to_dict(), indent=2) + "\n"
 
 
 def comparison_json(t: ComparisonTable) -> str:
+    import json
+
     return json.dumps(t.to_dict(), indent=2) + "\n"

@@ -9,16 +9,14 @@ exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import geom
 from .geom import Vec3, vdot, vsub
 from .solids import Polyhedron
 
 
-@dataclass(frozen=True)
-class Belt:
+class Belt(NamedTuple):
     """Closed cyclic band of quads glued along opposite edges."""
 
     faces: tuple[int, ...]
@@ -39,8 +37,7 @@ class Belt:
         }
 
 
-@dataclass(frozen=True)
-class BeltOverlap:
+class BeltOverlap(NamedTuple):
     pairwise: dict
     union_size: int
     quad_count: int

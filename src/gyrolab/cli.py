@@ -115,6 +115,9 @@ def cmd_analyze(parser, args) -> int:
                 text = fh.read()
         except OSError as e:
             raise OSError(f"cannot read {args.input}: {e}") from e
+        except UnicodeDecodeError as e:
+            raise ValueError(f"cannot read {args.input}: not UTF-8 text"
+                             f" ({e.reason} at byte {e.start})") from e
         poly = read_off(text, args.tolerance)
         name = os.path.basename(args.input)
     report = analysis.analyze(poly, name=name)
@@ -136,7 +139,6 @@ def cmd_net(parser, args) -> int:
 
 
 def cmd_fold_check(parser, args) -> int:
-    import json
     from fractions import Fraction
 
     from . import foldsim, netgen
@@ -144,6 +146,8 @@ def cmd_fold_check(parser, args) -> int:
     net = netgen.generate_nets(Fraction(DEFAULT_NET_EDGE))
     result = foldsim.fold(net, args.gyration)
     if args.json:
+        import json
+
         sys.stdout.write(json.dumps(result.to_json_dict(), indent=2) + "\n")
     else:
         n_checks = len(result.closure.checks)

@@ -21,9 +21,8 @@ rotated by the gyration parameter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import geom
 from .geom import Mat3, Vec3, mat_mul, mat_vec, vadd, vdot, vsub
@@ -32,8 +31,7 @@ from .qfield import ONE, ZERO, Q2
 from .solids import build_pseudo_rhombicuboctahedron, build_rhombicuboctahedron
 
 
-@dataclass(frozen=True)
-class PlacedSquare:
+class PlacedSquare(NamedTuple):
     piece: str
     pos: tuple[int, int]
     role: str
@@ -43,8 +41,7 @@ class PlacedSquare:
         return frozenset(self.corners)
 
 
-@dataclass(frozen=True)
-class ClosureCheck:
+class ClosureCheck(NamedTuple):
     name: str
     piece: str
     pos: tuple[int, int]
@@ -58,8 +55,7 @@ class ClosureCheck:
         return math.sqrt(float(self.deviation_sq))
 
 
-@dataclass(frozen=True)
-class ClosureReport:
+class ClosureReport(NamedTuple):
     checks: tuple[ClosureCheck, ...]
 
     @property
@@ -70,17 +66,17 @@ class ClosureReport:
         return tuple(c for c in self.checks if not c.passed)
 
 
-@dataclass
 class AssemblyResult:
-    net: NetSpec
-    gyration: int
-    target_name: str
-    squares: dict
-    matched: bool
-    correspondence: dict
-    closure: ClosureReport = field(init=False, repr=False)
+    """The folded pieces and their match; the closure checks run when it is made."""
 
-    def __post_init__(self) -> None:
+    def __init__(self, net: NetSpec, gyration: int, target_name: str, squares: dict,
+                 matched: bool, correspondence: dict) -> None:
+        self.net = net
+        self.gyration = gyration
+        self.target_name = target_name
+        self.squares = squares
+        self.matched = matched
+        self.correspondence = correspondence
         self.closure = check_closure(self)
 
     @property
@@ -155,8 +151,7 @@ class AssemblyResult:
 # -- affine transforms over Q2 ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Affine:
+class _Affine(NamedTuple):
     m: Mat3
     b: Vec3
 

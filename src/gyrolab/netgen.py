@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import belts as belts_mod
 from .geom import cycle_order, vdot
@@ -63,31 +62,27 @@ class DoesNotFitError(ValueError):
         self.suggestion = suggestion
 
 
-@dataclass(frozen=True)
-class NetSquare:
+class NetSquare(NamedTuple):
     piece: str
     pos: tuple[int, int]
     role: str  # "face" | "glue" | "pole"
 
 
-@dataclass(frozen=True)
-class Crease:
+class Crease(NamedTuple):
     piece: str
     a: tuple[int, int]
     b: tuple[int, int]
     fold_target: int  # interior dihedral, degrees
 
 
-@dataclass(frozen=True)
-class Gluing:
+class Gluing(NamedTuple):
     kind: str  # "overlap" | "edge"
     piece: str
     pos: tuple[int, int]
     target_pos: Optional[tuple[int, int]]  # None: any belt square, resolved at assembly
 
 
-@dataclass(frozen=True)
-class NetSpec:
+class NetSpec(NamedTuple):
     edge_len: Fraction  # mm
     squares: tuple[NetSquare, ...]
     creases: tuple[Crease, ...]

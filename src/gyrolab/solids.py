@@ -27,12 +27,10 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
-import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import geom
 from .geom import EXACT, ToleranceKernel, Vec3, vcross, vsub
@@ -47,8 +45,7 @@ class OffParseError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class FaceCensus:
+class FaceCensus(NamedTuple):
     triangles: int
     quads: int
     other: int
@@ -58,15 +55,13 @@ class FaceCensus:
         return self.triangles + self.quads + self.other
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     checks: tuple[Check, ...]
     open_edges: tuple[tuple[int, int], ...] = ()
 
@@ -577,4 +572,6 @@ def to_json_dict(p: Polyhedron, name: str = "") -> dict:
 
 
 def to_json(p: Polyhedron, name: str = "") -> str:
+    import json
+
     return json.dumps(to_json_dict(p, name), indent=2) + "\n"

@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import geom
 from .geom import (
@@ -54,19 +53,19 @@ class InternalGeometryError(ValueError):
     """
 
 
-@dataclass(frozen=True)
-class Isometry:
+class Isometry(NamedTuple):
     """Orthogonal map (about the vertex centroid) permuting the mesh.
 
     ``kernel`` decides predicates on ``matrix``: exact for Q2 matrices,
-    the mesh's tolerance kernel for an unsnapped float group.
+    the mesh's tolerance kernel for an unsnapped float group.  Every
+    element of a group has the same kernel.
     """
 
     matrix: Mat3
     proper: bool
     vertex_perm: tuple[int, ...]
     face_perm: tuple[int, ...]
-    kernel: object = field(compare=False, repr=False)
+    kernel: object
 
     def order(self) -> int:
         """Smallest n with self^n = identity, via the vertex permutation.
@@ -85,8 +84,7 @@ class Isometry:
         return k
 
 
-@dataclass(frozen=True)
-class Feature:
+class Feature(NamedTuple):
     """A surface feature met by an axis: face center, vertex or edge midpoint."""
 
     kind: str  # "face" | "vertex" | "edge"
@@ -97,8 +95,7 @@ class Feature:
         return {"type": self.kind, "point": geom.json_vec(self.point)}
 
 
-@dataclass(frozen=True)
-class RotationAxis:
+class RotationAxis(NamedTuple):
     direction: Vec3  # the kernel's canonical direction
     order: int
     features: tuple[Feature, Feature]  # the two the axis line meets
@@ -111,8 +108,7 @@ class RotationAxis:
         }
 
 
-@dataclass(frozen=True)
-class SymmetryReport:
+class SymmetryReport(NamedTuple):
     proper_order: int
     full_order: int
     axes: tuple[RotationAxis, ...]
@@ -271,7 +267,7 @@ def _isometry_group(p: Polyhedron) -> tuple[Isometry, ...]:
         m = k.snap(iso.matrix)
         if m is None:
             break
-        snapped.append(replace(iso, matrix=m, kernel=EXACT))
+        snapped.append(iso._replace(matrix=m, kernel=EXACT))
     else:
         isos = snapped
     isos.sort(key=lambda iso: iso.matrix)
@@ -327,7 +323,7 @@ def rotation_axes(p: Polyhedron, group: Iterable[Isometry]) -> tuple[RotationAxi
                 a, b = b, a
             axes[key] = RotationAxis(d, order, (a, b))
         elif order > ax.order:
-            axes[key] = replace(ax, order=order)
+            axes[key] = ax._replace(order=order)
     return tuple(sorted(axes.values(), key=lambda ax: (-ax.order, ax.direction)))
 
 

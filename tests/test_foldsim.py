@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import random
@@ -25,10 +24,10 @@ def perturb_strip_creases(net, targets):
     creases = []
     for c in net.creases:
         if c.piece == "strip" and max(c.a[0], c.b[0]) in targets:
-            creases.append(dataclasses.replace(c, fold_target=targets[max(c.a[0], c.b[0])]))
+            creases.append(c._replace(fold_target=targets[max(c.a[0], c.b[0])]))
         else:
             creases.append(c)
-    return dataclasses.replace(net, creases=tuple(creases))
+    return net._replace(creases=tuple(creases))
 
 
 def test_fold_zero_matches_rhombicuboctahedron(net50):
@@ -144,12 +143,11 @@ def test_missing_crease_is_an_inconsistent_instruction(net50):
         c for c in net50.creases if not (c.piece == "strip" and max(c.a[0], c.b[0]) == 5)
     )
     with pytest.raises(ValueError, match="inconsistent gluing"):
-        fold(dataclasses.replace(net50, creases=creases), 0)
+        fold(net50._replace(creases=creases), 0)
 
 
 def test_unknown_glue_kind_rejected(net50):
-    bad = dataclasses.replace(
-        net50,
+    bad = net50._replace(
         gluing=net50.gluing + (Gluing("staple", "strip", (0, 0), (1, 0)),),
     )
     with pytest.raises(ValueError, match="inconsistent gluing"):
@@ -213,8 +211,8 @@ def _flat_embeddings(net):
 
 
 def test_straight_creases_keep_every_square_where_the_svg_draws_it(net50):
-    straight = tuple(dataclasses.replace(c, fold_target=180) for c in net50.creases)
-    flat_net = dataclasses.replace(net50, creases=straight)
+    straight = tuple(c._replace(fold_target=180) for c in net50.creases)
+    flat_net = net50._replace(creases=straight)
     result = fold(flat_net, 0)
     embed = _flat_embeddings(net50)
     assert sum(len(sqs) for sqs in result.squares.values()) == 27
@@ -231,8 +229,7 @@ def test_cap_missing_a_tab_still_folds_onto_the_solid(net50):
     def kept(piece, pos):
         return (piece, pos) != ("cap_north", (2, 0))
 
-    net = dataclasses.replace(
-        net50,
+    net = net50._replace(
         squares=tuple(s for s in net50.squares if kept(s.piece, s.pos)),
         creases=tuple(c for c in net50.creases if kept(c.piece, c.b)),
         gluing=tuple(g for g in net50.gluing
@@ -251,26 +248,26 @@ def test_crease_between_non_adjacent_squares_is_inconsistent(net50):
         Crease("cap_north", (0, 0), (2, 0), 135),
     )
     with pytest.raises(ValueError, match="inconsistent gluing"):
-        fold(dataclasses.replace(net50, creases=creases), 0)
+        fold(net50._replace(creases=creases), 0)
 
 
 def test_crease_closing_a_loop_is_inconsistent(net50):
     # a second crease between strip squares 3 and 4 would be ignored by the walk
     creases = net50.creases + (Crease("strip", (3, 0), (4, 0), 90),)
     with pytest.raises(ValueError, match="inconsistent gluing"):
-        fold(dataclasses.replace(net50, creases=creases), 0)
+        fold(net50._replace(creases=creases), 0)
 
 
 def test_cap_square_without_a_crease_path_is_inconsistent(net50):
     creases = _without_crease(net50, "cap_south", (0, 1), (0, 2))
     with pytest.raises(ValueError, match="inconsistent gluing"):
-        fold(dataclasses.replace(net50, creases=creases), 45)
+        fold(net50._replace(creases=creases), 45)
 
 
 def test_strip_missing_a_square_is_inconsistent(net50):
     squares = tuple(s for s in net50.squares if (s.piece, s.pos) != ("strip", (3, 0)))
     with pytest.raises(ValueError, match="inconsistent gluing"):
-        fold(dataclasses.replace(net50, squares=squares), 0)
+        fold(net50._replace(squares=squares), 0)
     result = fold(net50, 0)
     result.squares = dict(
         result.squares, strip=[sq for sq in result.squares["strip"] if sq.pos != (3, 0)]
@@ -287,7 +284,7 @@ def test_strip_missing_a_square_is_inconsistent(net50):
 ], ids=["edge-on-strip", "overlap-on-unknown-piece", "edge-on-unknown-piece",
         "edge-sharing-no-single-edge"])
 def test_gluing_on_a_wrong_piece_is_inconsistent(net50, glue):
-    bad = dataclasses.replace(net50, gluing=net50.gluing + (glue,))
+    bad = net50._replace(gluing=net50.gluing + (glue,))
     with pytest.raises(ValueError, match="inconsistent gluing instruction"):
         fold(bad, 0)
     result = fold(net50, 0)
@@ -342,9 +339,9 @@ _CAP_TARGETS = [c.fold_target for c in generate_nets(50).creases if c.piece != "
 @example(_CAP_TARGETS, 45)
 def test_tab_lookup_agrees_with_the_geometric_host_search(net50, targets, gyration):
     drawn = iter(targets)
-    creases = tuple(c if c.piece == "strip" else dataclasses.replace(c, fold_target=next(drawn))
+    creases = tuple(c if c.piece == "strip" else c._replace(fold_target=next(drawn))
                     for c in net50.creases)
-    result = fold(dataclasses.replace(net50, creases=creases), gyration)
+    result = fold(net50._replace(creases=creases), gyration)
     belt = [sq for sq in result.squares["strip"] if sq.role == "face"]
     for c in result.closure.checks:
         if c.name == "tab_in_belt_square":
@@ -356,10 +353,10 @@ def test_tab_lookup_agrees_with_the_geometric_host_search(net50, targets, gyrati
 
 
 def test_one_flat_tab_crease_fails_only_that_tab(net50):
-    creases = tuple(dataclasses.replace(c, fold_target=180)
+    creases = tuple(c._replace(fold_target=180)
                     if (c.piece, c.b) == ("cap_north", (2, 0)) else c
                     for c in net50.creases)
-    result = fold(dataclasses.replace(net50, creases=creases), 0)
+    result = fold(net50._replace(creases=creases), 0)
     failed = result.closure.failures()
     assert len(result.closure.checks) == 17
     assert [(c.name, c.piece, c.pos) for c in failed] == [
