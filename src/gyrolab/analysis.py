@@ -13,7 +13,6 @@ from typing import NamedTuple, Optional
 
 from . import belts as belts_mod
 from .belts import Belt, BeltOverlap
-from .geom import vdot, vsub
 from .solids import (
     FaceCensus,
     Polyhedron,
@@ -96,27 +95,21 @@ class AnalysisReport(NamedTuple):
 
 def _faces_regular(p: Polyhedron) -> bool:
     """Equal edge lengths plus per-face equal corner angles (planarity is
-    already covered by validation); no full Archimedean classification."""
-    k = p.kernel
-    edge_sqs = []
-    for (i, j) in p.edges:
-        d = vsub(p.vertices[j], p.vertices[i])
-        edge_sqs.append(vdot(d, d))
-    if edge_sqs:
-        hi = max(edge_sqs)
-        if not k.is_zero((hi - min(edge_sqs)) / max(1, hi)):
-            return False
+    already covered by validation); no full Archimedean classification.
+    Decided by the kernel on its coordinates (lattice ints when exact)."""
+    k, pts, _ = p.kernel.coordinates(p)
+    edges = (k.sub(pts[j], pts[i]) for (i, j) in p.edges)
+    if not k.all_equal([k.dot(d, d) for d in edges]):
+        return False
     for f in p.faces:
         n = len(f)
         corners = []
         for i in range(n):
-            a = vsub(p.vertices[f[(i - 1) % n]], p.vertices[f[i]])
-            b = vsub(p.vertices[f[(i + 1) % n]], p.vertices[f[i]])
-            dot = vdot(a, b)
-            corners.append((dot * dot / (vdot(a, a) * vdot(b, b)), k.sign(dot)))
+            a = k.sub(pts[f[(i - 1) % n]], pts[f[i]])
+            b = k.sub(pts[f[(i + 1) % n]], pts[f[i]])
+            corners.append((k.dot(a, b), k.dot(a, a), k.dot(b, b)))
         # each corner has the first corner's cos^2 and side of 90 degrees
-        cos2, side = corners[0]
-        if any(not k.is_zero(c - cos2) or s != side for c, s in corners[1:]):
+        if not all(k.same_angle(corners[0], c) for c in corners[1:]):
             return False
     return True
 

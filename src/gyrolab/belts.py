@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from . import geom
-from .geom import Vec3, vdot, vsub
+from .geom import Vec3, vsub
 from .solids import Polyhedron
 
 
@@ -53,8 +53,10 @@ def _edge_direction(p: Polyhedron, edge: tuple[int, int]) -> Vec3:
     return vsub(p.vertices[edge[1]], p.vertices[edge[0]])
 
 
-def _parallel(p: Polyhedron, e1, e2) -> bool:
-    return p.kernel.is_zero_vec(geom.vcross(_edge_direction(p, e1), _edge_direction(p, e2)))
+def _parallel(k, pts, e1, e2) -> bool:
+    """Edges e1 and e2 are parallel, decided by k on its coordinates pts."""
+    (i, j), (a, b) = e1, e2
+    return k.is_zero_vec(k.cross(k.sub(pts[j], pts[i]), k.sub(pts[b], pts[a])))
 
 
 def find_belts(p: Polyhedron) -> tuple[Belt, ...]:
@@ -65,6 +67,7 @@ def find_belts(p: Polyhedron) -> tuple[Belt, ...]:
     if "belts" in p._cache:
         return p._cache["belts"]
     belts: dict[frozenset, Belt] = {}
+    k, pts, _ = p.kernel.coordinates(p)
     for start_face, face in enumerate(p.faces):
         if len(face) != 4:
             continue
@@ -96,7 +99,7 @@ def find_belts(p: Polyhedron) -> tuple[Belt, ...]:
             if key in belts:
                 continue
             d0 = walk_edges[0]
-            if not all(_parallel(p, d0, e) for e in walk_edges[1:]):
+            if not all(_parallel(k, pts, d0, e) for e in walk_edges[1:]):
                 continue
             normal = p.kernel.canon_dir(_edge_direction(p, d0))
             belts[key] = Belt(tuple(walk_faces), tuple(walk_edges), normal)
@@ -112,14 +115,13 @@ def pole_pairs(p: Polyhedron, belt: Belt) -> Optional[tuple[int, int]]:
     """The two faces whose centers lie on the belt axis (the line through
     the centroid along the belt normal), positive side first; None unless
     exactly one face center lies on each side."""
-    k = p.kernel
-    c = p.vertex_centroid()
-    d = belt.plane_normal
+    k, pts, c = p.kernel.coordinates(p)
+    d = k.vec(belt.plane_normal)
     hits: list[tuple[int, int]] = []
-    for fi in range(p.n_faces):
-        rel = vsub(p.face_center(fi), c)
+    for fi, f in enumerate(p.faces):
+        rel = k.sub(k.centre([pts[i] for i in f]), c)
         if k.on_line(rel, d):
-            hits.append((fi, k.sign(vdot(rel, d))))
+            hits.append((fi, k.sign(k.dot(rel, d))))
     if len(hits) != 2 or hits[0][1] == hits[1][1]:
         return None
     (f0, s0), (f1, _) = hits

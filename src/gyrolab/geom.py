@@ -9,6 +9,12 @@ within the mesh's tolerance.  Both expose the same operations, so each
 geometric algorithm is written once and a ``Polyhedron`` picks its kernel
 once, from its coordinate type.
 
+An exact mesh decides on Z[sqrt2] lattice coordinates instead of ``Q2``:
+signs and equalities do not change under a positive scaling, so each vertex
+becomes six ints, n L (v - c), and ``LATTICE`` decides on those with
+``qfield.sign_z2``.  ``kernel.coordinates(p)`` hands out the kernel and the
+coordinates a mesh's predicates run on; a float mesh keeps its own.
+
 ``cycle_order`` is the one cyclic walk: it orders a hull face's vertices,
 the faces around a vertex and a net piece's outline from adjacency alone,
 with no arithmetic.
@@ -21,7 +27,7 @@ import math
 from fractions import Fraction
 from typing import Sequence, Tuple
 
-from .qfield import ONE, ZERO, Q2
+from .qfield import ONE, ZERO, Q2, sign_z2, z2_quotient
 
 Vec3 = Tuple  # (x, y, z) of Q2 or float
 Mat3 = Tuple  # 3 rows of Vec3
@@ -128,6 +134,14 @@ def centroid(points: Sequence[Vec3]) -> Vec3:
     return (sx[0] / n, sx[1] / n, sx[2] / n)
 
 
+def z2_scaled(points: Sequence[Vec3]) -> list[tuple[int, ...]]:
+    """L v for each exact point v as six ints (xp, xq, yp, yq, zp, zq), for
+    xp + xq*sqrt2 and so on; L is the lcm of every coordinate's denominator."""
+    scale = math.lcm(*(c.d for v in points for c in v))
+    return [tuple(x for c in v for x in (c.p * (scale // c.d), c.q * (scale // c.d)))
+            for v in points]
+
+
 def cycle_order(neighbours: dict) -> list:
     """Every node in cyclic order, given each node's two neighbours: the
     walk starts at the smallest node and steps first to its first-listed
@@ -205,11 +219,23 @@ class ExactKernel:
     """Decisions over Q(sqrt2): zero means exactly zero."""
 
     exact = True
+    cross = staticmethod(vcross)
 
     @property
     def coarse(self) -> "ExactKernel":
         """Itself: an exact decision is never a near miss."""
         return self
+
+    def coordinates(self, p) -> tuple:
+        """(kernel, points, centre) that the mesh's predicates are decided on:
+        here LATTICE, n L (v - c) for each vertex v (c the vertex centroid, n
+        the vertex count, L as in ``z2_scaled``) and the origin; once per mesh."""
+        if "lattice" not in p._cache:
+            pts = z2_scaled([tuple(map(Q2.coerce, v)) for v in p.vertices])
+            total = [sum(col) for col in zip(*pts)]
+            p._cache["lattice"] = [tuple(len(pts) * x - t for x, t in zip(v, total))
+                                   for v in pts]
+        return LATTICE, p._cache["lattice"], (0,) * 6
 
     def is_zero(self, x, eps: float | None = None) -> bool:
         return not x
@@ -230,11 +256,7 @@ class ExactKernel:
 
     def on_line(self, rel: Vec3, d: Vec3) -> bool:
         """rel is a nonzero multiple of d."""
-        return not is_zero_vec(rel) and is_zero_vec(vcross(rel, d))
-
-    def plane_side(self, n: Vec3, w: Vec3) -> int:
-        """Side of w relative to the plane through 0 with normal n."""
-        return vdot(n, w).sign()
+        return not is_zero_vec(rel) and is_zero_vec(self.cross(rel, d))
 
     def canon_dir(self, v: Vec3) -> Vec3:
         """Scale so the first nonzero component is +1; identifies v with -v."""
@@ -253,10 +275,99 @@ class ExactKernel:
         return tuple(Q2.coerce(x) for x in v)
 
 
+class LatticeKernel(ExactKernel):
+    """Exact decisions on lattice ints: a vector is six ints as from
+    ``z2_scaled``, a scalar the pair (p, q) for p + q*sqrt2.  Signs and
+    equalities survive a positive scaling, and equal values have equal ints."""
+
+    @staticmethod
+    def sub(u, v) -> tuple:
+        return (u[0] - v[0], u[1] - v[1], u[2] - v[2], u[3] - v[3], u[4] - v[4], u[5] - v[5])
+
+    @staticmethod
+    def mul(x, y) -> tuple[int, int]:
+        return (x[0] * y[0] + 2 * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+    @staticmethod
+    def dot(u, v) -> tuple[int, int]:
+        uxp, uxq, uyp, uyq, uzp, uzq = u
+        vxp, vxq, vyp, vyq, vzp, vzq = v
+        return (uxp * vxp + uyp * vyp + uzp * vzp + 2 * (uxq * vxq + uyq * vyq + uzq * vzq),
+                uxp * vxq + uxq * vxp + uyp * vyq + uyq * vyp + uzp * vzq + uzq * vzp)
+
+    @staticmethod
+    def cross(u, v) -> tuple:
+        uxp, uxq, uyp, uyq, uzp, uzq = u
+        vxp, vxq, vyp, vyq, vzp, vzq = v
+        return (uyp * vzp + 2 * uyq * vzq - uzp * vyp - 2 * uzq * vyq,
+                uyp * vzq + uyq * vzp - uzp * vyq - uzq * vyp,
+                uzp * vxp + 2 * uzq * vxq - uxp * vzp - 2 * uxq * vzq,
+                uzp * vxq + uzq * vxp - uxp * vzq - uxq * vzp,
+                uxp * vyp + 2 * uxq * vyq - uyp * vxp - 2 * uyq * vxq,
+                uxp * vyq + uxq * vyp - uyp * vxq - uyq * vxp)
+
+    @staticmethod
+    def transpose(vs) -> tuple:
+        """The x, y and z components of three vectors, each as a vector."""
+        return tuple(vs[0][r:r + 2] + vs[1][r:r + 2] + vs[2][r:r + 2] for r in (0, 2, 4))
+
+    @staticmethod
+    def centre(points) -> tuple:
+        """Their sum: a positive multiple of their centroid, the origin being
+        the vertex centroid."""
+        return tuple(map(sum, zip(*points)))
+
+    def sign(self, x) -> int:
+        return sign_z2(*x)
+
+    def plane_side(self, n, w) -> int:
+        """Side of w relative to the plane through 0 with normal n."""
+        return sign_z2(*self.dot(n, w))
+
+    def vec(self, v: Sequence) -> tuple:
+        """The exact vector v in lattice ints, up to a positive factor."""
+        return z2_scaled([super().vec(v)])[0]
+
+    def all_equal(self, xs) -> bool:
+        return len(set(xs)) <= 1
+
+    def same_angle(self, c0, c1) -> bool:
+        """Corners (a.b, a.a, b.b) on the same side of 90 degrees with equal
+        cos^2, cross-multiplied."""
+        (d0, a0, b0), (d1, a1, b1), mul = c0, c1, self.mul
+        return (self.sign(d0) == self.sign(d1)
+                and mul(mul(d0, d0), mul(a1, b1)) == mul(mul(d1, d1), mul(a0, b0)))
+
+    def frame(self, verts, gram, scale) -> tuple | None:
+        """The first independent vertices (a, b, c), then the columns of adj F
+        and det F for F = [v_a v_b v_c]: an exact map needs no conditioning.
+        None if there are none."""
+        n, dot, cross = range(len(verts)), self.dot, self.cross
+        a = next((i for i in n if any(gram[i][i])), 0)
+        b = next((j for j in n if any(cross(verts[a], verts[j]))), 0)
+        normal = cross(verts[a], verts[b])
+        c = next((j for j in n if any(dot(normal, verts[j]))), None)
+        if c is None:
+            return None
+        adj = (cross(verts[b], verts[c]), cross(verts[c], verts[a]), normal)
+        return (a, b, c), (self.transpose(adj), dot(normal, verts[c]))
+
+    def frame_map(self, images, inv) -> tuple[Mat3, bool]:
+        """(M, det M > 0) for the map of the frame onto its images:
+        M = F' adj F / det F, summed in ints, one Q2 per entry."""
+        adj, det = inv
+        m = tuple(tuple(z2_quotient(*self.dot(row, col), *det) for col in adj)
+                  for row in self.transpose(images))
+        det_images = self.dot(images[0], self.cross(images[1], images[2]))
+        return m, self.sign(det_images) == self.sign(det)
+
+
 class ToleranceKernel:
     """Decisions over floats: values within ``tol`` of zero count as zero."""
 
     exact = False
+    sub, dot, cross = staticmethod(vsub), staticmethod(vdot), staticmethod(vcross)
+    centre = staticmethod(centroid)
 
     def __init__(self, tol: float) -> None:
         self.tol = tol
@@ -268,6 +379,10 @@ class ToleranceKernel:
         miss, which cannot be told apart from noise in the input."""
         return ToleranceKernel(math.sqrt(self.tol))
 
+    def coordinates(self, p) -> tuple:
+        """This kernel, the vertices and their centroid."""
+        return self, p.vertices, p.vertex_centroid()
+
     def is_zero(self, x, eps: float | None = None) -> bool:
         return abs(x) <= (self.tol if eps is None else eps)
 
@@ -277,6 +392,18 @@ class ToleranceKernel:
     def equal(self, x, y, scale: float = 1.0) -> bool:
         """|x - y| within tolerance x ``scale``."""
         return abs(x - y) <= self.tol * scale
+
+    def all_equal(self, xs) -> bool:
+        """Within tolerance of the largest, relative to it once over 1."""
+        hi = max(xs, default=0)
+        return self.is_zero((hi - min(xs, default=0)) / max(1, hi))
+
+    def same_angle(self, c0, c1) -> bool:
+        """Corners (a.b, a.a, b.b) with cos^2 within tolerance, on the same
+        side of 90 degrees."""
+        (d0, a0, b0), (d1, a1, b1) = c0, c1
+        return (self.is_zero(d1 * d1 / (a1 * b1) - d0 * d0 / (a0 * b0))
+                and self.sign(d1) == self.sign(d0))
 
     def is_zero_vec(self, v: Vec3) -> bool:
         return _norm(v) <= self.tol
@@ -301,6 +428,28 @@ class ToleranceKernel:
             v = vneg(v)
         return tuple(round(x, SCALAR_DIGITS) for x in v)
 
+    def frame(self, verts, gram, scale) -> tuple | None:
+        """A well-conditioned frame (a, b, c) and the inverse of F = [v_a v_b v_c]:
+        a has the largest norm, b maximises G_aa G_bb - G_ab^2 and c the Gram
+        determinant of (a, b, c), which is (det F)^2 = (v_c . v_a x v_b)^2.
+        F^-1 has rows v_b x v_c, v_c x v_a and v_a x v_b over det F.  None
+        if that determinant is within tolerance x scale^3 of 0."""
+        n = range(len(verts))
+        a = max(n, key=lambda i: gram[i][i])
+        b = max(n, key=lambda j: gram[a][a] * gram[j][j] - gram[a][j] * gram[a][j])
+        normal = vcross(verts[a], verts[b])
+        heights = [vdot(normal, v) for v in verts]
+        c = max(n, key=lambda j: heights[j] * heights[j])
+        if self.equal(heights[c] * heights[c], 0, scale ** 3):
+            return None
+        rows = (vcross(verts[b], verts[c]), vcross(verts[c], verts[a]), normal)
+        return (a, b, c), tuple(tuple(x / heights[c] for x in r) for r in rows)
+
+    def frame_map(self, images, inv) -> tuple[Mat3, bool]:
+        """(M, det M > 0) for M = F' F^-1, the map of the frame onto its images."""
+        m = mat_mul(mat_transpose(images), inv)
+        return m, self.sign(mat_det(m)) > 0
+
     def snap(self, m: Mat3) -> Mat3 | None:
         return snap_matrix_to_q2(m, SNAP_EPS)
 
@@ -313,3 +462,4 @@ def _norm(v: Vec3) -> float:
 
 
 EXACT = ExactKernel()
+LATTICE = LatticeKernel()

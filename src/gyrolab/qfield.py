@@ -14,8 +14,9 @@ products and at most one ``math.gcd`` (none for results in Z[sqrt2]);
 operands with the same denominator skip the cross-multiplication.  ``sign()`` decides the sign of p + q*sqrt2 by
 comparing p^2 with 2*q^2, never through floating point.  That integer
 test is public as ``sign_z2(p, q)``, so code that clears denominators
-itself (the convex hull in ``solids``) decides signs the same way on plain
-ints, without building a ``Q2``.
+itself (the hull in ``solids``, the lattice kernel in ``geom``) decides signs
+the same way on plain ints, without building a ``Q2``; ``z2_quotient``
+turns such ints back into one ``Q2``.
 
 ``Fraction`` appears only at the boundary: the constructor accepts
 int/``Fraction`` components, ``.a``/``.b`` return them as ``Fraction``,
@@ -268,6 +269,11 @@ def _reduced(p: int, q: int, d: int) -> Q2:
 ZERO = Q2(0)
 ONE = Q2(1)
 SQRT2 = Q2(0, 1)
+
+
+def z2_quotient(p: int, q: int, r: int, s: int) -> Q2:
+    """(p + q*sqrt2)/(r + s*sqrt2) for integers: (p + q*sqrt2)(r - s*sqrt2)/(r^2 - 2s^2)."""
+    return _reduced(p * r - 2 * q * s, q * r - p * s, r * r - 2 * s * s)
 
 
 def sign(x: Q2) -> int:

@@ -197,9 +197,7 @@ def convex_hull_faces(vertices: Sequence[Vec3]) -> list[tuple[int, ...]]:
     three tests.  Intended for small vertex sets (the built-ins have 24).
     """
     n = len(vertices)
-    scale = math.lcm(*(c.d for v in vertices for c in v))
-    pts = [tuple(x for c in v for x in (c.p * (scale // c.d), c.q * (scale // c.d)))
-           for v in vertices]
+    pts = geom.z2_scaled(vertices)
     order = list(range(n))  # points in move-to-front order
     covered: set = set()  # triples lying in a face already found
     planes = []  # (sorted members, j, k, whether u x v points outward)
@@ -441,23 +439,21 @@ def validate(p: Polyhedron) -> ValidationReport:
 
 
 def _geometric_checks(p: Polyhedron) -> list[Check]:
-    """Planarity, outward normals and convexity, decided by the kernel."""
+    """Planarity, outward normals and convexity, decided by the kernel on
+    its coordinates (lattice ints for an exact mesh)."""
     planar_bad: list[int] = []
     outward_bad: list[int] = []
     convex_ok = True
-    k = p.kernel
-    c = p.vertex_centroid()
+    k, pts, c = p.kernel.coordinates(p)
     for fi, f in enumerate(p.faces):
-        nrm = p.face_normal(fi)
-        base = p.vertices[f[0]]
-        if k.is_zero_vec(nrm) or any(
-            k.plane_side(nrm, vsub(p.vertices[i], base)) for i in f
-        ):
+        base = pts[f[0]]
+        nrm = k.cross(k.sub(pts[f[1]], base), k.sub(pts[f[2]], base))
+        if k.is_zero_vec(nrm) or any(k.plane_side(nrm, k.sub(pts[i], base)) for i in f):
             planar_bad.append(fi)
             continue
-        if k.plane_side(nrm, vsub(base, c)) <= 0:
+        if k.plane_side(nrm, k.sub(base, c)) <= 0:
             outward_bad.append(fi)
-        if any(k.plane_side(nrm, vsub(v, base)) > 0 for v in p.vertices):
+        if any(k.plane_side(nrm, k.sub(v, base)) > 0 for v in pts):
             convex_ok = False
     return [
         Check("planarity", not planar_bad,

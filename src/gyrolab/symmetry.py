@@ -1,22 +1,28 @@
 """Isometry-group detection, rotation axes and vertex transitivity.
 
 Symmetries are face-lattice automorphisms first; geometry only accepts or
-rejects them.  Each flag whose face and face across the edge have the base
-flag's sizes extends, by a walk over the faces, to at most one automorphism:
-vertex and face permutations found with integers only.  Every isometry of a
-convex polyhedron induces one, so they bound the group from above (Mani
-1971).  The filter, the same for exact and float meshes, compares rows of
-the Gram matrix G_ij = <v_i, v_j> (vertices about their centroid): pi is
-kept iff G_fj = G_pi(f)pi(j) for the three vertices f of a well-conditioned
-frame and every j, decided by the mesh's kernel: exactly over Q(sqrt2), or
-within tolerance x diameter^2.  The map of the frame onto its image is then
-orthogonal and sends every vertex onto its image (Alt, Mehlhorn, Wagener
-and Welzl 1988); nothing is fitted.  A float mesh that misses a lattice
-symmetry by more than its tolerance but less than its square root raises
-rather than report a smaller group.  The accepted maps are verified to be
-a group; each rotation's axis is named by the two features (vertex,
-reversed edge, face) it fixes.  A float group is snapped into Q(sqrt2) only
-when every matrix snaps; otherwise the report is marked approximate.
+rejects them.  Each flag with the base flag's signature (its face's size,
+then the sizes of the faces across that face's edges, read from the flag's
+edge in its direction) extends, by a walk over the faces, to at most one
+automorphism: vertex and face permutations found with integers only.  Every
+isometry of a convex polyhedron induces one, so they bound the group from
+above (Mani 1971).  The filter, the same for exact and float meshes,
+compares rows of the Gram matrix G_ij = <v_i, v_j> (vertices about their
+centroid): pi is kept iff G_fj = G_pi(f)pi(j) for the three vertices f of a
+frame and every j, decided by the mesh's kernel: exactly on Z[sqrt2]
+lattice ints, or within tolerance x diameter^2 on a well-conditioned frame.
+The map of the frame onto its image is then orthogonal and sends every
+vertex onto its image (Alt, Mehlhorn, Wagener and Welzl 1988); nothing is
+fitted.  A float mesh that misses a lattice symmetry by more than its
+tolerance but less than its square root raises rather than report a smaller
+group.  The group is generated, not enumerated: only flags that no element
+found so far maps the base flag onto are walked, each kept walk is a
+generator, and a breadth-first search closes the generators under
+composition, checking every product, which also proves the result a group
+(Seress, Permutation Group Algorithms, 2003).  Each rotation's axis is
+named by the two features (vertex, reversed edge, face) it fixes.  A float
+group is snapped into Q(sqrt2) only when every matrix snaps; otherwise the
+report is marked approximate.
 """
 
 from __future__ import annotations
@@ -32,8 +38,6 @@ from .geom import (
     Mat3,
     Vec3,
     mat_mul,
-    mat_transpose,
-    vcross,
     vdot,
     vsub,
 )
@@ -144,15 +148,16 @@ class SymmetryReport(NamedTuple):
 
 
 def _flags(p: Polyhedron):
-    """Every flag as (a, b, fi, sizes): vertex a, directed edge a->b, a face
-    fi through that edge, and sizes = (that face's size, the size of the
-    face across edge ab or 0)."""
-    for (i, j) in p.edges:
-        for fi in p.edge_faces[(i, j)]:
-            other = p.other_face((i, j), fi)
-            sizes = (len(p.faces[fi]), 0 if other is None else len(p.faces[other]))
-            yield i, j, fi, sizes
-            yield j, i, fi, sizes
+    """Every flag as (a, b, fi, signature): vertex a, directed edge a->b, a
+    face fi through that edge, and signature = (that face's size, the sizes
+    of the faces across its edges, 0 for none, read from edge ab on in the
+    direction a->b).  An automorphism keeps every flag's signature."""
+    for fi, (f, across) in enumerate(zip(p.faces, _across(p))):
+        sizes = [0 if g is None else len(p.faces[g]) for g in across]
+        for t in range(len(f)):
+            a, b = f[t], f[(t + 1) % len(f)]
+            yield a, b, fi, (len(f), tuple(sizes[t:] + sizes[:t]))
+            yield b, a, fi, (len(f), tuple(sizes[t::-1] + sizes[:t:-1]))
 
 
 def _across(p: Polyhedron) -> list[list[int | None]]:
@@ -205,14 +210,6 @@ def _automorphism(p: Polyhedron, across, base, image):
     return vperm, fperm
 
 
-def _verify_group(isos: Sequence[Isometry]) -> None:
-    """The vertex permutations are nonempty and closed under composition:
-    then each one's inverse and the identity are among its powers."""
-    perms = {iso.vertex_perm for iso in isos}
-    if not perms or any(tuple(map(a.__getitem__, b)) not in perms for a in perms for b in perms):
-        raise InternalGeometryError("isometry group not closed under composition")
-
-
 def isometry_group(p: Polyhedron, proper_only: bool = False) -> tuple[Isometry, ...]:
     """All orthogonal maps (about the vertex centroid) sending the vertex
     set onto itself and preserving the face set, in canonical order.
@@ -228,40 +225,53 @@ def isometry_group(p: Polyhedron, proper_only: bool = False) -> tuple[Isometry, 
 
 
 def _isometry_group(p: Polyhedron) -> tuple[Isometry, ...]:
-    """Face-lattice automorphisms of the base flag's images, kept iff they
-    keep the frame's rows of the Gram matrix; a kept one's matrix maps the
-    frame onto its image."""
-    k = p.kernel
-    c = p.vertex_centroid()
-    verts = tuple(vsub(v, c) for v in p.vertices)
+    """The group generated by the face-lattice automorphisms that keep the
+    frame's rows of the Gram matrix; each element's matrix maps the frame
+    onto its image.  Only base-flag images that no element found so far
+    reaches are walked; each walk that keeps the rows adds a generator."""
+    k, pts, c = p.kernel.coordinates(p)
+    verts = [k.sub(v, c) for v in pts]
     flags = list(_flags(p))
     if not flags:
         raise DegenerateGeometryError("no faces or no three linearly independent vertices")
     gram = [[None] * len(verts) for _ in verts]
     for i, j in itertools.combinations_with_replacement(range(len(verts)), 2):
-        gram[i][j] = gram[j][i] = vdot(verts[i], verts[j])
+        gram[i][j] = gram[j][i] = k.dot(verts[i], verts[j])
     scale = k.diameter(verts) ** 2  # the size of a Gram entry
-    frame, frame_inv = _frame(k, verts, gram, scale)
+    framed = k.frame(verts, gram, scale)
+    if framed is None:
+        raise DegenerateGeometryError("no faces or no three linearly independent vertices")
+    frame, frame_inv = framed
+    base, across = flags[0], _across(p)
+    candidates = {flag[:3] for flag in flags if flag[3] == base[3]}
 
     def keeps_gram_rows(kernel, vperm):  # G_fj = G_pi(f)pi(j), frame f, every j
-        return all(kernel.equal(x, gram[vperm[f]][pj], scale)
-                   for f in frame for x, pj in zip(gram[f], vperm))
+        return all(all(map(kernel.equal, gram[f], map(gram[vperm[f]].__getitem__, vperm),
+                           itertools.repeat(scale))) for f in frame)
 
-    base, across = flags[0], _across(p)
-    isos = []
+    def element(vperm, fperm):
+        if ((vperm[base[0]], vperm[base[1]], fperm[base[2]]) not in candidates
+                or not keeps_gram_rows(k, vperm)):
+            raise InternalGeometryError("isometry group not closed under composition")
+        m, proper = k.frame_map([verts[vperm[f]] for f in frame], frame_inv)
+        return Isometry(m, proper, vperm, fperm, p.kernel)
+
+    group = {base[:3]: element(tuple(range(p.n_vertices)), tuple(range(p.n_faces)))}
+    gens: list = []
     for flag in flags:
-        if flag[3] != base[3]:  # an isometry maps faces to faces of equal size
+        if flag[:3] not in candidates or flag[:3] in group:
             continue
         perms = _automorphism(p, across, base, flag)
         if perms is None:
             continue
         if keeps_gram_rows(k, perms[0]):
-            m = mat_mul(mat_transpose([verts[perms[0][f]] for f in frame]), frame_inv)
-            isos.append(Isometry(m, k.sign(geom.mat_det(m)) > 0, *perms, k))
+            gens.append(perms)
+            _close(group, gens, base[:3], element)
         elif keeps_gram_rows(k.coarse, perms[0]):
             raise InternalGeometryError(
                 "a symmetry of the face lattice misses an isometry by more than"
                 " the tolerance but less than its square root")
+    isos = list(group.values())
     snapped = []
     for iso in isos:  # all or nothing: stop at the first matrix that does not snap
         m = k.snap(iso.matrix)
@@ -271,25 +281,28 @@ def _isometry_group(p: Polyhedron) -> tuple[Isometry, ...]:
     else:
         isos = snapped
     isos.sort(key=lambda iso: iso.matrix)
-    _verify_group(isos)
     return tuple(isos)
 
 
-def _frame(k, verts: Sequence[Vec3], gram, scale) -> tuple[tuple[int, int, int], Mat3]:
-    """A well-conditioned frame (a, b, c) and the inverse of F = [v_a v_b v_c]:
-    a has the largest norm, b maximises G_aa G_bb - G_ab^2 and c the Gram
-    determinant of (a, b, c), which is (det F)^2 = (v_c . v_a x v_b)^2.
-    F^-1 has rows v_b x v_c, v_c x v_a and v_a x v_b over det F."""
-    n = range(len(verts))
-    a = max(n, key=lambda i: gram[i][i])
-    b = max(n, key=lambda j: gram[a][a] * gram[j][j] - gram[a][j] * gram[a][j])
-    normal = vcross(verts[a], verts[b])
-    heights = [vdot(normal, v) for v in verts]
-    c = max(n, key=lambda j: heights[j] * heights[j])
-    if k.equal(heights[c] * heights[c], 0, scale ** 3):
-        raise DegenerateGeometryError("no faces or no three linearly independent vertices")
-    rows = (vcross(verts[b], verts[c]), vcross(verts[c], verts[a]), normal)
-    return (a, b, c), tuple(tuple(x / heights[c] for x in r) for r in rows)
+def _close(group: dict, gens: Sequence, base, element) -> None:
+    """Extend ``group`` ({image of the base flag: element}), closed under all
+    but the last of ``gens`` ((vertex_perm, face_perm) pairs), to the group
+    they generate, breadth first, multiplying each element on the right by
+    each generator it has not met: the closure proof.  A product whose
+    base-flag image is known must be that element; ``element(vperm, fperm)``
+    makes a new one, raising InternalGeometryError unless it is a symmetry."""
+    a, b, f = base
+    todo = [(x, gens[-1:]) for x in group.values()]  # closed under the others
+    for x, by in todo:  # the list grows as the search goes
+        for gv, gf in by:
+            vp = tuple(map(x.vertex_perm.__getitem__, gv))
+            fp = tuple(map(x.face_perm.__getitem__, gf))
+            y = group.get((vp[a], vp[b], fp[f]))
+            if y is None:
+                group[vp[a], vp[b], fp[f]] = y = element(vp, fp)
+                todo.append((y, gens))
+            elif (y.vertex_perm, y.face_perm) != (vp, fp):
+                raise InternalGeometryError("isometry group not closed under composition")
 
 
 def _is_identity(k, m: Mat3) -> bool:

@@ -1,11 +1,19 @@
+import itertools
 import json
 import random
 
 from conftest import make_box
 
-from gyrolab.analysis import analyze, compare, comparison_json, report_json, text_report
+from gyrolab.analysis import (
+    _faces_regular,
+    analyze,
+    compare,
+    comparison_json,
+    report_json,
+    text_report,
+)
 from gyrolab.qfield import Q2
-from gyrolab.solids import Polyhedron, convex_hull_faces
+from gyrolab.solids import Polyhedron, convex_hull_faces, read_off, write_off
 
 
 def test_rco_is_archimedean_candidate(rco):
@@ -48,6 +56,30 @@ def test_irregular_faces_are_neither_candidate_nor_pseudo():
         assert not r.partial and r.uniform_vertex_figure and not r.faces_regular
         assert not r.archimedean_candidate
         assert not r.pseudo_uniform
+
+
+def _equilateral_solids():
+    """Two solids with every edge of length 2 whose faces are still not
+    regular: a rhombohedron, whose rhombi have corners of 60 and 120 degrees
+    (equal cos^2, opposite sides of 90), and a prism over a hexagon with
+    corners of 135 and 90 degrees (unequal cos^2)."""
+    r = Q2(0, 1)  # sqrt2: the edge vectors (1, 1, 0) sqrt2 and so on
+    a, b, c = (r, r, Q2(0)), (r, Q2(0), r), (Q2(0), r, r)
+    rhombo = {tuple(sum(x) for x in zip((Q2(0),) * 3, *vs))
+              for k in range(4) for vs in itertools.combinations((a, b, c), k)}
+    steps = [(2, 0), (r, r), (-r, r), (-2, 0), (-r, -r), (r, -r)]
+    ring = list(itertools.accumulate(steps, lambda p, d: (p[0] + d[0], p[1] + d[1]),
+                                     initial=(Q2(0), Q2(0))))[:-1]
+    prism = [(x, y, Q2(z)) for x, y in ring for z in (0, 2)]
+    return [Polyhedron(sorted(pts), convex_hull_faces(sorted(pts))) for pts in (rhombo, prism)]
+
+
+def test_equal_edges_with_unequal_corners_are_not_regular():
+    for p in _equilateral_solids():
+        assert {len(f) for f in p.faces} in ({4}, {4, 6})
+        for q in (p, read_off(write_off(p))):
+            assert not analyze(q).partial
+            assert not _faces_regular(q)
 
 
 def test_text_report_ends_with_axis_count(rco, pseudo):

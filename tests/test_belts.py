@@ -6,7 +6,14 @@ from gyrolab.analysis import analyze
 from gyrolab.belts import belt_square_overlap, find_belts, pole_pairs
 from gyrolab.geom import is_zero_vec, vcross, vsub
 from gyrolab.qfield import Q2
-from gyrolab.solids import Polyhedron, build_rhombicuboctahedron, face_census
+from gyrolab.solids import (
+    Polyhedron,
+    build_rhombicuboctahedron,
+    convex_hull_faces,
+    face_census,
+    read_off,
+    write_off,
+)
 from gyrolab.symmetry import isometry_group, rotation_axes
 
 
@@ -137,3 +144,20 @@ def test_belts_are_walked_once_per_mesh(rco, monkeypatch):
     analyze(p)  # find_belts, then belt_square_overlap
     assert find_belts(p) is find_belts(p)
     assert len(walks) == 3  # one walk: a pole pair per belt, once
+
+
+def test_a_band_of_trapezoids_is_no_belt():
+    # a square frustum: the band of four lateral trapezoids closes, but its
+    # crossing edges are not parallel; each band through both squares is a
+    # belt, with the other two trapezoids as its poles
+    pts = sorted((Q2(s * h), Q2(t * h), Q2(z)) for h, z in ((2, 0), (1, 1))
+                 for s in (1, -1) for t in (1, -1))
+    frustum = Polyhedron(pts, convex_hull_faces(pts))
+    for p in (frustum, read_off(write_off(frustum))):
+        belts = find_belts(p)
+        assert [b.length for b in belts] == [4, 4]
+        for b in belts:
+            assert {len(p.faces[f]) for f in b.faces} == {4}
+            poles = set(b.pole_faces)
+            assert len(poles) == 2 and not poles & set(b.faces)
+            assert all(0 < sum(p.vertices[i][2] for i in p.faces[f]) < 4 for f in poles)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -6,8 +7,10 @@ from fractions import Fraction
 
 import pytest
 from conftest import (
+    CUBE,
     OCTAGONAL_PRISM,
     TRUNCATED_CUBE,
+    TRUNCATED_CUBOCTAHEDRON,
     make_box,
     make_cube,
     make_icosahedron,
@@ -16,7 +19,7 @@ from conftest import (
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from gyrolab import geom, symmetry
+from gyrolab import geom, solids, symmetry
 from gyrolab.geom import mat_mul, mat_transpose, mat_vec, snap_scalar_to_q2, vcross, vdot, vsub
 from gyrolab.qfield import ONE, SQRT2, ZERO, Q2, parse
 from gyrolab.solids import (
@@ -29,6 +32,7 @@ from gyrolab.solids import (
 )
 from gyrolab.symmetry import (
     DegenerateGeometryError,
+    InternalGeometryError,
     Isometry,
     axis_feature_incidence,
     is_vertex_transitive,
@@ -479,3 +483,194 @@ def test_unsnapped_directions_stay_near_the_least_squares_ones(rco, pseudo, cube
                        iso.vertex_perm, iso.face_perm, iso.kernel)
         d, d_fit = symmetry._fixed_direction(iso), symmetry._fixed_direction(fit)
         assert math.dist(d, d_fit) <= tol
+
+
+# -- the enumerating oracle ------------------------------------------------------
+# The search as it was before the group was generated: every candidate flag of
+# the (face size, size across the edge) signature is walked, kept iff it keeps
+# the frame's Gram rows (Gram table and frame in the mesh's own numbers, Q2 or
+# float), and the kept set is checked to be closed with all |G|^2 products.
+
+
+def _enumerating_flags(p):
+    for (i, j) in p.edges:
+        for fi in p.edge_faces[(i, j)]:
+            other = p.other_face((i, j), fi)
+            sizes = (len(p.faces[fi]), 0 if other is None else len(p.faces[other]))
+            yield i, j, fi, sizes
+            yield j, i, fi, sizes
+
+
+def _enumerating_frame(k, verts, gram, scale):
+    n = range(len(verts))
+    a = max(n, key=lambda i: gram[i][i])
+    b = max(n, key=lambda j: gram[a][a] * gram[j][j] - gram[a][j] * gram[a][j])
+    normal = vcross(verts[a], verts[b])
+    heights = [vdot(normal, v) for v in verts]
+    c = max(n, key=lambda j: heights[j] * heights[j])
+    assert not k.equal(heights[c] * heights[c], 0, scale ** 3)
+    rows = (vcross(verts[b], verts[c]), vcross(verts[c], verts[a]), normal)
+    return (a, b, c), tuple(tuple(x / heights[c] for x in r) for r in rows)
+
+
+def enumerated_group(p) -> tuple:
+    k = p.kernel
+    c = p.vertex_centroid()
+    verts = tuple(vsub(v, c) for v in p.vertices)
+    gram = [[vdot(u, v) for v in verts] for u in verts]
+    scale = k.diameter(verts) ** 2
+    frame, frame_inv = _enumerating_frame(k, verts, gram, scale)
+
+    def keeps_gram_rows(vperm):
+        return all(k.equal(x, gram[vperm[f]][pj], scale)
+                   for f in frame for x, pj in zip(gram[f], vperm))
+
+    flags = list(_enumerating_flags(p))
+    base, across = flags[0], symmetry._across(p)
+    isos = []
+    for flag in flags:
+        perms = flag[3] == base[3] and symmetry._automorphism(p, across, base, flag)
+        if perms and keeps_gram_rows(perms[0]):
+            m = mat_mul(mat_transpose([verts[perms[0][f]] for f in frame]), frame_inv)
+            isos.append(Isometry(m, k.sign(geom.mat_det(m)) > 0, *perms, k))
+    snapped = [iso._replace(matrix=k.snap(iso.matrix), kernel=geom.EXACT) for iso in isos]
+    if all(iso.matrix is not None for iso in snapped):
+        isos = snapped
+    isos.sort(key=lambda iso: iso.matrix)
+    perms = {iso.vertex_perm for iso in isos}
+    assert all(tuple(map(a.__getitem__, b)) in perms for a in perms for b in perms)
+    return tuple(isos)
+
+
+_CORPUS = {
+    "cube": CUBE,
+    "octagonal prism": OCTAGONAL_PRISM,
+    "truncated cube": TRUNCATED_CUBE,
+    "truncated cuboctahedron": TRUNCATED_CUBOCTAHEDRON,
+    "rco": sorted(solids._rco_points()),
+    "pseudo": sorted(solids._pseudo_points()),
+}
+_SCALES = ["2", "7/3", "1+1*sqrt2", "10^400", "10^-400"]
+
+
+@functools.lru_cache(maxsize=None)
+def _corpus_faces(name):
+    return convex_hull_faces(_CORPUS[name])
+
+
+def _corpus_mesh(name, edge) -> Polyhedron:
+    """The corpus solid scaled by edge/2: the sets have edge 2, the truncated
+    cube 2 sqrt2 - 2."""
+    base, power = edge.split("^") if "^" in edge else (edge, "1")
+    s = parse(base) ** int(power) / 2
+    return Polyhedron([tuple(x * s for x in v) for v in _CORPUS[name]], _corpus_faces(name))
+
+
+@pytest.mark.parametrize("edge", _SCALES)
+@pytest.mark.parametrize("name", sorted(_CORPUS))
+def test_generated_group_equals_the_enumerated_one(name, edge):
+    p = _corpus_mesh(name, edge)
+    group = isometry_group(p)
+    assert group == enumerated_group(p)  # elements, matrices, permutations, order
+    assert len(group) == {"octagonal prism": 32, "pseudo": 16}.get(name, 48)
+
+
+@pytest.mark.parametrize("noise", [0.0, 1e-10])
+@pytest.mark.parametrize("edge", _SCALES[:3])
+@pytest.mark.parametrize("name", sorted(_CORPUS))
+def test_generated_group_equals_the_enumerated_one_after_off(name, edge, noise):
+    text = write_off(_corpus_mesh(name, edge))
+    p = read_off(noisy_off(text, noise, random.Random(f"{name}/{edge}")))
+    group = isometry_group(p)
+    assert group == enumerated_group(p)
+    assert all(iso.kernel.exact for iso in group)  # every matrix snapped
+
+
+def test_walks_only_the_flags_no_element_reaches(rco, pseudo, monkeypatch):
+    # with the across-size signature every candidate is an automorphism, and
+    # each walk adds a generator
+    walks = []
+    real = symmetry._automorphism
+    monkeypatch.setattr(symmetry, "_automorphism", lambda *a: walks.append(a) or real(*a))
+    for p, order in ((rco, 48), (pseudo, 16)):
+        fresh = Polyhedron(p.vertices, p.faces)
+        flags = list(symmetry._flags(fresh))
+        assert sum(f[3] == flags[0][3] for f in flags) == order
+        walks.clear()
+        assert len(isometry_group(fresh)) == order
+        assert 1 <= len(walks) <= 4
+
+
+# -- the closure proof ------------------------------------------------------------
+
+
+def _feed(monkeypatch, perms):
+    """Make the walk of the first candidate flag return perms, and no later one."""
+    fed = [perms]
+    monkeypatch.setattr(symmetry, "_automorphism", lambda *a: fed.pop() if fed else None)
+
+
+def test_closure_rejects_a_product_that_maps_the_base_flag_off_the_candidates(rco, monkeypatch):
+    # a genuine vertex permutation, so the walk keeps it, with the identity
+    # face permutation: its base-flag image is no flag of that signature
+    quarter = next(iso for iso in isometry_group(rco) if iso.proper and iso.order() == 4)
+    _feed(monkeypatch, (quarter.vertex_perm, tuple(range(rco.n_faces))))
+    with pytest.raises(InternalGeometryError, match="not closed"):
+        isometry_group(Polyhedron(rco.vertices, rco.faces))
+
+
+def test_closure_rejects_mismatched_permutations(pseudo, monkeypatch):
+    # the vertex permutation of one symmetry with the face permutation of another
+    group = isometry_group(pseudo)
+    a, b = [iso for iso in group if iso.order() == 2 and not iso.proper][:2]
+    _feed(monkeypatch, (a.vertex_perm, b.face_perm))
+    with pytest.raises(InternalGeometryError, match="not closed"):
+        isometry_group(Polyhedron(pseudo.vertices, pseudo.faces))
+
+
+def test_closure_rejects_two_products_with_one_base_flag_image(cube):
+    # the identity, and a generator that fixes every vertex but swaps two
+    # faces away from the base flag: the product has the identity's image
+    ident = next(iso for iso in isometry_group(cube) if iso.order() == 1)
+    base = next(symmetry._flags(cube))[:3]
+    swap = list(range(cube.n_faces))
+    i, j = [f for f in swap if f != base[2]][:2]
+    swap[i], swap[j] = j, i
+    with pytest.raises(InternalGeometryError, match="not closed"):
+        symmetry._close({base: ident}, [(ident.vertex_perm, tuple(swap))], base, None)
+
+
+# -- lattice coordinates against Q2 ------------------------------------------------
+
+_small_q2 = st.builds(Q2, st.fractions(min_value=-3, max_value=3, max_denominator=6),
+                      st.fractions(min_value=-3, max_value=3, max_denominator=6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_small_q2, _small_q2, _small_q2), min_size=4, max_size=7),
+       st.randoms(use_true_random=False))
+def test_lattice_decides_like_q2(points, rng):
+    p = Polyhedron(points, [])
+    k, pts, origin = p.kernel.coordinates(p)
+    c = p.vertex_centroid()
+    q2 = [vsub(v, c) for v in points]
+    verts = [k.sub(v, origin) for v in pts]
+    gram = [[k.dot(u, v) for v in verts] for u in verts]
+    for i, j in itertools.product(range(len(points)), repeat=2):
+        assert k.sign(gram[i][j]) == vdot(q2[i], q2[j]).sign()
+        cross = k.cross(verts[i], verts[j])
+        assert [k.sign(cross[t:t + 2]) for t in (0, 2, 4)] == [
+            x.sign() for x in vcross(q2[i], q2[j])]
+    framed = k.frame(verts, gram, 1.0)
+    if framed is None:  # every triple is dependent
+        assert all(not geom.mat_det((q2[a], q2[b], q2[e]))
+                   for a, b, e in itertools.combinations(range(len(points)), 3))
+        return
+    frame, inv = framed
+    perm = list(range(len(points)))
+    rng.shuffle(perm)
+    m, proper = k.frame_map([verts[perm[f]] for f in frame], inv)
+    expected = mat_mul(mat_transpose([q2[perm[f]] for f in frame]),
+                       _inverse(mat_transpose([q2[f] for f in frame])))
+    assert m == expected
+    assert proper == (geom.mat_det(expected).sign() > 0)
