@@ -4,7 +4,9 @@ A belt is found combinatorially: start on a quadrilateral, leave through
 the edge opposite the entry edge, and keep going; a walk that returns to
 its start without ever entering a non-quad face is a closed band of
 squares.  No equator-plane search, so the result is pose-independent and
-exact.
+exact.  Parallel crossing edges, the belt normal and the pole faces are
+decided by the mesh's kernel on its own coordinates (lattice ints for an
+exact mesh); the normal comes back as the kernel's canonical direction.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from . import geom
-from .geom import Vec3, vsub
+from .geom import Vec3
 from .solids import Polyhedron
 
 
@@ -47,10 +49,6 @@ def _opposite_edge(face: tuple[int, ...], edge: tuple[int, int]) -> tuple[int, i
     # in a quad, the edge sharing no vertex with the entry edge
     rest = [v for v in face if v not in edge]
     return (rest[0], rest[1]) if rest[0] < rest[1] else (rest[1], rest[0])
-
-
-def _edge_direction(p: Polyhedron, edge: tuple[int, int]) -> Vec3:
-    return vsub(p.vertices[edge[1]], p.vertices[edge[0]])
 
 
 def _parallel(k, pts, e1, e2) -> bool:
@@ -101,7 +99,7 @@ def find_belts(p: Polyhedron) -> tuple[Belt, ...]:
             d0 = walk_edges[0]
             if not all(_parallel(k, pts, d0, e) for e in walk_edges[1:]):
                 continue
-            normal = p.kernel.canon_dir(_edge_direction(p, d0))
+            normal = k.canon_dir(k.sub(pts[d0[1]], pts[d0[0]]))
             belts[key] = Belt(tuple(walk_faces), tuple(walk_edges), normal)
     ordered = sorted(belts.values(), key=lambda b: b.faces)
     p._cache["belts"] = tuple(
@@ -115,11 +113,11 @@ def pole_pairs(p: Polyhedron, belt: Belt) -> Optional[tuple[int, int]]:
     """The two faces whose centers lie on the belt axis (the line through
     the centroid along the belt normal), positive side first; None unless
     exactly one face center lies on each side."""
-    k, pts, c = p.kernel.coordinates(p)
+    k = p.kernel
     d = k.vec(belt.plane_normal)
     hits: list[tuple[int, int]] = []
     for fi, f in enumerate(p.faces):
-        rel = k.sub(k.centre([pts[i] for i in f]), c)
+        rel = p.offset(f)
         if k.on_line(rel, d):
             hits.append((fi, k.sign(k.dot(rel, d))))
     if len(hits) != 2 or hits[0][1] == hits[1][1]:

@@ -230,19 +230,6 @@ def _fold_piece(net: NetSpec, piece: str, embed: Callable[[int, int], Vec3],
             for sq in net.squares_of(piece)]
 
 
-def _check_square_shape(sq: PlacedSquare, L: Q2) -> None:
-    L2 = L * L
-    c = sq.corners
-    for k in range(4):
-        side = vsub(c[(k + 1) % 4], c[k])
-        if vdot(side, side) != L2:
-            raise AssertionError(f"placed square {sq.piece}{sq.pos} has a wrong side")
-    for a, b in ((0, 2), (1, 3)):
-        diag = vsub(c[b], c[a])
-        if vdot(diag, diag) != L2 + L2:
-            raise AssertionError(f"placed square {sq.piece}{sq.pos} has a wrong diagonal")
-
-
 def fold(net: NetSpec, gyration: int = 0) -> AssemblyResult:
     """Fold the three pieces and match them against the target solid.
 
@@ -273,10 +260,6 @@ def fold(net: NetSpec, gyration: int = 0) -> AssemblyResult:
                                  lambda x, y: (L * x - cx, L * y - cy, -t),
                                  (ZERO, ZERO, -ONE), turn(0)),
     }
-    for sqs in placed.values():
-        for sq in sqs:
-            _check_square_shape(sq, L)
-
     if gyration % 90 == 0:
         target = build_rhombicuboctahedron(net.edge_len)
         target_name = "rhombicuboctahedron"

@@ -3,17 +3,15 @@
 The arithmetic helpers are generic: they work on triples of ``Q2`` (exact
 meshes) and on triples of ``float`` (ingested meshes) alike, because both
 support ``+ - * /``.  Every decision (is this zero, which sign, which
-canonical direction) goes through a kernel instead: ``EXACT`` decides over
-Q(sqrt2) with no tolerance, and a ``ToleranceKernel`` decides over floats
-within the mesh's tolerance.  Both expose the same operations, so each
-geometric algorithm is written once and a ``Polyhedron`` picks its kernel
-once, from its coordinate type.
-
-An exact mesh decides on Z[sqrt2] lattice coordinates instead of ``Q2``:
-signs and equalities do not change under a positive scaling, so each vertex
-becomes six ints, n L (v - c), and ``LATTICE`` decides on those with
-``qfield.sign_z2``.  ``kernel.coordinates(p)`` hands out the kernel and the
-coordinates a mesh's predicates run on; a float mesh keeps its own.
+canonical direction) goes through a kernel instead, on the coordinates
+``kernel.coordinates(p)`` hands out once per mesh.  ``EXACT`` decides on
+Z[sqrt2] lattice ints with no tolerance: signs and equalities do not change
+under a positive scaling, so each vertex becomes six ints, n L (v - c),
+whose signs ``qfield.sign_z2`` decides; ``Q2`` stays the type of storage,
+matrix entries and output.  A ``ToleranceKernel`` decides on the float
+vertices within the mesh's tolerance.  Both expose the same operations, so
+each geometric algorithm is written once and a ``Polyhedron`` picks its
+kernel once, from its coordinate type.
 
 ``cycle_order`` is the one cyclic walk: it orders a hull face's vertices,
 the faces around a vertex and a net piece's outline from adjacency alone,
@@ -216,10 +214,13 @@ SCALAR_DIGITS = 9  # rounding of directions
 
 
 class ExactKernel:
-    """Decisions over Q(sqrt2): zero means exactly zero."""
+    """Exact decisions on Z[sqrt2] lattice ints: a vector is six ints as from
+    ``z2_scaled``, a scalar the pair (p, q) for p + q*sqrt2.  Signs and
+    equalities survive a positive scaling, and equal values have equal ints,
+    so zero means exactly zero.  ``vec`` carries an exact vector onto the
+    lattice, ``canon_dir`` a lattice vector back to a Q2 direction."""
 
     exact = True
-    cross = staticmethod(vcross)
 
     @property
     def coarse(self) -> "ExactKernel":
@@ -228,57 +229,14 @@ class ExactKernel:
 
     def coordinates(self, p) -> tuple:
         """(kernel, points, centre) that the mesh's predicates are decided on:
-        here LATTICE, n L (v - c) for each vertex v (c the vertex centroid, n
+        this kernel, n L (v - c) for each vertex v (c the vertex centroid, n
         the vertex count, L as in ``z2_scaled``) and the origin; once per mesh."""
         if "lattice" not in p._cache:
             pts = z2_scaled([tuple(map(Q2.coerce, v)) for v in p.vertices])
             total = [sum(col) for col in zip(*pts)]
             p._cache["lattice"] = [tuple(len(pts) * x - t for x, t in zip(v, total))
                                    for v in pts]
-        return LATTICE, p._cache["lattice"], (0,) * 6
-
-    def is_zero(self, x, eps: float | None = None) -> bool:
-        return not x
-
-    def sign(self, x) -> int:
-        return x.sign()
-
-    def equal(self, x, y, scale: float = 1.0) -> bool:
-        """x = y; ``scale`` (the size x and y are measured against) is ignored."""
-        return x == y
-
-    def is_zero_vec(self, v: Vec3) -> bool:
-        return is_zero_vec(v)
-
-    def diameter(self, points: Sequence[Vec3]) -> float:
-        """1.0, measuring nothing: ``equal`` ignores the scale."""
-        return 1.0
-
-    def on_line(self, rel: Vec3, d: Vec3) -> bool:
-        """rel is a nonzero multiple of d."""
-        return not is_zero_vec(rel) and is_zero_vec(self.cross(rel, d))
-
-    def canon_dir(self, v: Vec3) -> Vec3:
-        """Scale so the first nonzero component is +1; identifies v with -v."""
-        lead = next((c for c in v if c), None)
-        if lead is None:
-            raise ValueError("zero vector has no direction")
-        inv = ONE / lead
-        return (v[0] * inv, v[1] * inv, v[2] * inv)
-
-    def snap(self, m: Mat3) -> Mat3:
-        """The Q(sqrt2) matrix m stands for (None if there is none)."""
-        return m
-
-    def vec(self, v: Sequence) -> tuple:
-        """v in this kernel's number type."""
-        return tuple(Q2.coerce(x) for x in v)
-
-
-class LatticeKernel(ExactKernel):
-    """Exact decisions on lattice ints: a vector is six ints as from
-    ``z2_scaled``, a scalar the pair (p, q) for p + q*sqrt2.  Signs and
-    equalities survive a positive scaling, and equal values have equal ints."""
+        return self, p._cache["lattice"], (0,) * 6
 
     @staticmethod
     def sub(u, v) -> tuple:
@@ -317,19 +275,41 @@ class LatticeKernel(ExactKernel):
         the vertex centroid."""
         return tuple(map(sum, zip(*points)))
 
+    def is_zero(self, x, eps: float | None = None) -> bool:
+        """The Q2 matrix entry x is 0; ``eps`` is ignored."""
+        return not x
+
     def sign(self, x) -> int:
         return sign_z2(*x)
+
+    def equal(self, x, y, scale: float = 1.0) -> bool:
+        """x = y; ``scale`` (the size x and y are measured against) is ignored."""
+        return x == y
+
+    def all_equal(self, xs) -> bool:
+        return len(set(xs)) <= 1
+
+    is_zero_vec = staticmethod(is_zero_vec)
+
+    def diameter(self, points) -> float:
+        """1.0, measuring nothing: ``equal`` ignores the scale."""
+        return 1.0
+
+    def on_line(self, rel, d) -> bool:
+        """rel is a nonzero multiple of d."""
+        return not is_zero_vec(rel) and is_zero_vec(self.cross(rel, d))
 
     def plane_side(self, n, w) -> int:
         """Side of w relative to the plane through 0 with normal n."""
         return sign_z2(*self.dot(n, w))
 
-    def vec(self, v: Sequence) -> tuple:
-        """The exact vector v in lattice ints, up to a positive factor."""
-        return z2_scaled([super().vec(v)])[0]
-
-    def all_equal(self, xs) -> bool:
-        return len(set(xs)) <= 1
+    def canon_dir(self, v) -> Vec3:
+        """The Q2 direction of v whose first nonzero component is 1;
+        identifies v with -v."""
+        lead = next((v[r:r + 2] for r in (0, 2, 4) if any(v[r:r + 2])), None)
+        if lead is None:
+            raise ValueError("zero vector has no direction")
+        return tuple(z2_quotient(*v[r:r + 2], *lead) for r in (0, 2, 4))
 
     def same_angle(self, c0, c1) -> bool:
         """Corners (a.b, a.a, b.b) on the same side of 90 degrees with equal
@@ -360,6 +340,14 @@ class LatticeKernel(ExactKernel):
                   for row in self.transpose(images))
         det_images = self.dot(images[0], self.cross(images[1], images[2]))
         return m, self.sign(det_images) == self.sign(det)
+
+    def snap(self, m: Mat3) -> Mat3:
+        """The Q(sqrt2) matrix m stands for (None if there is none)."""
+        return m
+
+    def vec(self, v: Sequence) -> tuple:
+        """The exact vector v in lattice ints, up to a positive factor."""
+        return z2_scaled([tuple(map(Q2.coerce, v))])[0]
 
 
 class ToleranceKernel:
@@ -462,4 +450,3 @@ def _norm(v: Vec3) -> float:
 
 
 EXACT = ExactKernel()
-LATTICE = LatticeKernel()

@@ -14,7 +14,7 @@ products and at most one ``math.gcd`` (none for results in Z[sqrt2]);
 operands with the same denominator skip the cross-multiplication.  ``sign()`` decides the sign of p + q*sqrt2 by
 comparing p^2 with 2*q^2, never through floating point.  That integer
 test is public as ``sign_z2(p, q)``, so code that clears denominators
-itself (the hull in ``solids``, the lattice kernel in ``geom``) decides signs
+itself (the hull in ``solids``, the exact kernel in ``geom``) decides signs
 the same way on plain ints, without building a ``Q2``; ``z2_quotient``
 turns such ints back into one ``Q2``.
 

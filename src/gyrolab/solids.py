@@ -156,6 +156,12 @@ class Polyhedron:
     def face_center(self, fi: int) -> Vec3:
         return geom.centroid([self.vertices[i] for i in self.faces[fi]])
 
+    def offset(self, ids) -> Vec3:
+        """The centre of the vertices ``ids`` minus the vertex centroid, on the
+        kernel's coordinates: for an exact mesh a positive multiple of it."""
+        k, pts, c = self.kernel.coordinates(self)
+        return k.sub(k.centre([pts[i] for i in ids]), c)
+
     def face_normal(self, fi: int) -> Vec3:
         """Cross product of the first two face edges (faces are convex)."""
         a, b, c = (self.vertices[i] for i in self.faces[fi][:3])

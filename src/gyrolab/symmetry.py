@@ -11,18 +11,21 @@ compares rows of the Gram matrix G_ij = <v_i, v_j> (vertices about their
 centroid): pi is kept iff G_fj = G_pi(f)pi(j) for the three vertices f of a
 frame and every j, decided by the mesh's kernel: exactly on Z[sqrt2]
 lattice ints, or within tolerance x diameter^2 on a well-conditioned frame.
-The map of the frame onto its image is then orthogonal and sends every
+The map M of the frame onto its image is then orthogonal and sends every
 vertex onto its image (Alt, Mehlhorn, Wagener and Welzl 1988); nothing is
-fitted.  A float mesh that misses a lattice symmetry by more than its
-tolerance but less than its square root raises rather than report a smaller
-group.  The group is generated, not enumerated: only flags that no element
-found so far maps the base flag onto are walked, each kept walk is a
-generator, and a breadth-first search closes the generators under
+fitted.  As M v_i = v_pi(i) and the vertices span space, M^n = I exactly
+when pi^n is the identity, so each element's order is read off pi, with no
+matrix powers.  A float mesh that misses a lattice symmetry by more than
+its tolerance but less than its square root raises rather than report a
+smaller group.  The group is generated, not enumerated: only flags that no
+element found so far maps the base flag onto are walked, each kept walk is
+a generator, and a breadth-first search closes the generators under
 composition, checking every product, which also proves the result a group
 (Seress, Permutation Group Algorithms, 2003).  Each rotation's axis is
-named by the two features (vertex, reversed edge, face) it fixes.  A float
-group is snapped into Q(sqrt2) only when every matrix snaps; otherwise the
-report is marked approximate.
+named by the two features (vertex, reversed edge, face) it fixes, the one
+on the positive side of its canonical direction first, as the kernel
+decides on its own coordinates.  A float group is snapped into Q(sqrt2)
+only when every matrix snaps; otherwise the report is marked approximate.
 """
 
 from __future__ import annotations
@@ -32,15 +35,7 @@ import math
 from typing import Iterable, NamedTuple, Sequence
 
 from . import geom
-from .geom import (
-    EXACT,
-    LEAD_EPS,
-    Mat3,
-    Vec3,
-    mat_mul,
-    vdot,
-    vsub,
-)
+from .geom import EXACT, LEAD_EPS, Mat3, Vec3
 from .solids import Polyhedron
 
 
@@ -60,9 +55,9 @@ class InternalGeometryError(ValueError):
 class Isometry(NamedTuple):
     """Orthogonal map (about the vertex centroid) permuting the mesh.
 
-    ``kernel`` decides predicates on ``matrix``: exact for Q2 matrices,
-    the mesh's tolerance kernel for an unsnapped float group.  Every
-    element of a group has the same kernel.
+    ``kernel`` decides predicates on ``matrix``: ``EXACT`` for Q2 matrices,
+    also those of a snapped float group, the mesh's tolerance kernel for an
+    unsnapped one.  Every element of a group has the same kernel.
     """
 
     matrix: Mat3
@@ -74,8 +69,9 @@ class Isometry(NamedTuple):
     def order(self) -> int:
         """Smallest n with self^n = identity, via the vertex permutation.
 
-        The vertices span 3-space, so the permutation determines the
-        matrix and their orders agree.
+        The matrix maps each vertex onto its image and the vertices span
+        3-space, so the permutation determines the matrix and their orders
+        agree.
         """
         n = len(self.vertex_perm)
         perm = self.vertex_perm
@@ -305,10 +301,6 @@ def _close(group: dict, gens: Sequence, base, element) -> None:
                 raise InternalGeometryError("isometry group not closed under composition")
 
 
-def _is_identity(k, m: Mat3) -> bool:
-    return all(k.is_zero(m[i][j] - (1 if i == j else 0)) for i in range(3) for j in range(3))
-
-
 # -- rotation axes -------------------------------------------------------------
 
 
@@ -316,23 +308,24 @@ def rotation_axes(p: Polyhedron, group: Iterable[Isometry]) -> tuple[RotationAxi
     """One axis per pair of surface features fixed by a non-identity
     rotation; order = maximal rotation order about it.
 
-    The features are read off the permutations, so two rotations share
-    an axis exactly when they fix the same pair.  The direction is the
-    kernel's canonical direction of the first such rotation's fixed line.
+    The features and orders are read off the permutations, so two
+    rotations share an axis exactly when they fix the same pair.  The
+    direction is the kernel's canonical direction of the first such
+    rotation's fixed line.
     """
-    k, c = p.kernel, p.vertex_centroid()
+    k = p.kernel
     axes: dict[frozenset, RotationAxis] = {}
     for iso in group:
-        if not iso.proper or iso.order() == 1:
+        order = iso.order()
+        if not iso.proper or order == 1:
             continue
-        order = _verify_rotation(iso)
         features = _fixed_features(p, iso)
         key = frozenset((f.kind, f.ref) for f in features)
         ax = axes.get(key)
         if ax is None:
             d = _fixed_direction(iso)
             a, b = features  # the one on the positive side of d first
-            if k.sign(vdot(vsub(a.point, c), k.vec(d))) < 0:
+            if k.sign(k.dot(p.offset(_ids(p, a.kind, a.ref)), k.vec(d))) < 0:
                 a, b = b, a
             axes[key] = RotationAxis(d, order, (a, b))
         elif order > ax.order:
@@ -340,48 +333,35 @@ def rotation_axes(p: Polyhedron, group: Iterable[Isometry]) -> tuple[RotationAxi
     return tuple(sorted(axes.values(), key=lambda ax: (-ax.order, ax.direction)))
 
 
+def _ids(p: Polyhedron, kind: str, ref) -> tuple[int, ...]:
+    """The vertices whose centroid is the feature's point."""
+    return (ref,) if kind == "vertex" else ref if kind == "edge" else p.faces[ref]
+
+
+def _feature(p: Polyhedron, kind: str, ref) -> Feature:
+    return Feature(kind, ref, geom.centroid([p.vertices[i] for i in _ids(p, kind, ref)]))
+
+
 def _fixed_features(p: Polyhedron, iso: Isometry) -> list[Feature]:
     """The vertices, reversed edges and faces a rotation maps to
     themselves: exactly the two features its axis meets."""
     vp, fp = iso.vertex_perm, iso.face_perm
-    fixed = [Feature("vertex", i, p.vertices[i]) for i in range(p.n_vertices) if vp[i] == i]
-    fixed += [
-        Feature("edge", (i, j), geom.centroid([p.vertices[i], p.vertices[j]]))
-        for (i, j) in p.edges if vp[i] == j and vp[j] == i
-    ]
-    fixed += [Feature("face", f, p.face_center(f)) for f in range(p.n_faces) if fp[f] == f]
+    fixed = [("vertex", i) for i in range(p.n_vertices) if vp[i] == i]
+    fixed += [("edge", (i, j)) for (i, j) in p.edges if vp[i] == j and vp[j] == i]
+    fixed += [("face", f) for f in range(p.n_faces) if fp[f] == f]
     if len(fixed) != 2:
         raise InternalGeometryError(f"rotation fixes {len(fixed)} surface features, not 2")
-    return fixed
+    return [_feature(p, *f) for f in fixed]
 
 
 def _fixed_direction(iso: Isometry) -> Vec3:
     """The rotation's axis in closed form: S = M + M^T - (tr M - 1) I equals
     2 (1 - cos t) u u^T, so its longest column, the one with the largest
     diagonal entry, lies along the axis u, half turns included."""
-    m = iso.matrix
+    k, m = iso.kernel, iso.matrix
     t = m[0][0] + m[1][1] + m[2][2] - 1
     i = max(range(3), key=lambda i: m[i][i])  # S_ii = 2 M_ii - t
-    return iso.kernel.canon_dir(
-        tuple(m[i][j] + m[j][i] - (t if i == j else 0) for j in range(3)))
-
-
-def _verify_rotation(iso: Isometry) -> int:
-    """The rotation's order n, checked as M^n = I with no smaller power.
-
-    For an orthogonal M with det +1 this also fixes its trace to
-    1 + 2cos(2 pi k/n), so no trace table is needed.
-    """
-    k, m = iso.kernel, iso.matrix
-    order = iso.order()
-    power = m
-    for _ in range(1, order):
-        if _is_identity(k, power):
-            raise InternalGeometryError("rotation order overestimated")
-        power = mat_mul(power, m)
-    if not _is_identity(k, power):
-        raise InternalGeometryError("rotation order underestimated")
-    return order
+    return k.canon_dir(k.vec(m[i][j] + m[j][i] - (t if i == j else 0) for j in range(3)))
 
 
 # -- feature incidence ---------------------------------------------------------
@@ -394,16 +374,14 @@ def axis_feature_incidence(
     midpoint) met by the axis line through the centroid."""
     k = p.kernel
     d = k.vec(axis.direction if isinstance(axis, RotationAxis) else axis)
-    c = p.vertex_centroid()
-    features = [Feature("vertex", i, v) for i, v in enumerate(p.vertices)]
-    features += [Feature("edge", (i, j), geom.centroid([p.vertices[i], p.vertices[j]]))
-                 for (i, j) in p.edges]
-    features += [Feature("face", fi, p.face_center(fi)) for fi in range(p.n_faces)]
+    features = [("vertex", i) for i in range(p.n_vertices)]
+    features += [("edge", e) for e in p.edges]
+    features += [("face", fi) for fi in range(p.n_faces)]
     sides: dict[bool, list[Feature]] = {True: [], False: []}
-    for f in features:
-        rel = vsub(f.point, c)
+    for kind, ref in features:
+        rel = p.offset(_ids(p, kind, ref))
         if k.on_line(rel, d):
-            sides[k.sign(vdot(rel, d)) > 0].append(f)
+            sides[k.sign(k.dot(rel, d)) > 0].append(_feature(p, kind, ref))
     for label, side in (("positive", sides[True]), ("negative", sides[False])):
         if len(side) != 1:
             raise InternalGeometryError(f"axis meets {len(side)} features on its {label} side")
@@ -415,7 +393,7 @@ def axis_feature_incidence(
 
 def polar_axis_rotations(p: Polyhedron) -> tuple[int, ...]:
     """Non-identity rotation angles (degrees) about the z axis present in
-    the proper group, each verified by matrix powers."""
+    the proper group."""
     angles = set()
     for iso in isometry_group(p, proper_only=True):
         k, m = iso.kernel, iso.matrix
@@ -423,7 +401,6 @@ def polar_axis_rotations(p: Polyhedron) -> tuple[int, ...]:
             continue
         deg = round(math.degrees(math.atan2(float(m[1][0]), float(m[0][0])))) % 360
         if deg:
-            _verify_rotation(iso)
             angles.add(deg)
     return tuple(sorted(angles))
 

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
+from gyrolab import foldsim
+from gyrolab.cli import main
 from gyrolab.foldsim import check_closure, fold
-from gyrolab.geom import vcross, vdot, vsub
+from gyrolab.geom import vadd, vcross, vdot, vsub
 from gyrolab.netgen import Crease, Gluing, generate_nets, square_corners
-from gyrolab.qfield import Q2
+from gyrolab.qfield import ONE, ZERO, Q2
 from gyrolab.solids import (
     build_pseudo_rhombicuboctahedron,
     build_rhombicuboctahedron,
@@ -364,6 +366,25 @@ def test_one_flat_tab_crease_fails_only_that_tab(net50):
     ]
     assert result.matched
     assert result.closure_residual == failed[0].deviation_sq > Q2(0)
+
+
+@pytest.mark.parametrize("moved", [("strip", (3, 0)), ("cap_north", (2, 0))])
+def test_a_bent_square_fails_a_lookup_without_raising(net50, monkeypatch, capsys, moved):
+    # one corner of a placed face square, or of a glue tab, moved off the
+    # square: the corner-set lookups behind the match and the closure catch it
+    real = foldsim._fold_piece
+
+    def bent(*args):
+        return [sq._replace(corners=(vadd(sq.corners[0], (ONE, ZERO, ZERO)), *sq.corners[1:]))
+                if (sq.piece, sq.pos) == moved else sq for sq in real(*args)]
+
+    monkeypatch.setattr(foldsim, "_fold_piece", bent)
+    for gyration in (0, 45):
+        result = fold(net50, gyration)
+        failed = result.closure.failures()
+        assert not result.matched or (failed and all(c.deviation_sq > 0 for c in failed))
+        assert main(["fold-check", "--gyration", str(gyration)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
 
 
 # sha256 of the fold-check JSON at every turn: a change of layout or fold code

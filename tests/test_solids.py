@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from gyrolab import solids
 from gyrolab.foldsim import fold
-from gyrolab.geom import EXACT, centroid, cycle_order, is_zero_vec, vcross, vdot, vneg, vsub
+from gyrolab.geom import centroid, cycle_order, is_zero_vec, vcross, vdot, vneg, vsub
 from gyrolab.netgen import generate_nets
 from gyrolab.qfield import ONE, SQRT2, Q2, parse
 from gyrolab.solids import (
@@ -360,7 +360,8 @@ def _oracle_hull(vertices):
                 nrm = vcross(eij, vsub(vertices[k], vertices[i]))
                 if is_zero_vec(nrm):
                     continue
-                d = EXACT.canon_dir(nrm)
+                lead = next(x for x in nrm if x)
+                d = tuple(x / lead for x in nrm)  # first nonzero component 1
                 key = (d, vdot(d, vertices[i]))
                 if key in seen_planes:
                     continue

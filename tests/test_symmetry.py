@@ -179,17 +179,6 @@ def test_class_equation(rco_sym, pseudo_sym, cube):
     assert symmetry_report(cube).class_equation_ok
 
 
-def test_rotation_powers_are_exact(rco):
-    ident = geom.q2_identity()
-    for iso in isometry_group(rco, proper_only=True):
-        n = iso.order()
-        power = ident
-        for k in range(1, n):
-            power = mat_mul(power, iso.matrix)
-            assert power != ident
-        assert mat_mul(power, iso.matrix) == ident
-
-
 def test_all_rco_axes_pass_through_opposite_face_centers(rco, rco_sym):
     for ax in rco_sym.axes:
         kinds = {f.kind for f in ax.features}
@@ -532,7 +521,7 @@ def enumerated_group(p) -> tuple:
         perms = flag[3] == base[3] and symmetry._automorphism(p, across, base, flag)
         if perms and keeps_gram_rows(perms[0]):
             m = mat_mul(mat_transpose([verts[perms[0][f]] for f in frame]), frame_inv)
-            isos.append(Isometry(m, k.sign(geom.mat_det(m)) > 0, *perms, k))
+            isos.append(Isometry(m, geom.mat_det(m) > 0, *perms, k))  # by Q2 or float order, not the kernel
     snapped = [iso._replace(matrix=k.snap(iso.matrix), kernel=geom.EXACT) for iso in isos]
     if all(iso.matrix is not None for iso in snapped):
         isos = snapped
@@ -584,6 +573,18 @@ def test_generated_group_equals_the_enumerated_one_after_off(name, edge, noise):
     group = isometry_group(p)
     assert group == enumerated_group(p)
     assert all(iso.kernel.exact for iso in group)  # every matrix snapped
+
+
+@pytest.mark.parametrize("name", sorted(_CORPUS))
+def test_rotation_powers_are_exact(name):
+    # the order read off the vertex permutation against Q2 matrix powers
+    ident = geom.q2_identity()
+    for iso in isometry_group(_corpus_mesh(name, "2"), proper_only=True):
+        power = iso.matrix
+        for _ in range(1, iso.order()):
+            assert power != ident
+            power = mat_mul(power, iso.matrix)
+        assert power == ident
 
 
 def test_walks_only_the_flags_no_element_reaches(rco, pseudo, monkeypatch):
@@ -661,6 +662,10 @@ def test_lattice_decides_like_q2(points, rng):
         cross = k.cross(verts[i], verts[j])
         assert [k.sign(cross[t:t + 2]) for t in (0, 2, 4)] == [
             x.sign() for x in vcross(q2[i], q2[j])]
+    for v in points + q2:  # back from the lattice: divided by its first nonzero entry
+        lead = next((x for x in v if x), None)
+        if lead is not None:
+            assert k.canon_dir(k.vec(v)) == tuple(x / lead for x in v)
     framed = k.frame(verts, gram, 1.0)
     if framed is None:  # every triple is dependent
         assert all(not geom.mat_det((q2[a], q2[b], q2[e]))
