@@ -10,8 +10,10 @@ each in a fresh interpreter, round-robin so that drift on a shared machine
 spreads over all of them.  Each gets two medians: without a bytecode cache
 (every call compiles gyrolab's modules; the standard library's cache is used
 as usual) and with one.  ``--version`` is timed the same way, as start-up on
-its own.  The calls run on copies of ``src/gyrolab`` in a temporary
-directory, so the checkout's own ``__pycache__`` is neither read nor written.
+its own.  Every call must exit 0, except ``net (misfit)``, a net too big
+for its sheet, which must exit 1 (RuntimeError otherwise).  The calls run
+on copies of ``src/gyrolab`` in a temporary directory, so the checkout's
+own ``__pycache__`` is neither read nor written.
 
 The medians go to BENCH_<n>.json at the root of the checkout, n one more
 than the highest there, with the Python version, nproc, the commit and the
@@ -43,21 +45,29 @@ COMMANDS = {
     "analyze --input": ["analyze", "--input", "{tmp}/rco.off"],
     "compare": ["compare"],
     "net": ["net", "-o", "{tmp}/nets.svg"],
+    "net (misfit)": ["net", "--edge", "100", "--paper", "A4", "-o", "{tmp}/misfit.svg"],
     "fold-check": ["fold-check", "--gyration", "45"],
 }
+# a net too big for its sheet ends with one error line and exit code 1
+EXIT_CODES = {"net (misfit)": 1}
 
 
-def call(src: Path, argv: list[str], cached: bool) -> float:
-    """Wall seconds of one fresh `python -m gyrolab ARGV` importing from src."""
+def call(src: Path, argv: list[str], cached: bool, exit_code: int = 0) -> float:
+    """Wall seconds of one fresh `python -m gyrolab ARGV` importing from src;
+    RuntimeError unless it exits with ``exit_code``."""
     env = {k: v for k, v in os.environ.items()
            if not k.startswith("GYROLAB_") and k != "PYTHONDONTWRITEBYTECODE"}
     env["PYTHONPATH"] = str(src)
     if not cached:
         env["PYTHONDONTWRITEBYTECODE"] = "1"
     start = time.perf_counter()
-    subprocess.run([sys.executable, "-m", "gyrolab", *argv], env=env, check=True,
-                   stdout=subprocess.DEVNULL)
-    return time.perf_counter() - start
+    proc = subprocess.run([sys.executable, "-m", "gyrolab", *argv], env=env,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    wall = time.perf_counter() - start
+    if proc.returncode != exit_code:
+        raise RuntimeError(f"gyrolab {' '.join(argv)} exited {proc.returncode}, not"
+                           f" {exit_code}: {proc.stderr.strip()}")
+    return wall
 
 
 def measure(calls: int) -> dict:
@@ -70,13 +80,14 @@ def measure(calls: int) -> dict:
                             ignore=shutil.ignore_patterns("__pycache__"))
         commands = {name: [a.format(tmp=tmp) for a in argv] for name, argv in COMMANDS.items()}
         call(srcs["uncached"], [*COMMANDS["build"], "-o", f"{tmp}/rco.off"], cached=False)
-        for argv in commands.values():  # fill the cached copy's __pycache__
-            call(srcs["cached"], argv, cached=True)
+        for name, argv in commands.items():  # fill the cached copy's __pycache__
+            call(srcs["cached"], argv, cached=True, exit_code=EXIT_CODES.get(name, 0))
         walls = {(name, mode): [] for name in commands for mode in srcs}
         for _ in range(calls):
             for name, argv in commands.items():
                 for mode, src in srcs.items():
-                    walls[name, mode].append(call(src, argv, cached=mode == "cached"))
+                    walls[name, mode].append(call(src, argv, cached=mode == "cached",
+                                                  exit_code=EXIT_CODES.get(name, 0)))
     return {name: {f"{mode}_s": round(statistics.median(walls[name, mode]), 4) for mode in srcs}
             for name in commands}
 

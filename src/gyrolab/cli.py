@@ -132,9 +132,8 @@ def cmd_net(parser, args) -> int:
     from . import netgen
 
     edge = _parse_edge_mm(parser, args.edge)
-    net = netgen.generate_nets(edge)
-    svg = netgen.render_svg(net, args.paper)
-    _write_output(args.output, svg)
+    netgen.check_sheet(edge, args.paper)  # a net that cannot fit builds no solid
+    _write_output(args.output, netgen.render_svg(netgen.generate_nets(edge), args.paper))
     return 0
 
 

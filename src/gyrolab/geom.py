@@ -13,9 +13,8 @@ vertices within the mesh's tolerance.  Both expose the same operations, so
 each geometric algorithm is written once and a ``Polyhedron`` picks its
 kernel once, from its coordinate type.
 
-``cycle_order`` is the one cyclic walk: it orders a hull face's vertices,
-the faces around a vertex and a net piece's outline from adjacency alone,
-with no arithmetic.
+``cycle_order`` is the one cyclic walk: it orders the faces around a
+vertex and a net piece's outline from adjacency alone, with no arithmetic.
 """
 
 from __future__ import annotations
@@ -368,8 +367,10 @@ class ToleranceKernel:
         return ToleranceKernel(math.sqrt(self.tol))
 
     def coordinates(self, p) -> tuple:
-        """This kernel, the vertices and their centroid."""
-        return self, p.vertices, p.vertex_centroid()
+        """This kernel, the vertices and their centroid; once per mesh."""
+        if "centroid" not in p._cache:
+            p._cache["centroid"] = p.vertex_centroid()
+        return self, p.vertices, p._cache["centroid"]
 
     def is_zero(self, x, eps: float | None = None) -> bool:
         return abs(x) <= (self.tol if eps is None else eps)

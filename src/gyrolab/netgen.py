@@ -16,6 +16,12 @@ that are folded are the pieces that are printed.
 Fold targets are interior dihedral angles derived from the built solid,
 not hard-coded; every crease of these nets comes out at the square-square
 dihedral (135 degrees), whose trigonometry is exact over Q(sqrt2).
+
+The sheet is checked before the solid is built: ``check_sheet`` lays out
+the squares alone.  ``solids``, ``belts``, ``geom`` and ``qfield`` are
+imported only where fold targets are derived, and ``geom.cycle_order`` only
+where outlines are drawn, so a net that cannot fit its sheet runs no hull
+and loads no module but this one.
 """
 
 from __future__ import annotations
@@ -24,11 +30,6 @@ import math
 from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple, Optional
-
-from . import belts as belts_mod
-from .geom import cycle_order, vdot
-from .qfield import Q2
-from .solids import Polyhedron, build_rhombicuboctahedron
 
 PAPER_SIZES = {
     "A4": (Fraction(210), Fraction(297)),
@@ -98,15 +99,15 @@ class NetSpec(NamedTuple):
 # -- fold-target derivation ----------------------------------------------------
 
 
-def _interior_dihedral_degrees(p: Polyhedron, f1: int, f2: int) -> int:
-    """Interior dihedral between two adjacent faces, matched against the
-    exactly representable angles {0, 45, 90, 135, 180}."""
+def _interior_dihedral_degrees(p, f1: int, f2: int) -> int:
+    """Interior dihedral between two adjacent faces of the exact solid p,
+    matched against the exactly representable angles {0, 45, 90, 135, 180}."""
+    from .geom import exact_cos_sin, vdot
+
     n1, n2 = p.face_normal(f1), p.face_normal(f2)
     dot = vdot(n1, n2)
     lhs = dot * dot
     nn = vdot(n1, n1) * vdot(n2, n2)
-    from .geom import exact_cos_sin
-
     for deg in (0, 45, 90, 135, 180):
         cos_d, _ = exact_cos_sin(deg)
         # cos(interior) = -dot/|n1||n2|  =>  compare squares plus the sign
@@ -120,10 +121,13 @@ def _derive_fold_targets() -> dict[str, int]:
     strip, pole-to-side for the caps, and the angle that lays a tab into
     its host belt square (side-to-belt, since coplanar-with-host means
     equal dihedrals).  Scale-free, so the unit build suffices."""
-    p = build_rhombicuboctahedron(2)
+    from . import belts, solids
+    from .qfield import Q2
+
+    p = solids.build_rhombicuboctahedron(2)
     zbelt = next(
         b
-        for b in belts_mod.find_belts(p)
+        for b in belts.find_belts(p)
         if b.plane_normal == (Q2(0), Q2(0), Q2(1))
     )
     strip_target = _interior_dihedral_degrees(p, zbelt.faces[0], zbelt.faces[1])
@@ -139,7 +143,7 @@ def _derive_fold_targets() -> dict[str, int]:
             break
     cap_side_target = _interior_dihedral_degrees(p, north_pole, side[1])
     # the tab continues past the side square's outer edge into the belt face
-    outer = belts_mod._opposite_edge(p.faces[side[1]], side[0])
+    outer = belts._opposite_edge(p.faces[side[1]], side[0])
     host = p.other_face(outer, side[1])
     tab_target = _interior_dihedral_degrees(p, side[1], host)
     return {"strip": strip_target, "cap_side": cap_side_target, "cap_tab": tab_target}
@@ -153,8 +157,14 @@ def generate_nets(edge_len: Fraction | int = 50) -> NetSpec:
     edge = Fraction(edge_len)
     if edge <= 0:
         raise ValueError("edge length must be positive")
-    targets = _derive_fold_targets()
+    net, targets = _flat_net(edge), _derive_fold_targets()
+    return net._replace(creases=tuple(c._replace(fold_target=targets[c.fold_target])
+                                      for c in net.creases))
 
+
+def _flat_net(edge: Fraction) -> NetSpec:
+    """The net with each crease's fold target named, not yet measured: all
+    that its layout reads."""
     squares: list[NetSquare] = []
     creases: list[Crease] = []
     gluing: list[Gluing] = []
@@ -163,7 +173,7 @@ def generate_nets(edge_len: Fraction | int = 50) -> NetSpec:
         role = "glue" if i == 8 else "face"
         squares.append(NetSquare("strip", (i, 0), role))
     for i in range(1, 9):
-        creases.append(Crease("strip", (i - 1, 0), (i, 0), targets["strip"]))
+        creases.append(Crease("strip", (i - 1, 0), (i, 0), "strip"))
     gluing.append(Gluing("overlap", "strip", (8, 0), (0, 0)))
 
     for piece in ("cap_north", "cap_south"):
@@ -171,10 +181,8 @@ def generate_nets(edge_len: Fraction | int = 50) -> NetSpec:
         for dx, dy in _CAP_DIRS:
             squares.append(NetSquare(piece, (dx, dy), "face"))
             squares.append(NetSquare(piece, (2 * dx, 2 * dy), "glue"))
-            creases.append(Crease(piece, (0, 0), (dx, dy), targets["cap_side"]))
-            creases.append(
-                Crease(piece, (dx, dy), (2 * dx, 2 * dy), targets["cap_tab"])
-            )
+            creases.append(Crease(piece, (0, 0), (dx, dy), "cap_side"))
+            creases.append(Crease(piece, (dx, dy), (2 * dx, 2 * dy), "cap_tab"))
             gluing.append(Gluing("overlap", piece, (2 * dx, 2 * dy), None))
             gluing.append(Gluing("edge", piece, (dx, dy), None))
 
@@ -228,6 +236,8 @@ def _piece_outline_local(net: NetSpec, piece: str) -> list[tuple]:
         if n == 1:
             adj.setdefault(a, []).append(b)
             adj.setdefault(b, []).append(a)
+    from .geom import cycle_order
+
     loop = cycle_order({pt: sorted(ns) for pt, ns in adj.items()})
     L, m = net.edge_len, len(loop)
     corners: list[tuple] = []
@@ -321,6 +331,21 @@ def plan_layout(net: NetSpec, paper="A2"):
     }
 
 
+def check_sheet(edge_len: Fraction, paper="A2") -> None:
+    """Raise what ``render_svg`` would for nets of square side ``edge_len`` mm
+    on ``paper``: the layout reads only the squares and the edge, so no
+    solid is built."""
+    _sheet_layout(_flat_net(Fraction(edge_len)), paper)
+
+
+def _sheet_layout(net: NetSpec, paper):
+    """``plan_layout``, after a ValueError under ``MIN_SVG_EDGE``."""
+    if net.edge_len < MIN_SVG_EDGE:
+        raise ValueError(f"edge {net.edge_len} mm is below the SVG's smallest edge,"
+                         f" {MIN_SVG_EDGE} mm")
+    return plan_layout(net, paper)
+
+
 # -- SVG ---------------------------------------------------------------------------
 
 
@@ -334,9 +359,7 @@ def render_svg(net: NetSpec, paper="A2") -> str:
     equal to the sheet; ValueError under ``MIN_SVG_EDGE``.  Byte-identical
     across runs for equal inputs."""
     L = net.edge_len
-    if L < MIN_SVG_EDGE:
-        raise ValueError(f"edge {L} mm is below the SVG's smallest edge, {MIN_SVG_EDGE} mm")
-    name, (pw, ph), layout = plan_layout(net, paper)
+    name, (pw, ph), layout = _sheet_layout(net, paper)
     rects: list[str] = []
     creases: list[str] = []
     cuts: list[str] = []

@@ -1,8 +1,8 @@
 """Polyhedron model, exact builders and mesh validation.
 
 The two built-in solids share one construction path: generate the exact
-vertex set over Q(sqrt2), then recover the faces as the supporting-plane
-contact sets of the convex hull, on integers only.  That keeps the gyrated
+vertex set over Q(sqrt2), then recover the faces by gift wrapping the
+convex hull, face to adjacent face, on integers only.  That keeps the gyrated
 builder honest: re-identification of the octagonal ring after the
 45-degree cap turn is positional (exact coordinate coincidence), not index
 bookkeeping.
@@ -24,9 +24,7 @@ identical inputs produce byte-identical downstream artifacts.
 
 from __future__ import annotations
 
-import collections
 import functools
-import itertools
 import math
 import sys
 from fractions import Fraction
@@ -34,7 +32,7 @@ from typing import NamedTuple, Sequence
 
 from . import geom
 from .geom import EXACT, ToleranceKernel, Vec3, vcross, vsub
-from .qfield import ONE, SQRT2, Q2, sign_z2
+from .qfield import ONE, SQRT2, Q2
 
 
 class OffParseError(ValueError):
@@ -178,87 +176,71 @@ class Polyhedron:
 
 
 def convex_hull_faces(vertices: Sequence[Vec3]) -> list[tuple[int, ...]]:
-    """Faces of the convex hull of exact points in general convex position.
+    """Faces of the convex hull of exact points in general convex position,
+    by gift wrapping (Chand and Kapur, JACM 17(1), 1970).
 
-    Exact and tolerance-free: every plane test is integer arithmetic.  The
-    coordinates are first brought to a common denominator L (the lcm of
-    every coordinate's), so each vertex becomes six ints, the Z[sqrt2]
-    components of its x, y and z; a positive scaling changes neither the
-    faces nor their winding.  For each vertex triple (i, j, k) the plane
-    normal is the Z[sqrt2] cross product of the vectors from vertex i, and
-    the side of every other point is the exact sign (``qfield.sign_z2``)
-    of its Z[sqrt2] dot product with that normal.  A plane with all points
-    on one side contributes the face of every point it contains, wound
-    counterclockwise around the outward normal with no further arithmetic:
-    two points of a face are neighbours on it iff another face holds both,
-    ``geom.cycle_order`` walks that ring from the smallest index, and the
-    sign of the triple's normal says whether to reverse it.  A flat point
-    set has no such rings and raises ValueError.
-
-    Two shortcuts keep the O(n^4) scan cheap without changing its result:
-    a triple whose three points lie in a face already found is skipped, as
-    its plane is that face's; and points are tried in move-to-front order,
-    each point that shows a plane its second side moving to the front, so
-    a plane that does not support the hull is usually refuted after two or
-    three tests.  Intended for small vertex sets (the built-ins have 24).
+    Exact and tolerance-free: each point becomes the six lattice ints of
+    ``geom.z2_scaled``, as a positive scaling changes neither the faces nor
+    their winding, and every decision is a ``geom.EXACT`` plane test.  A
+    wrap pivots a plane about an axis through point u in one pass over the
+    points, switching to any point strictly outside it.  When every point
+    lies in a closed half-space bounded by a plane through the axis, and no
+    two points on that plane lie on opposite sides of the axis, the pass
+    ends on a supporting plane; its normal, axis x (c - u) for the last
+    point c taken, points outward, and the same pass collects the points on
+    it.  The first face: through the lexicographically smallest point p0,
+    wrap about the z direction, then within that plane about its normal for
+    an edge from p0, then about that edge.  After that, each face edge whose
+    reverse is in no face yet is wrapped about, giving the face across it.
+    A face is the points on its plane, sorted counterclockwise around the
+    normal from the edge's first point and started at its smallest index; a
+    ring that does not turn strictly left at every point means a point on
+    the hull that is not a vertex of it, and raises ValueError, as does a
+    collinear or flat point set.  About one pass over the points per face,
+    plus sorting its ring.
     """
-    n = len(vertices)
     pts = geom.z2_scaled(vertices)
-    order = list(range(n))  # points in move-to-front order
-    covered: set = set()  # triples lying in a face already found
-    planes = []  # (sorted members, j, k, whether u x v points outward)
-    for i in range(n):
-        pi = pts[i]
-        rel = [tuple(a - b for a, b in zip(p, pi)) for p in pts]
-        for j in range(i + 1, n):
-            uxp, uxq, uyp, uyq, uzp, uzq = rel[j]
-            for k in range(j + 1, n):
-                if (i, j, k) in covered:
-                    continue
-                vxp, vxq, vyp, vyq, vzp, vzq = rel[k]
-                # normal u x v, each component (p, q) for p + q*sqrt2
-                xp = uyp * vzp + 2 * uyq * vzq - uzp * vyp - 2 * uzq * vyq
-                xq = uyp * vzq + uyq * vzp - uzp * vyq - uzq * vyp
-                yp = uzp * vxp + 2 * uzq * vxq - uxp * vzp - 2 * uxq * vzq
-                yq = uzp * vxq + uzq * vxp - uxp * vzq - uxq * vzp
-                zp = uxp * vyp + 2 * uxq * vyq - uyp * vxp - 2 * uyq * vxq
-                zq = uxp * vyq + uxq * vyp - uyp * vxq - uyq * vxp
-                if not (xp or xq or yp or yq or zp or zq):
-                    continue  # collinear
-                xq2, yq2, zq2 = 2 * xq, 2 * yq, 2 * zq
-                side = 0  # the sign seen off the plane so far
-                members = []
-                for m in order:
-                    wxp, wxq, wyp, wyq, wzp, wzq = rel[m]
-                    s = sign_z2(xp * wxp + xq2 * wxq + yp * wyp + yq2 * wyq
-                                + zp * wzp + zq2 * wzq,
-                                xp * wxq + xq * wxp + yp * wyq + yq * wyp
-                                + zp * wzq + zq * wzp)
-                    if not s:
-                        members.append(m)
-                    elif s != side:
-                        if side:  # points on both sides: not a supporting plane
-                            order.remove(m)
-                            order.insert(0, m)
-                            break
-                        side = s
+    sub, cross, side = EXACT.sub, EXACT.cross, EXACT.plane_side
+    everyone = range(len(pts))
+
+    def wrap(u, axis, cands):
+        """(last point taken, outward normal, points on the plane, and each
+        candidate minus u)."""
+        rel = {m: sub(pts[m], pts[u]) for m in cands}
+        nrm, on_axis, on_plane = None, [], []
+        for m, w in rel.items():
+            if nrm is None or (s := side(nrm, w)) >= 0:
+                x = cross(axis, w)
+                if not any(x):
+                    on_axis.append(m)  # on every plane through the axis
+                elif nrm is None or s > 0:
+                    c, nrm, on_plane = m, x, [m]
                 else:
-                    members.sort()
-                    covered.update(itertools.combinations(members, 3))
-                    planes.append((members, j, k, side < 0))
-    # an edge of a convex polytope lies in exactly two facets, so two
-    # members of a face are adjacent on it iff another face holds both
-    shared = collections.Counter(
-        pair for members, *_ in planes for pair in itertools.permutations(members, 2))
-    faces = []
-    for members, j, k, outward in planes:
-        ring = geom.cycle_order({a: [b for b in members if shared[a, b] > 1]
-                                 for a in members})
-        # the ring starts at i, as the scan meets each face first at its
-        # smallest point; u x v points outward iff j comes before k
-        if (ring.index(j) < ring.index(k)) != outward:
-            ring = ring[:1] + ring[:0:-1]
-        faces.append(tuple(ring))
+                    on_plane.append(m)
+        if nrm is None:
+            raise ValueError("the points are collinear")
+        return c, nrm, on_axis + on_plane, rel
+
+    p0 = min(everyone, key=vertices.__getitem__)
+    _, n1, plane, _ = wrap(p0, (0, 0, 0, 0, 1, 0), everyone)
+    todo, edges, faces = [(p0, wrap(p0, n1, plane)[0])], set(), []
+    while todo:
+        u, v = todo.pop()
+        if (u, v) in edges:
+            continue
+        _, nrm, members, rel = wrap(u, sub(pts[v], pts[u]), everyone)
+        if len(members) == len(pts):
+            raise ValueError("the points are coplanar")
+        # b follows a around u iff (a - u) x (b - u) points along the normal
+        ring = [u] + sorted((m for m in members if m != u), key=functools.cmp_to_key(
+            lambda a, b: side(nrm, cross(rel[b], rel[a]))))
+        if any(side(nrm, cross(sub(pts[b], pts[a]), sub(pts[c], pts[b]))) <= 0
+               for a, b, c in zip(ring, ring[1:] + ring[:1], ring[2:] + ring[:2])):
+            raise ValueError("a point lies on the hull but is not a vertex of it")
+        edges.update(zip(ring, ring[1:] + ring[:1]))
+        todo += zip(ring[1:] + ring[:1], ring)
+        k = ring.index(min(ring))
+        faces.append(tuple(ring[k:] + ring[:k]))
     return sorted(faces, key=sorted)
 
 

@@ -48,6 +48,15 @@ OCTAGONAL_PRISM = sorted(
 )
 TRUNCATED_CUBE = signed_permutations((SQRT2 - 1, ONE, ONE))
 TRUNCATED_CUBOCTAHEDRON = signed_permutations((ONE, ONE + SQRT2, ONE + 2 * SQRT2))
+# not centred: a square frustum (bases of side 4 at z = 0 and 2 at z = 1), and
+# the rhombohedron spanned by the edges (1, 1, 0) sqrt2, (1, 0, 1) sqrt2 and
+# (0, 1, 1) sqrt2 from the origin
+FRUSTUM = sorted((Q2(s * h), Q2(t * h), Q2(z)) for h, z in ((2, 0), (1, 1))
+                 for s in (1, -1) for t in (1, -1))
+_R = Q2(0, 1)
+RHOMBOHEDRON = sorted({tuple(sum(x) for x in zip((Q2(0),) * 3, *vs))
+                       for k in range(4) for vs in itertools.combinations(
+                           ((_R, _R, Q2(0)), (_R, Q2(0), _R), (Q2(0), _R, _R)), k)})
 
 
 def make_cube(half: int = 1) -> Polyhedron:

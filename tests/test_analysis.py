@@ -2,7 +2,7 @@ import itertools
 import json
 import random
 
-from conftest import make_box
+from conftest import RHOMBOHEDRON, make_box
 
 from gyrolab.analysis import (
     _faces_regular,
@@ -63,15 +63,13 @@ def _equilateral_solids():
     regular: a rhombohedron, whose rhombi have corners of 60 and 120 degrees
     (equal cos^2, opposite sides of 90), and a prism over a hexagon with
     corners of 135 and 90 degrees (unequal cos^2)."""
-    r = Q2(0, 1)  # sqrt2: the edge vectors (1, 1, 0) sqrt2 and so on
-    a, b, c = (r, r, Q2(0)), (r, Q2(0), r), (Q2(0), r, r)
-    rhombo = {tuple(sum(x) for x in zip((Q2(0),) * 3, *vs))
-              for k in range(4) for vs in itertools.combinations((a, b, c), k)}
+    r = Q2(0, 1)  # sqrt2
     steps = [(2, 0), (r, r), (-r, r), (-2, 0), (-r, -r), (r, -r)]
     ring = list(itertools.accumulate(steps, lambda p, d: (p[0] + d[0], p[1] + d[1]),
                                      initial=(Q2(0), Q2(0))))[:-1]
     prism = [(x, y, Q2(z)) for x, y in ring for z in (0, 2)]
-    return [Polyhedron(sorted(pts), convex_hull_faces(sorted(pts))) for pts in (rhombo, prism)]
+    return [Polyhedron(sorted(pts), convex_hull_faces(sorted(pts)))
+            for pts in (RHOMBOHEDRON, prism)]
 
 
 def test_equal_edges_with_unequal_corners_are_not_regular():

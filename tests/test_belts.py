@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+from conftest import FRUSTUM
 from gyrolab import belts as belts_mod
 from gyrolab.analysis import analyze
 from gyrolab.belts import belt_square_overlap, find_belts, pole_pairs
@@ -150,9 +151,7 @@ def test_a_band_of_trapezoids_is_no_belt():
     # a square frustum: the band of four lateral trapezoids closes, but its
     # crossing edges are not parallel; each band through both squares is a
     # belt, with the other two trapezoids as its poles
-    pts = sorted((Q2(s * h), Q2(t * h), Q2(z)) for h, z in ((2, 0), (1, 1))
-                 for s in (1, -1) for t in (1, -1))
-    frustum = Polyhedron(pts, convex_hull_faces(pts))
+    frustum = Polyhedron(FRUSTUM, convex_hull_faces(FRUSTUM))
     for p in (frustum, read_off(write_off(frustum))):
         belts = find_belts(p)
         assert [b.length for b in belts] == [4, 4]
@@ -161,3 +160,13 @@ def test_a_band_of_trapezoids_is_no_belt():
             poles = set(b.pole_faces)
             assert len(poles) == 2 and not poles & set(b.faces)
             assert all(0 < sum(p.vertices[i][2] for i in p.faces[f]) < 4 for f in poles)
+
+
+def test_a_float_mesh_computes_its_centroid_once(rco):
+    # every belt face's pole offset is measured from the vertex centroid
+    p = read_off(write_off(rco))
+    calls = []
+    centroid = p.vertex_centroid
+    p.vertex_centroid = lambda: calls.append(1) or centroid()
+    analyze(p)  # validation, the symmetry search, the belts and their overlap
+    assert len(find_belts(p)) == 3 and len(calls) == 1

@@ -300,15 +300,21 @@ def test_net_default_a2(tmp_path, capsys, monkeypatch):
 
 
 def test_net_fit_errors(tmp_path, capsys, monkeypatch):
+    """The whole error line of a net that cannot fit its sheet, checked
+    before any solid is built; an edge too small for the SVG is named
+    first, even on a sheet nothing fits."""
     monkeypatch.delenv("GYROLAB_PAPER", raising=False)
-    code, _, err = run(capsys, "net", "--edge", "50", "--paper", "A4",
-                       "-o", str(tmp_path / "x.svg"))
-    assert code == 1
-    assert "A2" in err
-    code, _, err = run(capsys, "net", "--edge", "30", "--paper", "A4",
-                       "-o", str(tmp_path / "y.svg"))
-    assert code == 1
-    assert "A3" in err
+    no_fit = "error: pieces do not fit A4 (210x297 mm); "
+    for edge, paper, line in [
+        ("50", "A4", no_fit + "smallest standard sheet that fits: A2"),
+        ("30", "A4", no_fit + "smallest standard sheet that fits: A3"),
+        ("300", "A4", no_fit + "no standard sheet up to A0 fits"),
+        ("1/1000", "10x10", "error: edge 1/1000 mm is below the SVG's smallest edge, 1/100 mm"),
+    ]:
+        out = tmp_path / f"{paper}.svg"
+        code, stdout, err = run(capsys, "net", "--edge", edge, "--paper", paper, "-o", str(out))
+        assert (code, stdout, err) == (1, "", line + "\n")
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("paper,env", [
@@ -417,29 +423,33 @@ CLI = {"gyrolab", "gyrolab.cli"}
 BUILD = CLI | {"gyrolab.qfield", "gyrolab.geom", "gyrolab.solids"}
 ANALYZE = BUILD | {"gyrolab.belts", "gyrolab.symmetry", "gyrolab.analysis"}
 NET = BUILD | {"gyrolab.belts", "gyrolab.netgen"}
+MISFIT_NET = CLI | {"gyrolab.netgen"}
 CUBE_OFF = os.path.join(DATA_DIR, "cube.off")
 
 
-@pytest.mark.parametrize("argv,modules,writes_json", [
-    (["--version"], CLI, False),
-    (["build", "--solid", "rco"], BUILD, False),
-    (["build", "--solid", "rco", "--format", "json"], BUILD, True),
-    (["analyze", "--solid", "pseudo-rco"], ANALYZE, False),
-    (["analyze", "--solid", "pseudo-rco", "--json"], ANALYZE, True),
-    (["analyze", "--input", CUBE_OFF], ANALYZE, False),
-    (["analyze", "--input", CUBE_OFF, "--json"], ANALYZE, True),
-    (["compare"], ANALYZE, False),
-    (["compare", "--json"], ANALYZE, True),
-    (["net", "-o", "{tmp}/nets.svg"], NET, False),
-    (["fold-check", "--gyration", "45"], NET | {"gyrolab.foldsim"}, False),
-    (["fold-check", "--gyration", "45", "--json"], NET | {"gyrolab.foldsim"}, True),
+@pytest.mark.parametrize("argv,modules,writes_json,exit_code", [
+    (["--version"], CLI, False, 0),
+    (["build", "--solid", "rco"], BUILD, False, 0),
+    (["build", "--solid", "rco", "--format", "json"], BUILD, True, 0),
+    (["analyze", "--solid", "pseudo-rco"], ANALYZE, False, 0),
+    (["analyze", "--solid", "pseudo-rco", "--json"], ANALYZE, True, 0),
+    (["analyze", "--input", CUBE_OFF], ANALYZE, False, 0),
+    (["analyze", "--input", CUBE_OFF, "--json"], ANALYZE, True, 0),
+    (["compare"], ANALYZE, False, 0),
+    (["compare", "--json"], ANALYZE, True, 0),
+    (["net", "-o", "{tmp}/nets.svg"], NET, False, 0),
+    (["fold-check", "--gyration", "45"], NET | {"gyrolab.foldsim"}, False, 0),
+    (["fold-check", "--gyration", "45", "--json"], NET | {"gyrolab.foldsim"}, True, 0),
+    (["net", "--edge", "100", "--paper", "A4", "-o", "{tmp}/nets.svg"], MISFIT_NET, False, 1),
 ], ids=["version", "build", "build-json", "analyze-solid", "analyze-solid-json", "analyze-input",
-        "analyze-input-json", "compare", "compare-json", "net", "fold-check", "fold-check-json"])
-def test_subcommand_imports_only_what_it_runs(tmp_path, argv, modules, writes_json):
+        "analyze-input-json", "compare", "compare-json", "net", "fold-check", "fold-check-json",
+        "net-misfit"])
+def test_subcommand_imports_only_what_it_runs(tmp_path, argv, modules, writes_json, exit_code):
     """Each call loads its own subcommand's modules and no more: never
-    ``dataclasses`` or ``inspect``, and ``json`` only when it writes JSON."""
+    ``dataclasses`` or ``inspect``, and ``json`` only when it writes JSON.
+    A net that cannot fit its sheet loads no module that builds a solid."""
     code, loaded = modules_loaded(*(a.format(tmp=tmp_path) for a in argv))
-    assert code == 0
+    assert code == exit_code
     assert sorted(m for m in loaded if m.startswith("gyrolab")) == sorted(modules)
     assert not loaded & {"dataclasses", "inspect"}
     assert ("json" in loaded) == writes_json

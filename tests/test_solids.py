@@ -3,18 +3,36 @@ import functools
 import itertools
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
-from conftest import CUBE, OCTAGONAL_PRISM, TRUNCATED_CUBE, TRUNCATED_CUBOCTAHEDRON
+from conftest import (
+    CUBE,
+    FRUSTUM,
+    OCTAGONAL_PRISM,
+    RHOMBOHEDRON,
+    TRUNCATED_CUBE,
+    TRUNCATED_CUBOCTAHEDRON,
+)
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from gyrolab import solids
+from gyrolab.cli import main
 from gyrolab.foldsim import fold
-from gyrolab.geom import centroid, cycle_order, is_zero_vec, vcross, vdot, vneg, vsub
+from gyrolab.geom import (
+    centroid,
+    cycle_order,
+    is_zero_vec,
+    vcross,
+    vdot,
+    vneg,
+    vsub,
+    z2_scaled,
+)
 from gyrolab.netgen import generate_nets
-from gyrolab.qfield import ONE, SQRT2, Q2, parse
+from gyrolab.qfield import ONE, SQRT2, Q2, parse, sign_z2
 from gyrolab.solids import (
     OffParseError,
     Polyhedron,
@@ -162,6 +180,24 @@ def test_one_hull_per_solid_whatever_the_edge(monkeypatch):
     _clear_build_caches()
     fold(generate_nets(50), 45)
     assert len(calls) <= 2
+
+
+def test_a_net_that_cannot_fit_its_sheet_runs_no_hull(monkeypatch, tmp_path, capsys):
+    calls = []
+    hull = solids.convex_hull_faces
+
+    def counting_hull(verts):
+        calls.append(len(verts))
+        return hull(verts)
+
+    monkeypatch.setattr(solids, "convex_hull_faces", counting_hull)
+    monkeypatch.delenv("GYROLAB_PAPER", raising=False)
+    _clear_build_caches()
+    assert main(["net", "--edge", "100", "--paper", "A4", "-o", str(tmp_path / "a4.svg")]) == 1
+    assert "error: pieces do not fit A4" in capsys.readouterr().err
+    assert calls == [] and not (tmp_path / "a4.svg").exists()
+    assert main(["net", "--edge", "40", "--paper", "A2", "-o", str(tmp_path / "a2.svg")]) == 0
+    assert calls == [24]  # the counter sees the hull of a net that fits
 
 
 def test_positive_edge_required():
@@ -441,6 +477,123 @@ def test_hull_equals_the_q2_triple_scan(case):
     else:
         assert faces == _full_set_oracle(full_set)
         assert all(len(points) - 1 not in f for f in faces)  # the origin
+
+
+# -- the gift wrap against the integer triple scan it replaced -----------------
+
+
+def _triple_scan_hull(vertices):
+    """The integer triple scan, with its own Z[sqrt2] algebra: for every
+    vertex triple, the plane normal and the exact side (``sign_z2``) of
+    every point, on the lattice ints of ``geom.z2_scaled``.  A plane with
+    every point on one side contributes the points on it; two of them are
+    neighbours iff another such plane holds both, ``cycle_order`` walks the
+    ring from the smallest, and the sign of the triple's normal sets the
+    winding.  O(n^4), with covered triples skipped and points tried in
+    move-to-front order."""
+    n = len(vertices)
+    pts = z2_scaled(vertices)
+    order = list(range(n))
+    covered: set = set()
+    planes = []  # (sorted members, j, k, whether u x v points outward)
+    for i in range(n):
+        rel = [tuple(a - b for a, b in zip(p, pts[i])) for p in pts]
+        for j in range(i + 1, n):
+            uxp, uxq, uyp, uyq, uzp, uzq = rel[j]
+            for k in range(j + 1, n):
+                if (i, j, k) in covered:
+                    continue
+                vxp, vxq, vyp, vyq, vzp, vzq = rel[k]
+                # normal u x v, each component (p, q) for p + q*sqrt2
+                xp = uyp * vzp + 2 * uyq * vzq - uzp * vyp - 2 * uzq * vyq
+                xq = uyp * vzq + uyq * vzp - uzp * vyq - uzq * vyp
+                yp = uzp * vxp + 2 * uzq * vxq - uxp * vzp - 2 * uxq * vzq
+                yq = uzp * vxq + uzq * vxp - uxp * vzq - uxq * vzp
+                zp = uxp * vyp + 2 * uxq * vyq - uyp * vxp - 2 * uyq * vxq
+                zq = uxp * vyq + uxq * vyp - uyp * vxq - uyq * vxp
+                if not (xp or xq or yp or yq or zp or zq):
+                    continue  # collinear
+                side, members = 0, []
+                for m in order:
+                    wxp, wxq, wyp, wyq, wzp, wzq = rel[m]
+                    s = sign_z2(xp * wxp + 2 * xq * wxq + yp * wyp + 2 * yq * wyq
+                                + zp * wzp + 2 * zq * wzq,
+                                xp * wxq + xq * wxp + yp * wyq + yq * wyp
+                                + zp * wzq + zq * wzp)
+                    if not s:
+                        members.append(m)
+                    elif s != side:
+                        if side:
+                            order.remove(m)
+                            order.insert(0, m)
+                            break
+                        side = s
+                else:
+                    members.sort()
+                    covered.update(itertools.combinations(members, 3))
+                    planes.append((members, j, k, side < 0))
+    shared = collections.Counter(
+        pair for members, *_ in planes for pair in itertools.permutations(members, 2))
+    faces = []
+    for members, j, k, outward in planes:
+        ring = cycle_order({a: [b for b in members if shared[a, b] > 1] for a in members})
+        if (ring.index(j) < ring.index(k)) != outward:
+            ring = ring[:1] + ring[:0:-1]
+        faces.append(tuple(ring))
+    return sorted(faces, key=sorted)
+
+
+_WRAP_POINT_SETS = {
+    "cube": CUBE,
+    "octagonal prism": OCTAGONAL_PRISM,
+    "truncated cube": TRUNCATED_CUBE,
+    "truncated cuboctahedron": TRUNCATED_CUBOCTAHEDRON,
+    "rco": sorted(solids._rco_points()),
+    "pseudo": sorted(solids._pseudo_points()),
+    "frustum": FRUSTUM,
+    "rhombohedron": RHOMBOHEDRON,
+}
+
+
+def _scaled_and_shuffled(points, seed):
+    """The points times 7/3 - sqrt2 (positive, irrational), in a seeded
+    random order."""
+    k = Q2(Fraction(7, 3), -1)
+    order = list(range(len(points)))
+    random.Random(seed).shuffle(order)
+    return [tuple(c * k for c in points[i]) for i in order]
+
+
+@pytest.mark.parametrize("name", sorted(_WRAP_POINT_SETS))
+def test_gift_wrap_equals_the_triple_scan(name):
+    points = list(_WRAP_POINT_SETS[name])
+    for pts in (points, _scaled_and_shuffled(points, name)):
+        assert convex_hull_faces(pts) == _triple_scan_hull(pts)  # faces, winding, order
+
+
+@pytest.mark.parametrize("name", sorted(_WRAP_POINT_SETS))
+def test_an_interior_point_is_on_no_face(name):
+    points = list(_WRAP_POINT_SETS[name])
+    for pts in (points, _scaled_and_shuffled(points, name)):
+        faces = convex_hull_faces(pts + [centroid(pts)])
+        assert faces == convex_hull_faces(pts)  # so the centroid, last, is on none
+
+
+_FLAT_OCTAGON = [v for v in solids._rco_points() if v[2] == ONE]
+
+
+@pytest.mark.parametrize("points", [
+    [], CUBE[:1], CUBE[:2], CUBE[:3], CUBE[:4], _FLAT_OCTAGON,
+    [(Q2(k), Q2(2 * k), Q2(-k)) for k in range(5)],
+    [(ONE, ONE, Q2(k)) for k in range(5)],
+    CUBE + [(Q2(0), Q2(0), ONE)], CUBE + [(Q2(0), ONE, ONE)],
+], ids=["none", "one", "two", "three", "flat square", "flat octagon", "collinear",
+        "collinear along z", "face centre", "edge midpoint"])
+def test_degenerate_point_sets_raise(points):
+    """Fewer than 4 points, a flat or collinear set, or a point on the hull
+    that is not a vertex of it."""
+    with pytest.raises(ValueError):
+        convex_hull_faces(points)
 
 
 @pytest.mark.parametrize("points,census", [
