@@ -96,8 +96,8 @@ class AnalysisReport(NamedTuple):
 def _faces_regular(p: Polyhedron) -> bool:
     """Equal edge lengths plus per-face equal corner angles (planarity is
     already covered by validation); no full Archimedean classification.
-    Decided by the kernel on its coordinates (lattice ints when exact)."""
-    k, pts, _ = p.kernel.coordinates(p)
+    Decided by the kernel on ``p.points``."""
+    k, pts = p.kernel, p.points
     edges = (k.sub(pts[j], pts[i]) for (i, j) in p.edges)
     if not k.all_equal([k.dot(d, d) for d in edges]):
         return False

@@ -5,8 +5,8 @@ the edge opposite the entry edge, and keep going; a walk that returns to
 its start without ever entering a non-quad face is a closed band of
 squares.  No equator-plane search, so the result is pose-independent and
 exact.  Parallel crossing edges, the belt normal and the pole faces are
-decided by the mesh's kernel on its own coordinates (lattice ints for an
-exact mesh); the normal comes back as the kernel's canonical direction.
+decided by the mesh's kernel on ``Polyhedron.points``; the normal comes back
+as the kernel's canonical direction.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ def find_belts(p: Polyhedron) -> tuple[Belt, ...]:
     if "belts" in p._cache:
         return p._cache["belts"]
     belts: dict[frozenset, Belt] = {}
-    k, pts, _ = p.kernel.coordinates(p)
+    k, pts = p.kernel, p.points
     for start_face, face in enumerate(p.faces):
         if len(face) != 4:
             continue

@@ -214,8 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--input", metavar="FILE.off", help="analyze an OFF mesh")
     p_an.add_argument("--edge", default=DEFAULT_BUILD_EDGE)
     p_an.add_argument("--tolerance", type=_parse_tolerance, default=1e-9,
-                      help="tolerance for ingested meshes, finite and positive"
-                      " (default 1e-9)")
+                      help="tolerance for ingested meshes, relative to the mesh's"
+                      " diameter, finite and positive (default 1e-9)")
     p_an.add_argument("--json", action="store_true")
     p_an.set_defaults(func=cmd_analyze)
 

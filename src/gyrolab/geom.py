@@ -3,13 +3,14 @@
 The arithmetic helpers are generic: they work on triples of ``Q2`` (exact
 meshes) and on triples of ``float`` (ingested meshes) alike, because both
 support ``+ - * /``.  Every decision (is this zero, which sign, which
-canonical direction) goes through a kernel instead, on the coordinates
-``kernel.coordinates(p)`` hands out once per mesh.  ``EXACT`` decides on
-Z[sqrt2] lattice ints with no tolerance: signs and equalities do not change
-under a positive scaling, so each vertex becomes six ints, n L (v - c),
-whose signs ``qfield.sign_z2`` decides; ``Q2`` stays the type of storage,
-matrix entries and output.  A ``ToleranceKernel`` decides on the float
-vertices within the mesh's tolerance.  Both expose the same operations, so
+canonical direction) goes through a kernel instead, on the vertices about
+their centroid as ``kernel.coordinates`` hands them out, once per mesh.
+``EXACT`` decides on Z[sqrt2] lattice ints with no tolerance: signs and
+equalities do not change under a positive scaling, so each vertex becomes
+six ints, n L (v - c), whose signs ``qfield.sign_z2`` decides; ``Q2`` stays
+the type of storage, matrix entries and output.  A ``ToleranceKernel``
+decides on (v - c) / D, D the mesh's diameter, within its tolerance, so no
+verdict depends on the mesh's scale.  Both expose the same operations, so
 each geometric algorithm is written once and a ``Polyhedron`` picks its
 kernel once, from its coordinate type.
 
@@ -73,10 +74,6 @@ def mat_transpose(m: Mat3) -> Mat3:
 
 def mat_det(m: Mat3):
     return vdot(m[0], vcross(m[1], m[2]))
-
-
-def q2_identity() -> Mat3:
-    return ((ONE, ZERO, ZERO), (ZERO, ONE, ZERO), (ZERO, ZERO, ONE))
 
 
 def exact_cos_sin(degrees: int) -> tuple[Q2, Q2]:
@@ -207,7 +204,7 @@ def snap_matrix_to_q2(m: Mat3, tol: float = 1e-9) -> Mat3 | None:
 # -- predicate kernels ---------------------------------------------------------
 
 # Fixed thresholds of the float kernel; the exact kernel ignores them.
-LEAD_EPS = 1e-6  # leading component of a unit direction; fixed z axis
+LEAD_EPS = 1e-6  # leading component of a unit direction
 SNAP_EPS = 1e-9  # matrix entries snapped into Q(sqrt2)
 SCALAR_DIGITS = 9  # rounding of directions
 
@@ -226,16 +223,12 @@ class ExactKernel:
         """Itself: an exact decision is never a near miss."""
         return self
 
-    def coordinates(self, p) -> tuple:
-        """(kernel, points, centre) that the mesh's predicates are decided on:
-        this kernel, n L (v - c) for each vertex v (c the vertex centroid, n
-        the vertex count, L as in ``z2_scaled``) and the origin; once per mesh."""
-        if "lattice" not in p._cache:
-            pts = z2_scaled([tuple(map(Q2.coerce, v)) for v in p.vertices])
-            total = [sum(col) for col in zip(*pts)]
-            p._cache["lattice"] = [tuple(len(pts) * x - t for x, t in zip(v, total))
-                                   for v in pts]
-        return self, p._cache["lattice"], (0,) * 6
+    def coordinates(self, vertices) -> list[tuple[int, ...]]:
+        """The vertices about their centroid c as lattice ints: n L (v - c)
+        for each vertex v, n the vertex count and L as in ``z2_scaled``."""
+        pts = z2_scaled([tuple(map(Q2.coerce, v)) for v in vertices])
+        total = [sum(col) for col in zip(*pts)]
+        return [tuple(len(pts) * x - t for x, t in zip(v, total)) for v in pts]
 
     @staticmethod
     def sub(u, v) -> tuple:
@@ -274,25 +267,20 @@ class ExactKernel:
         the vertex centroid."""
         return tuple(map(sum, zip(*points)))
 
-    def is_zero(self, x, eps: float | None = None) -> bool:
-        """The Q2 matrix entry x is 0; ``eps`` is ignored."""
+    def is_zero(self, x) -> bool:
+        """The Q2 matrix entry x is 0."""
         return not x
 
     def sign(self, x) -> int:
         return sign_z2(*x)
 
-    def equal(self, x, y, scale: float = 1.0) -> bool:
-        """x = y; ``scale`` (the size x and y are measured against) is ignored."""
+    def equal(self, x, y) -> bool:
         return x == y
 
     def all_equal(self, xs) -> bool:
         return len(set(xs)) <= 1
 
     is_zero_vec = staticmethod(is_zero_vec)
-
-    def diameter(self, points) -> float:
-        """1.0, measuring nothing: ``equal`` ignores the scale."""
-        return 1.0
 
     def on_line(self, rel, d) -> bool:
         """rel is a nonzero multiple of d."""
@@ -317,7 +305,7 @@ class ExactKernel:
         return (self.sign(d0) == self.sign(d1)
                 and mul(mul(d0, d0), mul(a1, b1)) == mul(mul(d1, d1), mul(a0, b0)))
 
-    def frame(self, verts, gram, scale) -> tuple | None:
+    def frame(self, verts, gram) -> tuple | None:
         """The first independent vertices (a, b, c), then the columns of adj F
         and det F for F = [v_a v_b v_c]: an exact map needs no conditioning.
         None if there are none."""
@@ -366,26 +354,25 @@ class ToleranceKernel:
         miss, which cannot be told apart from noise in the input."""
         return ToleranceKernel(math.sqrt(self.tol))
 
-    def coordinates(self, p) -> tuple:
-        """This kernel, the vertices and their centroid; once per mesh."""
-        if "centroid" not in p._cache:
-            p._cache["centroid"] = p.vertex_centroid()
-        return self, p.vertices, p._cache["centroid"]
+    def coordinates(self, vertices) -> list[Vec3]:
+        """(v - c) / D for each vertex v, c the vertex centroid and D the
+        largest distance between two vertices (1 if that is 0)."""
+        pts = [tuple(map(float, v)) for v in vertices]
+        c = centroid(pts)
+        d = max(itertools.starmap(math.dist, itertools.combinations(pts, 2)), default=0.0)
+        return [tuple((x - m) / (d or 1.0) for x, m in zip(v, c)) for v in pts]
 
-    def is_zero(self, x, eps: float | None = None) -> bool:
-        return abs(x) <= (self.tol if eps is None else eps)
+    def is_zero(self, x) -> bool:
+        return abs(x) <= self.tol
 
     def sign(self, x) -> int:
         return 0 if self.is_zero(x) else (1 if x > 0 else -1)
 
-    def equal(self, x, y, scale: float = 1.0) -> bool:
-        """|x - y| within tolerance x ``scale``."""
-        return abs(x - y) <= self.tol * scale
+    def equal(self, x, y) -> bool:
+        return self.is_zero(x - y)
 
     def all_equal(self, xs) -> bool:
-        """Within tolerance of the largest, relative to it once over 1."""
-        hi = max(xs, default=0)
-        return self.is_zero((hi - min(xs, default=0)) / max(1, hi))
+        return self.is_zero(max(xs, default=0) - min(xs, default=0))
 
     def same_angle(self, c0, c1) -> bool:
         """Corners (a.b, a.a, b.b) with cos^2 within tolerance, on the same
@@ -397,14 +384,9 @@ class ToleranceKernel:
     def is_zero_vec(self, v: Vec3) -> bool:
         return _norm(v) <= self.tol
 
-    def diameter(self, points: Sequence[Vec3]) -> float:
-        """The largest distance between two points, a scale for ``equal``."""
-        pts = [tuple(map(float, v)) for v in points]
-        return max(math.dist(u, w) for u, w in itertools.combinations(pts, 2))
-
     def on_line(self, rel: Vec3, d: Vec3) -> bool:
-        rel_n = _norm(rel)
-        return rel_n > self.tol and _norm(vcross(rel, d)) <= self.tol * max(1.0, rel_n)
+        """rel is a nonzero multiple of the unit vector d."""
+        return not self.is_zero_vec(rel) and self.is_zero_vec(vcross(rel, d))
 
     def plane_side(self, n: Vec3, w: Vec3) -> int:
         return self.sign(float(vdot(n, w)) / _norm(n))
@@ -417,19 +399,19 @@ class ToleranceKernel:
             v = vneg(v)
         return tuple(round(x, SCALAR_DIGITS) for x in v)
 
-    def frame(self, verts, gram, scale) -> tuple | None:
+    def frame(self, verts, gram) -> tuple | None:
         """A well-conditioned frame (a, b, c) and the inverse of F = [v_a v_b v_c]:
         a has the largest norm, b maximises G_aa G_bb - G_ab^2 and c the Gram
         determinant of (a, b, c), which is (det F)^2 = (v_c . v_a x v_b)^2.
         F^-1 has rows v_b x v_c, v_c x v_a and v_a x v_b over det F.  None
-        if that determinant is within tolerance x scale^3 of 0."""
+        if that determinant is within tolerance of 0."""
         n = range(len(verts))
         a = max(n, key=lambda i: gram[i][i])
         b = max(n, key=lambda j: gram[a][a] * gram[j][j] - gram[a][j] * gram[a][j])
         normal = vcross(verts[a], verts[b])
         heights = [vdot(normal, v) for v in verts]
         c = max(n, key=lambda j: heights[j] * heights[j])
-        if self.equal(heights[c] * heights[c], 0, scale ** 3):
+        if self.is_zero(heights[c] * heights[c]):
             return None
         rows = (vcross(verts[b], verts[c]), vcross(verts[c], verts[a]), normal)
         return (a, b, c), tuple(tuple(x / heights[c] for x in r) for r in rows)

@@ -15,7 +15,8 @@ neither the vertex order nor the faces nor their winding.
 Every ``Polyhedron`` carries one predicate kernel (``geom``), chosen from
 its coordinate type when it is made: exact for Q2 coordinates, tolerance
 based for floats read from OFF.  Validation and every later analysis make
-their decisions through it, so one code path serves both kinds of mesh.
+their decisions through it, on ``Polyhedron.points`` (lattice ints, or floats
+in units of the diameter), so one code path serves both kinds of mesh.
 
 Canonical pose: vertex centroid at the origin, the polar axis along z,
 the gyrated cap on top.  Vertices and faces are sorted canonically so
@@ -93,8 +94,8 @@ class Polyhedron:
     """Immutable vertex/face mesh; adjacency derived once at construction.
 
     Q2 coordinates get the exact kernel; float coordinates (ingested
-    meshes) get a tolerance kernel with the given ``tolerance``, which
-    must be finite and positive (ValueError otherwise).
+    meshes) get a tolerance kernel with the given ``tolerance``, relative
+    to the diameter, finite and positive (ValueError otherwise).
     Adjacency is purely combinatorial and never raises on malformed
     indices; ``validate`` reports those instead.
     """
@@ -130,6 +131,11 @@ class Polyhedron:
     def exact(self) -> bool:
         return self.kernel.exact
 
+    @functools.cached_property
+    def points(self) -> list:
+        """The vertices about their centroid in the kernel's coordinates."""
+        return self.kernel.coordinates(self.vertices)
+
     # counts ---------------------------------------------------------------
 
     @property
@@ -155,10 +161,9 @@ class Polyhedron:
         return geom.centroid([self.vertices[i] for i in self.faces[fi]])
 
     def offset(self, ids) -> Vec3:
-        """The centre of the vertices ``ids`` minus the vertex centroid, on the
-        kernel's coordinates: for an exact mesh a positive multiple of it."""
-        k, pts, c = self.kernel.coordinates(self)
-        return k.sub(k.centre([pts[i] for i in ids]), c)
+        """The centre of the vertices ``ids`` minus the vertex centroid, in
+        ``points``' coordinates: for an exact mesh a positive multiple of it."""
+        return self.kernel.centre([self.points[i] for i in ids])
 
     def face_normal(self, fi: int) -> Vec3:
         """Cross product of the first two face edges (faces are convex)."""
@@ -363,7 +368,7 @@ def validate(p: Polyhedron) -> ValidationReport:
     """Structural and geometric checks; never raises on malformed input.
 
     Geometric checks decide through the mesh's kernel: exactly for Q2
-    meshes, within the mesh tolerance for float meshes.
+    meshes, within the mesh tolerance x its diameter for float meshes.
     """
     checks: list[Check] = []
     n = p.n_vertices
@@ -428,18 +433,18 @@ def validate(p: Polyhedron) -> ValidationReport:
 
 def _geometric_checks(p: Polyhedron) -> list[Check]:
     """Planarity, outward normals and convexity, decided by the kernel on
-    its coordinates (lattice ints for an exact mesh)."""
+    ``p.points``."""
     planar_bad: list[int] = []
     outward_bad: list[int] = []
     convex_ok = True
-    k, pts, c = p.kernel.coordinates(p)
+    k, pts = p.kernel, p.points
     for fi, f in enumerate(p.faces):
         base = pts[f[0]]
         nrm = k.cross(k.sub(pts[f[1]], base), k.sub(pts[f[2]], base))
         if k.is_zero_vec(nrm) or any(k.plane_side(nrm, k.sub(pts[i], base)) for i in f):
             planar_bad.append(fi)
             continue
-        if k.plane_side(nrm, k.sub(base, c)) <= 0:
+        if k.plane_side(nrm, base) <= 0:
             outward_bad.append(fi)
         if any(k.plane_side(nrm, k.sub(v, base)) > 0 for v in pts):
             convex_ok = False
@@ -474,7 +479,7 @@ def write_off(p: Polyhedron) -> str:
 
 def read_off(text: str, tolerance: float = 1e-9) -> Polyhedron:
     """Parse ASCII OFF into a float polyhedron with the given tolerance
-    (finite and positive, as for ``Polyhedron``).
+    (relative to its diameter, finite and positive, as for ``Polyhedron``).
 
     Raises OffParseError with the offending line number; blank lines and
     ``#`` comments are skipped, trailing face color values are ignored.

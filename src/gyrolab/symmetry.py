@@ -10,7 +10,8 @@ above (Mani 1971).  The filter, the same for exact and float meshes,
 compares rows of the Gram matrix G_ij = <v_i, v_j> (vertices about their
 centroid): pi is kept iff G_fj = G_pi(f)pi(j) for the three vertices f of a
 frame and every j, decided by the mesh's kernel: exactly on Z[sqrt2]
-lattice ints, or within tolerance x diameter^2 on a well-conditioned frame.
+lattice ints, or within tolerance on floats in units of the diameter (so
+within tolerance x diameter^2 on raw Gram entries) on a well-conditioned frame.
 The map M of the frame onto its image is then orthogonal and sends every
 vertex onto its image (Alt, Mehlhorn, Wagener and Welzl 1988); nothing is
 fitted.  As M v_i = v_pi(i) and the vertices span space, M^n = I exactly
@@ -35,7 +36,7 @@ import math
 from typing import Iterable, NamedTuple, Sequence
 
 from . import geom
-from .geom import EXACT, LEAD_EPS, Mat3, Vec3
+from .geom import EXACT, Mat3, Vec3
 from .solids import Polyhedron
 
 
@@ -225,16 +226,14 @@ def _isometry_group(p: Polyhedron) -> tuple[Isometry, ...]:
     frame's rows of the Gram matrix; each element's matrix maps the frame
     onto its image.  Only base-flag images that no element found so far
     reaches are walked; each walk that keeps the rows adds a generator."""
-    k, pts, c = p.kernel.coordinates(p)
-    verts = [k.sub(v, c) for v in pts]
+    k, verts = p.kernel, p.points
     flags = list(_flags(p))
     if not flags:
         raise DegenerateGeometryError("no faces or no three linearly independent vertices")
     gram = [[None] * len(verts) for _ in verts]
     for i, j in itertools.combinations_with_replacement(range(len(verts)), 2):
         gram[i][j] = gram[j][i] = k.dot(verts[i], verts[j])
-    scale = k.diameter(verts) ** 2  # the size of a Gram entry
-    framed = k.frame(verts, gram, scale)
+    framed = k.frame(verts, gram)
     if framed is None:
         raise DegenerateGeometryError("no faces or no three linearly independent vertices")
     frame, frame_inv = framed
@@ -242,8 +241,8 @@ def _isometry_group(p: Polyhedron) -> tuple[Isometry, ...]:
     candidates = {flag[:3] for flag in flags if flag[3] == base[3]}
 
     def keeps_gram_rows(kernel, vperm):  # G_fj = G_pi(f)pi(j), frame f, every j
-        return all(all(map(kernel.equal, gram[f], map(gram[vperm[f]].__getitem__, vperm),
-                           itertools.repeat(scale))) for f in frame)
+        return all(all(map(kernel.equal, gram[f], map(gram[vperm[f]].__getitem__, vperm)))
+                   for f in frame)
 
     def element(vperm, fperm):
         if ((vperm[base[0]], vperm[base[1]], fperm[base[2]]) not in candidates
@@ -397,7 +396,7 @@ def polar_axis_rotations(p: Polyhedron) -> tuple[int, ...]:
     angles = set()
     for iso in isometry_group(p, proper_only=True):
         k, m = iso.kernel, iso.matrix
-        if not all(k.is_zero(x, LEAD_EPS) for x in (m[0][2], m[1][2], m[2][2] - 1)):
+        if not all(k.is_zero(x) for x in (m[0][2], m[1][2], m[2][2] - 1)):
             continue
         deg = round(math.degrees(math.atan2(float(m[1][0]), float(m[0][0])))) % 360
         if deg:

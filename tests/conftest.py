@@ -8,7 +8,7 @@ import pytest
 
 from gyrolab.geom import vcross, vdot, vsub
 from gyrolab.netgen import generate_nets
-from gyrolab.qfield import ONE, SQRT2, Q2
+from gyrolab.qfield import ONE, SQRT2, ZERO, Q2
 from gyrolab.solids import (
     Polyhedron,
     build_pseudo_rhombicuboctahedron,
@@ -18,6 +18,10 @@ from gyrolab.solids import (
 from gyrolab.symmetry import symmetry_report
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
+
+
+def q2_identity() -> tuple:
+    return ((ONE, ZERO, ZERO), (ZERO, ONE, ZERO), (ZERO, ZERO, ONE))
 
 
 def noisy_off(text: str, eps: float, rng: random.Random) -> str:
@@ -76,9 +80,9 @@ def make_box() -> Polyhedron:
     return Polyhedron(verts, convex_hull_faces(verts))
 
 
-def make_icosahedron() -> Polyhedron:
-    """The regular icosahedron of edge 2 as a float mesh: its golden-ratio
-    coordinates are not in Q(sqrt2)."""
+def make_icosahedron(scale: float = 1.0) -> Polyhedron:
+    """The regular icosahedron of edge 2 x scale as a float mesh: its
+    golden-ratio coordinates are not in Q(sqrt2)."""
     phi = (1 + 5 ** 0.5) / 2
     verts = [p for a in (-1, 1) for b in (-phi, phi)
              for p in ((0.0, a, b), (a, b, 0.0), (b, 0.0, a))]
@@ -88,7 +92,7 @@ def make_icosahedron() -> Polyhedron:
                for x, y in ((i, j), (j, k), (i, k))):
             nrm = vcross(vsub(verts[j], verts[i]), vsub(verts[k], verts[i]))
             faces.append((i, j, k) if vdot(nrm, verts[i]) > 0 else (i, k, j))
-    return Polyhedron(verts, faces)
+    return Polyhedron([tuple(x * scale for x in v) for v in verts], faces)
 
 
 @pytest.fixture(scope="session")

@@ -8,6 +8,8 @@ a tolerance; the only toleranced path is OFF ingestion at 1e-9.
 import random
 from fractions import Fraction
 
+from conftest import q2_identity
+
 from gyrolab import geom
 from gyrolab.belts import belt_square_overlap, find_belts
 from gyrolab.foldsim import fold
@@ -69,7 +71,7 @@ def test_criterion_4_polar_rotations(rco, pseudo):
         from gyrolab.symmetry import polar_axis_rotations
 
         ez = (ZERO, ZERO, ONE)
-        ident = geom.q2_identity()
+        ident = q2_identity()
         for p in (rco, pseudo):
             assert polar_axis_rotations(p) == (90, 180, 270)
             polar = [

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from conftest import FRUSTUM
 from gyrolab import belts as belts_mod
 from gyrolab.analysis import analyze
@@ -162,11 +163,14 @@ def test_a_band_of_trapezoids_is_no_belt():
             assert all(0 < sum(p.vertices[i][2] for i in p.faces[f]) < 4 for f in poles)
 
 
-def test_a_float_mesh_computes_its_centroid_once(rco):
-    # every belt face's pole offset is measured from the vertex centroid
-    p = read_off(write_off(rco))
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_coordinates_are_computed_once_per_mesh(rco, monkeypatch, mode):
+    # validation, the symmetry search, the belts, their poles and overlap and
+    # face regularity all decide on the mesh's one set of kernel coordinates
+    p = Polyhedron(rco.vertices, rco.faces) if mode == "exact" else read_off(write_off(rco))
     calls = []
-    centroid = p.vertex_centroid
-    p.vertex_centroid = lambda: calls.append(1) or centroid()
-    analyze(p)  # validation, the symmetry search, the belts and their overlap
+    real = type(p.kernel).coordinates
+    monkeypatch.setattr(type(p.kernel), "coordinates",
+                        lambda k, vertices: calls.append(1) or real(k, vertices))
+    analyze(p)
     assert len(find_belts(p)) == 3 and len(calls) == 1

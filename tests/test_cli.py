@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,8 +14,10 @@ from conftest import DATA_DIR, make_cube, make_icosahedron, noisy_off
 
 import gyrolab
 from gyrolab.cli import main
+from gyrolab.qfield import Q2
 from gyrolab.qfield import parse as q2_parse
 from gyrolab.solids import (
+    Polyhedron,
     build_pseudo_rhombicuboctahedron,
     build_rhombicuboctahedron,
     read_off,
@@ -110,16 +113,18 @@ def test_analyze_ingested_off_matches_exact(tmp_path, capsys):
     assert len(doc["belts"]) == 3
 
 
-@pytest.mark.parametrize("edge", ["2/1000", "2/10000"])
-@pytest.mark.parametrize("solid,group", [("rco", "48 (proper 24)"),
-                                         ("pseudo-rco", "16 (proper 8)")])
-def test_analyze_small_float_mesh(tmp_path, capsys, solid, group, edge):
-    # the float symmetry search measures its decisions against the mesh's size
+@pytest.mark.parametrize("edge", ["2/1000", "2/10000", "2/100000"])
+@pytest.mark.parametrize("solid,group,axes,belts", [("rco", "48 (proper 24)", 13, 3),
+                                                    ("pseudo-rco", "16 (proper 8)", 5, 1)])
+def test_analyze_small_float_mesh(tmp_path, capsys, solid, group, axes, belts, edge):
+    # every float decision is measured against the mesh's size
     mesh = tmp_path / "small.off"
     run(capsys, "build", "--solid", solid, "--edge", edge, "-o", str(mesh))
     code, out, err = run(capsys, "analyze", "--input", str(mesh))
     assert (code, err) == (0, "")
     assert f"symmetry group: {group}\n" in out
+    assert f"\nrotation axes: {axes}\n" in out
+    assert f"\nequatorial belts: {belts} " in out
 
 
 _TEN_TO_400 = "1" + "0" * 400
@@ -168,44 +173,55 @@ def test_noisy_input_fails_cleanly(tmp_path, capsys, rco, pseudo, cube_off_text)
         assert code in (0, 1)
 
 
-# full order, axes, vertex orbit sizes
+# full order, axes, vertex orbit sizes, equatorial belts
 LADDER_ANSWERS = {
-    "rco": (48, 13, [24]),
-    "pseudo": (16, 5, [16, 8]),
-    "cube": (48, 13, [8]),
-    "icosahedron": (120, 31, [12]),
+    "rco": (48, 13, [24], 3),
+    "pseudo": (16, 5, [16, 8], 1),
+    "cube": (48, 13, [8], 3),
+    "icosahedron": (120, 31, [12], 0),
 }
+
+
+def _ladder_off(solid: str, scale) -> str:
+    """OFF text of the solid at edge 2 x scale: exact solids scaled exactly,
+    then written as floats."""
+    if solid == "icosahedron":
+        return write_off(make_icosahedron(float(scale)))
+    base = {"rco": build_rhombicuboctahedron, "pseudo": build_pseudo_rhombicuboctahedron,
+            "cube": lambda _: make_cube()}[solid](2)
+    factor = Q2(scale)
+    return write_off(Polyhedron([tuple(x * factor for x in v) for v in base.vertices],
+                                base.faces))
 
 
 @pytest.fixture(scope="module")
 def ladder_off():
-    return {
-        "rco": write_off(build_rhombicuboctahedron(2)),
-        "pseudo": write_off(build_pseudo_rhombicuboctahedron(2)),
-        "cube": write_off(make_cube()),
-        "icosahedron": write_off(make_icosahedron()),
-    }
+    return {(solid, edge): _ladder_off(solid, edge // 2)
+            for solid in LADDER_ANSWERS for edge in (2, 50)}
 
 
 @pytest.mark.parametrize("tol", [1e-9, 1e-5, 1e-3])
 @pytest.mark.parametrize("eps", [0, 1e-12, 1e-10, 1e-8, 1e-7, 1e-6])
+@pytest.mark.parametrize("edge", [2, 50])
 @pytest.mark.parametrize("solid", sorted(LADDER_ANSWERS))
-def test_noise_ladder(tmp_path, capsys, ladder_off, solid, eps, tol):
+def test_noise_ladder(tmp_path, capsys, ladder_off, solid, edge, eps, tol):
     # noise well under the tolerance gives the right answer; above it, the
     # right answer or a clean exit 1, never other counts
     mesh = tmp_path / "mesh.off"
     rng = random.Random(f"{solid}/{eps}/{tol}")
-    mesh.write_text(noisy_off(ladder_off[solid], eps, rng), encoding="utf-8")
+    mesh.write_text(noisy_off(ladder_off[solid, edge], eps, rng), encoding="utf-8")
     code, out, err = run(capsys, "analyze", "--input", str(mesh),
                          "--tolerance", f"{tol:g}", "--json")
     if eps <= tol / 10:
         assert code == 0
         assert json.loads(out)["faces_regular"]
     if code == 0:
-        sym = json.loads(out)["symmetry"]
-        full, axes, orbits = LADDER_ANSWERS[solid]
+        doc = json.loads(out)
+        sym = doc["symmetry"]
+        full, axes, orbits, belts = LADDER_ANSWERS[solid]
         assert (sym["full_order"], len(sym["axes"])) == (full, axes)
         assert sym["orbits"]["sizes"] == orbits
+        assert len(doc["belts"]) == belts
         assert not err
     else:
         assert code == 1
@@ -213,6 +229,24 @@ def test_noise_ladder(tmp_path, capsys, ladder_off, solid, eps, tol):
             assert json.loads(out)["partial"] and not err
         else:
             assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-5])
+@pytest.mark.parametrize("noisy", [False, True], ids=["noise 0", "noise tol/10"])
+@pytest.mark.parametrize("solid", sorted(LADDER_ANSWERS))
+def test_scale_ladder(tmp_path, capsys, solid, noisy, tol):
+    # the solid at edge 2 x 10^k, with the same noise relative to its size:
+    # every verdict is the one at k = 0, apart from the name line
+    mesh = tmp_path / "mesh.off"
+    reports = {}
+    for k in (-12, -6, 0, 6, 12):
+        eps = tol / 10 * 10.0 ** k if noisy else 0
+        text = noisy_off(_ladder_off(solid, Fraction(10) ** k), eps, random.Random(solid))
+        mesh.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "analyze", "--input", str(mesh), "--tolerance", f"{tol:g}")
+        reports[k] = (code, out.split("\n", 1)[1], err)
+    assert reports[0][0] == 0
+    assert all(r == reports[0] for r in reports.values())
 
 
 def test_empty_off_is_a_partial_report(tmp_path, capsys):

@@ -15,6 +15,7 @@ from conftest import (
     make_cube,
     make_icosahedron,
     noisy_off,
+    q2_identity,
 )
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
@@ -122,7 +123,7 @@ def test_group_orders(rco, pseudo, cube):
 def test_group_contains_identity_and_inverses(rco):
     group = isometry_group(rco)
     mats = {iso.matrix for iso in group}
-    ident = geom.q2_identity()
+    ident = q2_identity()
     assert ident in mats
     for iso in group:
         assert geom.mat_transpose(iso.matrix) in mats  # orthogonal inverse
@@ -163,7 +164,7 @@ def test_axis_breakdown_against_trace_classification(rco):
     traces = Counter()
     for iso in proper:
         m = iso.matrix
-        if m == geom.q2_identity():
+        if m == q2_identity():
             continue
         traces[m[0][0] + m[1][1] + m[2][2]] += 1
     assert traces[Q2(1)] == 6  # quarter turns: 3 axes x 2
@@ -332,8 +333,9 @@ def test_box_group_is_a_known_answer():
 # -- the least-squares oracle ---------------------------------------------------
 # An independent filter of the same lattice automorphisms: fit M = H G^-1
 # with H = sum v_pi(i) v_i^T and G = sum v_i v_i^T over the centred vertices,
-# and keep pi iff M^T M = I and M v_i = v_pi(i) for every i, decided by the
-# mesh's kernel (within tolerance x diameter on a float mesh).
+# and keep pi iff M^T M = I and M v_i = v_pi(i) for every i: exactly on an
+# exact mesh, within tolerance x diameter on a float one, the diameter measured
+# here rather than by the kernel under test.
 
 
 def _moments(ws, vs):
@@ -349,11 +351,24 @@ def _inverse(m):
     return mat_transpose(tuple(tuple(x / det for x in col) for col in cols))
 
 
+def _diameter(k, verts) -> float:
+    """The largest distance between two vertices of a float mesh; 1.0 for an
+    exact one, whose decisions need no size."""
+    if k.exact:
+        return 1.0
+    return max(math.dist(u, w) for u, w in itertools.combinations(verts, 2))
+
+
 def _is_small(k, v, diameter) -> bool:
     """v = 0 on an exact mesh, |v| <= tolerance x diameter on a float one."""
     if k.exact:
         return not any(v)
     return math.sqrt(sum(float(x) ** 2 for x in v)) <= k.tol * diameter
+
+
+def _near(k, x, y, size) -> bool:
+    """x = y on an exact mesh, |x - y| <= tolerance x size on a float one."""
+    return x == y if k.exact else abs(x - y) <= k.tol * size
 
 
 def least_squares_group(p) -> dict:
@@ -363,7 +378,7 @@ def least_squares_group(p) -> dict:
     c = p.vertex_centroid()
     verts = [vsub(v, c) for v in p.vertices]
     gram_inv = _inverse(_moments(verts, verts))
-    diameter = k.diameter(verts)
+    diameter = _diameter(k, verts)
     flags = list(symmetry._flags(p))
     base, across = flags[0], symmetry._across(p)
     kept = {}
@@ -419,7 +434,7 @@ def _cayley(a, b, c):
     """The rotation (I - S)(I + S)^-1 of the skew matrix S of (a, b, c):
     rational, and orthogonal with determinant 1."""
     s = ((ZERO, -c, b), (c, ZERO, -a), (-b, a, ZERO))
-    ident = geom.q2_identity()
+    ident = q2_identity()
     minus = tuple(tuple(ident[i][j] - s[i][j] for j in range(3)) for i in range(3))
     plus = tuple(tuple(ident[i][j] + s[i][j] for j in range(3)) for i in range(3))
     return mat_mul(minus, _inverse(plus))
@@ -497,7 +512,7 @@ def _enumerating_frame(k, verts, gram, scale):
     normal = vcross(verts[a], verts[b])
     heights = [vdot(normal, v) for v in verts]
     c = max(n, key=lambda j: heights[j] * heights[j])
-    assert not k.equal(heights[c] * heights[c], 0, scale ** 3)
+    assert not _near(k, heights[c] * heights[c], 0, scale ** 3)
     rows = (vcross(verts[b], verts[c]), vcross(verts[c], verts[a]), normal)
     return (a, b, c), tuple(tuple(x / heights[c] for x in r) for r in rows)
 
@@ -507,11 +522,11 @@ def enumerated_group(p) -> tuple:
     c = p.vertex_centroid()
     verts = tuple(vsub(v, c) for v in p.vertices)
     gram = [[vdot(u, v) for v in verts] for u in verts]
-    scale = k.diameter(verts) ** 2
+    scale = _diameter(k, verts) ** 2
     frame, frame_inv = _enumerating_frame(k, verts, gram, scale)
 
     def keeps_gram_rows(vperm):
-        return all(k.equal(x, gram[vperm[f]][pj], scale)
+        return all(_near(k, x, gram[vperm[f]][pj], scale)
                    for f in frame for x, pj in zip(gram[f], vperm))
 
     flags = list(_enumerating_flags(p))
@@ -578,7 +593,7 @@ def test_generated_group_equals_the_enumerated_one_after_off(name, edge, noise):
 @pytest.mark.parametrize("name", sorted(_CORPUS))
 def test_rotation_powers_are_exact(name):
     # the order read off the vertex permutation against Q2 matrix powers
-    ident = geom.q2_identity()
+    ident = q2_identity()
     for iso in isometry_group(_corpus_mesh(name, "2"), proper_only=True):
         power = iso.matrix
         for _ in range(1, iso.order()):
@@ -652,10 +667,9 @@ _small_q2 = st.builds(Q2, st.fractions(min_value=-3, max_value=3, max_denominato
        st.randoms(use_true_random=False))
 def test_lattice_decides_like_q2(points, rng):
     p = Polyhedron(points, [])
-    k, pts, origin = p.kernel.coordinates(p)
+    k, verts = p.kernel, p.points
     c = p.vertex_centroid()
     q2 = [vsub(v, c) for v in points]
-    verts = [k.sub(v, origin) for v in pts]
     gram = [[k.dot(u, v) for v in verts] for u in verts]
     for i, j in itertools.product(range(len(points)), repeat=2):
         assert k.sign(gram[i][j]) == vdot(q2[i], q2[j]).sign()
@@ -666,7 +680,7 @@ def test_lattice_decides_like_q2(points, rng):
         lead = next((x for x in v if x), None)
         if lead is not None:
             assert k.canon_dir(k.vec(v)) == tuple(x / lead for x in v)
-    framed = k.frame(verts, gram, 1.0)
+    framed = k.frame(verts, gram)
     if framed is None:  # every triple is dependent
         assert all(not geom.mat_det((q2[a], q2[b], q2[e]))
                    for a, b, e in itertools.combinations(range(len(points)), 3))
