@@ -96,22 +96,16 @@ class AnalysisReport(NamedTuple):
 def _faces_regular(p: Polyhedron) -> bool:
     """Equal edge lengths plus per-face equal corner angles (planarity is
     already covered by validation); no full Archimedean classification.
-    Decided by the kernel on ``p.points``."""
+    Decided by the kernel on ``p.points``: once every edge has length e, the
+    corner at v with neighbours u and w has (u - v).(w - v) = e^2 cos(angle),
+    so equal dot products mean equal angles."""
     k, pts = p.kernel, p.points
     edges = (k.sub(pts[j], pts[i]) for (i, j) in p.edges)
     if not k.all_equal([k.dot(d, d) for d in edges]):
         return False
-    for f in p.faces:
-        n = len(f)
-        corners = []
-        for i in range(n):
-            a = k.sub(pts[f[(i - 1) % n]], pts[f[i]])
-            b = k.sub(pts[f[(i + 1) % n]], pts[f[i]])
-            corners.append((k.dot(a, b), k.dot(a, a), k.dot(b, b)))
-        # each corner has the first corner's cos^2 and side of 90 degrees
-        if not all(k.same_angle(corners[0], c) for c in corners[1:]):
-            return False
-    return True
+    return all(k.all_equal([k.dot(k.sub(pts[u], pts[v]), k.sub(pts[w], pts[v]))
+                            for u, v, w in zip(f[-1:] + f[:-1], f, f[1:] + f[:1])])
+               for f in p.faces)
 
 
 def analyze(p: Polyhedron, name: str = "") -> AnalysisReport:

@@ -113,17 +113,10 @@ def pole_pairs(p: Polyhedron, belt: Belt) -> Optional[tuple[int, int]]:
     """The two faces whose centers lie on the belt axis (the line through
     the centroid along the belt normal), positive side first; None unless
     exactly one face center lies on each side."""
-    k = p.kernel
-    d = k.vec(belt.plane_normal)
-    hits: list[tuple[int, int]] = []
-    for fi, f in enumerate(p.faces):
-        rel = p.offset(f)
-        if k.on_line(rel, d):
-            hits.append((fi, k.sign(k.dot(rel, d))))
-    if len(hits) != 2 or hits[0][1] == hits[1][1]:
+    sides = p.on_axis(belt.plane_normal, ("face",))
+    if not len(sides[True]) == len(sides[False]) == 1:
         return None
-    (f0, s0), (f1, _) = hits
-    return (f0, f1) if s0 > 0 else (f1, f0)
+    return sides[True][0][1], sides[False][0][1]
 
 
 def belt_square_overlap(p: Polyhedron) -> BeltOverlap:

@@ -225,8 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_net.add_argument(
         "--paper",
         type=_parse_paper,
-        default=os.environ.get("GYROLAB_PAPER", "A2"),
-        help="A2, A3, A4 or WIDTHxHEIGHT in mm (default A2; env GYROLAB_PAPER)",
+        default="A2",
+        help="A2, A3, A4 or WIDTHxHEIGHT in mm (default A2)",
     )
     p_net.add_argument("-o", "--output", required=True, help="output SVG file")
     p_net.set_defaults(func=cmd_net)

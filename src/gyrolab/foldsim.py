@@ -28,7 +28,8 @@ from . import geom
 from .geom import Mat3, Vec3, mat_mul, mat_vec, vadd, vdot, vsub
 from .netgen import NetSpec, NetSquare, shared_edge, square_cell, square_corners
 from .qfield import ONE, ZERO, Q2
-from .solids import build_pseudo_rhombicuboctahedron, build_rhombicuboctahedron
+from .solids import (Polyhedron, build_pseudo_rhombicuboctahedron, build_rhombicuboctahedron,
+                     write_off)
 
 
 class PlacedSquare(NamedTuple):
@@ -129,23 +130,10 @@ class AssemblyResult:
 
     def to_off(self) -> str:
         """Floating OFF of the assembled face squares, for viewers."""
-        verts: list[Vec3] = []
         index: dict[Vec3, int] = {}
-        faces = []
-        for sq in self.face_squares():
-            ids = []
-            for c in sq.corners:
-                if c not in index:
-                    index[c] = len(verts)
-                    verts.append(c)
-                ids.append(index[c])
-            faces.append(ids)
-        lines = ["OFF", f"{len(verts)} {len(faces)} 0"]
-        for v in verts:
-            lines.append(" ".join(f"{float(c):.17g}" for c in v))
-        for f in faces:
-            lines.append(" ".join(str(x) for x in (len(f), *f)))
-        return "\n".join(lines) + "\n"
+        faces = [[index.setdefault(c, len(index)) for c in sq.corners]
+                 for sq in self.face_squares()]
+        return write_off(Polyhedron(list(index), faces))
 
 
 # -- affine transforms over Q2 ---------------------------------------------------

@@ -121,11 +121,27 @@ def rotation_about_axis_q2(u: Vec3, cos: Q2, sin: Q2) -> Mat3:
 
 
 def centroid(points: Sequence[Vec3]) -> Vec3:
+    """The mean of the points; floats are summed as ``_unit_scaled`` scales
+    them, so the sum is finite whenever the points are."""
+    if not isinstance(points[0][0], float):
+        return _mean(points)
+    e, pts = _unit_scaled(points)
+    return tuple(math.ldexp(x, e) for x in _mean(pts))
+
+
+def _mean(points: Sequence[Vec3]) -> Vec3:
     n = len(points)
     sx = points[0]
     for p in points[1:]:
         sx = vadd(sx, p)
     return (sx[0] / n, sx[1] / n, sx[2] / n)
+
+
+def _unit_scaled(points: Sequence[Vec3]) -> tuple[int, list]:
+    """(e, the float points times 2^-e), e the binary exponent of the largest
+    |coordinate| (0 if there is none): exact, with every coordinate in [-1, 1]."""
+    e = math.frexp(max((abs(x) for v in points for x in v), default=0.0))[1]
+    return e, [tuple(math.ldexp(x, -e) for x in v) for v in points]
 
 
 def z2_scaled(points: Sequence[Vec3]) -> list[tuple[int, ...]]:
@@ -235,10 +251,6 @@ class ExactKernel:
         return (u[0] - v[0], u[1] - v[1], u[2] - v[2], u[3] - v[3], u[4] - v[4], u[5] - v[5])
 
     @staticmethod
-    def mul(x, y) -> tuple[int, int]:
-        return (x[0] * y[0] + 2 * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
-
-    @staticmethod
     def dot(u, v) -> tuple[int, int]:
         uxp, uxq, uyp, uyq, uzp, uzq = u
         vxp, vxq, vyp, vyq, vzp, vzq = v
@@ -282,10 +294,6 @@ class ExactKernel:
 
     is_zero_vec = staticmethod(is_zero_vec)
 
-    def on_line(self, rel, d) -> bool:
-        """rel is a nonzero multiple of d."""
-        return not is_zero_vec(rel) and is_zero_vec(self.cross(rel, d))
-
     def plane_side(self, n, w) -> int:
         """Side of w relative to the plane through 0 with normal n."""
         return sign_z2(*self.dot(n, w))
@@ -297,13 +305,6 @@ class ExactKernel:
         if lead is None:
             raise ValueError("zero vector has no direction")
         return tuple(z2_quotient(*v[r:r + 2], *lead) for r in (0, 2, 4))
-
-    def same_angle(self, c0, c1) -> bool:
-        """Corners (a.b, a.a, b.b) on the same side of 90 degrees with equal
-        cos^2, cross-multiplied."""
-        (d0, a0, b0), (d1, a1, b1), mul = c0, c1, self.mul
-        return (self.sign(d0) == self.sign(d1)
-                and mul(mul(d0, d0), mul(a1, b1)) == mul(mul(d1, d1), mul(a0, b0)))
 
     def frame(self, verts, gram) -> tuple | None:
         """The first independent vertices (a, b, c), then the columns of adj F
@@ -342,7 +343,7 @@ class ToleranceKernel:
 
     exact = False
     sub, dot, cross = staticmethod(vsub), staticmethod(vdot), staticmethod(vcross)
-    centre = staticmethod(centroid)
+    centre = staticmethod(_mean)  # of ``points``, each within 1 of 0: no overflow
 
     def __init__(self, tol: float) -> None:
         self.tol = tol
@@ -356,9 +357,11 @@ class ToleranceKernel:
 
     def coordinates(self, vertices) -> list[Vec3]:
         """(v - c) / D for each vertex v, c the vertex centroid and D the
-        largest distance between two vertices (1 if that is 0)."""
-        pts = [tuple(map(float, v)) for v in vertices]
-        c = centroid(pts)
+        largest distance between two vertices (1 if that is 0), computed on the
+        vertices as ``_unit_scaled`` scales them: the same values, with no sum
+        or distance that overflows."""
+        pts = _unit_scaled([tuple(map(float, v)) for v in vertices])[1]
+        c = _mean(pts)
         d = max(itertools.starmap(math.dist, itertools.combinations(pts, 2)), default=0.0)
         return [tuple((x - m) / (d or 1.0) for x, m in zip(v, c)) for v in pts]
 
@@ -374,19 +377,8 @@ class ToleranceKernel:
     def all_equal(self, xs) -> bool:
         return self.is_zero(max(xs, default=0) - min(xs, default=0))
 
-    def same_angle(self, c0, c1) -> bool:
-        """Corners (a.b, a.a, b.b) with cos^2 within tolerance, on the same
-        side of 90 degrees."""
-        (d0, a0, b0), (d1, a1, b1) = c0, c1
-        return (self.is_zero(d1 * d1 / (a1 * b1) - d0 * d0 / (a0 * b0))
-                and self.sign(d1) == self.sign(d0))
-
     def is_zero_vec(self, v: Vec3) -> bool:
         return _norm(v) <= self.tol
-
-    def on_line(self, rel: Vec3, d: Vec3) -> bool:
-        """rel is a nonzero multiple of the unit vector d."""
-        return not self.is_zero_vec(rel) and self.is_zero_vec(vcross(rel, d))
 
     def plane_side(self, n: Vec3, w: Vec3) -> int:
         return self.sign(float(vdot(n, w)) / _norm(n))

@@ -49,10 +49,6 @@ class FaceCensus(NamedTuple):
     quads: int
     other: int
 
-    @property
-    def total(self) -> int:
-        return self.triangles + self.quads + self.other
-
 
 class Check(NamedTuple):
     name: str
@@ -164,6 +160,27 @@ class Polyhedron:
         """The centre of the vertices ``ids`` minus the vertex centroid, in
         ``points``' coordinates: for an exact mesh a positive multiple of it."""
         return self.kernel.centre([self.points[i] for i in ids])
+
+    def feature_ids(self, kind: str, ref) -> tuple[int, ...]:
+        """The vertices whose centroid is the point of the feature: a vertex
+        index, an (i, j) edge or a face index."""
+        return (ref,) if kind == "vertex" else ref if kind == "edge" else self.faces[ref]
+
+    def on_axis(self, direction: Vec3, kinds=("vertex", "edge", "face")) -> dict[bool, list]:
+        """The (kind, ref) of each feature of ``kinds`` whose point lies on the
+        line through the vertex centroid along ``direction``, but not on the
+        centroid, as the kernel decides on ``points``; keyed by whether it is
+        on the positive side, in vertex, edge, face and index order."""
+        k = self.kernel
+        d = k.vec(direction)
+        refs = {"vertex": range(self.n_vertices), "edge": self.edges, "face": range(self.n_faces)}
+        sides: dict[bool, list] = {True: [], False: []}
+        for kind in kinds:
+            for ref in refs[kind]:
+                rel = self.offset(self.feature_ids(kind, ref))
+                if not k.is_zero_vec(rel) and k.is_zero_vec(k.cross(rel, d)):
+                    sides[k.sign(k.dot(rel, d)) > 0].append((kind, ref))
+        return sides
 
     def face_normal(self, fi: int) -> Vec3:
         """Cross product of the first two face edges (faces are convex)."""

@@ -324,7 +324,7 @@ def rotation_axes(p: Polyhedron, group: Iterable[Isometry]) -> tuple[RotationAxi
         if ax is None:
             d = _fixed_direction(iso)
             a, b = features  # the one on the positive side of d first
-            if k.sign(k.dot(p.offset(_ids(p, a.kind, a.ref)), k.vec(d))) < 0:
+            if k.sign(k.dot(p.offset(p.feature_ids(a.kind, a.ref)), k.vec(d))) < 0:
                 a, b = b, a
             axes[key] = RotationAxis(d, order, (a, b))
         elif order > ax.order:
@@ -332,13 +332,8 @@ def rotation_axes(p: Polyhedron, group: Iterable[Isometry]) -> tuple[RotationAxi
     return tuple(sorted(axes.values(), key=lambda ax: (-ax.order, ax.direction)))
 
 
-def _ids(p: Polyhedron, kind: str, ref) -> tuple[int, ...]:
-    """The vertices whose centroid is the feature's point."""
-    return (ref,) if kind == "vertex" else ref if kind == "edge" else p.faces[ref]
-
-
 def _feature(p: Polyhedron, kind: str, ref) -> Feature:
-    return Feature(kind, ref, geom.centroid([p.vertices[i] for i in _ids(p, kind, ref)]))
+    return Feature(kind, ref, geom.centroid([p.vertices[i] for i in p.feature_ids(kind, ref)]))
 
 
 def _fixed_features(p: Polyhedron, iso: Isometry) -> list[Feature]:
@@ -371,20 +366,11 @@ def axis_feature_incidence(
 ) -> tuple[Feature, Feature]:
     """The two antipodal surface features (face center, vertex, edge
     midpoint) met by the axis line through the centroid."""
-    k = p.kernel
-    d = k.vec(axis.direction if isinstance(axis, RotationAxis) else axis)
-    features = [("vertex", i) for i in range(p.n_vertices)]
-    features += [("edge", e) for e in p.edges]
-    features += [("face", fi) for fi in range(p.n_faces)]
-    sides: dict[bool, list[Feature]] = {True: [], False: []}
-    for kind, ref in features:
-        rel = p.offset(_ids(p, kind, ref))
-        if k.on_line(rel, d):
-            sides[k.sign(k.dot(rel, d)) > 0].append(_feature(p, kind, ref))
+    sides = p.on_axis(axis.direction if isinstance(axis, RotationAxis) else axis)
     for label, side in (("positive", sides[True]), ("negative", sides[False])):
         if len(side) != 1:
             raise InternalGeometryError(f"axis meets {len(side)} features on its {label} side")
-    return sides[True][0], sides[False][0]
+    return _feature(p, *sides[True][0]), _feature(p, *sides[False][0])
 
 
 # -- polar rotations and transitivity -----------------------------------------

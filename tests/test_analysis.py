@@ -2,7 +2,15 @@ import itertools
 import json
 import random
 
-from conftest import RHOMBOHEDRON, make_box
+import pytest
+from conftest import (
+    OCTAGONAL_PRISM,
+    RHOMBOHEDRON,
+    TRUNCATED_CUBE,
+    TRUNCATED_CUBOCTAHEDRON,
+    make_box,
+    noisy_off,
+)
 
 from gyrolab.analysis import (
     _faces_regular,
@@ -78,6 +86,29 @@ def test_equal_edges_with_unequal_corners_are_not_regular():
         for q in (p, read_off(write_off(p))):
             assert not analyze(q).partial
             assert not _faces_regular(q)
+
+
+_REGULAR_FACED = {"truncated cube": TRUNCATED_CUBE,
+                  "truncated cuboctahedron": TRUNCATED_CUBOCTAHEDRON,
+                  "octagonal prism": OCTAGONAL_PRISM}
+
+
+@pytest.mark.parametrize("solid,regular", [
+    *((name, True) for name in _REGULAR_FACED), ("rhombohedron", False), ("hexagonal prism", False),
+])
+def test_faces_regular_on_equilateral_solids(solid, regular):
+    # hexagons and octagons as well as rhombi: exact, and read back from
+    # OFF with noise 1e-10 at tolerance 1e-9
+    if regular:
+        p = Polyhedron(_REGULAR_FACED[solid], convex_hull_faces(_REGULAR_FACED[solid]))
+    else:
+        p = dict(zip(("rhombohedron", "hexagonal prism"), _equilateral_solids()))[solid]
+    noisy = [read_off(noisy_off(write_off(p), 1e-10, random.Random(seed)), 1e-9)
+             for seed in range(5)]
+    for q in [p, *noisy]:
+        r = analyze(q)
+        assert not r.partial
+        assert (r.faces_regular, r.archimedean_candidate) == (regular, regular)
 
 
 def test_text_report_ends_with_axis_count(rco, pseudo):

@@ -141,6 +141,29 @@ def test_off_refuses_an_edge_floats_cannot_hold(capsys, edge):
     assert code == 0 and json.loads(out)["vertices"]
 
 
+@pytest.mark.parametrize("mesh", ["rco", "cube"], ids=["rco at edge 10^308", "cube at 1.5e308"])
+def test_analyze_mesh_near_the_float_limit(tmp_path, capsys, cube_off_text, mesh):
+    # sums and distances are taken at a power-of-two scale, so a mesh whose
+    # coordinates are near the largest float reads back like any other
+    path = tmp_path / "huge.off"
+    if mesh == "rco":
+        code, _, _ = run(capsys, "build", "--solid", "rco", "--edge", str(10**308), "-o", str(path))
+        assert code == 0
+    else:
+        lines = cube_off_text.splitlines()
+        lines[2:10] = [" ".join(f"{float(x) * 1.5e308:.17g}" for x in line.split())
+                       for line in lines[2:10]]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "analyze", "--input", str(path))
+    assert (code, err) == (0, "")
+    assert "symmetry group: 48 (proper 24)\n" in out
+    assert "\nrotation axes: 13\n" in out
+    assert "\nequatorial belts: 3 " in out
+    code, out, err = run(capsys, "analyze", "--input", str(path), "--json")
+    assert (code, err) == (0, "")
+    assert "Infinity" not in out and "NaN" not in out
+
+
 def test_net_refuses_an_edge_the_svg_cannot_draw(tmp_path, capsys):
     svg = tmp_path / "net.svg"
     code, out, err = run(capsys, "net", "--edge", "1/1000000", "-o", str(svg))
@@ -323,8 +346,7 @@ def test_analyze_parse_error_reports_line(tmp_path, capsys):
     assert "line 2" in err
 
 
-def test_net_default_a2(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("GYROLAB_PAPER", raising=False)
+def test_net_default_a2(tmp_path, capsys):
     out_file = tmp_path / "nets.svg"
     code, _, _ = run(capsys, "net", "-o", str(out_file))
     assert code == 0
@@ -333,11 +355,10 @@ def test_net_default_a2(tmp_path, capsys, monkeypatch):
     assert svg.count('class="square ') == 27
 
 
-def test_net_fit_errors(tmp_path, capsys, monkeypatch):
+def test_net_fit_errors(tmp_path, capsys):
     """The whole error line of a net that cannot fit its sheet, checked
     before any solid is built; an edge too small for the SVG is named
     first, even on a sheet nothing fits."""
-    monkeypatch.delenv("GYROLAB_PAPER", raising=False)
     no_fit = "error: pieces do not fit A4 (210x297 mm); "
     for edge, paper, line in [
         ("50", "A4", no_fit + "smallest standard sheet that fits: A2"),
@@ -351,36 +372,20 @@ def test_net_fit_errors(tmp_path, capsys, monkeypatch):
         assert not out.exists()
 
 
-@pytest.mark.parametrize("paper,env", [
-    ("foo", None), ("1x0", None), ("-3x5", None), ("1/0x5", None), (None, "1/0x5"),
-    ("1e400x1e400", None), (None, "1e400x1"),
-], ids=["unknown", "zero-height", "negative-width", "zero-denominator", "env",
-        "float-overflow", "env-float-overflow"])
-def test_bad_paper_is_usage_error(tmp_path, capsys, monkeypatch, paper, env):
-    monkeypatch.delenv("GYROLAB_PAPER", raising=False)
-    if env is not None:
-        monkeypatch.setenv("GYROLAB_PAPER", env)
-    argv = ["net", "-o", str(tmp_path / "x.svg")]
-    if paper is not None:
-        argv.append(f"--paper={paper}")
+@pytest.mark.parametrize("paper", ["foo", "1x0", "-3x5", "1/0x5", "1e400x1e400"],
+                         ids=["unknown", "zero-height", "negative-width", "zero-denominator",
+                              "float-overflow"])
+def test_bad_paper_is_usage_error(tmp_path, capsys, paper):
     with pytest.raises(SystemExit) as exc:
-        main(argv)
+        main(["net", "-o", str(tmp_path / "x.svg"), f"--paper={paper}"])
     assert exc.value.code == 2
     out = capsys.readouterr()
     assert not out.out and not (tmp_path / "x.svg").exists()
     errors = [line for line in out.err.splitlines() if "error:" in line]
-    assert len(errors) == 1 and repr(paper or env) in errors[0]
+    assert len(errors) == 1 and repr(paper) in errors[0]
 
 
-def test_net_paper_env_override(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("GYROLAB_PAPER", "A4")
-    code, _, err = run(capsys, "net", "-o", str(tmp_path / "z.svg"))
-    assert code == 1  # 50 mm pieces cannot fit the A4 default from the env
-    assert "A2" in err
-
-
-def test_net_deterministic(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("GYROLAB_PAPER", raising=False)
+def test_net_deterministic(tmp_path, capsys):
     f1, f2 = tmp_path / "a.svg", tmp_path / "b.svg"
     run(capsys, "net", "-o", str(f1))
     run(capsys, "net", "-o", str(f2))

@@ -191,7 +191,6 @@ def test_a_net_that_cannot_fit_its_sheet_runs_no_hull(monkeypatch, tmp_path, cap
         return hull(verts)
 
     monkeypatch.setattr(solids, "convex_hull_faces", counting_hull)
-    monkeypatch.delenv("GYROLAB_PAPER", raising=False)
     _clear_build_caches()
     assert main(["net", "--edge", "100", "--paper", "A4", "-o", str(tmp_path / "a4.svg")]) == 1
     assert "error: pieces do not fit A4" in capsys.readouterr().err
