@@ -15,6 +15,11 @@ for its sheet, which must exit 1 (RuntimeError otherwise).  The calls run
 on copies of ``src/gyrolab`` in a temporary directory, so the checkout's
 own ``__pycache__`` is neither read nor written.
 
+The bare interpreter, ``python -c pass`` and ``python -S -c pass`` (no
+``site``), runs in the same round-robin.  Each median is also reported net
+of the ``python -c pass`` median: the part of a call that gyrolab controls,
+which is comparable across machines and days where raw times are not.
+
 The medians go to BENCH_<n>.json at the root of the checkout, n one more
 than the highest there, with the Python version, nproc, the commit and the
 ``src/`` line count; a Markdown summary is printed.  ``--summary-only``
@@ -50,10 +55,13 @@ COMMANDS = {
 }
 # a net too big for its sheet ends with one error line and exit code 1
 EXIT_CODES = {"net (misfit)": 1}
+# name -> interpreter arguments of a call that runs no gyrolab code
+INTERPRETER = {"python -c pass": ["-c", "pass"], "python -S -c pass": ["-S", "-c", "pass"]}
+NET_OF = "python -c pass"  # what `python -m gyrolab` pays before gyrolab runs
 
 
 def call(src: Path, argv: list[str], cached: bool, exit_code: int = 0) -> float:
-    """Wall seconds of one fresh `python -m gyrolab ARGV` importing from src;
+    """Wall seconds of one fresh `python ARGV` importing gyrolab from src;
     RuntimeError unless it exits with ``exit_code``."""
     env = {k: v for k, v in os.environ.items()
            if not k.startswith("GYROLAB_") and k != "PYTHONDONTWRITEBYTECODE"}
@@ -61,35 +69,47 @@ def call(src: Path, argv: list[str], cached: bool, exit_code: int = 0) -> float:
     if not cached:
         env["PYTHONDONTWRITEBYTECODE"] = "1"
     start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "gyrolab", *argv], env=env,
+    proc = subprocess.run([sys.executable, *argv], env=env,
                           stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
     wall = time.perf_counter() - start
     if proc.returncode != exit_code:
-        raise RuntimeError(f"gyrolab {' '.join(argv)} exited {proc.returncode}, not"
+        raise RuntimeError(f"python {' '.join(argv)} exited {proc.returncode}, not"
                            f" {exit_code}: {proc.stderr.strip()}")
     return wall
 
 
-def measure(calls: int) -> dict:
-    """{name: {"uncached_s": median, "cached_s": median}} over COMMANDS."""
+def measure(calls: int) -> tuple[dict, dict]:
+    """({name: {"uncached_s": median, "cached_s": median, and each net of
+    the interpreter}} over COMMANDS, {name: median} over INTERPRETER)."""
     with tempfile.TemporaryDirectory() as tmp:
         srcs = {}
         for mode in ("uncached", "cached"):
             srcs[mode] = Path(tmp, mode)
             shutil.copytree(ROOT / "src" / "gyrolab", srcs[mode] / "gyrolab",
                             ignore=shutil.ignore_patterns("__pycache__"))
-        commands = {name: [a.format(tmp=tmp) for a in argv] for name, argv in COMMANDS.items()}
-        call(srcs["uncached"], [*COMMANDS["build"], "-o", f"{tmp}/rco.off"], cached=False)
+        commands = {name: ["-m", "gyrolab", *(a.format(tmp=tmp) for a in argv)]
+                    for name, argv in COMMANDS.items()}
+        call(srcs["uncached"], [*commands["build"], "-o", f"{tmp}/rco.off"], cached=False)
         for name, argv in commands.items():  # fill the cached copy's __pycache__
             call(srcs["cached"], argv, cached=True, exit_code=EXIT_CODES.get(name, 0))
         walls = {(name, mode): [] for name in commands for mode in srcs}
+        bare = {name: [] for name in INTERPRETER}
         for _ in range(calls):
+            for name, argv in INTERPRETER.items():
+                bare[name].append(call(srcs["cached"], argv, cached=True))
             for name, argv in commands.items():
                 for mode, src in srcs.items():
                     walls[name, mode].append(call(src, argv, cached=mode == "cached",
                                                   exit_code=EXIT_CODES.get(name, 0)))
-    return {name: {f"{mode}_s": round(statistics.median(walls[name, mode]), 4) for mode in srcs}
-            for name in commands}
+    interpreter = {name: statistics.median(w) for name, w in bare.items()}
+    medians = {}
+    for name in commands:
+        medians[name] = {}
+        for mode in srcs:
+            median = statistics.median(walls[name, mode])
+            medians[name][f"{mode}_s"] = round(median, 4)
+            medians[name][f"{mode}_net_s"] = round(median - interpreter[NET_OF], 4)
+    return medians, {name: round(t, 4) for name, t in interpreter.items()}
 
 
 def git(*args: str):
@@ -109,11 +129,15 @@ def src_loc() -> int:
 
 def summary(doc: dict) -> str:
     lines = [f"Fresh `python -m gyrolab` calls, median of {doc['calls']}"
-             f" (Python {doc['python']}, nproc {doc['nproc']}, src/ {doc['src_loc']} LOC)",
-             "", "| call | no bytecode cache | bytecode cache |", "|---|---|---|"]
-    for name, times in doc["median_s"].items():
-        lines.append(f"| `{' '.join(COMMANDS[name])}` | {times['uncached_s']:.3f} s"
-                     f" | {times['cached_s']:.3f} s |")
+             f" (Python {doc['python']}, nproc {doc['nproc']}, src/ {doc['src_loc']} LOC);"
+             f" net of `{NET_OF}`", "",
+             "| call | no bytecode cache | net | bytecode cache | net |", "|---|---|---|---|---|"]
+    for name, t in doc["interpreter_s"].items():
+        lines.append(f"| `{name}` | {t:.3f} s | | | |")
+    for name, t in doc["median_s"].items():
+        lines.append(f"| `{' '.join(COMMANDS[name])}` | {t['uncached_s']:.3f} s"
+                     f" | {t['uncached_net_s']:.3f} s | {t['cached_s']:.3f} s"
+                     f" | {t['cached_net_s']:.3f} s |")
     return "\n".join(lines) + "\n"
 
 
@@ -129,8 +153,9 @@ def main(argv=None) -> int:
     parser.add_argument("--summary-only", action="store_true", help="write no BENCH file")
     args = parser.parse_args(argv)
     calls = 3 if args.quick else 11
+    medians, interpreter = measure(calls)
     doc = {
-        "schema": "gyrolab-bench/1",
+        "schema": "gyrolab-bench/2",
         "python": sys.version.split()[0],
         "nproc": os.cpu_count(),
         "commit": git("rev-parse", "HEAD"),
@@ -138,7 +163,9 @@ def main(argv=None) -> int:
         "src_loc": src_loc(),
         "calls": calls,
         "commands": COMMANDS,
-        "median_s": measure(calls),
+        "net_of": NET_OF,
+        "interpreter_s": interpreter,
+        "median_s": medians,
     }
     sys.stdout.write(summary(doc))
     if not args.summary_only:

@@ -9,6 +9,7 @@ identical invocations, no timestamps.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 
@@ -149,27 +150,7 @@ def cmd_fold_check(parser, args) -> int:
 
         sys.stdout.write(json.dumps(result.to_json_dict(), indent=2) + "\n")
     else:
-        n_checks = len(result.closure.checks)
-        n_pass = sum(1 for c in result.closure.checks if c.passed)
-        sys.stdout.write(f"fold-check: gyration {args.gyration}\n")
-        sys.stdout.write(
-            f"closure: {n_pass}/{n_checks} checks passed,"
-            f" residual {result.closure_residual}\n"
-        )
-        if result.matched:
-            sys.stdout.write(f"matched: {result.target_name}\n")
-        else:
-            sys.stdout.write(f"matched: NO (target {result.target_name})\n")
-            for c in result.closure.failures():
-                wit = ""
-                if c.witness:
-                    wit = " witness " + "; ".join(
-                        "(" + ", ".join(str(x) for x in p) + ")" for p in c.witness
-                    )
-                sys.stdout.write(
-                    f"  {c.name} {c.piece}{c.pos}: {c.detail}"
-                    f" (distance {c.distance:.6g}){wit}\n"
-                )
+        sys.stdout.write(foldsim.text_report(result))
     return 0 if result.matched and result.closure.ok else 1
 
 
@@ -255,5 +236,20 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> int:
+    """``main`` on the process's own command line: the entry point of
+    ``python -m gyrolab`` and of the ``gyrolab`` script.
+
+    The process ends right after, so on every way out (``--version``, usage
+    errors, failures) the heap is frozen: the interpreter's exit-time
+    collections skip it, and the OS frees it.  ``atexit`` handlers, stream
+    flushing and the exit code are untouched.
+    """
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

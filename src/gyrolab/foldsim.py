@@ -28,8 +28,7 @@ from . import geom
 from .geom import Mat3, Vec3, mat_mul, mat_vec, vadd, vdot, vsub
 from .netgen import NetSpec, NetSquare, shared_edge, square_cell, square_corners
 from .qfield import ONE, ZERO, Q2
-from .solids import (Polyhedron, build_pseudo_rhombicuboctahedron, build_rhombicuboctahedron,
-                     write_off)
+from .solids import build_pseudo_rhombicuboctahedron, build_rhombicuboctahedron
 
 
 class PlacedSquare(NamedTuple):
@@ -128,12 +127,27 @@ class AssemblyResult:
             ],
         }
 
-    def to_off(self) -> str:
-        """Floating OFF of the assembled face squares, for viewers."""
-        index: dict[Vec3, int] = {}
-        faces = [[index.setdefault(c, len(index)) for c in sq.corners]
-                 for sq in self.face_squares()]
-        return write_off(Polyhedron(list(index), faces))
+
+def text_report(result: AssemblyResult) -> str:
+    """Human-readable fold-check summary: the closure count, the match, and
+    each failed check with its witness."""
+    n_pass = sum(1 for c in result.closure.checks if c.passed)
+    lines = [f"fold-check: gyration {result.gyration}",
+             f"closure: {n_pass}/{len(result.closure.checks)} checks passed,"
+             f" residual {result.closure_residual}"]
+    if result.matched:
+        lines.append(f"matched: {result.target_name}")
+    else:
+        lines.append(f"matched: NO (target {result.target_name})")
+        for c in result.closure.failures():
+            wit = ""
+            if c.witness:
+                wit = " witness " + "; ".join(
+                    "(" + ", ".join(str(x) for x in p) + ")" for p in c.witness
+                )
+            lines.append(f"  {c.name} {c.piece}{c.pos}: {c.detail}"
+                         f" (distance {c.distance:.6g}){wit}")
+    return "\n".join(lines) + "\n"
 
 
 # -- affine transforms over Q2 ---------------------------------------------------

@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from typing import Sequence, Tuple
 
-from .qfield import ONE, ZERO, Q2, sign_z2, z2_quotient
+from .qfield import ONE, SQRT2, ZERO, Q2, _reduced, sign_z2, z2_quotient
 
 Vec3 = Tuple  # (x, y, z) of Q2 or float
 Mat3 = Tuple  # 3 rows of Vec3
@@ -81,7 +80,7 @@ def exact_cos_sin(degrees: int) -> tuple[Q2, Q2]:
     d = degrees % 360
     if d % 45 != 0:
         raise ValueError(f"no exact Q(sqrt2) trigonometry for {degrees} degrees")
-    h = Q2(0, Fraction(1, 2))  # sqrt(2)/2
+    h = SQRT2 / 2
     table = {
         0: (ONE, ZERO),
         45: (h, h),
@@ -185,22 +184,43 @@ def snap_scalar_to_q2(x: float, tol: float = 1e-9, max_den: int = 64) -> Q2 | No
     """Nearest representable a + b*sqrt2 within tol, small denominators.
 
     Pure rationals and pure sqrt2 multiples are searched up to
-    ``max_den``; mixed values only over small coefficients (denominator
-    up to 8, magnitude up to 2), which covers every entry an orthogonal
-    matrix over Q(sqrt2) at this scale can have.
+    ``max_den`` (``_snap_one_term``); mixed values only over small
+    coefficients (denominator up to 8, magnitude up to 2), which covers
+    every entry an orthogonal matrix over Q(sqrt2) at this scale can have.
     """
-    r = Fraction(x).limit_denominator(max_den)
-    if abs(x - float(r)) <= tol:
-        return Q2(r)
-    s = Fraction(x / _SQRT2_F).limit_denominator(max_den)
-    if abs(x - float(s) * _SQRT2_F) <= tol:
-        return Q2(0, s)
+    one_term = _snap_one_term(x, tol, max_den)
+    if one_term is not None:
+        return one_term
+    from fractions import Fraction  # mixed values are rare: no fractions otherwise
+
     for q in range(1, 9):
         for num in range(-2 * q, 2 * q + 1):
             a = Fraction(num, q)
             b = Fraction((x - float(a)) / _SQRT2_F).limit_denominator(8)
             if abs(b) <= 2 and abs(x - float(a) - float(b) * _SQRT2_F) <= tol:
                 return Q2(a, b)
+    return None
+
+
+def _snap_one_term(x: float, tol: float, max_den: int) -> Q2 | None:
+    """p/q, else p/q*sqrt2, within tol of x with q <= max_den; None if neither.
+
+    Each denominator q is tried with its nearest numerator, p = round(x*q)
+    (of x/sqrt2 for the second).  Two distinct fractions with denominators
+    up to N lie at least 1/(N(N-1)) apart (1/4032 for N = 64), so while
+    2*tol is below that, at most one of them is within tol of x: the first q
+    that passes finds the fraction ``Fraction(x).limit_denominator(max_den)``
+    finds, with ints only.
+    """
+    for q in range(1, max_den + 1):
+        p = round(x * q)
+        if abs(x - p / q) <= tol:
+            return _reduced(p, 0, q)
+    y = x / _SQRT2_F
+    for q in range(1, max_den + 1):
+        p = round(y * q)
+        if abs(x - p / q * _SQRT2_F) <= tol:
+            return _reduced(0, p, q)
     return None
 
 
@@ -221,7 +241,7 @@ def snap_matrix_to_q2(m: Mat3, tol: float = 1e-9) -> Mat3 | None:
 
 # Fixed thresholds of the float kernel; the exact kernel ignores them.
 LEAD_EPS = 1e-6  # leading component of a unit direction
-SNAP_EPS = 1e-9  # matrix entries snapped into Q(sqrt2)
+SNAP_EPS = 1e-9  # matrix entries snapped into Q(sqrt2); under 1/8064, so a snap is unique
 SCALAR_DIGITS = 9  # rounding of directions
 
 

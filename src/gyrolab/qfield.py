@@ -21,16 +21,21 @@ turns such ints back into one ``Q2``.
 ``Fraction`` appears only at the boundary: the constructor accepts
 int/``Fraction`` components, ``.a``/``.b`` return them as ``Fraction``,
 ``parse`` reads rational literals, and ``str`` prints each component in
-lowest terms.
+lowest terms.  ``fractions`` is imported only where a ``Fraction`` is made
+or read, so code that builds every ``Q2`` from ints never loads it (nor
+``decimal``, which it imports).
 """
 
 from __future__ import annotations
 
 import math
 import re
-from fractions import Fraction
 from functools import total_ordering
 from math import gcd
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 _RATIONAL = r"-?\d+(?:/\d+)?"
 _LITERAL_RE = re.compile(
@@ -73,6 +78,8 @@ class Q2:
         if type(a) is int and type(b) is int:
             self.p, self.q, self.d = a, b, 1
             return
+        from fractions import Fraction
+
         a, b = Fraction(a), Fraction(b)
         da, db = a.denominator, b.denominator
         d = da // gcd(da, db) * db
@@ -83,7 +90,11 @@ class Q2:
     def coerce(cls, x: "Q2 | int | Fraction") -> "Q2":
         if isinstance(x, Q2):
             return x
-        if isinstance(x, (int, Fraction)):
+        if isinstance(x, int):
+            return cls(x)
+        from fractions import Fraction
+
+        if isinstance(x, Fraction):
             return cls(x)
         raise TypeError(f"cannot interpret {type(x).__name__} as Q2")
 
@@ -100,6 +111,8 @@ class Q2:
             raise ValueError(f"invalid Q2 literal: {text!r}")
         if m.group("s2") and m.group("rat") and m.group("sgn") is None:
             raise ValueError(f"invalid Q2 literal: {text!r}")
+        from fractions import Fraction
+
         try:
             a = Fraction(m.group("rat") or 0)
             b = Fraction(m.group("coef") or 1) if m.group("s2") else Fraction(0)
@@ -112,11 +125,15 @@ class Q2:
     @property
     def a(self) -> Fraction:
         """The rational part p/d."""
+        from fractions import Fraction
+
         return Fraction(self.p, self.d)
 
     @property
     def b(self) -> Fraction:
         """The coefficient q/d of sqrt2."""
+        from fractions import Fraction
+
         return Fraction(self.q, self.d)
 
     # -- field operations ------------------------------------------------
@@ -202,6 +219,8 @@ class Q2:
             return self.p == other.p and self.q == other.q and self.d == other.d
         if isinstance(other, int):
             return not self.q and self.d == 1 and self.p == other
+        from fractions import Fraction
+
         if isinstance(other, Fraction):
             return (not self.q and self.p == other.numerator
                     and self.d == other.denominator)
@@ -223,8 +242,12 @@ class Q2:
             pass
         if self.q:
             h = hash((self.p, self.q, self.d))
-        else:  # rational values must hash like their Fraction (== with int/Fraction)
-            h = hash(self.p) if self.d == 1 else hash(Fraction(self.p, self.d))
+        elif self.d == 1:  # rational values must hash like their Fraction (== with int/Fraction)
+            h = hash(self.p)
+        else:
+            from fractions import Fraction
+
+            h = hash(Fraction(self.p, self.d))
         self._hash = h
         return h
 

@@ -28,12 +28,14 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import geom
 from .geom import EXACT, ToleranceKernel, Vec3, vcross, vsub
 from .qfield import ONE, SQRT2, Q2
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class OffParseError(ValueError):

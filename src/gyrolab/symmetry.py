@@ -310,11 +310,15 @@ def rotation_axes(p: Polyhedron, group: Iterable[Isometry]) -> tuple[RotationAxi
     The features and orders are read off the permutations, so two
     rotations share an axis exactly when they fix the same pair.  The
     direction is the kernel's canonical direction of the first such
-    rotation's fixed line.
+    rotation's fixed line.  Axes of equal order are sorted by direction,
+    or, in a group that did not snap, by their pair of features: there the
+    directions carry the input's noise.
     """
     k = p.kernel
     axes: dict[frozenset, RotationAxis] = {}
+    exact = True
     for iso in group:
+        exact = iso.kernel.exact
         order = iso.order()
         if not iso.proper or order == 1:
             continue
@@ -329,7 +333,10 @@ def rotation_axes(p: Polyhedron, group: Iterable[Isometry]) -> tuple[RotationAxi
             axes[key] = RotationAxis(d, order, (a, b))
         elif order > ax.order:
             axes[key] = ax._replace(order=order)
-    return tuple(sorted(axes.values(), key=lambda ax: (-ax.order, ax.direction)))
+    if exact:
+        return tuple(sorted(axes.values(), key=lambda ax: (-ax.order, ax.direction)))
+    return tuple(sorted(axes.values(), key=lambda ax: (
+        -ax.order, sorted((f.kind, f.ref) for f in ax.features))))
 
 
 def _feature(p: Polyhedron, kind: str, ref) -> Feature:

@@ -492,6 +492,59 @@ def test_subcommand_imports_only_what_it_runs(tmp_path, argv, modules, writes_js
     assert sorted(m for m in loaded if m.startswith("gyrolab")) == sorted(modules)
     assert not loaded & {"dataclasses", "inspect"}
     assert ("json" in loaded) == writes_json
+    if "--input" in argv:  # a float mesh builds every Q2 from ints
+        assert not loaded & {"fractions", "decimal"}
+
+
+def fresh_gyrolab(*argv):
+    """A fresh `python -m gyrolab ARG...` of this checkout: (exit code, stdout, stderr)."""
+    src = os.path.dirname(os.path.dirname(gyrolab.__file__))
+    proc = subprocess.run([sys.executable, "-m", "gyrolab", *argv],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_fresh_calls_keep_their_exit_codes_and_streams(tmp_path, capsys):
+    # `python -m gyrolab` freezes the heap on its way out; what it prints and
+    # returns stays as `main` leaves it
+    assert fresh_gyrolab("--version") == (0, f"gyrolab {gyrolab.__version__}\n".encode(), b"")
+    with pytest.raises(SystemExit):
+        main(["build"])
+    usage = capsys.readouterr().err
+    assert fresh_gyrolab("build") == (2, b"", usage.encode())
+    code, out, err = fresh_gyrolab("net", "--edge", "100", "--paper", "A4",
+                                   "-o", str(tmp_path / "misfit.svg"))
+    assert (code, out, len(err.splitlines())) == (1, b"", 1) and err.startswith(b"error: ")
+    written = tmp_path / "rco.off"
+    assert fresh_gyrolab("build", "--solid", "rco", "--format", "off",
+                         "-o", str(written)) == (0, b"", b"")
+    _, off, _ = fresh_gyrolab("build", "--solid", "rco", "--format", "off")
+    assert written.read_bytes() == off
+
+
+def test_only_the_process_entry_point_freezes_the_heap():
+    # every way out of `cli.run` freezes; `cli.main` leaves the collector alone
+    facts = fresh_python("""
+import contextlib, gc, io, json, sys
+from gyrolab import cli
+counts = {}
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    cli.main(["build", "--solid", "rco"])
+    counts["main"] = gc.get_freeze_count()
+    for name, argv in [("version", ["--version"]), ("usage", ["build"]),
+                       ("failure", ["net", "--edge", "100", "--paper", "A4", "-o", "-"]),
+                       ("success", ["build", "--solid", "rco"])]:
+        sys.argv = ["gyrolab", *argv]
+        try:
+            code = cli.run()
+        except SystemExit as e:
+            code = e.code
+        counts[name] = (code, gc.get_freeze_count() > 0)
+        gc.unfreeze()
+print(json.dumps(counts), file=sys.stderr)
+""")
+    assert facts == {"main": 0, "version": [0, True], "usage": [2, True], "failure": [1, True],
+                     "success": [0, True]}
 
 
 def test_package_names_resolve_on_first_access():

@@ -16,7 +16,6 @@ from gyrolab.qfield import ONE, ZERO, Q2
 from gyrolab.solids import (
     build_pseudo_rhombicuboctahedron,
     build_rhombicuboctahedron,
-    read_off,
 )
 from gyrolab.symmetry import isometry_group
 
@@ -172,13 +171,6 @@ def test_matching_is_stable_under_target_symmetries(net50):
 
             mapped = frozenset(mat_vec(iso.matrix, c) for c in sq.corners)
             assert mapped in face_sets
-
-
-def test_assembly_off_export(net50):
-    result = fold(net50, 45)
-    off = read_off(result.to_off())
-    assert off.n_vertices == 24
-    assert off.n_faces == 18  # quads only; triangles stay open
 
 
 def test_assembly_json(net50):
@@ -366,6 +358,26 @@ def test_one_flat_tab_crease_fails_only_that_tab(net50):
     ]
     assert result.matched
     assert result.closure_residual == failed[0].deviation_sq > Q2(0)
+
+
+def test_text_report_lists_the_failed_checks_of_a_missed_match(net50, monkeypatch):
+    real = foldsim._fold_piece
+
+    def bent(*args):  # one corner of the strip's square 3 moved off the square
+        return [sq._replace(corners=(vadd(sq.corners[0], (ONE, ZERO, ZERO)), *sq.corners[1:]))
+                if (sq.piece, sq.pos) == ("strip", (3, 0)) else sq for sq in real(*args)]
+
+    monkeypatch.setattr(foldsim, "_fold_piece", bent)
+    result = fold(net50, 45)
+    failed = result.closure.failures()
+    lines = foldsim.text_report(result).splitlines()
+    assert lines[:3] == ["fold-check: gyration 45",
+                         f"closure: {17 - len(failed)}/17 checks passed,"
+                         f" residual {result.closure_residual}",
+                         "matched: NO (target pseudo-rhombicuboctahedron)"]
+    assert len(lines) == 3 + len(failed) > 3
+    for line, c in zip(lines[3:], failed):
+        assert line.startswith(f"  {c.name} {c.piece}{c.pos}: {c.detail} (distance ")
 
 
 @pytest.mark.parametrize("moved", [("strip", (3, 0)), ("cap_north", (2, 0))])

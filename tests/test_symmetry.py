@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import os
 import random
 from collections import Counter
 from fractions import Fraction
@@ -269,6 +270,71 @@ def test_snap_scalar_to_q2():
     assert snap_scalar_to_q2(math.pi) is None
 
 
+# -- snapping against the Fraction reference ---------------------------------------
+# The snap as it was before it found its candidates with ints: the nearest
+# fraction of denominator <= max_den by Fraction.limit_denominator.
+
+
+def _one_term_by_fractions(x, tol, max_den=64):
+    r = Fraction(x).limit_denominator(max_den)
+    if abs(x - float(r)) <= tol:
+        return Q2(r)
+    s = Fraction(x / math.sqrt(2)).limit_denominator(max_den)
+    if abs(x - float(s) * math.sqrt(2)) <= tol:
+        return Q2(0, s)
+    return None
+
+
+def _snap_by_fractions(x, tol, max_den=64):
+    one_term = _one_term_by_fractions(x, tol, max_den)
+    if one_term is not None:
+        return one_term
+    for q in range(1, 9):
+        for num in range(-2 * q, 2 * q + 1):
+            a = Fraction(num, q)
+            b = Fraction((x - float(a)) / math.sqrt(2)).limit_denominator(8)
+            if abs(b) <= 2 and abs(x - float(a) - float(b) * math.sqrt(2)) <= tol:
+                return Q2(a, b)
+    return None
+
+
+def _snap_inputs(rng, per_kind, tol):
+    """Seeded values of each kind (rationals and sqrt2 multiples with
+    denominators up to 64, mixed a + b*sqrt2 with denominators up to 8,
+    uniform values), each at offsets 0, +-1e-12, +-0.99 tol and +-1.01 tol."""
+    def fraction(max_den, size):
+        q = rng.randint(1, max_den)
+        return rng.randint(-size * q, size * q) / q
+
+    kinds = (lambda: fraction(64, 3), lambda: fraction(64, 3) * math.sqrt(2),
+             lambda: fraction(8, 2) + fraction(8, 2) * math.sqrt(2), lambda: rng.uniform(-4, 4))
+    offsets = (0.0, 1e-12, -1e-12, 0.99 * tol, -0.99 * tol, 1.01 * tol, -1.01 * tol)
+    return [x + dx for kind in kinds for x in [kind() for _ in range(per_kind)]
+            for dx in offsets]
+
+
+def _parts(x):
+    return None if x is None else (x.p, x.q, x.d)
+
+
+def test_one_term_snap_equals_the_fraction_reference():
+    # 21,000 values; the mixed search after it is the reference's own code
+    tol = geom.SNAP_EPS
+    values = _snap_inputs(random.Random(20261019), 750, tol)
+    got = [_parts(geom._snap_one_term(x, tol, 64)) for x in values]
+    assert got == [_parts(_one_term_by_fractions(x, tol)) for x in values]
+    # every rational and sqrt2 multiple within tol snaps, at 5 of the 7 offsets
+    assert sum(g is not None for g in got) >= 2 * 750 * 5
+
+
+def test_snap_equals_the_fraction_reference():
+    tol = geom.SNAP_EPS
+    values = _snap_inputs(random.Random(20261020), 15, tol)
+    got = [_parts(snap_scalar_to_q2(x, tol)) for x in values]
+    assert got == [_parts(_snap_by_fractions(x, tol)) for x in values]
+    assert sum(q2[1] and q2[0] for q2 in got if q2) > 0  # some mixed a + b*sqrt2
+
+
 def test_float_mode_reproduces_exact_results(rco, pseudo, rco_sym, pseudo_sym):
     from gyrolab.belts import find_belts
 
@@ -487,6 +553,20 @@ def test_unsnapped_directions_stay_near_the_least_squares_ones(rco, pseudo, cube
                        iso.vertex_perm, iso.face_perm, iso.kernel)
         d, d_fit = symmetry._fixed_direction(iso), symmetry._fixed_direction(fit)
         assert math.dist(d, d_fit) <= tol
+
+
+def test_unsnapped_axis_order_does_not_depend_on_the_noise():
+    # equal-order axes of a float group are listed by their features, which
+    # the noise does not move, not by their noise-level direction components
+    path = os.path.join(os.path.dirname(__file__), "golden", "inputs", "rco_0.off")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    orders = set()
+    for seed in range(6):
+        rep = symmetry_report(read_off(noisy_off(text, 1e-7, random.Random(seed)), 1e-5))
+        assert rep.approximate and len(rep.axes) == 13
+        orders.add(tuple((ax.order, tuple((f.kind, f.ref) for f in ax.features)) for ax in rep.axes))
+    assert len(orders) == 1
 
 
 # -- the enumerating oracle ------------------------------------------------------
