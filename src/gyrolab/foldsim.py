@@ -87,9 +87,6 @@ class AssemblyResult:
     def placed(self) -> list[PlacedSquare]:
         return [sq for piece in self.squares.values() for sq in piece]
 
-    def face_squares(self) -> list[PlacedSquare]:
-        return [sq for sq in self.placed() if sq.role in ("face", "pole")]
-
     def to_json_dict(self) -> dict:
         return {
             "schema": "gyrolab/1",

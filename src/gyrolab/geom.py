@@ -8,7 +8,9 @@ their centroid as ``kernel.coordinates`` hands them out, once per mesh.
 ``EXACT`` decides on Z[sqrt2] lattice ints with no tolerance: signs and
 equalities do not change under a positive scaling, so each vertex becomes
 six ints, n L (v - c), whose signs ``qfield.sign_z2`` decides; ``Q2`` stays
-the type of storage, matrix entries and output.  A ``ToleranceKernel``
+the type of storage, matrix entries and output.  Only ``ExactKernel``
+knows that lattice format: other modules reach it through ``coordinates``
+and ``vec``, and decide with the kernel's operations.  A ``ToleranceKernel``
 decides on (v - c) / D, D the mesh's diameter, within its tolerance, so no
 verdict depends on the mesh's scale.  Both expose the same operations, so
 each geometric algorithm is written once and a ``Polyhedron`` picks its
@@ -143,14 +145,6 @@ def _unit_scaled(points: Sequence[Vec3]) -> tuple[int, list]:
     return e, [tuple(math.ldexp(x, -e) for x in v) for v in points]
 
 
-def z2_scaled(points: Sequence[Vec3]) -> list[tuple[int, ...]]:
-    """L v for each exact point v as six ints (xp, xq, yp, yq, zp, zq), for
-    xp + xq*sqrt2 and so on; L is the lcm of every coordinate's denominator."""
-    scale = math.lcm(*(c.d for v in points for c in v))
-    return [tuple(x for c in v for x in (c.p * (scale // c.d), c.q * (scale // c.d)))
-            for v in points]
-
-
 def cycle_order(neighbours: dict) -> list:
     """Every node in cyclic order, given each node's two neighbours: the
     walk starts at the smallest node and steps first to its first-listed
@@ -247,7 +241,7 @@ SCALAR_DIGITS = 9  # rounding of directions
 
 class ExactKernel:
     """Exact decisions on Z[sqrt2] lattice ints: a vector is six ints as from
-    ``z2_scaled``, a scalar the pair (p, q) for p + q*sqrt2.  Signs and
+    ``_lattice``, a scalar the pair (p, q) for p + q*sqrt2.  Signs and
     equalities survive a positive scaling, and equal values have equal ints,
     so zero means exactly zero.  ``vec`` carries an exact vector onto the
     lattice, ``canon_dir`` a lattice vector back to a Q2 direction."""
@@ -259,10 +253,19 @@ class ExactKernel:
         """Itself: an exact decision is never a near miss."""
         return self
 
+    @staticmethod
+    def _lattice(points: Sequence) -> list[tuple[int, ...]]:
+        """L v for each exact point v as six ints (xp, xq, yp, yq, zp, zq), for
+        xp + xq*sqrt2 and so on; L is the lcm of every coordinate's denominator."""
+        points = [tuple(map(Q2.coerce, v)) for v in points]
+        scale = math.lcm(*(c.d for v in points for c in v))
+        return [tuple(x for c in v for x in (c.p * (scale // c.d), c.q * (scale // c.d)))
+                for v in points]
+
     def coordinates(self, vertices) -> list[tuple[int, ...]]:
         """The vertices about their centroid c as lattice ints: n L (v - c)
-        for each vertex v, n the vertex count and L as in ``z2_scaled``."""
-        pts = z2_scaled([tuple(map(Q2.coerce, v)) for v in vertices])
+        for each vertex v, n the vertex count and L as in ``_lattice``."""
+        pts = self._lattice(vertices)
         total = [sum(col) for col in zip(*pts)]
         return [tuple(len(pts) * x - t for x, t in zip(v, total)) for v in pts]
 
@@ -355,7 +358,7 @@ class ExactKernel:
 
     def vec(self, v: Sequence) -> tuple:
         """The exact vector v in lattice ints, up to a positive factor."""
-        return z2_scaled([tuple(map(Q2.coerce, v))])[0]
+        return self._lattice([v])[0]
 
 
 class ToleranceKernel:

@@ -299,13 +299,5 @@ def z2_quotient(p: int, q: int, r: int, s: int) -> Q2:
     return _reduced(p * r - 2 * q * s, q * r - p * s, r * r - 2 * s * s)
 
 
-def sign(x: Q2) -> int:
-    return x.sign()
-
-
-def inverse(x: Q2) -> Q2:
-    return x.inverse()
-
-
 def parse(text: str) -> Q2:
     return Q2.parse(text)

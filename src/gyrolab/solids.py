@@ -1,11 +1,12 @@
 """Polyhedron model, exact builders and mesh validation.
 
-The two built-in solids share one construction path: generate the exact
-vertex set over Q(sqrt2), then recover the faces by gift wrapping the
-convex hull, face to adjacent face, on integers only.  That keeps the gyrated
-builder honest: re-identification of the octagonal ring after the
-45-degree cap turn is positional (exact coordinate coincidence), not index
-bookkeeping.
+The vertices decide the faces: ``Polyhedron(vertices)`` with no faces
+gift wraps their convex hull, face to adjacent face, with the plane tests
+of its own kernel.  The two built-in solids share that one construction
+path: generate the exact vertex set over Q(sqrt2), then let the hull find
+the faces.  That keeps the gyrated builder honest: re-identification of
+the octagonal ring after the 45-degree cap turn is positional (exact
+coordinate coincidence), not index bookkeeping.
 
 Each solid's hull runs once per process, at the canonical edge 2 where
 every coordinate lies in Z[sqrt2]; a builder at any other edge scales those
@@ -14,9 +15,11 @@ neither the vertex order nor the faces nor their winding.
 
 Every ``Polyhedron`` carries one predicate kernel (``geom``), chosen from
 its coordinate type when it is made: exact for Q2 coordinates, tolerance
-based for floats read from OFF.  Validation and every later analysis make
-their decisions through it, on ``Polyhedron.points`` (lattice ints, or floats
-in units of the diameter), so one code path serves both kinds of mesh.
+based for floats read from OFF.  The hull, validation and every later
+analysis make their decisions through it, on ``Polyhedron.points``, in
+coordinates only the kernel knows, so one code path serves both kinds of
+mesh.  Validation fails a face whose plane holds a vertex that is not on
+it, such as one triangle of a triangulated square.
 
 Canonical pose: vertex centroid at the origin, the polar axis along z,
 the gyrated cap on top.  Vertices and faces are sorted canonically so
@@ -66,9 +69,6 @@ class ValidationReport(NamedTuple):
     def ok(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def passed(self, name: str) -> bool:
-        return any(c.name == name and c.passed for c in self.checks)
-
     def to_dict(self) -> dict:
         return {
             "ok": self.ok,
@@ -93,18 +93,21 @@ class Polyhedron:
 
     Q2 coordinates get the exact kernel; float coordinates (ingested
     meshes) get a tolerance kernel with the given ``tolerance``, relative
-    to the diameter, finite and positive (ValueError otherwise).
-    Adjacency is purely combinatorial and never raises on malformed
-    indices; ``validate`` reports those instead.
+    to the diameter, finite and positive (ValueError otherwise).  With no
+    ``faces``, the vertices decide them: the faces of their convex hull,
+    on that kernel.  Adjacency is purely combinatorial and never raises
+    on malformed indices; ``validate`` reports those instead.
     """
 
-    def __init__(self, vertices: Sequence[Vec3], faces: Sequence[Sequence[int]],
+    def __init__(self, vertices: Sequence[Vec3], faces: Sequence[Sequence[int]] | None = None,
                  tolerance: float = 1e-9) -> None:
         check_tolerance(tolerance)
         self.vertices: tuple[Vec3, ...] = tuple(tuple(v) for v in vertices)
-        self.faces: tuple[tuple[int, ...], ...] = tuple(tuple(f) for f in faces)
         exact = bool(self.vertices) and isinstance(self.vertices[0][0], Q2)
         self.kernel = EXACT if exact else ToleranceKernel(tolerance)
+        if faces is None:
+            faces = convex_hull_faces(self)
+        self.faces: tuple[tuple[int, ...], ...] = tuple(tuple(f) for f in faces)
 
         edge_faces: dict[tuple[int, int], list[int]] = {}
         for fi, face in enumerate(self.faces):
@@ -152,9 +155,6 @@ class Polyhedron:
     def euler_characteristic(self) -> int:
         return self.n_vertices - self.n_edges + self.n_faces
 
-    def vertex_centroid(self) -> Vec3:
-        return geom.centroid(self.vertices)
-
     def face_center(self, fi: int) -> Vec3:
         return geom.centroid([self.vertices[i] for i in self.faces[fi]])
 
@@ -196,18 +196,18 @@ class Polyhedron:
         return fs[0] if fs[1] == fi else fs[1]
 
 
-# -- exact convex hull ------------------------------------------------------
+# -- convex hull -------------------------------------------------------------
 
 
-def convex_hull_faces(vertices: Sequence[Vec3]) -> list[tuple[int, ...]]:
-    """Faces of the convex hull of exact points in general convex position,
-    by gift wrapping (Chand and Kapur, JACM 17(1), 1970).
+def convex_hull_faces(p: Polyhedron) -> list[tuple[int, ...]]:
+    """Faces of the convex hull of ``p.vertices``, points in general convex
+    position, by gift wrapping (Chand and Kapur, JACM 17(1), 1970).
 
-    Exact and tolerance-free: each point becomes the six lattice ints of
-    ``geom.z2_scaled``, as a positive scaling changes neither the faces nor
-    their winding, and every decision is a ``geom.EXACT`` plane test.  A
-    wrap pivots a plane about an axis through point u in one pass over the
-    points, switching to any point strictly outside it.  When every point
+    It reads only ``p.vertices``, ``p.kernel`` and ``p.points``: a
+    translation and a positive scaling change neither the faces nor their
+    winding, and every decision is a plane test of the mesh's kernel, exact
+    on Q2 points and within its tolerance on floats.  A wrap pivots a plane
+    about an axis through point u in one pass over the points, switching to any point strictly outside it.  When every point
     lies in a closed half-space bounded by a plane through the axis, and no
     two points on that plane lie on opposite sides of the axis, the pass
     ends on a supporting plane; its normal, axis x (c - u) for the last
@@ -220,11 +220,13 @@ def convex_hull_faces(vertices: Sequence[Vec3]) -> list[tuple[int, ...]]:
     normal from the edge's first point and started at its smallest index; a
     ring that does not turn strictly left at every point means a point on
     the hull that is not a vertex of it, and raises ValueError, as does a
-    collinear or flat point set.  About one pass over the points per face,
-    plus sorting its ring.
+    collinear, flat or empty point set.  About one pass over the points per
+    face, plus sorting its ring.
     """
-    pts = geom.z2_scaled(vertices)
-    sub, cross, side = EXACT.sub, EXACT.cross, EXACT.plane_side
+    if not p.vertices:
+        raise ValueError("there are no points")
+    k, pts = p.kernel, p.points
+    sub, cross, side = k.sub, k.cross, k.plane_side
     everyone = range(len(pts))
 
     def wrap(u, axis, cands):
@@ -235,7 +237,7 @@ def convex_hull_faces(vertices: Sequence[Vec3]) -> list[tuple[int, ...]]:
         for m, w in rel.items():
             if nrm is None or (s := side(nrm, w)) >= 0:
                 x = cross(axis, w)
-                if not any(x):
+                if k.is_zero_vec(x):
                     on_axis.append(m)  # on every plane through the axis
                 elif nrm is None or s > 0:
                     c, nrm, on_plane = m, x, [m]
@@ -245,8 +247,8 @@ def convex_hull_faces(vertices: Sequence[Vec3]) -> list[tuple[int, ...]]:
             raise ValueError("the points are collinear")
         return c, nrm, on_axis + on_plane, rel
 
-    p0 = min(everyone, key=vertices.__getitem__)
-    _, n1, plane, _ = wrap(p0, (0, 0, 0, 0, 1, 0), everyone)
+    p0 = min(everyone, key=p.vertices.__getitem__)
+    _, n1, plane, _ = wrap(p0, k.vec((0, 0, 1)), everyone)
     todo, edges, faces = [(p0, wrap(p0, n1, plane)[0])], set(), []
     while todo:
         u, v = todo.pop()
@@ -263,8 +265,8 @@ def convex_hull_faces(vertices: Sequence[Vec3]) -> list[tuple[int, ...]]:
             raise ValueError("a point lies on the hull but is not a vertex of it")
         edges.update(zip(ring, ring[1:] + ring[:1]))
         todo += zip(ring[1:] + ring[:1], ring)
-        k = ring.index(min(ring))
-        faces.append(tuple(ring[k:] + ring[:k]))
+        lo = ring.index(min(ring))
+        faces.append(tuple(ring[lo:] + ring[:lo]))
     return sorted(faces, key=sorted)
 
 
@@ -307,8 +309,7 @@ def _pseudo_points() -> set:
 def _canonical(kind: str) -> Polyhedron:
     """The solid at edge 2 (every coordinate in Z[sqrt2]); the only hull
     each solid ever needs."""
-    verts = tuple(sorted(_rco_points() if kind == "rco" else _pseudo_points()))
-    return Polyhedron(verts, convex_hull_faces(verts))
+    return Polyhedron(sorted(_rco_points() if kind == "rco" else _pseudo_points()))
 
 
 def _scaled(kind: str, edge_len) -> Polyhedron:
@@ -455,7 +456,7 @@ def _geometric_checks(p: Polyhedron) -> list[Check]:
     ``p.points``."""
     planar_bad: list[int] = []
     outward_bad: list[int] = []
-    convex_ok = True
+    outside, on_plane = False, None
     k, pts = p.kernel, p.points
     for fi, f in enumerate(p.faces):
         base = pts[f[0]]
@@ -465,17 +466,20 @@ def _geometric_checks(p: Polyhedron) -> list[Check]:
             continue
         if k.plane_side(nrm, base) <= 0:
             outward_bad.append(fi)
-        if any(k.plane_side(nrm, k.sub(v, base)) > 0 for v in pts):
-            convex_ok = False
+        for i, v in enumerate(pts):
+            s = k.plane_side(nrm, k.sub(v, base))
+            outside = outside or s > 0
+            if s == 0 and on_plane is None and i not in f:
+                on_plane = f"vertex {i} lies on the plane of face {fi} but not on the face"
     return [
         Check("planarity", not planar_bad,
               f"non-planar faces {planar_bad}" if planar_bad else "all faces planar"),
         Check("outward", not outward_bad,
               f"inward-facing faces {outward_bad}" if outward_bad else
               "all face normals point away from the centroid"),
-        Check("convexity", convex_ok,
-              "every vertex on the non-positive side of every face plane"
-              if convex_ok else "a vertex lies strictly outside a face plane"),
+        Check("convexity", not (outside or on_plane),
+              "a vertex lies strictly outside a face plane" if outside else on_plane or
+              "every vertex on the non-positive side of every face plane"),
     ]
 
 

@@ -1,19 +1,16 @@
 import itertools
-import math
 import os
 import random
 from fractions import Fraction
 
 import pytest
 
-from gyrolab.geom import vcross, vdot, vsub
 from gyrolab.netgen import generate_nets
 from gyrolab.qfield import ONE, SQRT2, ZERO, Q2
 from gyrolab.solids import (
     Polyhedron,
     build_pseudo_rhombicuboctahedron,
     build_rhombicuboctahedron,
-    convex_hull_faces,
 )
 from gyrolab.symmetry import symmetry_report
 
@@ -32,6 +29,26 @@ def noisy_off(text: str, eps: float, rng: random.Random) -> str:
         coords = [float(x) + rng.uniform(-eps, eps) for x in lines[k].split()]
         lines[k] = " ".join(f"{c:.17g}" for c in coords)
     return "\n".join(lines) + "\n"
+
+
+def fan_triangulated(text: str, centre_split: int | None = None) -> str:
+    """OFF text with every face of more than three vertices split into a fan
+    of triangles from its first vertex; face ``centre_split`` instead into a
+    fan around a new vertex at its centre, which lies on no edge."""
+    lines = text.splitlines()
+    nv, nf = (int(x) for x in lines[1].split()[:2])
+    verts = lines[2:2 + nv]
+    faces = [[int(x) for x in line.split()[1:]] for line in lines[2 + nv:2 + nv + nf]]
+    tris = []
+    for fi, f in enumerate(faces):
+        if fi == centre_split:
+            coords = [[float(x) for x in verts[i].split()] for i in f]
+            verts.append(" ".join(f"{sum(c) / len(f):.17g}" for c in zip(*coords)))
+            tris += [(a, b, len(verts) - 1) for a, b in zip(f, f[1:] + f[:1])]
+        else:
+            tris += [(f[0], f[k], f[k + 1]) for k in range(1, len(f) - 1)]
+    return "\n".join(["OFF", f"{len(verts)} {len(tris)} 0", *verts,
+                      *(f"3 {a} {b} {c}" for a, b, c in tris)]) + "\n"
 
 
 def signed_permutations(base) -> list:
@@ -68,7 +85,7 @@ def make_cube(half: int = 1) -> Polyhedron:
         {(Q2(sx), Q2(sy), Q2(sz))
          for sx in (half, -half) for sy in (half, -half) for sz in (half, -half)}
     )
-    return Polyhedron(verts, convex_hull_faces(verts))
+    return Polyhedron(verts)
 
 
 def make_box() -> Polyhedron:
@@ -77,22 +94,16 @@ def make_box() -> Polyhedron:
     half = (Fraction(1, 2), Fraction(1), Fraction(3, 2))
     verts = sorted({tuple(Q2(s * h) for s, h in zip(signs, half))
                     for signs in itertools.product((1, -1), repeat=3)})
-    return Polyhedron(verts, convex_hull_faces(verts))
+    return Polyhedron(verts)
 
 
 def make_icosahedron(scale: float = 1.0) -> Polyhedron:
     """The regular icosahedron of edge 2 x scale as a float mesh: its
-    golden-ratio coordinates are not in Q(sqrt2)."""
+    golden-ratio coordinates are not in Q(sqrt2); the float hull finds its
+    faces."""
     phi = (1 + 5 ** 0.5) / 2
-    verts = [p for a in (-1, 1) for b in (-phi, phi)
-             for p in ((0.0, a, b), (a, b, 0.0), (b, 0.0, a))]
-    faces = []
-    for i, j, k in itertools.combinations(range(12), 3):
-        if all(abs(math.dist(verts[x], verts[y]) - 2) < 1e-9
-               for x, y in ((i, j), (j, k), (i, k))):
-            nrm = vcross(vsub(verts[j], verts[i]), vsub(verts[k], verts[i]))
-            faces.append((i, j, k) if vdot(nrm, verts[i]) > 0 else (i, k, j))
-    return Polyhedron([tuple(x * scale for x in v) for v in verts], faces)
+    return Polyhedron([tuple(x * scale for x in p) for a in (-1, 1) for b in (-phi, phi)
+                       for p in ((0.0, a, b), (a, b, 0.0), (b, 0.0, a))])
 
 
 @pytest.fixture(scope="session")

@@ -21,7 +21,7 @@ from gyrolab.analysis import (
     text_report,
 )
 from gyrolab.qfield import Q2
-from gyrolab.solids import Polyhedron, convex_hull_faces, read_off, write_off
+from gyrolab.solids import Polyhedron, read_off, write_off
 
 
 def test_rco_is_archimedean_candidate(rco):
@@ -59,7 +59,7 @@ def test_irregular_faces_are_neither_candidate_nor_pseudo():
     # the box is vertex-transitive, the corner tetrahedron has one vertex
     # figure and is not; neither has regular faces
     corner = [(Q2(x), Q2(y), Q2(z)) for x, y, z in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))]
-    for p in (make_box(), Polyhedron(corner, convex_hull_faces(corner))):
+    for p in (make_box(), Polyhedron(corner)):
         r = analyze(p)
         assert not r.partial and r.uniform_vertex_figure and not r.faces_regular
         assert not r.archimedean_candidate
@@ -76,7 +76,7 @@ def _equilateral_solids():
     ring = list(itertools.accumulate(steps, lambda p, d: (p[0] + d[0], p[1] + d[1]),
                                      initial=(Q2(0), Q2(0))))[:-1]
     prism = [(x, y, Q2(z)) for x, y in ring for z in (0, 2)]
-    return [Polyhedron(sorted(pts), convex_hull_faces(sorted(pts)))
+    return [Polyhedron(sorted(pts))
             for pts in (RHOMBOHEDRON, prism)]
 
 
@@ -100,7 +100,7 @@ def test_faces_regular_on_equilateral_solids(solid, regular):
     # hexagons and octagons as well as rhombi: exact, and read back from
     # OFF with noise 1e-10 at tolerance 1e-9
     if regular:
-        p = Polyhedron(_REGULAR_FACED[solid], convex_hull_faces(_REGULAR_FACED[solid]))
+        p = Polyhedron(_REGULAR_FACED[solid])
     else:
         p = dict(zip(("rhombohedron", "hexagonal prism"), _equilateral_solids()))[solid]
     noisy = [read_off(noisy_off(write_off(p), 1e-10, random.Random(seed)), 1e-9)

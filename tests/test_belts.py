@@ -11,7 +11,6 @@ from gyrolab.qfield import Q2
 from gyrolab.solids import (
     Polyhedron,
     build_rhombicuboctahedron,
-    convex_hull_faces,
     face_census,
     read_off,
     write_off,
@@ -152,7 +151,7 @@ def test_a_band_of_trapezoids_is_no_belt():
     # a square frustum: the band of four lateral trapezoids closes, but its
     # crossing edges are not parallel; each band through both squares is a
     # belt, with the other two trapezoids as its poles
-    frustum = Polyhedron(FRUSTUM, convex_hull_faces(FRUSTUM))
+    frustum = Polyhedron(FRUSTUM)
     for p in (frustum, read_off(write_off(frustum))):
         belts = find_belts(p)
         assert [b.length for b in belts] == [4, 4]

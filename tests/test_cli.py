@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from conftest import DATA_DIR, make_cube, make_icosahedron, noisy_off
+from conftest import DATA_DIR, fan_triangulated, make_cube, make_icosahedron, noisy_off
 
 import gyrolab
 from gyrolab.cli import main
@@ -174,26 +174,47 @@ def test_net_refuses_an_edge_the_svg_cannot_draw(tmp_path, capsys):
     assert code == 0 and 'width="0.01"' in svg.read_text()
 
 
-def test_analyze_broken_mesh_partial_exit_1(tmp_path, capsys):
-    bad = tmp_path / "open.off"
-    bad.write_text(
-        "OFF\n4 1 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n4 0 1 2 3\n", encoding="utf-8"
-    )
-    code, out, _ = run(capsys, "analyze", "--input", str(bad))
-    assert code == 1
-    assert "FAILED" in out
+@pytest.mark.parametrize("mesh", [
+    "open square",
+    *(f"{solid}_{noise}" for solid in ("rco", "pseudo", "cube") for noise in ("0", "1e-10")),
+    "cube split around a face centre",
+])
+def test_analyze_broken_mesh_partial_exit_1(tmp_path, capsys, cube_off_text, mesh):
+    # an open surface, or faces that do not fill their planes (a fan
+    # triangulation of a golden input, or one cube face split into 4
+    # triangles around its centre): a partial report and exit 1, never a
+    # group read off the wrong faces
+    if mesh == "open square":
+        text = "OFF\n4 1 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n4 0 1 2 3\n"
+    elif mesh == "cube split around a face centre":
+        text = fan_triangulated(cube_off_text, centre_split=0)
+    else:
+        path = os.path.join(os.path.dirname(__file__), "golden", "inputs", f"{mesh}.off")
+        with open(path, encoding="utf-8") as fh:
+            text = fan_triangulated(fh.read())
+    bad = tmp_path / "mesh.off"
+    bad.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "analyze", "--input", str(bad))
+    assert (code, err) == (1, "")
+    assert "FAILED" in out and "symmetry group" not in out
+    if mesh != "open square":
+        assert "\n  convexity: vertex " in out
 
 
 def test_noisy_input_fails_cleanly(tmp_path, capsys, rco, pseudo, cube_off_text):
-    # at this noise the float symmetry search may fail, but only with an
-    # exit code, never with a traceback
+    # noise 1e-7 at tolerance 1e-5 reads back right: full order, axes, belts
     rng = random.Random(3)
-    for name, text in (("rco", write_off(rco)), ("pseudo", write_off(pseudo)),
-                       ("cube", cube_off_text)):
+    for name, text, answer in (("rco", write_off(rco), (48, 13, 3)),
+                               ("pseudo", write_off(pseudo), (16, 5, 1)),
+                               ("cube", cube_off_text, (48, 13, 3))):
         mesh = tmp_path / f"{name}.off"
         mesh.write_text(noisy_off(text, 1e-7, rng), encoding="utf-8")
-        code, _, _ = run(capsys, "analyze", "--input", str(mesh), "--tolerance", "1e-5")
-        assert code in (0, 1)
+        code, out, err = run(capsys, "analyze", "--input", str(mesh), "--tolerance", "1e-5",
+                             "--json")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        sym = doc["symmetry"]
+        assert (sym["full_order"], len(sym["axes"]), len(doc["belts"])) == answer
 
 
 # full order, axes, vertex orbit sizes, equatorial belts

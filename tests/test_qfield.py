@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gyrolab.qfield import ONE, SQRT2, ZERO, Q2, inverse, parse, sign
+from gyrolab.qfield import ONE, SQRT2, ZERO, Q2, parse
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=100)
 q2s = st.builds(Q2, rationals, rationals)
@@ -28,20 +28,20 @@ def test_square_of_one_plus_sqrt2():
 
 
 def test_inverse_examples():
-    assert inverse(ONE + SQRT2) == Q2(-1, 1)
-    assert inverse(Q2(2)) == Q2(Fraction(1, 2))
-    assert inverse(SQRT2) == Q2(0, Fraction(1, 2))
+    assert (ONE + SQRT2).inverse() == Q2(-1, 1)
+    assert Q2(2).inverse() == Q2(Fraction(1, 2))
+    assert SQRT2.inverse() == Q2(0, Fraction(1, 2))
 
 
 def test_inverse_of_zero_raises():
     with pytest.raises(ZeroDivisionError):
-        inverse(ZERO)
+        ZERO.inverse()
 
 
 def test_sign_examples():
-    assert sign(Q2(7, -5)) == -1  # 49 < 50
-    assert sign(ZERO) == 0
-    assert sign(Q2(-1, 1)) == 1  # 2 > 1
+    assert Q2(7, -5).sign() == -1  # 49 < 50
+    assert ZERO.sign() == 0
+    assert Q2(-1, 1).sign() == 1  # 2 > 1
 
 
 def test_canonical_serialization():
@@ -127,14 +127,14 @@ def test_sign_agrees_with_high_precision_floats():
             mpmath.mpf(b.numerator) / b.denominator
         ) * root2
         expected = 0 if val == 0 else (1 if val > 0 else -1)
-        assert sign(x) == expected
+        assert x.sign() == expected
 
 
 def test_sign_of_near_cancellation():
     # Pell convergents: 8119/5741 < sqrt2 < 3363/2378, both within 1e-8
-    assert sign(Q2(8119, -5741)) == -1
-    assert sign(Q2(-8119, 5741)) == 1
-    assert sign(Q2(3363, -2378)) == 1
+    assert Q2(8119, -5741).sign() == -1
+    assert Q2(-8119, 5741).sign() == 1
+    assert Q2(3363, -2378).sign() == 1
 
 
 # -- the integer form against a (Fraction, Fraction) reference ------------------

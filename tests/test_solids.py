@@ -14,6 +14,7 @@ from conftest import (
     RHOMBOHEDRON,
     TRUNCATED_CUBE,
     TRUNCATED_CUBOCTAHEDRON,
+    fan_triangulated,
 )
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
@@ -22,6 +23,7 @@ from gyrolab import solids
 from gyrolab.cli import main
 from gyrolab.foldsim import fold
 from gyrolab.geom import (
+    EXACT,
     centroid,
     cycle_order,
     is_zero_vec,
@@ -29,7 +31,6 @@ from gyrolab.geom import (
     vdot,
     vneg,
     vsub,
-    z2_scaled,
 )
 from gyrolab.netgen import generate_nets
 from gyrolab.qfield import ONE, SQRT2, Q2, parse, sign_z2
@@ -38,7 +39,6 @@ from gyrolab.solids import (
     Polyhedron,
     build_pseudo_rhombicuboctahedron,
     build_rhombicuboctahedron,
-    convex_hull_faces,
     face_census,
     read_off,
     to_json,
@@ -116,7 +116,7 @@ def test_pseudo_vertex_set_differs_in_exactly_four_points(rco, pseudo):
 def test_canonical_pose(rco, pseudo):
     t = ONE + SQRT2  # edge 2 -> s = 1
     for p in (rco, pseudo):
-        assert all(c.is_zero() for c in p.vertex_centroid())
+        assert all(c.is_zero() for c in centroid(p.vertices))
         polar_centers = {
             tuple(p.face_center(fi))
             for fi in range(p.n_faces)
@@ -153,7 +153,7 @@ def test_scaled_build_equals_a_fresh_hull(edge, builder, oracle):
     p = builder(edge)
     verts = tuple(sorted(oracle(edge)))
     assert p.vertices == verts
-    assert p.faces == tuple(convex_hull_faces(verts))  # same faces, same winding
+    assert p.faces == Polyhedron(verts).faces  # same faces, same winding
     assert validate(p).ok
 
 
@@ -167,9 +167,9 @@ def test_one_hull_per_solid_whatever_the_edge(monkeypatch):
     calls = []
     hull = solids.convex_hull_faces
 
-    def counting_hull(verts):
-        calls.append(len(verts))
-        return hull(verts)
+    def counting_hull(p):
+        calls.append(p.n_vertices)
+        return hull(p)
 
     monkeypatch.setattr(solids, "convex_hull_faces", counting_hull)
     _clear_build_caches()
@@ -186,9 +186,9 @@ def test_a_net_that_cannot_fit_its_sheet_runs_no_hull(monkeypatch, tmp_path, cap
     calls = []
     hull = solids.convex_hull_faces
 
-    def counting_hull(verts):
-        calls.append(len(verts))
-        return hull(verts)
+    def counting_hull(p):
+        calls.append(p.n_vertices)
+        return hull(p)
 
     monkeypatch.setattr(solids, "convex_hull_faces", counting_hull)
     _clear_build_caches()
@@ -258,11 +258,15 @@ def test_cube_fixture_passes_validation(cube_off_text):
     assert validate(p).ok
 
 
+def _failed(report) -> set:
+    return {c.name for c in report.checks if not c.passed}
+
+
 def test_open_edge_detection(cube):
     broken = Polyhedron(cube.vertices, cube.faces[:-1])
     report = validate(broken)
     assert not report.ok
-    assert not report.passed("manifold")
+    assert "manifold" in _failed(report)
     assert len(report.open_edges) == 4
 
 
@@ -270,14 +274,14 @@ def test_dangling_index_reported_not_raised(cube):
     bad = Polyhedron(cube.vertices, list(cube.faces) + [(0, 1, 99)])
     report = validate(bad)
     assert not report.ok
-    assert not report.passed("indices")
+    assert "indices" in _failed(report)
 
 
 def test_flipped_face_breaks_winding(cube):
     faces = list(cube.faces)
     faces[0] = tuple(reversed(faces[0]))
     report = validate(Polyhedron(cube.vertices, faces))
-    assert not report.passed("winding")
+    assert "winding" in _failed(report)
 
 
 def test_off_round_trip(rco):
@@ -470,7 +474,7 @@ def _hull_inputs(draw):
 @given(_hull_inputs())
 def test_hull_equals_the_q2_triple_scan(case):
     points, full_set = case
-    faces = convex_hull_faces(points)
+    faces = list(Polyhedron(points).faces)
     if full_set is None:
         assert faces == _oracle_hull(points)  # same faces, winding and order
     else:
@@ -484,14 +488,14 @@ def test_hull_equals_the_q2_triple_scan(case):
 def _triple_scan_hull(vertices):
     """The integer triple scan, with its own Z[sqrt2] algebra: for every
     vertex triple, the plane normal and the exact side (``sign_z2``) of
-    every point, on the lattice ints of ``geom.z2_scaled``.  A plane with
+    every point, on the lattice ints of ``EXACT.coordinates``.  A plane with
     every point on one side contributes the points on it; two of them are
     neighbours iff another such plane holds both, ``cycle_order`` walks the
     ring from the smallest, and the sign of the triple's normal sets the
     winding.  O(n^4), with covered triples skipped and points tried in
     move-to-front order."""
     n = len(vertices)
-    pts = z2_scaled(vertices)
+    pts = EXACT.coordinates(vertices)
     order = list(range(n))
     covered: set = set()
     planes = []  # (sorted members, j, k, whether u x v points outward)
@@ -563,36 +567,69 @@ def _scaled_and_shuffled(points, seed):
     return [tuple(c * k for c in points[i]) for i in order]
 
 
-@pytest.mark.parametrize("name", sorted(_WRAP_POINT_SETS))
-def test_gift_wrap_equals_the_triple_scan(name):
+def _as_floats(points, noise=0.0, seed=0):
+    """The points as floats, each coordinate moved by uniform noise in
+    [-noise, noise]."""
+    rng = random.Random(seed)
+    return [tuple(float(c) + rng.uniform(-noise, noise) for c in v) for v in points]
+
+
+def _on_both_kernels(names):
+    """(name, kernel) for each name, exact and float; an exact case's id is
+    the name alone."""
+    return [pytest.param(name, kernel, id=name if kernel == "exact" else f"{name}, float")
+            for name in names for kernel in ("exact", "float")]
+
+
+@pytest.mark.parametrize("name,kernel", _on_both_kernels(sorted(_WRAP_POINT_SETS)))
+def test_gift_wrap_equals_the_triple_scan(name, kernel):
+    # floats at noise 0, 1e-12 and 1e-10, tolerance 1e-9: the same as exact
     points = list(_WRAP_POINT_SETS[name])
     for pts in (points, _scaled_and_shuffled(points, name)):
-        assert convex_hull_faces(pts) == _triple_scan_hull(pts)  # faces, winding, order
+        expected = _triple_scan_hull(pts)  # faces, winding, order
+        if kernel == "exact":
+            assert list(Polyhedron(pts).faces) == expected
+        else:
+            for noise in (0.0, 1e-12, 1e-10):
+                floats = _as_floats(pts, noise, f"{name}/{noise}")
+                assert list(Polyhedron(floats, tolerance=1e-9).faces) == expected
 
 
 @pytest.mark.parametrize("name", sorted(_WRAP_POINT_SETS))
 def test_an_interior_point_is_on_no_face(name):
     points = list(_WRAP_POINT_SETS[name])
     for pts in (points, _scaled_and_shuffled(points, name)):
-        faces = convex_hull_faces(pts + [centroid(pts)])
-        assert faces == convex_hull_faces(pts)  # so the centroid, last, is on none
+        faces = Polyhedron(pts + [centroid(pts)]).faces
+        assert faces == Polyhedron(pts).faces  # so the centroid, last, is on none
 
 
 _FLAT_OCTAGON = [v for v in solids._rco_points() if v[2] == ONE]
 
 
-@pytest.mark.parametrize("points", [
-    [], CUBE[:1], CUBE[:2], CUBE[:3], CUBE[:4], _FLAT_OCTAGON,
-    [(Q2(k), Q2(2 * k), Q2(-k)) for k in range(5)],
-    [(ONE, ONE, Q2(k)) for k in range(5)],
-    CUBE + [(Q2(0), Q2(0), ONE)], CUBE + [(Q2(0), ONE, ONE)],
-], ids=["none", "one", "two", "three", "flat square", "flat octagon", "collinear",
-        "collinear along z", "face centre", "edge midpoint"])
-def test_degenerate_point_sets_raise(points):
+_DEGENERATE_POINT_SETS = {
+    "none": [], "one": CUBE[:1], "two": CUBE[:2], "three": CUBE[:3],
+    "flat square": CUBE[:4], "flat octagon": _FLAT_OCTAGON,
+    "collinear": [(Q2(k), Q2(2 * k), Q2(-k)) for k in range(5)],
+    "collinear along z": [(ONE, ONE, Q2(k)) for k in range(5)],
+    "face centre": CUBE + [(Q2(0), Q2(0), ONE)],
+    "edge midpoint": CUBE + [(Q2(0), ONE, ONE)],
+}
+
+
+@pytest.mark.parametrize("name,kernel", _on_both_kernels(_DEGENERATE_POINT_SETS))
+def test_degenerate_point_sets_raise(name, kernel):
     """Fewer than 4 points, a flat or collinear set, or a point on the hull
     that is not a vertex of it."""
+    points = _DEGENERATE_POINT_SETS[name]
     with pytest.raises(ValueError):
-        convex_hull_faces(points)
+        Polyhedron(points if kernel == "exact" else _as_floats(points))
+
+
+def test_the_float_hull_merges_a_triangulation(rco):
+    # the vertices decide the faces, not the triangles a mesh was given as
+    triangulated = read_off(fan_triangulated(write_off(rco)))
+    assert (triangulated.n_faces, rco.n_faces) == (44, 26)
+    assert Polyhedron(triangulated.vertices, tolerance=1e-9).faces == rco.faces
 
 
 @pytest.mark.parametrize("points,census", [
@@ -602,7 +639,7 @@ def test_degenerate_point_sets_raise(points):
     (TRUNCATED_CUBOCTAHEDRON, {4: 12, 6: 8, 8: 6}),
 ], ids=["cube", "octagonal prism", "truncated cube", "truncated cuboctahedron"])
 def test_known_answer_hulls(points, census):
-    p = Polyhedron(points, convex_hull_faces(points))
+    p = Polyhedron(points)
     assert validate(p).ok, [c for c in validate(p).checks if not c.passed]
     assert p.euler_characteristic == 2
     assert collections.Counter(len(f) for f in p.faces) == census

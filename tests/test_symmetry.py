@@ -28,7 +28,6 @@ from gyrolab.solids import (
     Polyhedron,
     build_pseudo_rhombicuboctahedron,
     build_rhombicuboctahedron,
-    convex_hull_faces,
     read_off,
     write_off,
 )
@@ -441,7 +440,7 @@ def least_squares_group(p) -> dict:
     """{(vertex_perm, face_perm): M} for every lattice automorphism the
     least-squares filter keeps; float matrices stay unsnapped."""
     k = p.kernel
-    c = p.vertex_centroid()
+    c = geom.centroid(p.vertices)
     verts = [vsub(v, c) for v in p.vertices]
     gram_inv = _inverse(_moments(verts, verts))
     diameter = _diameter(k, verts)
@@ -473,7 +472,7 @@ def _oracle_elements(p) -> set:
 
 
 def _hull_mesh(points) -> Polyhedron:
-    return Polyhedron(points, convex_hull_faces(points))
+    return Polyhedron(points)
 
 
 _EDGES = {"2": 2, "5": 5, "7/3+1/5*sqrt2": parse("7/3+1/5*sqrt2")}
@@ -599,7 +598,7 @@ def _enumerating_frame(k, verts, gram, scale):
 
 def enumerated_group(p) -> tuple:
     k = p.kernel
-    c = p.vertex_centroid()
+    c = geom.centroid(p.vertices)
     verts = tuple(vsub(v, c) for v in p.vertices)
     gram = [[vdot(u, v) for v in verts] for u in verts]
     scale = _diameter(k, verts) ** 2
@@ -639,7 +638,7 @@ _SCALES = ["2", "7/3", "1+1*sqrt2", "10^400", "10^-400"]
 
 @functools.lru_cache(maxsize=None)
 def _corpus_faces(name):
-    return convex_hull_faces(_CORPUS[name])
+    return Polyhedron(_CORPUS[name]).faces
 
 
 def _corpus_mesh(name, edge) -> Polyhedron:
@@ -748,7 +747,7 @@ _small_q2 = st.builds(Q2, st.fractions(min_value=-3, max_value=3, max_denominato
 def test_lattice_decides_like_q2(points, rng):
     p = Polyhedron(points, [])
     k, verts = p.kernel, p.points
-    c = p.vertex_centroid()
+    c = geom.centroid(p.vertices)
     q2 = [vsub(v, c) for v in points]
     gram = [[k.dot(u, v) for v in verts] for u in verts]
     for i, j in itertools.product(range(len(points)), repeat=2):
