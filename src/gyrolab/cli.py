@@ -9,6 +9,7 @@ identical invocations, no timestamps.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import os
 import sys
@@ -187,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="edge length (rational or Q(sqrt2) literal; default 5)")
     p_build.add_argument("--format", choices=("off", "json"), default="off")
     p_build.add_argument("-o", "--output", default=None, help="output file (default stdout)")
-    p_build.set_defaults(func=cmd_build)
+    p_build.set_defaults(func=functools.partial(cmd_build, p_build))
 
     p_an = sub.add_parser("analyze", help="full symmetry/belt/census analysis")
     src = p_an.add_mutually_exclusive_group(required=True)
@@ -196,9 +197,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--edge", default=DEFAULT_BUILD_EDGE)
     p_an.add_argument("--tolerance", type=_parse_tolerance, default=1e-9,
                       help="tolerance for ingested meshes, relative to the mesh's"
-                      " diameter, finite and positive (default 1e-9)")
+                      " diameter, in (0, 1) (default 1e-9)")
     p_an.add_argument("--json", action="store_true")
-    p_an.set_defaults(func=cmd_analyze)
+    p_an.set_defaults(func=functools.partial(cmd_analyze, p_an))
 
     p_net = sub.add_parser("net", help="emit the three-piece papercraft net as SVG")
     p_net.add_argument("--edge", default=DEFAULT_NET_EDGE,
@@ -210,18 +211,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="A2, A3, A4 or WIDTHxHEIGHT in mm (default A2)",
     )
     p_net.add_argument("-o", "--output", required=True, help="output SVG file")
-    p_net.set_defaults(func=cmd_net)
+    p_net.set_defaults(func=functools.partial(cmd_net, p_net))
 
     p_fold = sub.add_parser("fold-check",
                             help="fold the nets and verify the assembled solid")
     p_fold.add_argument("--gyration", type=int, choices=(0, 45), default=0)
     p_fold.add_argument("--json", action="store_true")
-    p_fold.set_defaults(func=cmd_fold_check)
+    p_fold.set_defaults(func=functools.partial(cmd_fold_check, p_fold))
 
     p_cmp = sub.add_parser("compare", help="side-by-side table of the two solids")
     p_cmp.add_argument("--edge", default=DEFAULT_BUILD_EDGE)
     p_cmp.add_argument("--json", action="store_true")
-    p_cmp.set_defaults(func=cmd_compare)
+    p_cmp.set_defaults(func=functools.partial(cmd_compare, p_cmp))
 
     return parser
 
@@ -230,7 +231,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(parser, args)
+        return args.func(args)  # bound to its subcommand's parser, for usage errors
     except (ValueError, OSError, ArithmeticError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

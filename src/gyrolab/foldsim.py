@@ -4,14 +4,15 @@ Every piece folds by one walk over its creases as a tree from square
 (0, 0).  Each square's flat corners come from ``netgen.square_corners`` and
 each crease's edge from ``netgen.shared_edge``, the layout the SVG prints,
 mapped into space by a per-piece embedding; a crease rotates its child side
-by 180 degrees minus the target dihedral about that edge.  All crease lines
-have exact unit directions and all targets are multiples of 45 degrees, so
-every placed corner stays in Q(sqrt2)^3 and every placed square is an exact
-L x L square.  Congruent squares
-overlap flat only by coinciding, so closure is decided by exact corner-set
-lookups, never by a distance search: square 9 on square 1, each glue tab on
-a belt square, each cap side edge on a belt square edge, and each face
-square on a face of the target solid.
+by 180 degrees minus the target dihedral about that edge.  Every crease
+line runs along a coordinate axis and every target is a multiple of 45
+degrees, so each crease, like the north cap's gyration, is one
+``geom.turn``: every placed corner stays in Q(sqrt2)^3 and every placed
+square is an exact L x L square.  Congruent squares overlap flat only by
+coinciding, so closure is decided by exact corner-set lookups, never by a
+distance search: square 9 on square 1, each glue tab on a belt square, each
+cap side edge on a belt square edge, and each face square on a face of the
+target solid.
 
 Pose convention: strip square 1 starts on the belt face whose outward
 normal is +x, in the builders' canonical pose; the north cap is the one
@@ -24,8 +25,7 @@ import math
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
-from . import geom
-from .geom import Mat3, Vec3, mat_mul, mat_vec, vadd, vdot, vsub
+from .geom import Mat3, Vec3, mat_mul, mat_vec, turn, vadd, vcross, vdot, vsub
 from .netgen import NetSpec, NetSquare, shared_edge, square_cell, square_corners
 from .qfield import ONE, ZERO, Q2
 from .solids import build_pseudo_rhombicuboctahedron, build_rhombicuboctahedron
@@ -162,9 +162,9 @@ class _Affine(NamedTuple):
         return _Affine(mat_mul(self.m, inner.m), vadd(mat_vec(self.m, inner.b), self.b))
 
 
-def _rotation_about_line(anchor: Vec3, axis_unit: Vec3, degrees: int) -> _Affine:
-    cos, sin = geom.exact_cos_sin(degrees)
-    m = geom.rotation_about_axis_q2(axis_unit, cos, sin)
+def _rotation_about_line(anchor: Vec3, axis: Vec3, degrees: int) -> _Affine:
+    """``turn(axis, degrees)`` about the line through ``anchor``."""
+    m = turn(axis, degrees)
     return _Affine(m, vsub(anchor, mat_vec(m, anchor)))
 
 
@@ -212,7 +212,7 @@ def _fold_piece(net: NetSpec, piece: str, embed: Callable[[int, int], Vec3],
                 continue
             step = vsub(embed(*square_cell(squares[child])),
                         embed(*square_cell(squares[pos])))
-            axis = tuple(v / L for v in geom.vcross(n_out, step))
+            axis = tuple(v / L for v in vcross(n_out, step))
             crease = _rotation_about_line(embed(*anchor), axis,
                                           _fold_rotation_degrees(target))
             transforms[child] = transforms[pos].then_inner(crease)
@@ -246,18 +246,18 @@ def fold(net: NetSpec, gyration: int = 0) -> AssemblyResult:
     # each cap's pole square, the root of its fold, is centred on the polar axis
     cx, cy = (L * v + s for v in square_cell(NetSquare("cap_north", (0, 0), "pole")))
 
-    def turn(degrees: int) -> _Affine:
-        return _rotation_about_line((ZERO, ZERO, ZERO), (ZERO, ZERO, ONE), degrees)
+    def root(degrees: int) -> _Affine:  # a turn about the polar axis
+        return _rotation_about_line((ZERO, ZERO, ZERO), (0, 0, 1), degrees)
 
     placed = {
         "strip": _fold_piece(net, "strip", lambda x, y: (t, s - L * x, s - L * y),
-                             (ONE, ZERO, ZERO), turn(0)),
+                             (ONE, ZERO, ZERO), root(0)),
         "cap_north": _fold_piece(net, "cap_north",
                                  lambda x, y: (L * x - cx, L * y - cy, t),
-                                 (ZERO, ZERO, ONE), turn(gyration)),
+                                 (ZERO, ZERO, ONE), root(gyration)),
         "cap_south": _fold_piece(net, "cap_south",
                                  lambda x, y: (L * x - cx, L * y - cy, -t),
-                                 (ZERO, ZERO, -ONE), turn(0)),
+                                 (ZERO, ZERO, -ONE), root(0)),
     }
     if gyration % 90 == 0:
         target = build_rhombicuboctahedron(net.edge_len)

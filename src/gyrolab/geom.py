@@ -16,8 +16,11 @@ verdict depends on the mesh's scale.  Both expose the same operations, so
 each geometric algorithm is written once and a ``Polyhedron`` picks its
 kernel once, from its coordinate type.
 
-``cycle_order`` is the one cyclic walk: it orders the faces around a
-vertex and a net piece's outline from adjacency alone, with no arithmetic.
+``turn`` is the one exact rotation: by a multiple of 45 degrees about a
+signed coordinate axis, which is every turn the gyrate cap and the fold's
+creases make.  ``cycle_order`` is the one cyclic walk: it orders the faces
+around a vertex and a net piece's outline from adjacency alone, with no
+arithmetic.
 """
 
 from __future__ import annotations
@@ -96,29 +99,20 @@ def exact_cos_sin(degrees: int) -> tuple[Q2, Q2]:
     return table[d]
 
 
-def rotation_about_axis_q2(u: Vec3, cos: Q2, sin: Q2) -> Mat3:
-    """Rodrigues rotation matrix about the exact *unit* axis u."""
-    if vdot(u, u) != ONE:
-        raise ValueError("rotation axis must be an exact unit vector")
-    ux, uy, uz = u
-    one_c = ONE - cos
-    return (
-        (
-            cos + ux * ux * one_c,
-            ux * uy * one_c - uz * sin,
-            ux * uz * one_c + uy * sin,
-        ),
-        (
-            uy * ux * one_c + uz * sin,
-            cos + uy * uy * one_c,
-            uy * uz * one_c - ux * sin,
-        ),
-        (
-            uz * ux * one_c - uy * sin,
-            uz * uy * one_c + ux * sin,
-            cos + uz * uz * one_c,
-        ),
-    )
+def turn(axis: Vec3, degrees: int) -> Mat3:
+    """The exact rotation by ``degrees`` (a multiple of 45) about ``axis``,
+    a signed coordinate unit vector such as (0, 0, -1), counterclockwise
+    seen from its tip; ValueError for any other axis or angle."""
+    cos, sin = exact_cos_sin(degrees)
+    signed = [(k, c) for k, c in enumerate(axis) if c]
+    if len(signed) != 1 or signed[0][1] not in (1, -1):
+        raise ValueError(f"no exact turn about {axis}: not a signed coordinate unit vector")
+    [(k, s)] = signed
+    i, j = (k + 1) % 3, (k + 2) % 3
+    m = [[ZERO] * 3 for _ in range(3)]
+    m[k][k], m[i][i], m[j][j] = ONE, cos, cos
+    m[j][i], m[i][j] = (sin, -sin) if s == 1 else (-sin, sin)
+    return tuple(map(tuple, m))
 
 
 def centroid(points: Sequence[Vec3]) -> Vec3:

@@ -355,9 +355,10 @@ def _fmt(v) -> str:
 
 def render_svg(net: NetSpec, paper="A2") -> str:
     """One printable SVG: solid 0.5 mm cut lines, dashed 0.35 mm creases,
-    grey glue squares, 6 mm pole crosses; millimetre units, document size
-    equal to the sheet; ValueError under ``MIN_SVG_EDGE``.  Byte-identical
-    across runs for equal inputs."""
+    grey glue squares, 6 mm pole crosses, all scaled by L / 10 mm under a
+    10 mm edge L; millimetre units, document size equal to the sheet;
+    ValueError under ``MIN_SVG_EDGE``.  Byte-identical across runs for
+    equal inputs."""
     L = net.edge_len
     name, (pw, ph), layout = _sheet_layout(net, paper)
     rects: list[str] = []
@@ -399,15 +400,16 @@ def render_svg(net: NetSpec, paper="A2") -> str:
                        (place(*pt) for pt in _piece_outline_local(net, piece)))
         cuts.append(f'    <path class="cut" d="M {d} Z"/>')
 
+    w = min(1.0, float(L) / 10)  # marks shrink with squares under 10 mm
     body = ["  <g class=\"squares\">", *rects, "  </g>",
-            "  <g class=\"creases\" stroke=\"#000000\" stroke-width=\"0.35\""
-            " stroke-dasharray=\"2 1\">", *creases, "  </g>",
-            "  <g class=\"cuts\" stroke=\"#000000\" stroke-width=\"0.5\""
+            f"  <g class=\"creases\" stroke=\"#000000\" stroke-width=\"{_fmt(0.35 * w)}\""
+            f" stroke-dasharray=\"{_fmt(2 * w)} {_fmt(w)}\">", *creases, "  </g>",
+            f"  <g class=\"cuts\" stroke=\"#000000\" stroke-width=\"{_fmt(0.5 * w)}\""
             " fill=\"none\">", *cuts, "  </g>"]
-    k = 3 / math.sqrt(2.0)  # two 6 mm strokes
+    k = 3 / math.sqrt(2.0) * w  # two 6 mm strokes
     for cx, cy in poles:
         body += [
-            "  <g class=\"pole-cross\" stroke=\"#000000\" stroke-width=\"0.5\">",
+            f"  <g class=\"pole-cross\" stroke=\"#000000\" stroke-width=\"{_fmt(0.5 * w)}\">",
             f'    <line x1="{_fmt(cx - k)}" y1="{_fmt(cy - k)}"'
             f' x2="{_fmt(cx + k)}" y2="{_fmt(cy + k)}"/>',
             f'    <line x1="{_fmt(cx - k)}" y1="{_fmt(cy + k)}"'

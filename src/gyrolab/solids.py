@@ -81,10 +81,12 @@ class ValidationReport(NamedTuple):
 
 
 def check_tolerance(tolerance: float) -> float:
-    """``tolerance`` itself if it is finite and positive; ValueError
-    otherwise, since no other value can separate zero from nonzero."""
-    if not (math.isfinite(tolerance) and tolerance > 0):
-        raise ValueError(f"tolerance must be finite and positive, got {tolerance!r}")
+    """``tolerance`` itself if 0 < tolerance < 1; ValueError otherwise.  It is
+    relative to the diameter, so at 1 or more every vector counts as zero,
+    and at 0 or below (or NaN) none does."""
+    if not 0 < tolerance < 1:
+        raise ValueError(f"tolerance must be finite and positive and below 1,"
+                         f" got {tolerance!r}")
     return tolerance
 
 
@@ -93,7 +95,7 @@ class Polyhedron:
 
     Q2 coordinates get the exact kernel; float coordinates (ingested
     meshes) get a tolerance kernel with the given ``tolerance``, relative
-    to the diameter, finite and positive (ValueError otherwise).  With no
+    to the diameter, in (0, 1) (ValueError otherwise).  With no
     ``faces``, the vertices decide them: the faces of their convex hull,
     on that kernel.  Adjacency is purely combinatorial and never raises
     on malformed indices; ``validate`` reports those instead.
@@ -288,21 +290,14 @@ def _rco_points() -> set:
 
 
 def _pseudo_points() -> set:
-    """The rco points with the top cap turned 45 degrees about the z axis.
+    """The rco points with the top cap turned 45 degrees about the z axis
+    by ``geom.turn``, the turn the fold gives its north cap.
 
     The octagonal ring at z = 1 maps onto itself, so only the 4 polar
-    vertices (z = 1+sqrt2) move.
+    vertices (z = 1+sqrt2) are turned.
     """
-    t = ONE + SQRT2
-    cos45, sin45 = geom.exact_cos_sin(45)
-    pts = set()
-    for v in _rco_points():
-        x, y, z = v
-        if z == t:
-            pts.add((x * cos45 - y * sin45, x * sin45 + y * cos45, z))
-        else:
-            pts.add(v)
-    return pts
+    m = geom.turn((0, 0, 1), 45)
+    return {geom.mat_vec(m, v) if v[2] == ONE + SQRT2 else v for v in _rco_points()}
 
 
 @functools.lru_cache(maxsize=None)
@@ -502,7 +497,7 @@ def write_off(p: Polyhedron) -> str:
 
 def read_off(text: str, tolerance: float = 1e-9) -> Polyhedron:
     """Parse ASCII OFF into a float polyhedron with the given tolerance
-    (relative to its diameter, finite and positive, as for ``Polyhedron``).
+    (relative to its diameter, in (0, 1), as for ``Polyhedron``).
 
     Raises OffParseError with the offending line number; blank lines and
     ``#`` comments are skipped, trailing face color values are ignored.

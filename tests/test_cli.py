@@ -58,10 +58,24 @@ def test_build_unknown_solid_is_usage_error(capsys):
     assert "pseudo-rco" in err and "rco" in err  # lists the valid names
 
 
-def test_build_bad_edge_is_usage_error(capsys):
+@pytest.mark.parametrize("argv", [
+    ["build", "--solid", "rco", "--edge", "1e3"],
+    ["analyze", "--solid", "rco", "--edge", "0"],
+    ["compare", "--edge", "-3"],
+    ["net", "--edge", "abc"],
+], ids=lambda argv: argv[0])
+def test_build_bad_edge_is_usage_error(tmp_path, capsys, argv):
+    """A bad edge is a usage error of its own subcommand: that subcommand's
+    usage line, then its error line."""
+    sub = argv[0]
+    if sub == "net":
+        argv = [*argv, "-o", str(tmp_path / "net.svg")]
     with pytest.raises(SystemExit) as exc:
-        main(["build", "--solid", "rco", "--edge", "-3"])
+        main(argv)
     assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith(f"usage: gyrolab {sub} ")
+    assert any(line.startswith(f"gyrolab {sub}: error: ") for line in err)
 
 
 @pytest.mark.parametrize("argv", [
@@ -332,7 +346,7 @@ def test_analyze_any_small_mesh_without_a_traceback(tmp_path_factory, text):
                        and err.endswith("\n")), err
 
 
-@pytest.mark.parametrize("tol", ["-1", "nan", "inf", "0"])
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf", "0", "1", "1e300"])
 def test_meaningless_tolerance_is_usage_error(tmp_path, capsys, cube_off_text, tol):
     mesh = tmp_path / "cube.off"
     mesh.write_text(cube_off_text, encoding="utf-8")

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from gyrolab import foldsim
+from gyrolab import foldsim, geom, solids
 from gyrolab.cli import main
 from gyrolab.foldsim import check_closure, fold
-from gyrolab.geom import vadd, vcross, vdot, vsub
+from gyrolab.geom import mat_vec, vadd, vcross, vdot, vsub
 from gyrolab.netgen import Crease, Gluing, generate_nets, square_corners
 from gyrolab.qfield import ONE, ZERO, Q2
 from gyrolab.solids import (
@@ -426,3 +426,41 @@ def test_fold_json_is_pinned(edge, turn):
     doc = json.dumps(fold(generate_nets(Fraction(edge)), turn).to_json_dict(), indent=2)
     digest = hashlib.sha256((doc + "\n").encode()).hexdigest()
     assert digest == _PINNED_FOLD_SHA256[(edge, turn)]
+
+
+# -- geom.turn against the Rodrigues rotation it replaced ------------------------
+
+
+def rodrigues(u, cos, sin):
+    """The rotation by (cos, sin) about the exact unit axis u: the general
+    formula every crease and cap turn went through before ``geom.turn``."""
+    ux, uy, uz = u
+    one_c = ONE - cos
+    return (
+        (cos + ux * ux * one_c, ux * uy * one_c - uz * sin, ux * uz * one_c + uy * sin),
+        (uy * ux * one_c + uz * sin, cos + uy * uy * one_c, uy * uz * one_c - ux * sin),
+        (uz * ux * one_c - uy * sin, uz * uy * one_c + ux * sin, cos + uz * uz * one_c),
+    )
+
+
+@pytest.mark.parametrize("axis", [tuple(s * ONE if i == k else ZERO for i in range(3))
+                                  for k in range(3) for s in (1, -1)], ids=str)
+def test_turn_is_the_rodrigues_rotation(axis):
+    for degrees in range(0, 360, 45):
+        m = geom.turn(axis, degrees)
+        assert m == rodrigues(axis, *geom.exact_cos_sin(degrees))
+        assert all(type(x) is Q2 for row in m for x in row)
+
+
+@pytest.mark.parametrize("axis,degrees", [((1, 1, 0), 45), ((0, 0, 2), 45), ((0, 0, 1), 30)])
+def test_turn_refuses_what_has_no_exact_turn(axis, degrees):
+    with pytest.raises(ValueError):
+        geom.turn(axis, degrees)
+
+
+def test_pseudo_points_are_the_rco_with_its_cap_turned_by_the_reference():
+    m = rodrigues((ZERO, ZERO, ONE), *geom.exact_cos_sin(45))
+    top = ONE + Q2(0, 1)
+    want = {mat_vec(m, v) if v[2] == top else v for v in solids._rco_points()}
+    assert solids._pseudo_points() == want
+    assert len(want - solids._rco_points()) == 4

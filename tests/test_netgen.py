@@ -148,6 +148,24 @@ def test_svg_styles(net50):
     assert "#cccccc" in svg
 
 
+@pytest.mark.parametrize("edge", ["1/100", "5"])
+def test_svg_marks_fit_small_squares(edge):
+    """Under a 10 mm edge L the marks shrink with the squares: each pole-cross
+    stroke spans at most 0.6 L and every stroke is at most L/20 wide, up to
+    the SVG's 4-decimal rounding."""
+    L, slack = float(Fraction(edge)), 5e-5
+    root = ET.fromstring(render_svg(generate_nets(Fraction(edge)), "A2"))
+    groups = list(root.iter(f"{SVG_NS}g"))
+    widths = [float(g.get("stroke-width")) for g in groups if g.get("stroke-width")]
+    assert len(widths) == 4 and max(widths) <= L / 20 + slack
+    strokes = [line for g in groups if g.get("class") == "pole-cross"
+               for line in g.iter(f"{SVG_NS}line")]
+    assert len(strokes) == 4
+    for line in strokes:
+        x1, y1, x2, y2 = (float(line.get(a)) for a in ("x1", "y1", "x2", "y2"))
+        assert math.hypot(x2 - x1, y2 - y1) <= 0.6 * L + 2 * math.sqrt(2) * slack
+
+
 def test_svg_coordinates_round_trip(net50):
     svg = render_svg(net50, "A2")
     root = ET.fromstring(svg)

@@ -351,7 +351,7 @@ def test_off_floats_have_full_precision(edge):
         assert max(abs(a - float(b)) for a, b in zip(u, v)) <= 1e-13 * float(edge)
 
 
-@pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf, 0.0])
+@pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf, 0.0, 1.0, 1e300])
 def test_meaningless_tolerance_rejected(cube, cube_off_text, tol):
     with pytest.raises(ValueError, match="finite and positive"):
         read_off(cube_off_text, tol)
