@@ -22,7 +22,6 @@ rotated by the gyration parameter.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
 from .geom import Mat3, Vec3, mat_mul, mat_vec, turn, vadd, vcross, vdot, vsub
@@ -241,7 +240,7 @@ def fold(net: NetSpec, gyration: int = 0) -> AssemblyResult:
             f"gyration {gyration} has no exact Q(sqrt2) trigonometry"
         )
     L = Q2(net.edge_len)
-    s = L * Q2(Fraction(1, 2))
+    s = L / 2
     t = (ONE + Q2(0, 1)) * s
     # each cap's pole square, the root of its fold, is centred on the polar axis
     cx, cy = (L * v + s for v in square_cell(NetSquare("cap_north", (0, 0), "pole")))

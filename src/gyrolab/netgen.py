@@ -13,13 +13,15 @@ on an integer grid in edge lengths, ``square_corners`` gives its corners and
 SVG, and ``foldsim``'s fold and closure checks, all read those, so the pieces
 that are folded are the pieces that are printed.
 
-Fold targets are interior dihedral angles derived from the built solid,
-not hard-coded; every crease of these nets comes out at the square-square
-dihedral (135 degrees), whose trigonometry is exact over Q(sqrt2).
+Every crease lies on a square-square edge of the rhombicuboctahedron: the
+strip's join belt squares, a cap's join its pole to its sides, and a tab's
+joins a side to the belt square the tab lands in.  So all creases share one
+fold target, the interior dihedral of those edges, measured on all of them
+on the built solid rather than quoted: 135 degrees, exact over Q(sqrt2).
 
 The sheet is checked before the solid is built: ``check_sheet`` lays out
-the squares alone.  ``solids``, ``belts``, ``geom`` and ``qfield`` are
-imported only where fold targets are derived, and ``geom.cycle_order`` only
+the squares alone.  ``solids``, ``geom`` and ``qfield`` are imported only
+where the fold target is measured, and ``geom.cycle_order`` only
 where outlines are drawn, so a net that cannot fit its sheet runs no hull
 and loads no module but this one.
 """
@@ -116,37 +118,15 @@ def _interior_dihedral_degrees(p, f1: int, f2: int) -> int:
     raise ValueError("dihedral angle has no exact Q(sqrt2) trigonometry")
 
 
-def _derive_fold_targets() -> dict[str, int]:
-    """Measure crease targets on the built solid: belt-to-belt for the
-    strip, pole-to-side for the caps, and the angle that lays a tab into
-    its host belt square (side-to-belt, since coplanar-with-host means
-    equal dihedrals).  Scale-free, so the unit build suffices."""
-    from . import belts, solids
-    from .qfield import Q2
-
-    p = solids.build_rhombicuboctahedron(2)
-    zbelt = next(
-        b
-        for b in belts.find_belts(p)
-        if b.plane_normal == (Q2(0), Q2(0), Q2(1))
-    )
-    strip_target = _interior_dihedral_degrees(p, zbelt.faces[0], zbelt.faces[1])
-    north_pole = zbelt.pole_faces[0]
-    assert p.face_center(north_pole)[2].sign() > 0
-    pole_face = p.faces[north_pole]
-    side = None
-    for k in range(4):
-        e = tuple(sorted((pole_face[k], pole_face[(k + 1) % 4])))
-        g = p.other_face(e, north_pole)
-        if len(p.faces[g]) == 4:
-            side = (e, g)
-            break
-    cap_side_target = _interior_dihedral_degrees(p, north_pole, side[1])
-    # the tab continues past the side square's outer edge into the belt face
-    outer = belts._opposite_edge(p.faces[side[1]], side[0])
-    host = p.other_face(outer, side[1])
-    tab_target = _interior_dihedral_degrees(p, side[1], host)
-    return {"strip": strip_target, "cap_side": cap_side_target, "cap_tab": tab_target}
+def _fold_target(p) -> int:
+    """The interior dihedral shared by every square-square edge of the exact
+    solid p; a ValueError when p has no such edge or two of them differ."""
+    quads = {fi for fi, f in enumerate(p.faces) if len(f) == 4}
+    targets = {_interior_dihedral_degrees(p, *fs) for fs in p.edge_faces.values()
+               if len(fs) == 2 and quads.issuperset(fs)}
+    if len(targets) != 1:
+        raise ValueError(f"square-square dihedrals {sorted(targets)} are not one fold target")
+    return targets.pop()
 
 
 # -- net construction ------------------------------------------------------------
@@ -157,14 +137,14 @@ def generate_nets(edge_len: Fraction | int = 50) -> NetSpec:
     edge = Fraction(edge_len)
     if edge <= 0:
         raise ValueError("edge length must be positive")
-    net, targets = _flat_net(edge), _derive_fold_targets()
-    return net._replace(creases=tuple(c._replace(fold_target=targets[c.fold_target])
-                                      for c in net.creases))
+    from .solids import build_rhombicuboctahedron
+
+    return _flat_net(edge, _fold_target(build_rhombicuboctahedron(2)))
 
 
-def _flat_net(edge: Fraction) -> NetSpec:
-    """The net with each crease's fold target named, not yet measured: all
-    that its layout reads."""
+def _flat_net(edge: Fraction, target: Optional[int] = None) -> NetSpec:
+    """The net with ``target`` on every crease; with none, all that its
+    layout reads."""
     squares: list[NetSquare] = []
     creases: list[Crease] = []
     gluing: list[Gluing] = []
@@ -173,7 +153,7 @@ def _flat_net(edge: Fraction) -> NetSpec:
         role = "glue" if i == 8 else "face"
         squares.append(NetSquare("strip", (i, 0), role))
     for i in range(1, 9):
-        creases.append(Crease("strip", (i - 1, 0), (i, 0), "strip"))
+        creases.append(Crease("strip", (i - 1, 0), (i, 0), target))
     gluing.append(Gluing("overlap", "strip", (8, 0), (0, 0)))
 
     for piece in ("cap_north", "cap_south"):
@@ -181,8 +161,8 @@ def _flat_net(edge: Fraction) -> NetSpec:
         for dx, dy in _CAP_DIRS:
             squares.append(NetSquare(piece, (dx, dy), "face"))
             squares.append(NetSquare(piece, (2 * dx, 2 * dy), "glue"))
-            creases.append(Crease(piece, (0, 0), (dx, dy), "cap_side"))
-            creases.append(Crease(piece, (dx, dy), (2 * dx, 2 * dy), "cap_tab"))
+            creases.append(Crease(piece, (0, 0), (dx, dy), target))
+            creases.append(Crease(piece, (dx, dy), (2 * dx, 2 * dy), target))
             gluing.append(Gluing("overlap", piece, (2 * dx, 2 * dy), None))
             gluing.append(Gluing("edge", piece, (dx, dy), None))
 
@@ -297,9 +277,9 @@ def resolve_paper(paper) -> tuple[str, tuple[Fraction, Fraction]]:
         if name.upper() in PAPER_SIZES:
             return name.upper(), PAPER_SIZES[name.upper()]
         if "x" in name.lower():
-            try:  # a size too large for a float cannot name the sheet
+            try:  # a side a float cannot hold, or holds as 0, cannot name the sheet
                 w, h = map(Fraction, name.lower().split("x", 1))
-                if w > 0 and h > 0:
+                if float(w) > 0 and float(h) > 0:
                     return f"{float(w):g}x{float(h):g}", (w, h)
             except (ValueError, ZeroDivisionError, OverflowError):
                 pass

@@ -308,13 +308,15 @@ def _canonical(kind: str) -> Polyhedron:
 
 
 def _scaled(kind: str, edge_len) -> Polyhedron:
-    """The canonical solid scaled by edge_len/2.
+    """The canonical solid scaled by edge_len/2, itself at edge 2.
 
     A positive factor keeps the sorted vertex order, the faces and their
     winding, so the hull at edge 2 serves every edge length.
     """
     k = _positive_half_edge(edge_len)
     base = _canonical(kind)
+    if k == 1:
+        return base
     verts = tuple((x * k, y * k, z * k) for x, y, z in base.vertices)
     return Polyhedron(verts, base.faces)
 

@@ -407,9 +407,9 @@ def test_net_fit_errors(tmp_path, capsys):
         assert not out.exists()
 
 
-@pytest.mark.parametrize("paper", ["foo", "1x0", "-3x5", "1/0x5", "1e400x1e400"],
+@pytest.mark.parametrize("paper", ["foo", "1x0", "-3x5", "1/0x5", "1e400x1e400", "1e-400x100"],
                          ids=["unknown", "zero-height", "negative-width", "zero-denominator",
-                              "float-overflow"])
+                              "float-overflow", "float-underflow"])
 def test_bad_paper_is_usage_error(tmp_path, capsys, paper):
     with pytest.raises(SystemExit) as exc:
         main(["net", "-o", str(tmp_path / "x.svg"), f"--paper={paper}"])
@@ -496,7 +496,7 @@ def modules_loaded(*argv):
 CLI = {"gyrolab", "gyrolab.cli"}
 BUILD = CLI | {"gyrolab.qfield", "gyrolab.geom", "gyrolab.solids"}
 ANALYZE = BUILD | {"gyrolab.belts", "gyrolab.symmetry", "gyrolab.analysis"}
-NET = BUILD | {"gyrolab.belts", "gyrolab.netgen"}
+NET = BUILD | {"gyrolab.netgen"}
 MISFIT_NET = CLI | {"gyrolab.netgen"}
 CUBE_OFF = os.path.join(DATA_DIR, "cube.off")
 

@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import make_cube
 from gyrolab.netgen import (
     PIECES,
     DoesNotFitError,
+    _fold_target,
     generate_nets,
     piece_bbox,
     plan_layout,
@@ -15,7 +17,12 @@ from gyrolab.netgen import (
     resolve_paper,
     shared_edge,
 )
-from gyrolab.solids import build_rhombicuboctahedron
+from gyrolab.qfield import Q2
+from gyrolab.solids import (
+    Polyhedron,
+    build_pseudo_rhombicuboctahedron,
+    build_rhombicuboctahedron,
+)
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -90,6 +97,25 @@ def test_fold_targets_derived_not_hardcoded(net50):
     oracle = float_dihedral_oracle()
     assert abs(oracle - 135.0) < 1e-9
     assert {c.fold_target for c in net50.creases} == {round(oracle)}
+
+
+@pytest.mark.parametrize("solid,target", [
+    (build_rhombicuboctahedron(2), 135),
+    (build_pseudo_rhombicuboctahedron(2), 135),
+    (make_cube(), 90),
+], ids=["rco", "pseudo", "cube"])
+def test_fold_target_is_the_one_square_square_dihedral(solid, target):
+    assert _fold_target(solid) == target
+
+
+@pytest.mark.parametrize("vertices", [
+    [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1), (0, 1, 1)],
+    [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)],
+], ids=["prism-45-and-90", "tetrahedron-no-squares"])
+def test_fold_target_needs_one_square_square_dihedral(vertices):
+    solid = Polyhedron([tuple(Q2(c) for c in v) for v in vertices])
+    with pytest.raises(ValueError, match="not one fold target"):
+        _fold_target(solid)
 
 
 def test_gluing_instructions(net50):
@@ -223,6 +249,8 @@ def test_custom_paper(net50):
         resolve_paper("letter")
     with pytest.raises(ValueError):
         resolve_paper("0x100")
+    with pytest.raises(ValueError, match="bad paper size"):  # a float would read it as 0
+        resolve_paper("1e-400x100")
 
 
 def test_huge_edge_fits_nothing():

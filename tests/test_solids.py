@@ -157,6 +157,14 @@ def test_scaled_build_equals_a_fresh_hull(edge, builder, oracle):
     assert validate(p).ok
 
 
+@pytest.mark.parametrize("builder,kind", [(build_rhombicuboctahedron, "rco"),
+                                          (build_pseudo_rhombicuboctahedron, "pseudo")],
+                         ids=["rco", "pseudo"])
+def test_edge_2_is_the_canonical_solid(builder, kind):
+    # no copy at edge 2: the lattice points of the hull's solid are kept
+    assert builder(2) is solids._canonical(kind)
+
+
 def _clear_build_caches():
     build_rhombicuboctahedron.cache_clear()
     build_pseudo_rhombicuboctahedron.cache_clear()
