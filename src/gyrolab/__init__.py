@@ -12,18 +12,6 @@ The names in ``__all__`` are imported from their modules on first access
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Q2",
-    "SQRT2",
-    "Polyhedron",
-    "build_rhombicuboctahedron",
-    "build_pseudo_rhombicuboctahedron",
-    "face_census",
-    "validate",
-    "vertex_figure",
-    "__version__",
-]
-
 # public name -> the submodule that defines it
 _LAZY = {
     "Q2": "qfield",
@@ -35,6 +23,7 @@ _LAZY = {
     "validate": "solids",
     "vertex_figure": "solids",
 }
+__all__ = [*_LAZY, "__version__"]
 
 
 def __getattr__(name):

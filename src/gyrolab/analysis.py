@@ -36,14 +36,15 @@ class AnalysisReport(NamedTuple):
     edge_count: int
     face_count: int
     euler: int
-    vertex_figures: tuple[tuple[int, ...], ...]
-    uniform_vertex_figure: bool
-    faces_regular: bool
-    symmetry: Optional[SymmetryReport]
-    belts: tuple[Belt, ...]
-    belt_overlap: Optional[BeltOverlap]
-    archimedean_candidate: bool
-    pseudo_uniform: bool
+    # a partial report keeps these defaults
+    vertex_figures: tuple[tuple[int, ...], ...] = ()
+    uniform_vertex_figure: bool = False
+    faces_regular: bool = False
+    symmetry: Optional[SymmetryReport] = None
+    belts: tuple[Belt, ...] = ()
+    belt_overlap: Optional[BeltOverlap] = None
+    archimedean_candidate: bool = False
+    pseudo_uniform: bool = False
 
     @property
     def pole_pair_count(self) -> int:
@@ -124,23 +125,12 @@ def analyze(p: Polyhedron, name: str = "") -> AnalysisReport:
         euler=p.euler_characteristic,
     )
     if not report.ok:
-        return AnalysisReport(
-            partial=True,
-            vertex_figures=(),
-            uniform_vertex_figure=False,
-            faces_regular=False,
-            symmetry=None,
-            belts=(),
-            belt_overlap=None,
-            archimedean_candidate=False,
-            pseudo_uniform=False,
-            **base,
-        )
+        return AnalysisReport(partial=True, **base)
     figures = sorted({vertex_figure(p, v) for v in range(p.n_vertices)})
     uniform = len(figures) == 1
     sym = symmetry_report(p)
     belts = belts_mod.find_belts(p)
-    overlap = belts_mod.belt_square_overlap(p) if belts else None
+    overlap = belts_mod.belt_square_overlap(p, belts) if belts else None
     regular = _faces_regular(p)
     return AnalysisReport(
         partial=False,

@@ -22,7 +22,6 @@ class Belt(NamedTuple):
     """Closed cyclic band of quads glued along opposite edges."""
 
     faces: tuple[int, ...]
-    crossing_edges: tuple[tuple[int, int], ...]
     plane_normal: Vec3  # common direction of the crossing edges
     pole_faces: Optional[tuple[int, int]] = None
 
@@ -60,10 +59,7 @@ def _parallel(k, pts, e1, e2) -> bool:
 def find_belts(p: Polyhedron) -> tuple[Belt, ...]:
     """Every maximal closed zone walk over quads, deduplicated up to
     rotation/reversal; walks that hit a non-quad face are discarded.
-    Crossing edges must be mutually parallel, as the mesh's kernel decides.
-    Computed once per mesh."""
-    if "belts" in p._cache:
-        return p._cache["belts"]
+    Crossing edges must be mutually parallel, as the mesh's kernel decides."""
     belts: dict[frozenset, Belt] = {}
     k, pts = p.kernel, p.points
     for start_face, face in enumerate(p.faces):
@@ -100,13 +96,9 @@ def find_belts(p: Polyhedron) -> tuple[Belt, ...]:
             if not all(_parallel(k, pts, d0, e) for e in walk_edges[1:]):
                 continue
             normal = k.canon_dir(k.sub(pts[d0[1]], pts[d0[0]]))
-            belts[key] = Belt(tuple(walk_faces), tuple(walk_edges), normal)
+            belts[key] = Belt(tuple(walk_faces), normal)
     ordered = sorted(belts.values(), key=lambda b: b.faces)
-    p._cache["belts"] = tuple(
-        Belt(b.faces, b.crossing_edges, b.plane_normal, pole_pairs(p, b))
-        for b in ordered
-    )
-    return p._cache["belts"]
+    return tuple(b._replace(pole_faces=pole_pairs(p, b)) for b in ordered)
 
 
 def pole_pairs(p: Polyhedron, belt: Belt) -> Optional[tuple[int, int]]:
@@ -119,10 +111,9 @@ def pole_pairs(p: Polyhedron, belt: Belt) -> Optional[tuple[int, int]]:
     return sides[True][0][1], sides[False][0][1]
 
 
-def belt_square_overlap(p: Polyhedron) -> BeltOverlap:
-    """Pairwise face intersections between belts plus their union size,
-    against the quad census."""
-    belts = find_belts(p)
+def belt_square_overlap(p: Polyhedron, belts: tuple[Belt, ...]) -> BeltOverlap:
+    """Pairwise face intersections between ``belts``, the belts of ``p``,
+    plus their union size, against the quad census."""
     sets = [set(b.faces) for b in belts]
     pairwise = {
         (i, j): len(sets[i] & sets[j])

@@ -83,9 +83,6 @@ class AssemblyResult:
         """The largest squared deviation among the closure checks."""
         return max((c.deviation_sq for c in self.closure.checks), default=ZERO)
 
-    def placed(self) -> list[PlacedSquare]:
-        return [sq for piece in self.squares.values() for sq in piece]
-
     def to_json_dict(self) -> dict:
         return {
             "schema": "gyrolab/1",

@@ -33,14 +33,13 @@ from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-PAPER_SIZES = {
+PAPER_SIZES = {  # smallest first: a misfit suggests the first that fits
     "A4": (Fraction(210), Fraction(297)),
     "A3": (Fraction(297), Fraction(420)),
     "A2": (Fraction(420), Fraction(594)),
     "A1": (Fraction(594), Fraction(841)),
     "A0": (Fraction(841), Fraction(1189)),
 }
-_STANDARD_ORDER = ("A4", "A3", "A2", "A1", "A0")
 
 MARGIN_MM = Fraction(10)
 GAP_MM = Fraction(5)
@@ -272,23 +271,22 @@ def _pack(sizes, avail_w: Fraction, avail_h: Fraction):
 
 
 def resolve_paper(paper) -> tuple[str, tuple[Fraction, Fraction]]:
-    if isinstance(paper, str):
-        name = paper.strip()
-        if name.upper() in PAPER_SIZES:
-            return name.upper(), PAPER_SIZES[name.upper()]
-        if "x" in name.lower():
-            try:  # a side a float cannot hold, or holds as 0, cannot name the sheet
-                w, h = map(Fraction, name.lower().split("x", 1))
-                if float(w) > 0 and float(h) > 0:
-                    return f"{float(w):g}x{float(h):g}", (w, h)
-            except (ValueError, ZeroDivisionError, OverflowError):
-                pass
-            raise ValueError(f"bad paper size {paper!r}")
-        raise ValueError(
-            f"unknown paper {paper!r}; use A2, A3, A4 or WIDTHxHEIGHT in mm"
-        )
-    w, h = paper
-    return f"{float(w):g}x{float(h):g}", (Fraction(w), Fraction(h))
+    """(name, (width, height) in mm) of a standard sheet name or a
+    WIDTHxHEIGHT text; ValueError for anything else."""
+    name = str(paper).strip()
+    if name.upper() in PAPER_SIZES:
+        return name.upper(), PAPER_SIZES[name.upper()]
+    if "x" in name.lower():
+        try:  # a side a float cannot hold, or holds as 0, cannot name the sheet
+            w, h = map(Fraction, name.lower().split("x", 1))
+            if float(w) > 0 and float(h) > 0:
+                return f"{float(w):g}x{float(h):g}", (w, h)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            pass
+        raise ValueError(f"bad paper size {paper!r}")
+    raise ValueError(
+        f"unknown paper {paper!r}; use A2, A3, A4 or WIDTHxHEIGHT in mm"
+    )
 
 
 def plan_layout(net: NetSpec, paper="A2"):
@@ -299,8 +297,7 @@ def plan_layout(net: NetSpec, paper="A2"):
     placed = _pack(sizes, pw - 2 * MARGIN_MM, ph - 2 * MARGIN_MM)
     if placed is None:
         suggestion = None
-        for cand in _STANDARD_ORDER:
-            cw, ch = PAPER_SIZES[cand]
+        for cand, (cw, ch) in PAPER_SIZES.items():
             if _pack(sizes, cw - 2 * MARGIN_MM, ch - 2 * MARGIN_MM) is not None:
                 suggestion = cand
                 break

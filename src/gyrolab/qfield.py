@@ -201,9 +201,6 @@ class Q2:
             n >>= 1
         return out
 
-    def conjugate(self) -> "Q2":
-        return _new(self.p, -self.q, self.d)
-
     # -- predicates and order ---------------------------------------------
 
     def is_zero(self) -> bool:

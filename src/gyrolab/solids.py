@@ -92,6 +92,7 @@ def check_tolerance(tolerance: float) -> float:
 
 class Polyhedron:
     """Immutable vertex/face mesh; adjacency derived once at construction.
+    It keeps no per-mesh cache: every analysis is a function of the mesh.
 
     Q2 coordinates get the exact kernel; float coordinates (ingested
     meshes) get a tolerance kernel with the given ``tolerance``, relative
@@ -128,7 +129,6 @@ class Polyhedron:
         self.vertex_faces: dict[int, tuple[int, ...]] = {
             i: tuple(fs) for i, fs in vertex_faces.items()
         }
-        self._cache: dict = {}
 
     @property
     def exact(self) -> bool:
@@ -156,9 +156,6 @@ class Polyhedron:
     @property
     def euler_characteristic(self) -> int:
         return self.n_vertices - self.n_edges + self.n_faces
-
-    def face_center(self, fi: int) -> Vec3:
-        return geom.centroid([self.vertices[i] for i in self.faces[fi]])
 
     def offset(self, ids) -> Vec3:
         """The centre of the vertices ``ids`` minus the vertex centroid, in
@@ -450,14 +447,17 @@ def validate(p: Polyhedron) -> ValidationReport:
 
 def _geometric_checks(p: Polyhedron) -> list[Check]:
     """Planarity, outward normals and convexity, decided by the kernel on
-    ``p.points``."""
+    ``p.points``.  A face's normal is the centre of its fan's cross products
+    about its first point, a positive multiple of the Newell normal: a short
+    first edge does not tilt it, and a triangle's is its one cross product."""
     planar_bad: list[int] = []
     outward_bad: list[int] = []
     outside, on_plane = False, None
     k, pts = p.kernel, p.points
     for fi, f in enumerate(p.faces):
         base = pts[f[0]]
-        nrm = k.cross(k.sub(pts[f[1]], base), k.sub(pts[f[2]], base))
+        nrm = k.centre([k.cross(k.sub(pts[a], base), k.sub(pts[b], base))
+                        for a, b in zip(f[1:-1], f[2:])])
         if k.is_zero_vec(nrm) or any(k.plane_side(nrm, k.sub(pts[i], base)) for i in f):
             planar_bad.append(fi)
             continue

@@ -211,21 +211,12 @@ def isometry_group(p: Polyhedron, proper_only: bool = False) -> tuple[Isometry, 
     """All orthogonal maps (about the vertex centroid) sending the vertex
     set onto itself and preserving the face set, in canonical order.
 
-    A float group is snapped back to Q(sqrt2) only if every matrix snaps.
-    """
-    if "isometry_group" not in p._cache:
-        p._cache["isometry_group"] = _isometry_group(p)
-    group = p._cache["isometry_group"]
-    if proper_only:
-        return tuple(iso for iso in group if iso.proper)
-    return group
-
-
-def _isometry_group(p: Polyhedron) -> tuple[Isometry, ...]:
-    """The group generated by the face-lattice automorphisms that keep the
+    The group generated by the face-lattice automorphisms that keep the
     frame's rows of the Gram matrix; each element's matrix maps the frame
     onto its image.  Only base-flag images that no element found so far
-    reaches are walked; each walk that keeps the rows adds a generator."""
+    reaches are walked; each walk that keeps the rows adds a generator.
+    A float group is snapped back to Q(sqrt2) only if every matrix snaps.
+    """
     k, verts = p.kernel, p.points
     flags = list(_flags(p))
     if not flags:
@@ -276,7 +267,7 @@ def _isometry_group(p: Polyhedron) -> tuple[Isometry, ...]:
     else:
         isos = snapped
     isos.sort(key=lambda iso: iso.matrix)
-    return tuple(isos)
+    return tuple(iso for iso in isos if iso.proper or not proper_only)
 
 
 def _close(group: dict, gens: Sequence, base, element) -> None:
@@ -410,15 +401,13 @@ def is_vertex_transitive(
 def symmetry_report(p: Polyhedron) -> SymmetryReport:
     """Full symmetry summary: group orders, axes with surface features,
     transitivity and the axis class equation."""
-    if "symmetry_report" in p._cache:
-        return p._cache["symmetry_report"]
     full = isometry_group(p)
     proper = tuple(iso for iso in full if iso.proper)
     axes = rotation_axes(p, proper)
     vt_full, orbits = is_vertex_transitive(p, full)
     vt_proper, _ = is_vertex_transitive(p, proper)
     class_eq = sum(ax.order - 1 for ax in axes) + 1 == len(proper)
-    report = SymmetryReport(
+    return SymmetryReport(
         proper_order=len(proper),
         full_order=len(full),
         axes=axes,
@@ -428,5 +417,3 @@ def symmetry_report(p: Polyhedron) -> SymmetryReport:
         class_equation_ok=class_eq,
         approximate=not full[0].kernel.exact,  # the group was not snapped
     )
-    p._cache["symmetry_report"] = report
-    return report

@@ -101,7 +101,7 @@ def test_criterion_6_belts_and_poles(rco, pseudo):
         assert len(belts) == 3 and all(b.length == 8 for b in belts)
         pole_faces = [f for b in belts for f in b.pole_faces]
         assert len(set(pole_faces)) == 6
-        ov = belt_square_overlap(rco)
+        ov = belt_square_overlap(rco, belts)
         assert all(n == 2 for n in ov.pairwise.values()) and len(ov.pairwise) == 3
         assert ov.union_size == 18
         p_belts = find_belts(pseudo)
@@ -129,7 +129,8 @@ def test_criterion_8_fold_round_trip(net50):
             assert result.closure.ok
             assert result.closure_residual == Q2(0)
             corners = set()
-            for sq in (sq for sq in result.placed() if sq.role in ("face", "pole")):
+            for sq in (sq for sqs in result.squares.values() for sq in sqs
+                       if sq.role in ("face", "pole")):
                 corners.update(sq.corners)
             assert corners == set(builder(Fraction(50)).vertices)
 

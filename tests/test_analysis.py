@@ -155,6 +155,20 @@ def test_analyze_deterministic(pseudo):
     assert analyze(pseudo, name="p").to_dict() == analyze(pseudo, name="p").to_dict()
 
 
+def test_a_mesh_keeps_no_analysis_state(rco):
+    # every analysis is a function of the mesh: a second analyze on one
+    # fresh mesh recomputes the same report and leaves the mesh as it was
+    p = Polyhedron(rco.vertices, rco.faces)
+    assert not hasattr(p, "_cache")
+    first = analyze(p, name="p")
+    state = dict(vars(p))
+    assert set(state) == {"vertices", "kernel", "faces", "edge_faces", "edges",
+                          "vertex_faces", "points"}  # ``points`` is the kernel's view
+    second = analyze(p, name="p")
+    assert second == first and second.to_dict() == first.to_dict()
+    assert vars(p) == state
+
+
 def test_compare_table(rco, pseudo):
     table = compare(analyze(rco, name="rco"), analyze(pseudo, name="pseudo"))
     rows = {r.label: r for r in table.rows}

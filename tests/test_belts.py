@@ -6,7 +6,7 @@ from conftest import FRUSTUM
 from gyrolab import belts as belts_mod
 from gyrolab.analysis import analyze
 from gyrolab.belts import belt_square_overlap, find_belts, pole_pairs
-from gyrolab.geom import is_zero_vec, vcross, vsub
+from gyrolab.geom import centroid, is_zero_vec, vcross, vdot, vsub
 from gyrolab.qfield import Q2
 from gyrolab.solids import (
     Polyhedron,
@@ -54,12 +54,12 @@ def test_pseudo_single_belt_single_pole_pair(pseudo):
 
 
 def test_belt_overlap_counts(rco, pseudo):
-    ov = belt_square_overlap(rco)
+    ov = belt_square_overlap(rco, find_belts(rco))
     assert all(n == 2 for n in ov.pairwise.values())
     assert len(ov.pairwise) == 3
     assert ov.union_size == ov.quad_count == 18
     assert 3 * 8 - 3 * 2 == 18 == face_census(rco).quads
-    ov_p = belt_square_overlap(pseudo)
+    ov_p = belt_square_overlap(pseudo, find_belts(pseudo))
     assert ov_p.pairwise == {}  # single belt: vacuous
     assert ov_p.union_size == 8
 
@@ -67,15 +67,19 @@ def test_belt_overlap_counts(rco, pseudo):
 def test_belt_structure_invariants(rco):
     for belt in find_belts(rco):
         n = belt.length
+        # the crossing edges: the one edge each consecutive pair of faces shares
+        crossing = []
         for k in range(n):
-            f_prev, f_cur = belt.faces[k - 1], belt.faces[k]
-            entry = belt.crossing_edges[k]
-            # the entry edge is shared by the consecutive pair
-            assert set(rco.edge_faces[entry]) == {f_prev, f_cur}
+            pair = {belt.faces[k - 1], belt.faces[k]}
+            shared = [e for e, fs in rco.edge_faces.items() if set(fs) == pair]
+            assert len(shared) == 1
+            crossing.append(shared[0])
+        for k in range(n):
             # entry and exit are opposite edges of the current quad
-            exit_edge = belt.crossing_edges[(k + 1) % n]
+            entry, exit_edge = crossing[k], crossing[(k + 1) % n]
             assert not (set(entry) & set(exit_edge))
-        for e in belt.crossing_edges:
+            assert set(entry) | set(exit_edge) == set(rco.faces[belt.faces[k]])
+        for e in crossing:
             d = vsub(rco.vertices[e[1]], rco.vertices[e[0]])
             assert is_zero_vec(vcross(d, belt.plane_normal))
 
@@ -91,11 +95,11 @@ def test_pole_pair_ordering_is_geometric(rco):
     for belt in find_belts(rco):
         pos, neg = belt.pole_faces
         # first face sits on the +normal side
-        c = rco.face_center(pos)
-        from gyrolab.geom import vdot
+        def center(fi):
+            return centroid([rco.vertices[i] for i in rco.faces[fi]])
 
-        assert vdot(c, belt.plane_normal).sign() > 0
-        assert vdot(rco.face_center(neg), belt.plane_normal).sign() < 0
+        assert vdot(center(pos), belt.plane_normal).sign() > 0
+        assert vdot(center(neg), belt.plane_normal).sign() < 0
 
 
 def test_symmetry_maps_belts_to_belts(pseudo):
@@ -126,25 +130,27 @@ def test_pole_pairs_none_when_axis_misses(cube):
     belts = find_belts(cube)
     shifted_belt = belts[0]
     # a belt normal that points at an edge has no face centers on it
-    fake = shifted_belt.__class__(
-        shifted_belt.faces, shifted_belt.crossing_edges, (Q2(1), Q2(1), Q2(0))
-    )
+    fake = shifted_belt._replace(plane_normal=(Q2(1), Q2(1), Q2(0)))
     assert pole_pairs(cube, fake) is None
 
 
 def test_belts_are_walked_once_per_mesh(rco, monkeypatch):
-    p = Polyhedron(rco.vertices, rco.faces)  # a fresh mesh, nothing cached
-    walks = []
-    real = belts_mod.pole_pairs
+    p = Polyhedron(rco.vertices, rco.faces)
+    calls = {"find_belts": 0, "pole_pairs": 0}
 
-    def counted(*args):
-        walks.append(args)
-        return real(*args)
+    def counted(name):
+        real = getattr(belts_mod, name)
 
-    monkeypatch.setattr(belts_mod, "pole_pairs", counted)
-    analyze(p)  # find_belts, then belt_square_overlap
-    assert find_belts(p) is find_belts(p)
-    assert len(walks) == 3  # one walk: a pole pair per belt, once
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(belts_mod, name, wrapper)
+
+    counted("find_belts")
+    counted("pole_pairs")
+    analyze(p)  # belt_square_overlap takes the belts analyze found
+    assert calls == {"find_belts": 1, "pole_pairs": 3}  # a pole pair per belt, once
 
 
 def test_a_band_of_trapezoids_is_no_belt():

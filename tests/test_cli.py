@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import os
 import random
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from conftest import DATA_DIR, fan_triangulated, make_cube, make_icosahedron, noisy_off
 
 import gyrolab
+from gyrolab.analysis import analyze, text_report
 from gyrolab.cli import main
 from gyrolab.qfield import Q2
 from gyrolab.qfield import parse as q2_parse
@@ -229,6 +231,40 @@ def test_noisy_input_fails_cleanly(tmp_path, capsys, rco, pseudo, cube_off_text)
         doc = json.loads(out)
         sym = doc["symmetry"]
         assert (sym["full_order"], len(sym["axes"]), len(doc["belts"])) == answer
+
+
+def _corner_cut_cube(h: Fraction) -> tuple[Polyhedron, str]:
+    """The cube [-1, 1]^3 with its corner (1, 1, 1) cut at depth h, and its
+    OFF text with each face ring started at its shortest edge."""
+    one = Q2(1)
+    pts = [tuple(map(Q2, v)) for v in itertools.product((-1, 1), repeat=3) if v != (1, 1, 1)]
+    pts += [tuple(one - h if i == k else one for i in range(3)) for k in range(3)]
+    p = Polyhedron(sorted(pts))
+    lines = write_off(p).splitlines()
+
+    def length_sq(f, t):
+        d = [x - y for x, y in zip(p.vertices[f[t]], p.vertices[f[(t + 1) % len(f)]])]
+        return sum((x * x for x in d), Q2(0))
+
+    for fi, f in enumerate(p.faces):
+        t = min(range(len(f)), key=lambda t: length_sq(f, t))
+        lines[2 + p.n_vertices + fi] = " ".join(map(str, (len(f), *f[t:], *f[:t])))
+    return p, "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_a_face_ring_may_start_at_a_short_edge(tmp_path, capsys, seed):
+    # a face's normal is its Newell normal, so the short first edge of a cut
+    # corner's faces does not tilt it out of the noise's reach
+    p, text = _corner_cut_cube(Fraction(1, 32))
+    assert (p.n_vertices, p.n_faces) == (10, 7)
+    mesh = tmp_path / "corner.off"
+    mesh.write_text(noisy_off(text, 1e-10, random.Random(seed)), encoding="utf-8")
+    code, out, err = run(capsys, "analyze", "--input", str(mesh))
+    assert (code, err) == (0, "")
+    assert "validation: ok\n" in out
+    exact = text_report(analyze(p))
+    assert out.split("\n", 1)[1] == exact.split("\n", 1)[1]  # all but the name line
 
 
 # full order, axes, vertex orbit sizes, equatorial belts

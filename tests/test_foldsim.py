@@ -52,7 +52,8 @@ def test_fold_corner_sets_equal_target_vertex_sets(net50):
                               (45, build_pseudo_rhombicuboctahedron)):
         result = fold(net50, gyration)
         corners = set()
-        for sq in (sq for sq in result.placed() if sq.role in ("face", "pole")):
+        for sq in (sq for sqs in result.squares.values() for sq in sqs
+                   if sq.role in ("face", "pole")):
             corners.update(sq.corners)
         assert corners == set(builder(Fraction(50)).vertices)
 
@@ -83,7 +84,7 @@ def test_placed_squares_are_exact_unit_squares(net50):
     L = Q2(50)
     for gyration in (0, 45):
         result = fold(net50, gyration)
-        for sq in result.placed():
+        for sq in (sq for sqs in result.squares.values() for sq in sqs):
             c = sq.corners
             for k in range(4):
                 side = vsub(c[(k + 1) % 4], c[k])
@@ -166,7 +167,8 @@ def test_matching_is_stable_under_target_symmetries(net50):
     group = isometry_group(target)
     rng = random.Random(23)
     for iso in rng.sample(list(group), 3):
-        for sq in (sq for sq in result.placed() if sq.role in ("face", "pole")):
+        for sq in (sq for sqs in result.squares.values() for sq in sqs
+                   if sq.role in ("face", "pole")):
             from gyrolab.geom import mat_vec
 
             mapped = frozenset(mat_vec(iso.matrix, c) for c in sq.corners)

@@ -253,6 +253,15 @@ def test_custom_paper(net50):
         resolve_paper("1e-400x100")
 
 
+def test_a_paper_is_a_name_or_a_size_text(net50):
+    # a (width, height) pair is no paper: a sheet that cannot exist is a
+    # ValueError of its own, not a net that does not fit it
+    for paper in ((-5, 100), (600, 600)):
+        with pytest.raises(ValueError, match="unknown paper") as exc:
+            render_svg(net50, paper)
+        assert not isinstance(exc.value, DoesNotFitError)
+
+
 def test_huge_edge_fits_nothing():
     net = generate_nets(300)
     with pytest.raises(DoesNotFitError) as exc:

@@ -118,7 +118,7 @@ def test_canonical_pose(rco, pseudo):
     for p in (rco, pseudo):
         assert all(c.is_zero() for c in centroid(p.vertices))
         polar_centers = {
-            tuple(p.face_center(fi))
+            centroid([p.vertices[i] for i in p.faces[fi]])
             for fi in range(p.n_faces)
             if len(p.faces[fi]) == 4
         }
