@@ -44,12 +44,6 @@ class BeltOverlap(NamedTuple):
     quad_count: int
 
 
-def _opposite_edge(face: tuple[int, ...], edge: tuple[int, int]) -> tuple[int, int]:
-    # in a quad, the edge sharing no vertex with the entry edge
-    rest = [v for v in face if v not in edge]
-    return (rest[0], rest[1]) if rest[0] < rest[1] else (rest[1], rest[0])
-
-
 def _parallel(k, pts, e1, e2) -> bool:
     """Edges e1 and e2 are parallel, decided by k on its coordinates pts."""
     (i, j), (a, b) = e1, e2
@@ -65,26 +59,22 @@ def find_belts(p: Polyhedron) -> tuple[Belt, ...]:
     for start_face, face in enumerate(p.faces):
         if len(face) != 4:
             continue
-        start_edges = [
-            tuple(sorted((face[0], face[1]))),
-            tuple(sorted((face[1], face[2]))),
-        ]
-        for start_edge in start_edges:
+        for start in (0, 1):  # enter through edge t, leave through edge t + 2
             walk_faces: list[int] = []
             walk_edges: list[tuple[int, int]] = []
-            fi, entry = start_face, start_edge
+            fi, t = start_face, start
             ok = False
             for _ in range(2 * p.n_faces + 1):
-                if len(p.faces[fi]) != 4:
+                f = p.faces[fi]
+                if len(f) != 4:
                     break
                 walk_faces.append(fi)
-                walk_edges.append(entry)
-                exit_edge = _opposite_edge(p.faces[fi], entry)
-                nxt = p.other_face(exit_edge, fi)
+                walk_edges.append((f[t], f[(t + 1) % 4]))
+                nxt = p.across[fi][(t + 2) % 4]
                 if nxt is None:
                     break
-                fi, entry = nxt, exit_edge
-                if (fi, entry) == (start_face, start_edge):
+                fi, t = nxt, p.across[nxt].index(fi)
+                if (fi, t) == (start_face, start):
                     ok = True
                     break
             if not ok:
@@ -95,7 +85,8 @@ def find_belts(p: Polyhedron) -> tuple[Belt, ...]:
             d0 = walk_edges[0]
             if not all(_parallel(k, pts, d0, e) for e in walk_edges[1:]):
                 continue
-            normal = k.canon_dir(k.sub(pts[d0[1]], pts[d0[0]]))
+            # from the smaller index, so a float normal's zeros keep their sign
+            normal = k.canon_dir(k.sub(pts[max(d0)], pts[min(d0)]))
             belts[key] = Belt(tuple(walk_faces), normal)
     ordered = sorted(belts.values(), key=lambda b: b.faces)
     return tuple(b._replace(pole_faces=pole_pairs(p, b)) for b in ordered)

@@ -175,18 +175,20 @@ def snap_scalar_to_q2(x: float, tol: float = 1e-9, max_den: int = 64) -> Q2 | No
     ``max_den`` (``_snap_one_term``); mixed values only over small
     coefficients (denominator up to 8, magnitude up to 2), which covers
     every entry an orthogonal matrix over Q(sqrt2) at this scale can have.
+    For each a, b takes the nearest numerator for each denominator up to 8,
+    as ``_snap_one_term`` does: while tol is far below 1/56, at most one b
+    is within tol, the one ``limit_denominator(8)`` would find.
     """
     one_term = _snap_one_term(x, tol, max_den)
     if one_term is not None:
         return one_term
-    from fractions import Fraction  # mixed values are rare: no fractions otherwise
-
     for q in range(1, 9):
         for num in range(-2 * q, 2 * q + 1):
-            a = Fraction(num, q)
-            b = Fraction((x - float(a)) / _SQRT2_F).limit_denominator(8)
-            if abs(b) <= 2 and abs(x - float(a) - float(b) * _SQRT2_F) <= tol:
-                return Q2(a, b)
+            y = (x - num / q) / _SQRT2_F
+            for r in range(1, 9):
+                s = round(y * r)
+                if abs(s) <= 2 * r and abs(x - num / q - s / r * _SQRT2_F) <= tol:
+                    return _reduced(num * r, s * q, q * r)
     return None
 
 

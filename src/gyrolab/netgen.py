@@ -237,14 +237,17 @@ _SHELVES = (((0, 1, 2),), ((0,), (1, 2)), ((0, 1), (2,)), ((0,), (1,), (2,)))
 def _pack(sizes, avail_w: Fraction, avail_h: Fraction):
     """Deterministic shelf packing of three boxes with optional
     90-degree rotation; returns (x, y, rotated) per box or None.  Columns
-    are tried first; rows are columns on the transposed sheet."""
+    are tried first; rows are columns on the transposed sheet.  A square
+    box is never turned: that gives the dims of a smaller mask, tried first."""
     n = len(sizes)
+    square = sum(1 << i for i, (w, h) in enumerate(sizes) if w == h)
+    masks = [mask for mask in range(2 ** n) if not mask & square]
     for rows in (False, True):
         if rows:
             sizes = [(h, w) for w, h in sizes]
             avail_w, avail_h = avail_h, avail_w
         for groups in _SHELVES:
-            for mask in range(2 ** n):
+            for mask in masks:
                 dims = [
                     (sizes[i][1], sizes[i][0]) if (mask >> i) & 1 else sizes[i]
                     for i in range(n)

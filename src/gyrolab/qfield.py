@@ -19,17 +19,19 @@ the same way on plain ints, without building a ``Q2``; ``z2_quotient``
 turns such ints back into one ``Q2``.
 
 ``Fraction`` appears only at the boundary: the constructor accepts
-int/``Fraction`` components, ``.a``/``.b`` return them as ``Fraction``,
-``parse`` reads rational literals, and ``str`` prints each component in
-lowest terms.  ``fractions`` is imported only where a ``Fraction`` is made
-or read, so code that builds every ``Q2`` from ints never loads it (nor
-``decimal``, which it imports).
+int/``Fraction`` components and ``.a``/``.b`` return them as ``Fraction``.
+``parse`` reads each numerator and denominator with ``int``, a rational
+value hashes by Python's numeric-hash rule on ints, and ``str`` prints
+each component in lowest terms.  ``fractions`` is imported only where a
+``Fraction`` goes in or out, so parsing, hashing and arithmetic never load
+it (nor ``decimal``, which it imports).
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
 from functools import total_ordering
 from math import gcd
 from typing import TYPE_CHECKING
@@ -111,16 +113,13 @@ class Q2:
             raise ValueError(f"invalid Q2 literal: {text!r}")
         if m.group("s2") and m.group("rat") and m.group("sgn") is None:
             raise ValueError(f"invalid Q2 literal: {text!r}")
-        from fractions import Fraction
-
-        try:
-            a = Fraction(m.group("rat") or 0)
-            b = Fraction(m.group("coef") or 1) if m.group("s2") else Fraction(0)
-        except ZeroDivisionError:  # a zero denominator, as in "1/0"
-            raise ValueError(f"invalid Q2 literal: {text!r}") from None
+        p, d = _ratio(m.group("rat") or "0")
+        q, e = _ratio(m.group("coef") or "1") if m.group("s2") else (0, 1)
+        if not d or not e:  # a zero denominator, as in "1/0"
+            raise ValueError(f"invalid Q2 literal: {text!r}")
         if m.group("sgn") == "-":
-            b = -b
-        return cls(a, b)
+            q = -q
+        return _reduced(p * e, q * d, d * e)
 
     @property
     def a(self) -> Fraction:
@@ -239,12 +238,10 @@ class Q2:
             pass
         if self.q:
             h = hash((self.p, self.q, self.d))
-        elif self.d == 1:  # rational values must hash like their Fraction (== with int/Fraction)
-            h = hash(self.p)
-        else:
-            from fractions import Fraction
-
-            h = hash(Fraction(self.p, self.d))
+        else:  # a rational value hashes like its int or Fraction, by Python's numeric rule
+            mod = sys.hash_info.modulus  # (hash() itself turns a -1 into -2)
+            h = abs(self.p) * pow(self.d, -1, mod) % mod if self.d % mod else sys.hash_info.inf
+            h = h if self.p >= 0 else -h
         self._hash = h
         return h
 
@@ -264,6 +261,12 @@ class Q2:
 
     def __repr__(self) -> str:
         return f"Q2({self.a!r}, {self.b!r})"
+
+
+def _ratio(text: str) -> tuple[int, int]:
+    """Numerator and denominator of a rational literal, read with ``int``."""
+    num, _, den = text.partition("/")
+    return int(num), int(den or 1)
 
 
 def _new(p: int, q: int, d: int) -> Q2:

@@ -113,19 +113,25 @@ class Polyhedron:
         self.faces: tuple[tuple[int, ...], ...] = tuple(tuple(f) for f in faces)
 
         edge_faces: dict[tuple[int, int], list[int]] = {}
+        vertex_faces: dict[int, list[int]] = {}
+        keys = []  # each face's edge keys, edge k from face[k] to face[k + 1]
         for fi, face in enumerate(self.faces):
+            keys.append([])
             for k in range(len(face)):
                 i, j = face[k], face[(k + 1) % len(face)]
-                key = (i, j) if i < j else (j, i)
-                edge_faces.setdefault(key, []).append(fi)
+                keys[fi].append((i, j) if i < j else (j, i))
+                edge_faces.setdefault(keys[fi][k], []).append(fi)
+                vertex_faces.setdefault(i, []).append(fi)
         self.edge_faces: dict[tuple[int, int], tuple[int, ...]] = {
             e: tuple(fs) for e, fs in edge_faces.items()
         }
+        # across[fi][k]: the face across edge k of face fi; None unless
+        # exactly two faces hold that edge
+        self.across: tuple[tuple[int | None, ...], ...] = tuple(
+            tuple(None if len(fs) != 2 else fs[0] if fs[1] == fi else fs[1]
+                  for fs in map(edge_faces.__getitem__, row))
+            for fi, row in enumerate(keys))
         self.edges: tuple[tuple[int, int], ...] = tuple(sorted(self.edge_faces))
-        vertex_faces: dict[int, list[int]] = {}
-        for fi, face in enumerate(self.faces):
-            for i in face:
-                vertex_faces.setdefault(i, []).append(fi)
         self.vertex_faces: dict[int, tuple[int, ...]] = {
             i: tuple(fs) for i, fs in vertex_faces.items()
         }
@@ -187,12 +193,6 @@ class Polyhedron:
         """Cross product of the first two face edges (faces are convex)."""
         a, b, c = (self.vertices[i] for i in self.faces[fi][:3])
         return vcross(vsub(b, a), vsub(c, a))
-
-    def other_face(self, edge: tuple[int, int], fi: int) -> int | None:
-        fs = self.edge_faces.get(edge, ())
-        if len(fs) != 2:
-            return None
-        return fs[0] if fs[1] == fi else fs[1]
 
 
 # -- convex hull -------------------------------------------------------------
@@ -361,10 +361,8 @@ def vertex_figure(p: Polyhedron, v: int) -> tuple[int, ...]:
         raise KeyError(f"unknown vertex index {v}")
     across = {}  # each face at v -> the two faces across its edges at v
     for fi in p.vertex_faces[v]:
-        face = p.faces[fi]
-        k = face.index(v)
-        across[fi] = [p.other_face(tuple(sorted((v, w))), fi)
-                      for w in (face[k - 1], face[(k + 1) % len(face)])]
+        k = p.faces[fi].index(v)
+        across[fi] = [p.across[fi][k - 1], p.across[fi][k]]
         if None in across[fi]:
             raise ValueError(f"surface around vertex {v} is not closed")
     try:

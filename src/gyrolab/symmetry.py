@@ -149,7 +149,7 @@ def _flags(p: Polyhedron):
     face fi through that edge, and signature = (that face's size, the sizes
     of the faces across its edges, 0 for none, read from edge ab on in the
     direction a->b).  An automorphism keeps every flag's signature."""
-    for fi, (f, across) in enumerate(zip(p.faces, _across(p))):
+    for fi, (f, across) in enumerate(zip(p.faces, p.across)):
         sizes = [0 if g is None else len(p.faces[g]) for g in across]
         for t in range(len(f)):
             a, b = f[t], f[(t + 1) % len(f)]
@@ -157,13 +157,7 @@ def _flags(p: Polyhedron):
             yield b, a, fi, (len(f), tuple(sizes[t::-1] + sizes[:t:-1]))
 
 
-def _across(p: Polyhedron) -> list[list[int | None]]:
-    """across[f][t]: the face across edge (f[t], f[t+1]) of face f."""
-    return [[p.other_face(tuple(sorted((f[t], f[(t + 1) % len(f)]))), fi)
-             for t in range(len(f))] for fi, f in enumerate(p.faces)]
-
-
-def _automorphism(p: Polyhedron, across, base, image):
+def _automorphism(p: Polyhedron, base, image):
     """Extend the flag map base -> image to an automorphism of the face
     lattice, as (vertex_perm, face_perm); None if there is none.
 
@@ -171,6 +165,7 @@ def _automorphism(p: Polyhedron, across, base, image):
     aligned at an edge already mapped; the maps must be consistent and,
     at the end, bijections.
     """
+    across = p.across
     vmap: dict[int, int] = {}
     fmap: dict[int, int] = {}
     todo = [(base[2], base[0], base[1], image[2], image[0], image[1])]
@@ -228,7 +223,7 @@ def isometry_group(p: Polyhedron, proper_only: bool = False) -> tuple[Isometry, 
     if framed is None:
         raise DegenerateGeometryError("no faces or no three linearly independent vertices")
     frame, frame_inv = framed
-    base, across = flags[0], _across(p)
+    base = flags[0]
     candidates = {flag[:3] for flag in flags if flag[3] == base[3]}
 
     def keeps_gram_rows(kernel, vperm):  # G_fj = G_pi(f)pi(j), frame f, every j
@@ -247,7 +242,7 @@ def isometry_group(p: Polyhedron, proper_only: bool = False) -> tuple[Isometry, 
     for flag in flags:
         if flag[:3] not in candidates or flag[:3] in group:
             continue
-        perms = _automorphism(p, across, base, flag)
+        perms = _automorphism(p, base, flag)
         if perms is None:
             continue
         if keeps_gram_rows(k, perms[0]):

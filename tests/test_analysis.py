@@ -162,7 +162,7 @@ def test_a_mesh_keeps_no_analysis_state(rco):
     assert not hasattr(p, "_cache")
     first = analyze(p, name="p")
     state = dict(vars(p))
-    assert set(state) == {"vertices", "kernel", "faces", "edge_faces", "edges",
+    assert set(state) == {"vertices", "kernel", "faces", "edge_faces", "across", "edges",
                           "vertex_faces", "points"}  # ``points`` is the kernel's view
     second = analyze(p, name="p")
     assert second == first and second.to_dict() == first.to_dict()

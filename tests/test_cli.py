@@ -545,25 +545,35 @@ CUBE_OFF = os.path.join(DATA_DIR, "cube.off")
     (["analyze", "--solid", "pseudo-rco", "--json"], ANALYZE, True, 0),
     (["analyze", "--input", CUBE_OFF], ANALYZE, False, 0),
     (["analyze", "--input", CUBE_OFF, "--json"], ANALYZE, True, 0),
+    (["analyze", "--input", "{tmp}/noisy.off", "--tolerance", "1e-5"], ANALYZE, False, 0),
     (["compare"], ANALYZE, False, 0),
     (["compare", "--json"], ANALYZE, True, 0),
+    (["build", "--solid", "rco", "--edge", "9/7"], BUILD, False, 0),
+    (["analyze", "--solid", "rco", "--edge", "7/3+1/5*sqrt2"], ANALYZE, False, 0),
+    (["compare", "--edge", "9/7"], ANALYZE, False, 0),
     (["net", "-o", "{tmp}/nets.svg"], NET, False, 0),
     (["fold-check", "--gyration", "45"], NET | {"gyrolab.foldsim"}, False, 0),
     (["fold-check", "--gyration", "45", "--json"], NET | {"gyrolab.foldsim"}, True, 0),
     (["net", "--edge", "100", "--paper", "A4", "-o", "{tmp}/nets.svg"], MISFIT_NET, False, 1),
 ], ids=["version", "build", "build-json", "analyze-solid", "analyze-solid-json", "analyze-input",
-        "analyze-input-json", "compare", "compare-json", "net", "fold-check", "fold-check-json",
+        "analyze-input-json", "analyze-input-unsnapped", "compare", "compare-json", "build-rational",
+        "analyze-sqrt2-edge", "compare-rational", "net", "fold-check", "fold-check-json",
         "net-misfit"])
 def test_subcommand_imports_only_what_it_runs(tmp_path, argv, modules, writes_json, exit_code):
     """Each call loads its own subcommand's modules and no more: never
     ``dataclasses`` or ``inspect``, and ``json`` only when it writes JSON.
-    A net that cannot fit its sheet loads no module that builds a solid."""
+    A net that cannot fit its sheet loads no module that builds a solid.
+    ``build``, ``analyze`` and ``compare`` never load ``fractions``: not
+    for a rational or Q(sqrt2) edge, nor for a float group that does not
+    snap (the cube with noise 1e-7)."""
+    with open(CUBE_OFF) as fh:
+        (tmp_path / "noisy.off").write_text(noisy_off(fh.read(), 1e-7, random.Random(7)))
     code, loaded = modules_loaded(*(a.format(tmp=tmp_path) for a in argv))
     assert code == exit_code
     assert sorted(m for m in loaded if m.startswith("gyrolab")) == sorted(modules)
     assert not loaded & {"dataclasses", "inspect"}
     assert ("json" in loaded) == writes_json
-    if "--input" in argv:  # a float mesh builds every Q2 from ints
+    if argv[0] in ("build", "analyze", "compare"):  # every Q2 is built from ints
         assert not loaded & {"fractions", "decimal"}
 
 

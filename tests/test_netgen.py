@@ -1,11 +1,13 @@
 import hashlib
 import math
+import random
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
 import pytest
 
 from conftest import make_cube
+from gyrolab import netgen
 from gyrolab.netgen import (
     PIECES,
     DoesNotFitError,
@@ -423,3 +425,57 @@ def test_plan_layout_is_pinned(edge, paper):
     assert got == want
     svg = render_svg(net, paper).encode()
     assert hashlib.sha256(svg).hexdigest() == _PINNED_SVG_SHA256[(edge, paper)]
+
+
+# -- the sheet packer against its full search -------------------------------------
+
+
+def full_pack(sizes, avail_w, avail_h):
+    """``netgen._pack`` as it was: every rotation mask, square boxes too."""
+    n = len(sizes)
+    for rows in (False, True):
+        if rows:
+            sizes = [(h, w) for w, h in sizes]
+            avail_w, avail_h = avail_h, avail_w
+        for groups in netgen._SHELVES:
+            for mask in range(2 ** n):
+                dims = [(sizes[i][1], sizes[i][0]) if (mask >> i) & 1 else sizes[i]
+                        for i in range(n)]
+                widths = [max(dims[i][0] for i in g) for g in groups]
+                heights = [sum(dims[i][1] for i in g) + netgen.GAP_MM * (len(g) - 1)
+                           for g in groups]
+                total_w = sum(widths) + netgen.GAP_MM * (len(groups) - 1)
+                if total_w > avail_w or any(h > avail_h for h in heights):
+                    continue
+                out = [None] * n
+                x = Fraction(0)
+                for gi, g in enumerate(groups):
+                    y = Fraction(0)
+                    for i in g:
+                        xy = (y, x) if rows else (x, y)
+                        out[i] = (*xy, bool((mask >> i) & 1))
+                        y += dims[i][1] + netgen.GAP_MM
+                    x += widths[gi] + netgen.GAP_MM
+                return out
+    return None
+
+
+def _layout_or_error(net, paper):
+    try:
+        return plan_layout(net, paper)
+    except DoesNotFitError as e:
+        return str(e)
+
+
+def test_packing_skips_only_turns_of_square_boxes(monkeypatch):
+    # seeded edges with denominators 1, 2, 3 and 7 on standard and custom sheets
+    rng = random.Random(29)
+    edges = [Fraction(rng.randint(1, 140 * den), den) for den in (1, 2, 3, 7) for _ in range(8)]
+    papers = ["A4", "A3", "A2", "200x500", "500x200", "90x1000", "333.3x444.4", "1500x260"]
+    nets = [netgen._flat_net(edge) for edge in edges]
+    got = [_layout_or_error(net, paper) for net in nets for paper in papers]
+    monkeypatch.setattr(netgen, "_pack", full_pack)
+    assert got == [_layout_or_error(net, paper) for net in nets for paper in papers]
+    misfits = sum(isinstance(g, str) for g in got)
+    assert 0 < misfits < len(got)
+    assert any("no standard sheet" in g for g in got if isinstance(g, str))

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gyrolab import qfield
 from gyrolab.qfield import ONE, SQRT2, ZERO, Q2, parse
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=100)
@@ -251,3 +253,68 @@ def test_equal_values_share_components_however_built(x):
     rebuilt = (Q2(a * k, b * k) / k + Q2(a + 1, b) - 1) * Q2(1, 0) - Q2(a, b)
     assert (rebuilt.p, rebuilt.q, rebuilt.d) == (Q2(*x).p, Q2(*x).q, Q2(*x).d)
     assert hash(rebuilt) == hash(Q2(*x))
+
+
+# -- parse and hash on ints, against Fraction ------------------------------------
+
+
+def parse_by_fractions(text):
+    """Q2.parse as it was on Fraction: (p, q, d), or the error's type and text."""
+    m = qfield._LITERAL_RE.match(text)
+    try:
+        if m is None or (m.group("rat") is None and m.group("s2") is None):
+            raise ValueError(f"invalid Q2 literal: {text!r}")
+        if m.group("s2") and m.group("rat") and m.group("sgn") is None:
+            raise ValueError(f"invalid Q2 literal: {text!r}")
+        try:
+            a = Fraction(m.group("rat") or 0)
+            b = Fraction(m.group("coef") or 1) if m.group("s2") else Fraction(0)
+        except ZeroDivisionError:
+            raise ValueError(f"invalid Q2 literal: {text!r}") from None
+        x = Q2(a, -b if m.group("sgn") == "-" else b)
+        return x.p, x.q, x.d
+    except ValueError as e:
+        return type(e), str(e)
+
+
+def parse_result(text):
+    try:
+        x = parse(text)
+        return x.p, x.q, x.d
+    except ValueError as e:
+        return type(e), str(e)
+
+
+literals = st.one_of(
+    st.from_regex(qfield._LITERAL_RE),  # every literal shape, Unicode digits and "\n" too
+    st.lists(st.sampled_from(["0", "1", "7", "12", "00", "/", "/0", "-", "+", "*", "sqrt2"]),
+             max_size=7).map("".join),  # mostly not literals
+)
+
+
+@settings(max_examples=300)
+@given(literals)
+@example("1/0")
+@example("1+1/0*sqrt2")
+@example("-0/7-0/3*sqrt2")
+@example("3\n")
+def test_parse_on_ints_equals_the_fraction_reference(text):
+    assert parse_result(text) == parse_by_fractions(text)
+
+
+MODULUS = sys.hash_info.modulus
+
+
+@given(st.one_of(
+    st.fractions(),
+    st.builds(Fraction, st.integers(), st.integers(1, 5).map(MODULUS.__mul__)),
+    st.builds(Fraction, st.integers(), st.integers(1, 2 ** 70)),
+))
+@example(Fraction(-(MODULUS + 2), 2))  # its raw hash is -1, which Python turns into -2
+@example(Fraction(-1))
+@example(Fraction(3, MODULUS))
+@example(Fraction(-3, MODULUS ** 2))
+def test_rational_hash_is_the_fraction_hash(r):
+    assert hash(Q2(r)) == hash(r)
+    if r.denominator == 1:
+        assert hash(Q2(r.numerator)) == hash(r.numerator)

@@ -241,6 +241,40 @@ def test_vertex_figure_rejects_a_broken_vertex_star(faces, v, message):
         vertex_figure(Polyhedron(verts, faces), v)
 
 
+def _across_cases(cube):
+    hole = cube.faces[:-1]  # the last face's four edges are open
+    a, b = cube.faces[0][:2]
+    fin = cube.faces + ((b, a, 7),)  # edge ab on three faces
+    return {"open": Polyhedron(cube.vertices, hole), "fin": Polyhedron(cube.vertices, fin)}
+
+
+def test_across_agrees_with_edge_faces(rco, pseudo, cube):
+    # across[f][t] is the other face on edge (f[t], f[t+1]) when exactly two
+    # faces hold it, None at a hole or on an edge held by three faces
+    meshes = {"rco": rco, "pseudo": pseudo, "cube": cube, **_across_cases(cube)}
+    nones = collections.Counter()
+    for name, p in meshes.items():
+        assert [len(row) for row in p.across] == [len(f) for f in p.faces]
+        for fi, f in enumerate(p.faces):
+            for t in range(len(f)):
+                fs = p.edge_faces[tuple(sorted((f[t], f[(t + 1) % len(f)])))]
+                g = p.across[fi][t]
+                if len(fs) == 2:
+                    assert {fi, g} == set(fs)
+                    assert fi in p.across[g]  # symmetric
+                else:
+                    assert g is None
+                    nones[name, len(fs)] += 1
+    assert nones == {("open", 1): 4, ("fin", 3): 3, ("fin", 1): 2}  # the fin's free edges
+
+
+def test_across_never_raises_on_a_malformed_mesh():
+    verts = [(float(i), float(i * i), float(i ** 3)) for i in range(4)]
+    # (0, 1, 0) holds edge 01 twice, and edge 00 with the face (0,)
+    p = Polyhedron(verts, [(), (0,), (0, 1, 0), (1, 2, 9)])
+    assert p.across == ((), (2,), (2, 2, 1), (None, None, None))
+
+
 def test_cycle_order_walks_from_the_smallest_node():
     assert cycle_order({2: [1, 3], 0: [3, 1], 3: [2, 0], 1: [0, 2]}) == [0, 3, 2, 1]
 

@@ -445,12 +445,12 @@ def least_squares_group(p) -> dict:
     gram_inv = _inverse(_moments(verts, verts))
     diameter = _diameter(k, verts)
     flags = list(symmetry._flags(p))
-    base, across = flags[0], symmetry._across(p)
+    base = flags[0]
     kept = {}
     for flag in flags:
         if flag[3] != base[3]:
             continue
-        perms = symmetry._automorphism(p, across, base, flag)
+        perms = symmetry._automorphism(p, base, flag)
         if perms is None:
             continue
         images = [verts[j] for j in perms[0]]
@@ -578,7 +578,8 @@ def test_unsnapped_axis_order_does_not_depend_on_the_noise():
 def _enumerating_flags(p):
     for (i, j) in p.edges:
         for fi in p.edge_faces[(i, j)]:
-            other = p.other_face((i, j), fi)
+            fs = p.edge_faces[(i, j)]
+            other = None if len(fs) != 2 else fs[0] if fs[1] == fi else fs[1]
             sizes = (len(p.faces[fi]), 0 if other is None else len(p.faces[other]))
             yield i, j, fi, sizes
             yield j, i, fi, sizes
@@ -609,10 +610,10 @@ def enumerated_group(p) -> tuple:
                    for f in frame for x, pj in zip(gram[f], vperm))
 
     flags = list(_enumerating_flags(p))
-    base, across = flags[0], symmetry._across(p)
+    base = flags[0]
     isos = []
     for flag in flags:
-        perms = flag[3] == base[3] and symmetry._automorphism(p, across, base, flag)
+        perms = flag[3] == base[3] and symmetry._automorphism(p, base, flag)
         if perms and keeps_gram_rows(perms[0]):
             m = mat_mul(mat_transpose([verts[perms[0][f]] for f in frame]), frame_inv)
             isos.append(Isometry(m, geom.mat_det(m) > 0, *perms, k))  # by Q2 or float order, not the kernel
