@@ -133,9 +133,8 @@ def cmd_analyze(parser, args) -> int:
 def cmd_net(parser, args) -> int:
     from . import netgen
 
-    edge = _parse_edge_mm(parser, args.edge)
-    netgen.check_sheet(edge, args.paper)  # a net that cannot fit builds no solid
-    _write_output(args.output, netgen.render_svg(netgen.generate_nets(edge), args.paper))
+    net = netgen.generate_nets(_parse_edge_mm(parser, args.edge))
+    _write_output(args.output, netgen.render_svg(net, args.paper))
     return 0
 
 

@@ -18,9 +18,7 @@ kernel once, from its coordinate type.
 
 ``turn`` is the one exact rotation: by a multiple of 45 degrees about a
 signed coordinate axis, which is every turn the gyrate cap and the fold's
-creases make.  ``cycle_order`` is the one cyclic walk: it orders the faces
-around a vertex and a net piece's outline from adjacency alone, with no
-arithmetic.
+creases make.
 """
 
 from __future__ import annotations
@@ -137,24 +135,6 @@ def _unit_scaled(points: Sequence[Vec3]) -> tuple[int, list]:
     |coordinate| (0 if there is none): exact, with every coordinate in [-1, 1]."""
     e = math.frexp(max((abs(x) for v in points for x in v), default=0.0))[1]
     return e, [tuple(math.ldexp(x, -e) for x in v) for v in points]
-
-
-def cycle_order(neighbours: dict) -> list:
-    """Every node in cyclic order, given each node's two neighbours: the
-    walk starts at the smallest node and steps first to its first-listed
-    neighbour.  ValueError if the nodes do not form a single cycle."""
-    if any(len(ns) != 2 or any(v not in neighbours.get(w, ()) for w in ns)
-           for v, ns in neighbours.items()):
-        raise ValueError("every node needs two neighbours that list it back")
-    start = min(neighbours)
-    ring, prev, cur = [start], start, neighbours[start][0]
-    while cur != start:  # each step can be undone, so the walk comes back
-        ring.append(cur)
-        a, b = neighbours[cur]
-        prev, cur = cur, b if a == prev else a
-    if not len(ring) == len(set(ring)) == len(neighbours):
-        raise ValueError("the nodes do not form a single cycle")
-    return ring
 
 
 def json_vec(v: Vec3) -> list:

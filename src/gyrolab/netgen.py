@@ -16,14 +16,14 @@ that are folded are the pieces that are printed.
 Every crease lies on a square-square edge of the rhombicuboctahedron: the
 strip's join belt squares, a cap's join its pole to its sides, and a tab's
 joins a side to the belt square the tab lands in.  So all creases share one
-fold target, the interior dihedral of those edges, measured on all of them
-on the built solid rather than quoted: 135 degrees, exact over Q(sqrt2).
+fold target, and the strip's ring gives it: its ``WALLS`` = 8 equal walls
+close into a ring only if each crease turns 360 / 8 degrees, so the interior
+dihedral is 180 - 45 = 135 degrees.  ``foldsim`` verifies it: it folds
+every crease to that target in exact Q(sqrt2) and matches each face square
+against the hull-built target solid, so a wrong angle fails ``fold-check``.
 
-The sheet is checked before the solid is built: ``check_sheet`` lays out
-the squares alone.  ``solids``, ``geom`` and ``qfield`` are imported only
-where the fold target is measured, and ``geom.cycle_order`` only
-where outlines are drawn, so a net that cannot fit its sheet runs no hull
-and loads no module but this one.
+The module imports nothing from gyrolab: a net, its layout and its SVG are
+made from the squares and the edge alone, and no solid is built.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ GAP_MM = Fraction(5)
 MIN_SVG_EDGE = Fraction(1, 100)  # the SVG's 4 decimals move a corner by <= 1/200 of it
 
 PIECES = ("strip", "cap_north", "cap_south")
+WALLS = 8  # the strip's belt squares; one more square laps under the first
 _CAP_DIRS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
 
@@ -97,37 +98,6 @@ class NetSpec(NamedTuple):
         return tuple(c for c in self.creases if c.piece == piece)
 
 
-# -- fold-target derivation ----------------------------------------------------
-
-
-def _interior_dihedral_degrees(p, f1: int, f2: int) -> int:
-    """Interior dihedral between two adjacent faces of the exact solid p,
-    matched against the exactly representable angles {0, 45, 90, 135, 180}."""
-    from .geom import exact_cos_sin, vdot
-
-    n1, n2 = p.face_normal(f1), p.face_normal(f2)
-    dot = vdot(n1, n2)
-    lhs = dot * dot
-    nn = vdot(n1, n1) * vdot(n2, n2)
-    for deg in (0, 45, 90, 135, 180):
-        cos_d, _ = exact_cos_sin(deg)
-        # cos(interior) = -dot/|n1||n2|  =>  compare squares plus the sign
-        if lhs == cos_d * cos_d * nn and (-dot).sign() == cos_d.sign():
-            return deg
-    raise ValueError("dihedral angle has no exact Q(sqrt2) trigonometry")
-
-
-def _fold_target(p) -> int:
-    """The interior dihedral shared by every square-square edge of the exact
-    solid p; a ValueError when p has no such edge or two of them differ."""
-    quads = {fi for fi, f in enumerate(p.faces) if len(f) == 4}
-    targets = {_interior_dihedral_degrees(p, *fs) for fs in p.edge_faces.values()
-               if len(fs) == 2 and quads.issuperset(fs)}
-    if len(targets) != 1:
-        raise ValueError(f"square-square dihedrals {sorted(targets)} are not one fold target")
-    return targets.pop()
-
-
 # -- net construction ------------------------------------------------------------
 
 
@@ -136,32 +106,25 @@ def generate_nets(edge_len: Fraction | int = 50) -> NetSpec:
     edge = Fraction(edge_len)
     if edge <= 0:
         raise ValueError("edge length must be positive")
-    from .solids import build_rhombicuboctahedron
-
-    return _flat_net(edge, _fold_target(build_rhombicuboctahedron(2)))
-
-
-def _flat_net(edge: Fraction, target: Optional[int] = None) -> NetSpec:
-    """The net with ``target`` on every crease; with none, all that its
-    layout reads."""
+    fold = 180 - 360 // WALLS  # the strip's walls close into a ring
     squares: list[NetSquare] = []
     creases: list[Crease] = []
     gluing: list[Gluing] = []
 
-    for i in range(9):
-        role = "glue" if i == 8 else "face"
+    for i in range(WALLS + 1):
+        role = "glue" if i == WALLS else "face"
         squares.append(NetSquare("strip", (i, 0), role))
-    for i in range(1, 9):
-        creases.append(Crease("strip", (i - 1, 0), (i, 0), target))
-    gluing.append(Gluing("overlap", "strip", (8, 0), (0, 0)))
+    for i in range(1, WALLS + 1):
+        creases.append(Crease("strip", (i - 1, 0), (i, 0), fold))
+    gluing.append(Gluing("overlap", "strip", (WALLS, 0), (0, 0)))
 
     for piece in ("cap_north", "cap_south"):
         squares.append(NetSquare(piece, (0, 0), "pole"))
         for dx, dy in _CAP_DIRS:
             squares.append(NetSquare(piece, (dx, dy), "face"))
             squares.append(NetSquare(piece, (2 * dx, 2 * dy), "glue"))
-            creases.append(Crease(piece, (0, 0), (dx, dy), target))
-            creases.append(Crease(piece, (dx, dy), (2 * dx, 2 * dy), target))
+            creases.append(Crease(piece, (0, 0), (dx, dy), fold))
+            creases.append(Crease(piece, (dx, dy), (2 * dx, 2 * dy), fold))
             gluing.append(Gluing("overlap", piece, (2 * dx, 2 * dy), None))
             gluing.append(Gluing("edge", piece, (dx, dy), None))
 
@@ -203,6 +166,24 @@ def piece_bbox(net: NetSpec, piece: str) -> tuple[Fraction, Fraction]:
     return w * net.edge_len, h * net.edge_len
 
 
+def cycle_order(neighbours: dict) -> list:
+    """Every node in cyclic order, given each node's two neighbours: the
+    walk starts at the smallest node and steps first to its first-listed
+    neighbour.  ValueError if the nodes do not form a single cycle."""
+    if any(len(ns) != 2 or any(v not in neighbours.get(w, ()) for w in ns)
+           for v, ns in neighbours.items()):
+        raise ValueError("every node needs two neighbours that list it back")
+    start = min(neighbours)
+    ring, prev, cur = [start], start, neighbours[start][0]
+    while cur != start:  # each step can be undone, so the walk comes back
+        ring.append(cur)
+        a, b = neighbours[cur]
+        prev, cur = cur, b if a == prev else a
+    if not len(ring) == len(set(ring)) == len(neighbours):
+        raise ValueError("the nodes do not form a single cycle")
+    return ring
+
+
 def _piece_outline_local(net: NetSpec, piece: str) -> list[tuple]:
     """Closed boundary polygon of the piece in mm: the square sides that
     occur exactly once, walked in cyclic order, collinear runs merged."""
@@ -215,8 +196,6 @@ def _piece_outline_local(net: NetSpec, piece: str) -> list[tuple]:
         if n == 1:
             adj.setdefault(a, []).append(b)
             adj.setdefault(b, []).append(a)
-    from .geom import cycle_order
-
     loop = cycle_order({pt: sorted(ns) for pt, ns in adj.items()})
     L, m = net.edge_len, len(loop)
     corners: list[tuple] = []
@@ -311,21 +290,6 @@ def plan_layout(net: NetSpec, paper="A2"):
     }
 
 
-def check_sheet(edge_len: Fraction, paper="A2") -> None:
-    """Raise what ``render_svg`` would for nets of square side ``edge_len`` mm
-    on ``paper``: the layout reads only the squares and the edge, so no
-    solid is built."""
-    _sheet_layout(_flat_net(Fraction(edge_len)), paper)
-
-
-def _sheet_layout(net: NetSpec, paper):
-    """``plan_layout``, after a ValueError under ``MIN_SVG_EDGE``."""
-    if net.edge_len < MIN_SVG_EDGE:
-        raise ValueError(f"edge {net.edge_len} mm is below the SVG's smallest edge,"
-                         f" {MIN_SVG_EDGE} mm")
-    return plan_layout(net, paper)
-
-
 # -- SVG ---------------------------------------------------------------------------
 
 
@@ -340,7 +304,9 @@ def render_svg(net: NetSpec, paper="A2") -> str:
     ValueError under ``MIN_SVG_EDGE``.  Byte-identical across runs for
     equal inputs."""
     L = net.edge_len
-    name, (pw, ph), layout = _sheet_layout(net, paper)
+    if L < MIN_SVG_EDGE:
+        raise ValueError(f"edge {L} mm is below the SVG's smallest edge, {MIN_SVG_EDGE} mm")
+    name, (pw, ph), layout = plan_layout(net, paper)
     rects: list[str] = []
     creases: list[str] = []
     cuts: list[str] = []

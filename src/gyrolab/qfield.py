@@ -42,7 +42,7 @@ if TYPE_CHECKING:
 _RATIONAL = r"-?\d+(?:/\d+)?"
 _LITERAL_RE = re.compile(
     rf"^(?P<rat>{_RATIONAL})?"
-    rf"(?:(?P<sgn>[+-])?(?:(?P<coef>\d+(?:/\d+)?)\*)?(?P<s2>sqrt2))?$"
+    rf"(?:(?P<sgn>[+-])?(?:(?P<coef>\d+(?:/\d+)?)\*)?(?P<s2>sqrt2))?\Z"
 )
 _SQRT2_F = math.sqrt(2.0)
 

@@ -34,7 +34,7 @@ import sys
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import geom
-from .geom import EXACT, ToleranceKernel, Vec3, vcross, vsub
+from .geom import EXACT, ToleranceKernel, Vec3
 from .qfield import ONE, SQRT2, Q2
 
 if TYPE_CHECKING:
@@ -188,11 +188,6 @@ class Polyhedron:
                 if not k.is_zero_vec(rel) and k.is_zero_vec(k.cross(rel, d)):
                     sides[k.sign(k.dot(rel, d)) > 0].append((kind, ref))
         return sides
-
-    def face_normal(self, fi: int) -> Vec3:
-        """Cross product of the first two face edges (faces are convex)."""
-        a, b, c = (self.vertices[i] for i in self.faces[fi][:3])
-        return vcross(vsub(b, a), vsub(c, a))
 
 
 # -- convex hull -------------------------------------------------------------
@@ -359,17 +354,25 @@ def vertex_figure(p: Polyhedron, v: int) -> tuple[int, ...]:
     canonicalized up to rotation and reflection."""
     if v not in p.vertex_faces:
         raise KeyError(f"unknown vertex index {v}")
-    across = {}  # each face at v -> the two faces across its edges at v
+    star = {}  # each face at v -> the two faces across its edges at v
     for fi in p.vertex_faces[v]:
         k = p.faces[fi].index(v)
-        across[fi] = [p.across[fi][k - 1], p.across[fi][k]]
-        if None in across[fi]:
+        star[fi] = p.across[fi][k - 1], p.across[fi][k]
+        if None in star[fi]:
             raise ValueError(f"surface around vertex {v} is not closed")
-    try:
-        cycle = geom.cycle_order(across)
-    except ValueError:
-        raise ValueError(f"faces around vertex {v} do not form a cycle") from None
-    degs = [len(p.faces[fi]) for fi in cycle]
+    # when every face across lists its neighbour back, walk from the
+    # smallest face, first across its edge into v; each step can be undone,
+    # so the walk comes back to it
+    linked = all(fi in star.get(g, ()) for fi, gs in star.items() for g in gs)
+    start = min(star)
+    ring, prev, cur = [start], start, star[start][0]
+    while linked and cur != start:
+        ring.append(cur)
+        a, b = star[cur]
+        prev, cur = cur, b if a == prev else a
+    if not (linked and len(ring) == len(set(ring)) == len(star)):
+        raise ValueError(f"faces around vertex {v} do not form a cycle")
+    degs = [len(p.faces[fi]) for fi in ring]
     return min(tuple(s[r:] + s[:r]) for s in (degs, degs[::-1]) for r in range(len(s)))
 
 

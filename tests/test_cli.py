@@ -65,6 +65,7 @@ def test_build_unknown_solid_is_usage_error(capsys):
     ["analyze", "--solid", "rco", "--edge", "0"],
     ["compare", "--edge", "-3"],
     ["net", "--edge", "abc"],
+    pytest.param(["build", "--solid", "rco", "--edge", "9/7\n"], id="build-newline"),
 ], ids=lambda argv: argv[0])
 def test_build_bad_edge_is_usage_error(tmp_path, capsys, argv):
     """A bad edge is a usage error of its own subcommand: that subcommand's
@@ -532,8 +533,8 @@ def modules_loaded(*argv):
 CLI = {"gyrolab", "gyrolab.cli"}
 BUILD = CLI | {"gyrolab.qfield", "gyrolab.geom", "gyrolab.solids"}
 ANALYZE = BUILD | {"gyrolab.belts", "gyrolab.symmetry", "gyrolab.analysis"}
-NET = BUILD | {"gyrolab.netgen"}
-MISFIT_NET = CLI | {"gyrolab.netgen"}
+NET = CLI | {"gyrolab.netgen"}
+FOLD = BUILD | NET | {"gyrolab.foldsim"}
 CUBE_OFF = os.path.join(DATA_DIR, "cube.off")
 
 
@@ -552,9 +553,9 @@ CUBE_OFF = os.path.join(DATA_DIR, "cube.off")
     (["analyze", "--solid", "rco", "--edge", "7/3+1/5*sqrt2"], ANALYZE, False, 0),
     (["compare", "--edge", "9/7"], ANALYZE, False, 0),
     (["net", "-o", "{tmp}/nets.svg"], NET, False, 0),
-    (["fold-check", "--gyration", "45"], NET | {"gyrolab.foldsim"}, False, 0),
-    (["fold-check", "--gyration", "45", "--json"], NET | {"gyrolab.foldsim"}, True, 0),
-    (["net", "--edge", "100", "--paper", "A4", "-o", "{tmp}/nets.svg"], MISFIT_NET, False, 1),
+    (["fold-check", "--gyration", "45"], FOLD, False, 0),
+    (["fold-check", "--gyration", "45", "--json"], FOLD, True, 0),
+    (["net", "--edge", "100", "--paper", "A4", "-o", "{tmp}/nets.svg"], NET, False, 1),
 ], ids=["version", "build", "build-json", "analyze-solid", "analyze-solid-json", "analyze-input",
         "analyze-input-json", "analyze-input-unsnapped", "compare", "compare-json", "build-rational",
         "analyze-sqrt2-edge", "compare-rational", "net", "fold-check", "fold-check-json",
@@ -562,7 +563,7 @@ CUBE_OFF = os.path.join(DATA_DIR, "cube.off")
 def test_subcommand_imports_only_what_it_runs(tmp_path, argv, modules, writes_json, exit_code):
     """Each call loads its own subcommand's modules and no more: never
     ``dataclasses`` or ``inspect``, and ``json`` only when it writes JSON.
-    A net that cannot fit its sheet loads no module that builds a solid.
+    ``net`` loads no module that builds a solid, whether its pieces fit or not.
     ``build``, ``analyze`` and ``compare`` never load ``fractions``: not
     for a rational or Q(sqrt2) edge, nor for a float group that does not
     snap (the cube with noise 1e-7)."""

@@ -6,12 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import make_cube
 from gyrolab import netgen
 from gyrolab.netgen import (
     PIECES,
     DoesNotFitError,
-    _fold_target,
     generate_nets,
     piece_bbox,
     plan_layout,
@@ -19,9 +17,7 @@ from gyrolab.netgen import (
     resolve_paper,
     shared_edge,
 )
-from gyrolab.qfield import Q2
 from gyrolab.solids import (
-    Polyhedron,
     build_pseudo_rhombicuboctahedron,
     build_rhombicuboctahedron,
 )
@@ -29,20 +25,30 @@ from gyrolab.solids import (
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
 
-def float_dihedral_oracle() -> float:
-    """Independent check of the derived fold target: interior dihedral of
-    two adjacent squares of the built solid, in plain floating point."""
-    p = build_rhombicuboctahedron(2)
-    quads = [fi for fi, f in enumerate(p.faces) if len(f) == 4]
-    for (i, j), fs in p.edge_faces.items():
-        if all(fi in quads for fi in fs):
-            n1 = tuple(float(c) for c in p.face_normal(fs[0]))
-            n2 = tuple(float(c) for c in p.face_normal(fs[1]))
-            cos = sum(a * b for a, b in zip(n1, n2)) / (
-                math.sqrt(sum(a * a for a in n1)) * math.sqrt(sum(b * b for b in n2))
-            )
-            return math.degrees(math.pi - math.acos(max(-1.0, min(1.0, cos))))
-    raise AssertionError("no square-square edge found")
+def float_dihedral_oracle(p) -> list[float]:
+    """Independent check of the fold target: the interior dihedral on every
+    square-square edge of the built solid p, in plain floating point, each
+    face's normal taken from its vertex coordinates and turned outward."""
+    pts = [tuple(float(c) for c in v) for v in p.vertices]
+    centre = [sum(c) / len(pts) for c in zip(*pts)]
+
+    def outward_unit_normal(fi):
+        a, b, c = (pts[i] for i in p.faces[fi][:3])
+        u, w = [y - x for x, y in zip(a, b)], [y - x for x, y in zip(a, c)]
+        n = (u[1] * w[2] - u[2] * w[1], u[2] * w[0] - u[0] * w[2], u[0] * w[1] - u[1] * w[0])
+        out = sum(n[k] * (sum(pts[i][k] for i in p.faces[fi]) / len(p.faces[fi]) - centre[k])
+                  for k in range(3))
+        scale = math.copysign(math.sqrt(sum(x * x for x in n)), out)
+        return [x / scale for x in n]
+
+    quads = {fi for fi, f in enumerate(p.faces) if len(f) == 4}
+    dihedrals = []
+    for fs in p.edge_faces.values():
+        if len(fs) == 2 and quads.issuperset(fs):
+            n1, n2 = map(outward_unit_normal, fs)
+            cos = sum(a * b for a, b in zip(n1, n2))
+            dihedrals.append(math.degrees(math.pi - math.acos(max(-1.0, min(1.0, cos)))))
+    return dihedrals
 
 
 def test_piece_inventory(net50):
@@ -96,28 +102,12 @@ def test_shared_edge_is_the_crease_line(net50):
 
 
 def test_fold_targets_derived_not_hardcoded(net50):
-    oracle = float_dihedral_oracle()
-    assert abs(oracle - 135.0) < 1e-9
-    assert {c.fold_target for c in net50.creases} == {round(oracle)}
-
-
-@pytest.mark.parametrize("solid,target", [
-    (build_rhombicuboctahedron(2), 135),
-    (build_pseudo_rhombicuboctahedron(2), 135),
-    (make_cube(), 90),
-], ids=["rco", "pseudo", "cube"])
-def test_fold_target_is_the_one_square_square_dihedral(solid, target):
-    assert _fold_target(solid) == target
-
-
-@pytest.mark.parametrize("vertices", [
-    [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1), (0, 1, 1)],
-    [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)],
-], ids=["prism-45-and-90", "tetrahedron-no-squares"])
-def test_fold_target_needs_one_square_square_dihedral(vertices):
-    solid = Polyhedron([tuple(Q2(c) for c in v) for v in vertices])
-    with pytest.raises(ValueError, match="not one fold target"):
-        _fold_target(solid)
+    # the net takes 135 from the strip's ring; both built solids measure it
+    for build in (build_rhombicuboctahedron, build_pseudo_rhombicuboctahedron):
+        dihedrals = float_dihedral_oracle(build(2))
+        assert len(dihedrals) == 24
+        assert all(abs(d - 135.0) < 1e-9 for d in dihedrals)
+        assert {c.fold_target for c in net50.creases} == {round(d) for d in dihedrals}
 
 
 def test_gluing_instructions(net50):
@@ -472,7 +462,7 @@ def test_packing_skips_only_turns_of_square_boxes(monkeypatch):
     rng = random.Random(29)
     edges = [Fraction(rng.randint(1, 140 * den), den) for den in (1, 2, 3, 7) for _ in range(8)]
     papers = ["A4", "A3", "A2", "200x500", "500x200", "90x1000", "333.3x444.4", "1500x260"]
-    nets = [netgen._flat_net(edge) for edge in edges]
+    nets = [generate_nets(edge) for edge in edges]
     got = [_layout_or_error(net, paper) for net in nets for paper in papers]
     monkeypatch.setattr(netgen, "_pack", full_pack)
     assert got == [_layout_or_error(net, paper) for net in nets for paper in papers]

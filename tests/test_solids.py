@@ -25,14 +25,13 @@ from gyrolab.foldsim import fold
 from gyrolab.geom import (
     EXACT,
     centroid,
-    cycle_order,
     is_zero_vec,
     vcross,
     vdot,
     vneg,
     vsub,
 )
-from gyrolab.netgen import generate_nets
+from gyrolab.netgen import cycle_order, generate_nets
 from gyrolab.qfield import ONE, SQRT2, Q2, parse, sign_z2
 from gyrolab.solids import (
     OffParseError,
@@ -187,7 +186,7 @@ def test_one_hull_per_solid_whatever_the_edge(monkeypatch):
     calls.clear()
     _clear_build_caches()
     fold(generate_nets(50), 45)
-    assert len(calls) <= 2
+    assert calls == [24]  # the target solid's; the net builds none
 
 
 def test_a_net_that_cannot_fit_its_sheet_runs_no_hull(monkeypatch, tmp_path, capsys):
@@ -204,7 +203,7 @@ def test_a_net_that_cannot_fit_its_sheet_runs_no_hull(monkeypatch, tmp_path, cap
     assert "error: pieces do not fit A4" in capsys.readouterr().err
     assert calls == [] and not (tmp_path / "a4.svg").exists()
     assert main(["net", "--edge", "40", "--paper", "A2", "-o", str(tmp_path / "a2.svg")]) == 0
-    assert calls == [24]  # the counter sees the hull of a net that fits
+    assert calls == [] and (tmp_path / "a2.svg").exists()  # nor does a net that fits
 
 
 def test_positive_edge_required():
@@ -239,6 +238,82 @@ def test_vertex_figure_rejects_a_broken_vertex_star(faces, v, message):
     verts = [(float(i), float(i * i), float(i ** 3)) for i in range(8)]
     with pytest.raises(ValueError, match=f"^{message}$"):
         vertex_figure(Polyhedron(verts, faces), v)
+
+
+def reference_vertex_figure(p, v):
+    """``vertex_figure`` as a neighbour dict that ``cycle_order`` walks."""
+    if v not in p.vertex_faces:
+        raise KeyError(f"unknown vertex index {v}")
+    across = {}  # each face at v -> the two faces across its edges at v
+    for fi in p.vertex_faces[v]:
+        k = p.faces[fi].index(v)
+        across[fi] = [p.across[fi][k - 1], p.across[fi][k]]
+        if None in across[fi]:
+            raise ValueError(f"surface around vertex {v} is not closed")
+    try:
+        cycle = cycle_order(across)
+    except ValueError:
+        raise ValueError(f"faces around vertex {v} do not form a cycle") from None
+    degs = [len(p.faces[fi]) for fi in cycle]
+    return min(tuple(s[r:] + s[:r]) for s in (degs, degs[::-1]) for r in range(len(s)))
+
+
+def _figure_or_error(figure, p, v):
+    try:
+        return figure(p, v)
+    except (KeyError, ValueError) as e:
+        return type(e), str(e)
+
+
+def _mangled_faces(rng, closed):
+    """A closed face list with a few seeded breaks: dropped faces (open
+    stars), fins, repeated vertices, reversed or doubled faces, a second
+    copy glued at one vertex, or random faces."""
+    faces = [list(f) for f in closed]
+    n = 1 + max(map(max, faces))
+    for _ in range(rng.randint(0, 3)):
+        f = rng.choice([g for g in faces if len(g) > 1] or [[0, 0]])
+        kind = rng.randrange(7)
+        if kind == 0 and len(faces) > 1:
+            faces.remove(f)
+        elif kind == 1:  # a third face on the edge f[0] f[1]
+            faces.append([f[1], f[0], rng.randrange(n)])
+        elif kind == 2:
+            f.insert(rng.randrange(len(f) + 1), rng.choice(f))
+        elif kind == 3:
+            f[rng.randrange(len(f))] = rng.randrange(n)
+        elif kind == 4:
+            faces.append(f[::-1] if rng.random() < 0.5 else list(f))
+        elif kind == 5:  # vertex 0 shared, every other vertex new
+            faces += [[x and x + n for x in g] for g in closed]
+        else:
+            faces.append([rng.randrange(n) for _ in range(rng.randint(0, 5))])
+    rng.shuffle(faces)
+    return faces
+
+
+def test_vertex_figure_walks_across_as_cycle_order_did(rco, pseudo, cube):
+    # values and error texts, vertex by vertex, on closed and broken stars,
+    # and on random faces over four vertices: in the first two listed, a
+    # walk over every face at a vertex closes, but one face across does not
+    # list its neighbour back
+    rng = random.Random(30)
+    closed = [rco.faces, pseudo.faces, cube.faces, _TETRAHEDRON]
+    meshes = [[[2, 2, 1, 3], [2, 1, 0, 2], [3, 3, 3, 0, 2]],
+              [[2, 0, 0, 0, 3], [3], [1, 1, 0, 3, 2], [1, 2, 3, 2, 0]]]
+    meshes += [_mangled_faces(rng, rng.choice(closed)) for _ in range(1500)]
+    meshes += [[[rng.randrange(4) for _ in range(rng.randint(1, 5))]
+                for _ in range(rng.randint(1, 4))] for _ in range(3000)]
+    outcomes = collections.Counter()
+    for faces in meshes:
+        n = 2 + max((i for f in faces for i in f), default=0)
+        p = Polyhedron([(float(i), float(i * i), float(i ** 3)) for i in range(n)], faces)
+        for v in range(n):
+            got = _figure_or_error(vertex_figure, p, v)
+            assert got == _figure_or_error(reference_vertex_figure, p, v), (faces, v)
+            outcomes[got[1].strip("'").split(" vertex")[0] if isinstance(got[0], type)
+                     else "figure"] += 1
+    assert set(outcomes) == {"figure", "unknown", "surface around", "faces around"}
 
 
 def _across_cases(cube):
