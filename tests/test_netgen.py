@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from gyrolab import netgen
+from gyrolab.geom import centroid, exact_cos_sin, vcross, vdot, vsub
 from gyrolab.netgen import (
     PIECES,
     DoesNotFitError,
@@ -108,6 +109,38 @@ def test_fold_targets_derived_not_hardcoded(net50):
         assert len(dihedrals) == 24
         assert all(abs(d - 135.0) < 1e-9 for d in dihedrals)
         assert {c.fold_target for c in net50.creases} == {round(d) for d in dihedrals}
+
+
+def exact_square_square_cosines(p) -> set:
+    """Exact counterpart of ``float_dihedral_oracle``: on every
+    square-square edge of p, the sign and the square of the interior
+    dihedral's cosine in Q(sqrt2), from outward normals n1, n2 as
+    cos = -(n1 . n2) / (|n1| |n2|)."""
+    centre = centroid(p.vertices)
+
+    def outward_normal(fi):
+        a, b, c = (p.vertices[i] for i in p.faces[fi][:3])
+        n = vcross(vsub(b, a), vsub(c, a))
+        face_centre = centroid([p.vertices[i] for i in p.faces[fi]])
+        return n if vdot(n, vsub(face_centre, centre)).sign() > 0 else tuple(-x for x in n)
+
+    quads = {fi for fi, f in enumerate(p.faces) if len(f) == 4}
+    cosines = set()
+    for fs in p.edge_faces.values():
+        if len(fs) == 2 and quads.issuperset(fs):
+            n1, n2 = map(outward_normal, fs)
+            dot = vdot(n1, n2)
+            cosines.add((-dot.sign(), dot * dot / (vdot(n1, n1) * vdot(n2, n2))))
+    return cosines
+
+
+@pytest.mark.parametrize("build", [build_rhombicuboctahedron, build_pseudo_rhombicuboctahedron],
+                         ids=["rco", "pseudo"])
+def test_fold_target_is_the_one_square_square_dihedral(build, net50):
+    # the net's one crease angle, checked exactly against the built solid
+    (target,) = {c.fold_target for c in net50.creases}
+    cos, _ = exact_cos_sin(target)
+    assert exact_square_square_cosines(build(2)) == {(cos.sign(), cos * cos)}
 
 
 def test_gluing_instructions(net50):
