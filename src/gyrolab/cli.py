@@ -214,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fold = sub.add_parser("fold-check",
                             help="fold the nets and verify the assembled solid")
-    p_fold.add_argument("--gyration", type=int, choices=(0, 45), default=0)
+    p_fold.add_argument("--gyration", type=int, choices=range(0, 360, 45), default=0)
     p_fold.add_argument("--json", action="store_true")
     p_fold.set_defaults(func=functools.partial(cmd_fold_check, p_fold))
 

@@ -1,32 +1,28 @@
-"""Rigid fold verification: assemble the nets in exact arithmetic.
+"""Rigid fold verification: assemble any net in exact arithmetic.
 
-Every piece folds by one walk over its creases as a tree from square
-(0, 0).  Each square's flat corners come from ``netgen.square_corners`` and
-each crease's edge from ``netgen.shared_edge``, the layout the SVG prints,
-mapped into space by a per-piece embedding; a crease rotates its child side
-by 180 degrees minus the target dihedral about that edge.  Every crease
-line runs along a coordinate axis and every target is a multiple of 45
-degrees, so each crease, like the north cap's gyration, is one
-``geom.turn``: every placed corner stays in Q(sqrt2)^3 and every placed
-square is an exact L x L square.  Congruent squares overlap flat only by
-coinciding, so closure is decided by exact corner-set lookups, never by a
-distance search: square 9 on square 1, each glue tab on a belt square, each
-cap side edge on a belt square edge, and each face square on a face of the
-target solid.
+Every piece folds in its own flat grid (``netgen.square_corners``), in the
+plane z = 0 with outward normal +z, by one walk over its creases as a tree
+from square (0, 0); its ``netgen.Placement``, behind the gyration turn of
+the piece it marks, then carries it into space once.  Every crease line
+runs along a grid axis and every target is a multiple of 45 degrees, so
+each crease, like the gyration, is one ``geom.turn``: every placed corner
+stays in Q(sqrt2)^3 and every placed square is an exact L x L square.
 
-Pose convention: strip square 1 starts on the belt face whose outward
-normal is +x, in the builders' canonical pose; the north cap is the one
-rotated by the gyration parameter.
+Congruent squares overlap flat only by coinciding, so closure is decided by
+exact lookups, never by a distance search, with one rule for every
+``netgen.Gluing``: the glued square's corners, or the edge it shares with a
+neighbour, coincide with a host square or one of that square's edges.
+Each face square must also coincide with a face of the target solid.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
-from .geom import Mat3, Vec3, mat_mul, mat_vec, turn, vadd, vcross, vdot, vsub
-from .netgen import NetSpec, NetSquare, shared_edge, square_cell, square_corners
-from .qfield import ONE, ZERO, Q2
+from .geom import Mat3, Vec3, mat_mul, mat_vec, turn, vadd, vdot, vsub
+from .netgen import CHECKS, NetSpec, shared_edge, square_corners
+from .qfield import ZERO, Q2
 from .solids import build_pseudo_rhombicuboctahedron, build_rhombicuboctahedron
 
 
@@ -158,33 +154,17 @@ class _Affine(NamedTuple):
         return _Affine(mat_mul(self.m, inner.m), vadd(mat_vec(self.m, inner.b), self.b))
 
 
-def _rotation_about_line(anchor: Vec3, axis: Vec3, degrees: int) -> _Affine:
-    """``turn(axis, degrees)`` about the line through ``anchor``."""
-    m = turn(axis, degrees)
-    return _Affine(m, vsub(anchor, mat_vec(m, anchor)))
-
-
-def _fold_rotation_degrees(dihedral_target: int) -> int:
-    if dihedral_target % 45 != 0 or not (0 <= dihedral_target <= 180):
-        raise ValueError(
-            f"crease target {dihedral_target} has no exact Q(sqrt2) trigonometry"
-        )
-    return 180 - dihedral_target
-
-
 # -- folding ---------------------------------------------------------------------
 
 
-def _fold_piece(net: NetSpec, piece: str, embed: Callable[[int, int], Vec3],
-                n_out: Vec3, root: _Affine) -> list[PlacedSquare]:
+def _fold_piece(net: NetSpec, piece: str, root: _Affine) -> list[PlacedSquare]:
     """Fold one piece by walking its creases as a tree from square (0, 0).
 
-    ``embed`` maps a layout corner (``netgen.square_corners``, in edge
-    lengths) into space and ``n_out`` is the flat piece's outward normal
-    there.  Each crease turns the child side by 180 degrees minus its target
-    about the edge ``netgen.shared_edge`` gives, whose axis is ``n_out``
-    crossed with the unit step away from the root:
-    T(child) = T(parent) o R, with T(0, 0) = ``root``.
+    The flat piece is its grid scaled by L in the plane z = 0, outward
+    normal +z.  Each crease turns the child side by 180 degrees minus its
+    target about the edge ``netgen.shared_edge`` gives, whose axis is e_z
+    crossed with the grid step away from the root: T(child) = T(parent) o R,
+    with T(0, 0) = ``root``.
     """
     L = Q2(net.edge_len)
     squares = {sq.pos: sq for sq in net.squares_of(piece)}
@@ -195,6 +175,8 @@ def _fold_piece(net: NetSpec, piece: str, embed: Callable[[int, int], Vec3],
                 f"inconsistent gluing instruction: {piece} crease {c.a}-{c.b}"
                 " leaves the piece"
             )
+        if c.fold_target % 45 != 0 or not 0 <= c.fold_target <= 180:
+            raise ValueError(f"crease target {c.fold_target} has no exact Q(sqrt2) trigonometry")
         anchor = shared_edge(squares[c.a], squares[c.b])[0]
         links.setdefault(c.a, []).append((c.b, anchor, c.fold_target))
         links.setdefault(c.b, []).append((c.a, anchor, c.fold_target))
@@ -203,15 +185,13 @@ def _fold_piece(net: NetSpec, piece: str, embed: Callable[[int, int], Vec3],
     stack = [(0, 0)] if (0, 0) in squares else []
     while stack:
         pos = stack.pop()
-        for child, anchor, target in links.get(pos, ()):
+        for child, (u, v), target in links.get(pos, ()):
             if child in transforms:
                 continue
-            step = vsub(embed(*square_cell(squares[child])),
-                        embed(*square_cell(squares[pos])))
-            axis = tuple(v / L for v in vcross(n_out, step))
-            crease = _rotation_about_line(embed(*anchor), axis,
-                                          _fold_rotation_degrees(target))
-            transforms[child] = transforms[pos].then_inner(crease)
+            m = turn((pos[1] - child[1], child[0] - pos[0], 0), 180 - target)  # e_z x step
+            anchor = (L * u, L * v, ZERO)
+            transforms[child] = transforms[pos].then_inner(
+                _Affine(m, vsub(anchor, mat_vec(m, anchor))))
             stack.append(child)
     if set(transforms) != set(squares) or len(net.creases_of(piece)) != len(squares) - 1:
         raise ValueError(
@@ -220,74 +200,43 @@ def _fold_piece(net: NetSpec, piece: str, embed: Callable[[int, int], Vec3],
         )
 
     return [PlacedSquare(piece, sq.pos, sq.role,
-                         tuple(transforms[sq.pos].apply(embed(u, v))
+                         tuple(transforms[sq.pos].apply((L * u, L * v, ZERO))
                                for u, v in square_corners(sq)))
             for sq in net.squares_of(piece)]
 
 
 def fold(net: NetSpec, gyration: int = 0) -> AssemblyResult:
-    """Fold the three pieces and match them against the target solid.
+    """Fold every piece of the net and match them against the target solid.
 
-    ``gyration`` (degrees, any multiple of 45) rotates the north cap
-    about the polar axis before gluing: multiples of 90 reproduce the
-    rhombicuboctahedron, odd multiples of 45 the pseudo twin.
+    ``gyration`` (degrees, any multiple of 45) turns the piece whose
+    placement is marked ``gyrate`` about its normal before gluing: for the
+    three-piece net, multiples of 90 reproduce the rhombicuboctahedron, odd
+    multiples of 45 the pseudo twin.
     """
     if gyration % 45 != 0:
-        raise ValueError(
-            f"gyration {gyration} has no exact Q(sqrt2) trigonometry"
-        )
+        raise ValueError(f"gyration {gyration} has no exact Q(sqrt2) trigonometry")
     L = Q2(net.edge_len)
-    s = L / 2
-    t = (ONE + Q2(0, 1)) * s
-    # each cap's pole square, the root of its fold, is centred on the polar axis
-    cx, cy = (L * v + s for v in square_cell(NetSquare("cap_north", (0, 0), "pole")))
-
-    def root(degrees: int) -> _Affine:  # a turn about the polar axis
-        return _rotation_about_line((ZERO, ZERO, ZERO), (0, 0, 1), degrees)
-
-    placed = {
-        "strip": _fold_piece(net, "strip", lambda x, y: (t, s - L * x, s - L * y),
-                             (ONE, ZERO, ZERO), root(0)),
-        "cap_north": _fold_piece(net, "cap_north",
-                                 lambda x, y: (L * x - cx, L * y - cy, t),
-                                 (ZERO, ZERO, ONE), root(gyration)),
-        "cap_south": _fold_piece(net, "cap_south",
-                                 lambda x, y: (L * x - cx, L * y - cy, -t),
-                                 (ZERO, ZERO, -ONE), root(0)),
-    }
+    placed = {}
+    for p in net.placements:
+        spin = turn(p.frame[2], gyration if p.gyrate else 0)
+        offset = tuple(Q2(a, b) * L for a, b in p.offset)
+        # gyration o placement; the frame's images are the placement's columns
+        root = _Affine(mat_mul(spin, tuple(zip(*p.frame))), mat_vec(spin, offset))
+        placed[p.piece] = _fold_piece(net, p.piece, root)
     if gyration % 90 == 0:
-        target = build_rhombicuboctahedron(net.edge_len)
-        target_name = "rhombicuboctahedron"
+        target, target_name = build_rhombicuboctahedron(net.edge_len), "rhombicuboctahedron"
     else:
         target = build_pseudo_rhombicuboctahedron(net.edge_len)
         target_name = "pseudo-rhombicuboctahedron"
 
     face_sets = {frozenset(target.vertices[i] for i in f): fi
                  for fi, f in enumerate(target.faces)}
-    correspondence = {}
-    matched = True
-    corner_union = set()
-    for piece, sqs in placed.items():
-        for sq in sqs:
-            if sq.role not in ("face", "pole"):
-                continue
-            corner_union.update(sq.corners)
-            fi = face_sets.get(sq.corner_set())
-            if fi is None:
-                matched = False
-            else:
-                correspondence[(piece, sq.pos)] = fi
-    if corner_union != set(target.vertices):
-        matched = False
-
-    return AssemblyResult(
-        net=net,
-        gyration=gyration,
-        target_name=target_name,
-        squares=placed,
-        matched=matched,
-        correspondence=correspondence,
-    )
+    faces = [sq for sqs in placed.values() for sq in sqs if sq.role in ("face", "pole")]
+    correspondence = {(sq.piece, sq.pos): face_sets[sq.corner_set()]
+                      for sq in faces if sq.corner_set() in face_sets}
+    matched = (len(correspondence) == len(faces)
+               and {c for sq in faces for c in sq.corners} == set(target.vertices))
+    return AssemblyResult(net, gyration, target_name, placed, matched, correspondence)
 
 
 # -- closure checks ----------------------------------------------------------------
@@ -307,64 +256,56 @@ def _witness(points, candidates) -> tuple[Vec3, Q2]:
 def check_closure(result: AssemblyResult) -> ClosureReport:
     """Verify the gluing instructions on the folded result.
 
-    (a) the strip's glue square coincides with its target square; (b) every
-    cap glue tab coincides with a belt square; (c) the edge each cap side
-    square shares with its tab in the net coincides with a belt square edge.
-    Placed squares are congruent, so a tab flat inside a belt square is that
+    Each ``netgen.Gluing`` passes when the glued square's corners, or the
+    edge it shares with its ``edge_with`` neighbour on the flat grid, coincide
+    with its host square or one of that square's edges; with no host square
+    named, any face square of the host piece, the first in net order winning.
+    Placed squares are congruent, so a tab flat inside a host square is that
     square, and each check is one exact lookup.  A failed check is a report
     entry, not an exception: its witness is the point farthest from its
     nearest target point, and ``deviation_sq`` that squared distance, zero
-    exactly when the point set coincides.
+    exactly when the point set coincides.  An instruction naming an unknown
+    check, or a square the fold did not place, is a ValueError.
     """
     net = result.net
-    strip = {sq.pos: sq for sq in result.squares["strip"]}
-    belt_squares = [strip.get((i, 0)) for i in range(8)]
-    if None in belt_squares:
-        raise ValueError("inconsistent gluing instruction: missing belt square")
-    hosts = {sq.corner_set(): sq for sq in reversed(belt_squares)}
-    host_edges = {frozenset((sq.corners[k - 1], sq.corners[k])): sq
-                  for sq in reversed(belt_squares) for k in range(4)}
-    caps = {piece: {sq.pos: sq for sq in result.squares[piece]}
-            for piece in ("cap_north", "cap_south")}
-    checks: list[ClosureCheck] = []
+    placed = {(sq.piece, sq.pos): sq for sqs in result.squares.values() for sq in sqs}
 
+    def square(piece, pos) -> PlacedSquare:
+        if (piece, pos) not in placed:
+            raise ValueError(f"inconsistent gluing instruction: no square {piece}{pos}")
+        return placed[(piece, pos)]
+
+    targets_of: dict[tuple, dict] = {}
+    checks: list[ClosureCheck] = []
     for glue in net.gluing:
-        if glue.kind == "overlap" and glue.piece == "strip":
-            a, b = strip.get(glue.pos), strip.get(glue.target_pos)
-            if a is None or b is None:
-                raise ValueError("inconsistent gluing instruction: missing strip square")
-            name, points, targets = "lap_joint", a.corners, {b.corner_set(): b}
-            passed = "glue square exactly overlaps the first square"
-            failed = "strip does not close into the octagonal belt"
-        elif glue.kind == "overlap":
-            tab = caps.get(glue.piece, {}).get(glue.pos)
-            if tab is None:
-                raise ValueError("inconsistent gluing instruction: missing tab")
-            name, points, targets = "tab_in_belt_square", tab.corners, hosts
-            passed = "tab coplanar with and inside strip square {}"
-            failed = "glue tab lies flat in no belt square"
-        elif glue.kind == "edge":
-            cap = caps.get(glue.piece, {})
-            side = cap.get(glue.pos)
-            tab = cap.get((2 * glue.pos[0], 2 * glue.pos[1]))
-            if side is None or tab is None:
-                raise ValueError("inconsistent gluing instruction: missing cap square")
-            # decided on the flat layout: a tab folded back onto its side
+        if glue.check not in CHECKS:
+            raise ValueError(f"inconsistent gluing instruction: unknown check {glue.check!r}")
+        passed, failed = CHECKS[glue.check]
+        sq = square(glue.piece, glue.pos)
+        points = sq.corners
+        if glue.edge_with is not None:
+            # decided on the flat grid: a tab folded back onto its side
             # square shares all four corners with it in space
-            flat = square_corners(side)
-            name = "cap_edge_on_belt"
-            points = sorted(side.corners[flat.index(q)] for q in shared_edge(side, tab))
-            targets = host_edges
-            passed = "outer edge coincides with an edge of strip square {}"
-            failed = "outer edge matches no belt square edge"
-        else:
-            raise ValueError(f"inconsistent gluing instruction: unknown kind {glue.kind!r}")
+            edge = shared_edge(sq, square(glue.piece, glue.edge_with))
+            points = sorted(points[square_corners(sq).index(q)] for q in edge)
+        key = (glue.host, glue.host_pos, len(points))
+        if key not in targets_of:
+            hosts = [square(glue.host, pos) for pos in (
+                [glue.host_pos] if glue.host_pos is not None else
+                [s.pos for s in net.squares_of(glue.host) if s.role == "face"])]
+            if not hosts:
+                raise ValueError(f"inconsistent gluing instruction: {glue.host} has no face square")
+            # a host's corner set, or its four edges
+            targets_of[key] = {frozenset(h.corners[k - j] for j in range(len(points))): h
+                               for h in reversed(hosts) for k in range(4)}
+        targets = targets_of[key]
         host = targets.get(frozenset(points))
         if host is not None:
-            checks.append(ClosureCheck(name, glue.piece, glue.pos, True,
-                                       passed.format(host.pos[0] + 1)))
+            n = [s.pos for s in net.squares_of(host.piece)].index(host.pos) + 1
+            checks.append(ClosureCheck(glue.check, glue.piece, glue.pos, True,
+                                       passed.format(n=n)))
         else:
             point, dev = _witness(points, targets)
-            checks.append(ClosureCheck(name, glue.piece, glue.pos, False, failed,
+            checks.append(ClosureCheck(glue.check, glue.piece, glue.pos, False, failed,
                                        witness=(point,), deviation_sq=dev))
     return ClosureReport(tuple(checks))

@@ -7,11 +7,21 @@ four side squares on its edges - with a glue tab on the outer edge of
 each side square, so the tabs land inside belt squares after folding.
 Triangular faces are deliberately absent: they stay open on the model.
 
-This module alone decides the flat layout: ``square_cell`` puts each square
-on an integer grid in edge lengths, ``square_corners`` gives its corners and
-``shared_edge`` the edge two squares share.  The piece boxes, outlines and
-SVG, and ``foldsim``'s fold and closure checks, all read those, so the pieces
-that are folded are the pieces that are printed.
+A net is data, and ``foldsim`` folds any net from it alone.  A square's
+``pos`` is its cell on its piece's integer grid, in edge lengths, and a
+piece's creases make a tree from square (0, 0).  ``square_corners`` and
+``shared_edge`` read that grid, and the boxes, outlines and SVG draw it with
+each piece's box moved to (0, 0), so the pieces that are folded are the
+pieces that are printed.  A ``Placement`` carries a piece's grid into
+space: the images of grid x, grid y and the outward normal as signed unit
+ints, an offset of a + b sqrt2 edge lengths per axis, and whether the
+gyration turns the piece about its normal.  The frame need not be a
+rotation: the south cap keeps grid y on +y while its normal is -z.  Pose
+convention: strip square 1 lies on the belt face whose outward normal is
++x in the builders' canonical pose, each cap's pole square is centred on
+the polar axis z, and the gyration turns the north cap.  A ``Gluing`` names
+its check (a key of ``CHECKS``, which holds the detail texts), the glued
+square, its host and, for an edge, the neighbour sharing it.
 
 Every crease lies on a square-square edge of the rhombicuboctahedron: the
 strip's join belt squares, a cap's join its pole to its sides, and a tab's
@@ -79,10 +89,19 @@ class Crease(NamedTuple):
 
 
 class Gluing(NamedTuple):
-    kind: str  # "overlap" | "edge"
+    check: str  # a key of CHECKS
     piece: str
-    pos: tuple[int, int]
-    target_pos: Optional[tuple[int, int]]  # None: any belt square, resolved at assembly
+    pos: tuple[int, int]  # the glued square
+    host: str  # the host piece
+    host_pos: Optional[tuple[int, int]]  # the host square; None: any face square of the host
+    edge_with: Optional[tuple[int, int]]  # None: all corners glued; else the edge shared with it
+
+
+class Placement(NamedTuple):
+    piece: str
+    frame: tuple[tuple[int, int, int], ...]  # images of grid x, grid y, the outward normal
+    offset: tuple[tuple, ...]  # per axis, rationals (a, b): a + b sqrt2 edge lengths
+    gyrate: bool  # the gyration turns this piece about its normal
 
 
 class NetSpec(NamedTuple):
@@ -90,12 +109,29 @@ class NetSpec(NamedTuple):
     squares: tuple[NetSquare, ...]
     creases: tuple[Crease, ...]
     gluing: tuple[Gluing, ...]
+    placements: tuple[Placement, ...]  # one per piece, in print order
+
+    @property
+    def pieces(self) -> tuple[str, ...]:
+        return tuple(p.piece for p in self.placements)
 
     def squares_of(self, piece: str) -> tuple[NetSquare, ...]:
         return tuple(s for s in self.squares if s.piece == piece)
 
     def creases_of(self, piece: str) -> tuple[Crease, ...]:
         return tuple(c for c in self.creases if c.piece == piece)
+
+
+# each check's detail when it passes ({n}: the host square's number in its
+# piece, in net order) and when it fails
+CHECKS = {
+    "lap_joint": ("glue square exactly overlaps the first square",
+                  "strip does not close into the octagonal belt"),
+    "tab_in_belt_square": ("tab coplanar with and inside strip square {n}",
+                           "glue tab lies flat in no belt square"),
+    "cap_edge_on_belt": ("outer edge coincides with an edge of strip square {n}",
+                         "outer edge matches no belt square edge"),
+}
 
 
 # -- net construction ------------------------------------------------------------
@@ -107,49 +143,54 @@ def generate_nets(edge_len: Fraction | int = 50) -> NetSpec:
     if edge <= 0:
         raise ValueError("edge length must be positive")
     fold = 180 - 360 // WALLS  # the strip's walls close into a ring
+    strip, *caps = PIECES
     squares: list[NetSquare] = []
     creases: list[Crease] = []
     gluing: list[Gluing] = []
 
     for i in range(WALLS + 1):
         role = "glue" if i == WALLS else "face"
-        squares.append(NetSquare("strip", (i, 0), role))
+        squares.append(NetSquare(strip, (i, 0), role))
     for i in range(1, WALLS + 1):
-        creases.append(Crease("strip", (i - 1, 0), (i, 0), fold))
-    gluing.append(Gluing("overlap", "strip", (WALLS, 0), (0, 0)))
+        creases.append(Crease(strip, (i - 1, 0), (i, 0), fold))
+    gluing.append(Gluing("lap_joint", strip, (WALLS, 0), strip, (0, 0), None))
 
-    for piece in ("cap_north", "cap_south"):
+    for piece in caps:
         squares.append(NetSquare(piece, (0, 0), "pole"))
         for dx, dy in _CAP_DIRS:
+            tab = (2 * dx, 2 * dy)
             squares.append(NetSquare(piece, (dx, dy), "face"))
-            squares.append(NetSquare(piece, (2 * dx, 2 * dy), "glue"))
+            squares.append(NetSquare(piece, tab, "glue"))
             creases.append(Crease(piece, (0, 0), (dx, dy), fold))
-            creases.append(Crease(piece, (dx, dy), (2 * dx, 2 * dy), fold))
-            gluing.append(Gluing("overlap", piece, (2 * dx, 2 * dy), None))
-            gluing.append(Gluing("edge", piece, (dx, dy), None))
+            creases.append(Crease(piece, (dx, dy), tab, fold))
+            gluing.append(Gluing("tab_in_belt_square", piece, tab, strip, None, None))
+            gluing.append(Gluing("cap_edge_on_belt", piece, (dx, dy), strip, None, tab))
 
-    return NetSpec(edge, tuple(squares), tuple(creases), tuple(gluing))
+    # walls and poles lie (1 + sqrt2) / 2 edges from the centre, and a cap's
+    # offset of -1/2 centres its pole square on the polar axis
+    h, far = Fraction(1, 2), (Fraction(1, 2), Fraction(1, 2))
+    placements = (
+        Placement(strip, ((0, -1, 0), (0, 0, -1), (1, 0, 0)), (far, (h, 0), (h, 0)), False),
+        Placement(caps[0], ((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((-h, 0), (-h, 0), far), True),
+        Placement(caps[1], ((1, 0, 0), (0, 1, 0), (0, 0, -1)),
+                  ((-h, 0), (-h, 0), (-h, -h)), False),
+    )
+    return NetSpec(edge, tuple(squares), tuple(creases), tuple(gluing), placements)
 
 
 # -- 2D piece layout (edge lengths, y down) ------------------------------------
 
 
-def square_cell(sq) -> tuple[int, int]:
-    """The cell of a square (anything with ``piece`` and ``pos``) in its
-    piece's layout, in edge lengths from the layout corner: strip cells run
-    along x, and a cap's pole sits at (2, 2)."""
-    x, y = sq.pos
-    return (x, y) if sq.piece == "strip" else (x + 2, y + 2)
-
-
 def square_corners(sq) -> tuple[tuple[int, int], ...]:
-    """The square's four layout corners, in the order ``PlacedSquare`` keeps."""
-    x, y = square_cell(sq)
+    """The four corners of a square (anything with a ``pos``) on its piece's
+    grid, in the order ``PlacedSquare`` keeps: pos (x, y) is the cell
+    [x, x + 1] x [y, y + 1], in edge lengths."""
+    x, y = sq.pos
     return ((x, y), (x + 1, y), (x + 1, y + 1), (x, y + 1))
 
 
 def shared_edge(a, b) -> tuple[tuple[int, int], tuple[int, int]]:
-    """The two layout corners squares a and b share, sorted; an inconsistent
+    """The two grid corners squares a and b share, sorted; an inconsistent
     gluing instruction unless they share exactly one edge."""
     common = sorted(set(square_corners(a)).intersection(square_corners(b)))
     if len(common) != 2:
@@ -160,10 +201,16 @@ def shared_edge(a, b) -> tuple[tuple[int, int], tuple[int, int]]:
     return common[0], common[1]
 
 
+def _piece_box(net: NetSpec, piece: str) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The smallest and the largest grid corner of the piece."""
+    xs, ys = zip(*(sq.pos for sq in net.squares_of(piece)))
+    return (min(xs), min(ys)), (max(xs) + 1, max(ys) + 1)
+
+
 def piece_bbox(net: NetSpec, piece: str) -> tuple[Fraction, Fraction]:
-    """The piece's layout box in mm: its largest cell corner."""
-    w, h = map(max, zip(*(square_corners(sq)[2] for sq in net.squares_of(piece))))
-    return w * net.edge_len, h * net.edge_len
+    """The width and height of the piece's layout box in mm."""
+    (x0, y0), (x1, y1) = _piece_box(net, piece)
+    return (x1 - x0) * net.edge_len, (y1 - y0) * net.edge_len
 
 
 def cycle_order(neighbours: dict) -> list:
@@ -185,8 +232,9 @@ def cycle_order(neighbours: dict) -> list:
 
 
 def _piece_outline_local(net: NetSpec, piece: str) -> list[tuple]:
-    """Closed boundary polygon of the piece in mm: the square sides that
-    occur exactly once, walked in cyclic order, collinear runs merged."""
+    """Closed boundary polygon of the piece in mm from its box corner: the
+    square sides that occur exactly once, walked in cyclic order, collinear
+    runs merged."""
     sides = Counter()
     for sq in net.squares_of(piece):
         c = square_corners(sq)
@@ -198,11 +246,12 @@ def _piece_outline_local(net: NetSpec, piece: str) -> list[tuple]:
             adj.setdefault(b, []).append(a)
     loop = cycle_order({pt: sorted(ns) for pt, ns in adj.items()})
     L, m = net.edge_len, len(loop)
+    (x0, y0), _ = _piece_box(net, piece)
     corners: list[tuple] = []
     for k in range(m):
         a, b, c = loop[k - 1], loop[k], loop[(k + 1) % m]
         if (b[0] - a[0]) * (c[1] - b[1]) != (b[1] - a[1]) * (c[0] - b[0]):
-            corners.append((b[0] * L, b[1] * L))
+            corners.append(((b[0] - x0) * L, (b[1] - y0) * L))
     return corners
 
 
@@ -275,7 +324,7 @@ def plan_layout(net: NetSpec, paper="A2"):
     """Placements (piece -> (x, y, rotated)) on the sheet, or a
     DoesNotFitError naming the smallest standard sheet that would fit."""
     name, (pw, ph) = resolve_paper(paper)
-    sizes = [piece_bbox(net, piece) for piece in PIECES]
+    sizes = [piece_bbox(net, piece) for piece in net.pieces]
     placed = _pack(sizes, pw - 2 * MARGIN_MM, ph - 2 * MARGIN_MM)
     if placed is None:
         suggestion = None
@@ -286,7 +335,7 @@ def plan_layout(net: NetSpec, paper="A2"):
         raise DoesNotFitError(name, (pw, ph), suggestion)
     return name, (pw, ph), {
         piece: (MARGIN_MM + x, MARGIN_MM + y, rot)
-        for piece, (x, y, rot) in zip(PIECES, placed)
+        for piece, (x, y, rot) in zip(net.pieces, placed)
     }
 
 
@@ -311,8 +360,9 @@ def render_svg(net: NetSpec, paper="A2") -> str:
     creases: list[str] = []
     cuts: list[str] = []
     poles: list[tuple] = []
-    for piece in PIECES:
+    for piece in net.pieces:
         ox, oy, rot = layout[piece]
+        (x0, y0), _ = _piece_box(net, piece)
         if rot:  # a clockwise quarter turn, then the translation
             ox += piece_bbox(net, piece)[1]
 
@@ -322,12 +372,15 @@ def render_svg(net: NetSpec, paper="A2") -> str:
             def place(x, y):
                 return ox + x, oy + y
 
+        def grid(u, v):  # a grid corner on the sheet
+            return place((u - x0) * L, (v - y0) * L)
+
         squares = {sq.pos: sq for sq in net.squares_of(piece)}
         for pos in sorted(squares):
             sq = squares[pos]
             # the turn carries the bottom-left corner to the top-left
             u, v = square_corners(sq)[3 if rot else 0]
-            rx, ry = place(u * L, v * L)
+            rx, ry = grid(u, v)
             fill = "#cccccc" if sq.role == "glue" else "none"
             rects.append(
                 f'    <rect class="square {sq.role}" x="{_fmt(rx)}" y="{_fmt(ry)}"'
@@ -336,8 +389,7 @@ def render_svg(net: NetSpec, paper="A2") -> str:
             if sq.role == "pole":
                 poles.append((rx + L / 2, ry + L / 2))
         for cr in sorted(net.creases_of(piece), key=lambda c: (c.a, c.b)):
-            a, b = (place(x * L, y * L)
-                    for x, y in shared_edge(squares[cr.a], squares[cr.b]))
+            a, b = (grid(*pt) for pt in shared_edge(squares[cr.a], squares[cr.b]))
             creases.append(
                 f'    <line class="crease" x1="{_fmt(a[0])}" y1="{_fmt(a[1])}"'
                 f' x2="{_fmt(b[0])}" y2="{_fmt(b[1])}" data-fold="{cr.fold_target}"/>'
@@ -365,7 +417,8 @@ def render_svg(net: NetSpec, paper="A2") -> str:
 
     desc_lines = [
         "gyrolab 0.1.0 papercraft net",
-        f"square edge {float(L):g} mm; 3 pieces, 27 squares, 9 glue squares",
+        f"square edge {float(L):g} mm; {len(net.pieces)} pieces, {len(net.squares)} squares,"
+        f" {sum(sq.role == 'glue' for sq in net.squares)} glue squares",
         "strip: 9 squares (8 belt walls + 1 lap-joint square glued under square 1)",
         "caps: pole square + 4 side squares + 4 glue tabs on the side squares'"
         " outer edges (layout interpretation: tabs fold inside the belt)",

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from conftest import DATA_DIR, fan_triangulated, make_cube, make_icosahedron, noisy_off
+from test_foldsim import _PINNED_FOLD_SHA256
 
 import gyrolab
 from gyrolab.analysis import analyze, text_report
@@ -484,6 +486,13 @@ def test_fold_check_rejects_inexact_gyration(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["fold-check", "--gyration", "30"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("turn", range(0, 360, 45))
+def test_fold_check_json_at_every_turn_is_pinned(capsys, turn):
+    code, out, _ = run(capsys, "fold-check", "--gyration", str(turn), "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _PINNED_FOLD_SHA256[("50", turn)]
 
 
 def test_compare_table_row(capsys):

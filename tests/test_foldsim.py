@@ -1,4 +1,6 @@
+import ast
 import hashlib
+import inspect
 import json
 import random
 from fractions import Fraction
@@ -11,7 +13,7 @@ from gyrolab import foldsim, geom, solids
 from gyrolab.cli import main
 from gyrolab.foldsim import check_closure, fold
 from gyrolab.geom import mat_vec, vadd, vcross, vdot, vsub
-from gyrolab.netgen import Crease, Gluing, generate_nets, square_corners
+from gyrolab.netgen import Crease, Gluing, NetSquare, generate_nets, square_corners
 from gyrolab.qfield import ONE, ZERO, Q2
 from gyrolab.solids import (
     build_pseudo_rhombicuboctahedron,
@@ -148,9 +150,9 @@ def test_missing_crease_is_an_inconsistent_instruction(net50):
         fold(net50._replace(creases=creases), 0)
 
 
-def test_unknown_glue_kind_rejected(net50):
+def test_unknown_check_rejected(net50):
     bad = net50._replace(
-        gluing=net50.gluing + (Gluing("staple", "strip", (0, 0), (1, 0)),),
+        gluing=net50.gluing + (Gluing("staple", "strip", (0, 0), "strip", (1, 0), None),),
     )
     with pytest.raises(ValueError, match="inconsistent gluing"):
         fold(bad, 0)
@@ -193,16 +195,15 @@ def test_assembly_json(net50):
 
 
 def _flat_embeddings(net):
-    """Each piece's flat layout in space: the strip in the plane x = t, the
-    caps in z = +-t, centred on the polar axis."""
+    """Each piece's flat grid in space: the strip in the plane x = t, the
+    caps in z = +-t, their pole squares centred on the polar axis."""
     L = Q2(net.edge_len)
     s = L / 2
     t = (Q2(1) + Q2(0, 1)) * s
-    c = L * Q2(Fraction(5, 2))
     return {
         "strip": lambda x, y: (t, s - x, s - y),
-        "cap_north": lambda x, y: (x - c, y - c, t),
-        "cap_south": lambda x, y: (x - c, y - c, -t),
+        "cap_north": lambda x, y: (x - s, y - s, t),
+        "cap_south": lambda x, y: (x - s, y - s, -t),
     }
 
 
@@ -273,13 +274,16 @@ def test_strip_missing_a_square_is_inconsistent(net50):
 
 
 @pytest.mark.parametrize("glue", [
-    Gluing("edge", "strip", (1, 0), None),
-    Gluing("overlap", "cap_east", (1, 0), None),
-    Gluing("edge", "cap_east", (1, 0), None),
-    Gluing("edge", "cap_north", (0, 0), None),
-], ids=["edge-on-strip", "overlap-on-unknown-piece", "edge-on-unknown-piece",
-        "edge-sharing-no-single-edge"])
+    Gluing("cap_edge_on_belt", "strip", (1, 0), "strip", None, (1, 1)),
+    Gluing("tab_in_belt_square", "cap_east", (1, 0), "strip", None, None),
+    Gluing("cap_edge_on_belt", "cap_east", (1, 0), "strip", None, (2, 0)),
+    Gluing("cap_edge_on_belt", "cap_north", (0, 0), "strip", None, (2, 0)),
+    Gluing("tab_in_belt_square", "cap_north", (2, 0), "cap_east", None, None),
+    Gluing("lap_joint", "strip", (8, 0), "strip", (9, 0), None),
+], ids=["edge-to-a-square-the-piece-lacks", "tab-on-unknown-piece", "edge-on-unknown-piece",
+        "edge-sharing-no-single-edge", "host-piece-unknown", "host-square-missing"])
 def test_gluing_on_a_wrong_piece_is_inconsistent(net50, glue):
+    # a KeyError, TypeError or AttributeError would escape pytest.raises(ValueError)
     bad = net50._replace(gluing=net50.gluing + (glue,))
     with pytest.raises(ValueError, match="inconsistent gluing instruction"):
         fold(bad, 0)
@@ -287,6 +291,61 @@ def test_gluing_on_a_wrong_piece_is_inconsistent(net50, glue):
     result.net = bad
     with pytest.raises(ValueError, match="inconsistent gluing instruction"):
         check_closure(result)
+
+
+# -- any net: pieces, placements and gluings are data ---------------------------
+
+
+def test_foldsim_names_no_piece_and_no_check():
+    tree = ast.parse(inspect.getsource(foldsim))
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.FunctionDef, ast.ClassDef))
+                  and ast.get_docstring(node) is not None}
+    net = generate_nets(50)
+    names = set(net.pieces) | {g.check for g in net.gluing}
+    strings = {node.value for node in ast.walk(tree)
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)
+               and id(node) not in docstrings}
+    assert len(names) == 6 and not any(name in text for name in names for text in strings)
+
+
+def two_piece_net(net):
+    """The strip and the south cap as one piece, "belt": the cap's pole moves
+    to (0, 2), below strip square 1, and the crease that held the cap's tab
+    (0, -2) joins its side square to strip square 1 in place of the tab.  The
+    north cap is the second piece."""
+    def move(piece, pos):
+        if piece == "cap_south":
+            return "belt", (pos[0], pos[1] + 2)
+        return ("belt" if piece == "strip" else piece), pos
+
+    def kept(piece, *positions):
+        return ("cap_south", (0, -2)) not in ((piece, pos) for pos in positions)
+
+    return net._replace(
+        squares=tuple(NetSquare(*move(s.piece, s.pos), s.role)
+                      for s in net.squares if kept(s.piece, s.pos)),
+        creases=tuple(Crease(*move(c.piece, c.a), move(c.piece, c.b)[1], c.fold_target)
+                      for c in net.creases),
+        gluing=tuple(Gluing(g.check, *move(g.piece, g.pos), "belt", g.host_pos,
+                            g.edge_with and move(g.piece, g.edge_with)[1])
+                     for g in net.gluing if kept(g.piece, g.pos, g.edge_with)),
+        placements=(net.placements[0]._replace(piece="belt"), net.placements[1]),
+    )
+
+
+@pytest.mark.parametrize("turn,target", [(0, "rhombicuboctahedron"), (90, "rhombicuboctahedron"),
+                                         (45, "pseudo-rhombicuboctahedron"),
+                                         (135, "pseudo-rhombicuboctahedron")])
+def test_two_pieces_fold_into_either_solid(net50, turn, target):
+    net = two_piece_net(net50)
+    assert net.pieces == ("belt", "cap_north")
+    assert (len(net.squares_of("belt")), len(net.creases_of("belt"))) == (17, 16)
+    result = fold(net, turn)
+    assert result.matched and result.target_name == target
+    assert len(result.closure.checks) == 15 and result.closure.ok
+    assert len(result.correspondence) == 18
+    assert len(set(result.correspondence.values())) == 18
 
 
 # -- closure by exact coincidence ----------------------------------------------
@@ -339,10 +398,15 @@ def test_tab_lookup_agrees_with_the_geometric_host_search(net50, targets, gyrati
                     for c in net50.creases)
     result = fold(net50._replace(creases=creases), gyration)
     belt = [sq for sq in result.squares["strip"] if sq.role == "face"]
+    edges = {(c.piece, c.pos): c.passed for c in result.closure.checks
+             if c.name == "cap_edge_on_belt"}
     for c in result.closure.checks:
         if c.name == "tab_in_belt_square":
             tab = next(sq for sq in result.squares[c.piece] if sq.pos == c.pos)
             assert c.passed == any(_host_deviation(h, tab).is_zero() for h in belt)
+            # a tab turns about the edge it shares with its side square, so a
+            # tab inside a belt square puts that edge on the square's edge
+            assert not c.passed or edges[(c.piece, (c.pos[0] // 2, c.pos[1] // 2))]
         if not c.passed:
             assert c.deviation_sq > Q2(0)
     assert (result.closure_residual > Q2(0)) == (not result.closure.ok)

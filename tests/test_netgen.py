@@ -9,8 +9,10 @@ import pytest
 from gyrolab import netgen
 from gyrolab.geom import centroid, exact_cos_sin, vcross, vdot, vsub
 from gyrolab.netgen import (
+    CHECKS,
     PIECES,
     DoesNotFitError,
+    Gluing,
     generate_nets,
     piece_bbox,
     plan_layout,
@@ -96,7 +98,7 @@ def test_shared_edge_is_the_crease_line(net50):
     assert shared_edge(squares[("strip", (1, 0))], squares[("strip", (0, 0))]) == (
         (1, 0), (1, 1))
     pole, side = squares[("cap_north", (0, 0))], squares[("cap_north", (0, -1))]
-    assert shared_edge(pole, side) == ((2, 2), (3, 2))
+    assert shared_edge(pole, side) == ((0, 0), (1, 0))
     for other in (squares[("cap_north", (2, 0))], pole):
         with pytest.raises(ValueError, match="inconsistent gluing instruction"):
             shared_edge(pole, other)
@@ -144,12 +146,15 @@ def test_fold_target_is_the_one_square_square_dihedral(build, net50):
 
 
 def test_gluing_instructions(net50):
-    lap = [g for g in net50.gluing if g.kind == "overlap" and g.piece == "strip"]
-    assert len(lap) == 1 and lap[0].pos == (8, 0) and lap[0].target_pos == (0, 0)
-    tabs = [g for g in net50.gluing if g.kind == "overlap" and g.piece != "strip"]
-    assert len(tabs) == 8 and all(g.target_pos is None for g in tabs)
-    edges = [g for g in net50.gluing if g.kind == "edge"]
-    assert len(edges) == 8
+    lap = [g for g in net50.gluing if g.check == "lap_joint"]
+    assert lap == [Gluing("lap_joint", "strip", (8, 0), "strip", (0, 0), None)]
+    tabs = [g for g in net50.gluing if g.check == "tab_in_belt_square"]
+    assert len(tabs) == 8 and all(g.piece != "strip" and g.host == "strip" for g in tabs)
+    assert all(g.host_pos is None and g.edge_with is None for g in tabs)
+    edges = [g for g in net50.gluing if g.check == "cap_edge_on_belt"]
+    assert len(edges) == 8 and all(g.host == "strip" and g.host_pos is None for g in edges)
+    assert {(g.piece, g.edge_with) for g in edges} == {(g.piece, g.pos) for g in tabs}
+    assert set(CHECKS) == {g.check for g in net50.gluing}
 
 
 def test_generate_nets_deterministic(net50):
@@ -242,6 +247,17 @@ def test_svg_coordinates_round_trip(net50):
     assert len(parsed) == len(expected)
     for got, want in zip(parsed, expected):
         assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-3
+
+
+def test_svg_desc_counts_the_net(net50):
+    def desc(net):
+        return ET.fromstring(render_svg(net, "A2")).find(f"{SVG_NS}desc").text.splitlines()[1]
+
+    assert desc(net50) == "square edge 50 mm; 3 pieces, 27 squares, 9 glue squares"
+    squares = tuple(s for s in net50.squares if (s.piece, s.pos) != ("cap_north", (2, 0)))
+    creases = tuple(c for c in net50.creases if (c.piece, c.b) != ("cap_north", (2, 0)))
+    assert desc(net50._replace(squares=squares, creases=creases)) == (
+        "square edge 50 mm; 3 pieces, 26 squares, 8 glue squares")
 
 
 def test_svg_byte_identical_across_runs(net50):
