@@ -238,12 +238,15 @@ class ExactKernel:
         return [tuple(x for c in v for x in (c.p * (scale // c.d), c.q * (scale // c.d)))
                 for v in points]
 
-    def coordinates(self, vertices) -> list[tuple[int, ...]]:
-        """The vertices about their centroid c as lattice ints: n L (v - c)
-        for each vertex v, n the vertex count and L as in ``_lattice``."""
-        pts = self._lattice(vertices)
-        total = [sum(col) for col in zip(*pts)]
-        return [tuple(len(pts) * x - t for x, t in zip(v, total)) for v in pts]
+    def coordinates(self, *meshes) -> list[tuple[int, ...]]:
+        """The vertices of each mesh in turn about its centroid c as lattice ints:
+        n L (v - c), n its vertex count and L as in ``_lattice`` over all meshes."""
+        pts, out = self._lattice([v for m in meshes for v in m]), []
+        for m in meshes:
+            own, pts = pts[:len(m)], pts[len(m):]
+            total = [sum(col) for col in zip(*own)]
+            out += [tuple(len(own) * x - t for x, t in zip(v, total)) for v in own]
+        return out
 
     @staticmethod
     def sub(u, v) -> tuple:
@@ -354,15 +357,19 @@ class ToleranceKernel:
         miss, which cannot be told apart from noise in the input."""
         return ToleranceKernel(math.sqrt(self.tol))
 
-    def coordinates(self, vertices) -> list[Vec3]:
-        """(v - c) / D for each vertex v, c the vertex centroid and D the
-        largest distance between two vertices (1 if that is 0), computed on the
-        vertices as ``_unit_scaled`` scales them: the same values, with no sum
-        or distance that overflows."""
-        pts = _unit_scaled([tuple(map(float, v)) for v in vertices])[1]
-        c = _mean(pts)
-        d = max(itertools.starmap(math.dist, itertools.combinations(pts, 2)), default=0.0)
-        return [tuple((x - m) / (d or 1.0) for x, m in zip(v, c)) for v in pts]
+    def coordinates(self, *meshes) -> list[Vec3]:
+        """(v - c) / D for each vertex v of each mesh in turn, c its centroid
+        and D the largest distance between two vertices of the first mesh (1
+        if that is 0), computed on the vertices as ``_unit_scaled`` scales them
+        all: the same values, with no sum or distance that overflows."""
+        pts, out = _unit_scaled([tuple(map(float, v)) for m in meshes for v in m])[1], []
+        first = itertools.combinations(pts[:len(meshes[0])], 2)
+        d = max(itertools.starmap(math.dist, first), default=0.0) or 1.0
+        for m in meshes:
+            own, pts = pts[:len(m)], pts[len(m):]
+            c = _mean(own)
+            out += [tuple((x - a) / d for x, a in zip(v, c)) for v in own]
+        return out
 
     def is_zero(self, x) -> bool:
         return abs(x) <= self.tol

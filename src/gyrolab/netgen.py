@@ -38,6 +38,7 @@ made from the squares and the edge alone, and no solid is built.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -258,12 +259,8 @@ def _piece_outline_local(net: NetSpec, piece: str) -> list[tuple]:
 # -- packing ----------------------------------------------------------------------
 
 
-# the three boxes, in order, cut into consecutive shelves
-_SHELVES = (((0, 1, 2),), ((0,), (1, 2)), ((0, 1), (2,)), ((0,), (1,), (2,)))
-
-
 def _pack(sizes, avail_w: Fraction, avail_h: Fraction):
-    """Deterministic shelf packing of three boxes with optional
+    """Deterministic shelf packing of any number of boxes with optional
     90-degree rotation; returns (x, y, rotated) per box or None.  Columns
     are tried first; rows are columns on the transposed sheet.  A square
     box is never turned: that gives the dims of a smaller mask, tried first."""
@@ -274,7 +271,9 @@ def _pack(sizes, avail_w: Fraction, avail_h: Fraction):
         if rows:
             sizes = [(h, w) for w, h in sizes]
             avail_w, avail_h = avail_h, avail_w
-        for groups in _SHELVES:
+        # consecutive shelves: one first, then fewer before more, earlier cuts first
+        for cuts in (c for k in range(n) for c in itertools.combinations(range(1, n), k)):
+            groups = [range(a, b) for a, b in zip((0, *cuts), (*cuts, n))]
             for mask in masks:
                 dims = [
                     (sizes[i][1], sizes[i][0]) if (mask >> i) & 1 else sizes[i]

@@ -1,20 +1,20 @@
-"""Isometry-group detection, rotation axes and vertex transitivity.
+"""Congruence, isometry groups, rotation axes and vertex transitivity.
 
-Symmetries are face-lattice automorphisms first; geometry only accepts or
-rejects them.  Each flag with the base flag's signature (its face's size,
-then the sizes of the faces across that face's edges, read from the flag's
-edge in its direction) extends, by a walk over the faces, to at most one
-automorphism: vertex and face permutations found with integers only.  Every
-isometry of a convex polyhedron induces one, so they bound the group from
-above (Mani 1971).  The filter, the same for exact and float meshes,
-compares rows of the Gram matrix G_ij = <v_i, v_j> (vertices about their
-centroid): pi is kept iff G_fj = G_pi(f)pi(j) for the three vertices f of a
-frame and every j, decided by the mesh's kernel: exactly on Z[sqrt2]
-lattice ints, or within tolerance on floats in units of the diameter (so
-within tolerance x diameter^2 on raw Gram entries) on a well-conditioned frame.
-The map M of the frame onto its image is then orthogonal and sends every
-vertex onto its image (Alt, Mehlhorn, Wagener and Welzl 1988); nothing is
-fitted.  As M v_i = v_pi(i) and the vertices span space, M^n = I exactly
+A congruence of p onto q is a face-lattice isomorphism first; geometry only
+accepts or rejects it.  Each flag of q with the signature of p's base flag
+(its face's size, then the sizes of the faces across that face's edges,
+read from the flag's edge in its direction) extends, by Weinberg's walk over
+the faces (1966), to at most one isomorphism: vertex and face maps found
+with integers only.  Every congruence of convex polyhedra induces one (Mani
+1971).  The filter, the same for exact and float meshes, compares rows of
+the Gram matrices G_ij = <v_i, v_j> (vertices about their centroid, both
+meshes on one scale): pi is kept iff G_p[f][j] = G_q[pi f][pi j] for the
+three vertices f of p's frame and every j, decided by p's kernel: exactly
+on Z[sqrt2] lattice ints, or within tolerance on floats in units of p's
+diameter on a well-conditioned frame.  The map M of the frame onto its image
+is then orthogonal and sends every vertex onto its image (Alt, Mehlhorn,
+Wagener and Welzl 1988); nothing is fitted.  The isometry group is the case
+q = p.  As M v_i = v_pi(i) and the vertices span space, M^n = I exactly
 when pi^n is the identity, so each element's order is read off pi, with no
 matrix powers.  A float mesh that misses a lattice symmetry by more than
 its tolerance but less than its square root raises rather than report a
@@ -54,11 +54,13 @@ class InternalGeometryError(ValueError):
 
 
 class Isometry(NamedTuple):
-    """Orthogonal map (about the vertex centroid) permuting the mesh.
+    """Orthogonal map of one mesh onto another about their vertex centroids,
+    vertex i to ``vertex_perm[i]`` and face f to ``face_perm[f]``: a symmetry
+    when the two are one mesh.
 
     ``kernel`` decides predicates on ``matrix``: ``EXACT`` for Q2 matrices,
-    also those of a snapped float group, the mesh's tolerance kernel for an
-    unsnapped one.  Every element of a group has the same kernel.
+    also those of a snapped float group, the first mesh's tolerance kernel
+    for an unsnapped one.  Every element of a group has the same kernel.
     """
 
     matrix: Mat3
@@ -148,7 +150,7 @@ def _flags(p: Polyhedron):
     """Every flag as (a, b, fi, signature): vertex a, directed edge a->b, a
     face fi through that edge, and signature = (that face's size, the sizes
     of the faces across its edges, 0 for none, read from edge ab on in the
-    direction a->b).  An automorphism keeps every flag's signature."""
+    direction a->b).  An isomorphism keeps every flag's signature."""
     for fi, (f, across) in enumerate(zip(p.faces, p.across)):
         sizes = [0 if g is None else len(p.faces[g]) for g in across]
         for t in range(len(f)):
@@ -157,17 +159,15 @@ def _flags(p: Polyhedron):
             yield b, a, fi, (len(f), tuple(sizes[t::-1] + sizes[:t:-1]))
 
 
-def _automorphism(p: Polyhedron, base, image):
-    """Extend the flag map base -> image to an automorphism of the face
-    lattice, as (vertex_perm, face_perm); None if there is none.
+def _isomorphism(p: Polyhedron, q: Polyhedron, base, image):
+    """Extend the map of p's flag base onto q's flag image to an isomorphism
+    of face lattices, (vertex_perm, face_perm) in q's indices; None if none.
 
-    Integers only: a walk over the faces maps each face onto its image,
+    Integers only: a walk over p's faces maps each face onto its image,
     aligned at an edge already mapped; the maps must be consistent and,
     at the end, bijections.
     """
-    across = p.across
-    vmap: dict[int, int] = {}
-    fmap: dict[int, int] = {}
+    vmap, fmap = {}, {}  # p's vertices and faces -> q's
     todo = [(base[2], base[0], base[1], image[2], image[0], image[1])]
     while todo:
         f, a, b, g, x, y = todo.pop()
@@ -176,7 +176,7 @@ def _automorphism(p: Polyhedron, base, image):
                 return None
             continue
         fmap[f] = g
-        src, dst = p.faces[f], p.faces[g]
+        src, dst = p.faces[f], q.faces[g]
         n = len(src)
         if len(dst) != n:
             return None
@@ -189,17 +189,43 @@ def _automorphism(p: Polyhedron, base, image):
             u, w = src[(i + di * t) % n], dst[(j + dj * t) % n]
             if vmap.setdefault(u, w) != w:
                 return None
-            h = across[f][(i + di * t - (di < 0)) % n]
-            h_img = across[g][(j + dj * t - (dj < 0)) % n]
+            h = p.across[f][(i + di * t - (di < 0)) % n]
+            h_img = q.across[g][(j + dj * t - (dj < 0)) % n]
             if h is None or h_img is None:
                 return None
             todo.append((h, u, src[(i + di * (t + 1)) % n],
                          h_img, w, dst[(j + dj * (t + 1)) % n]))
     vperm = tuple(vmap.get(i, -1) for i in range(p.n_vertices))
     fperm = tuple(fmap.get(i, -1) for i in range(p.n_faces))
-    if sorted(vperm) != list(range(p.n_vertices)) or sorted(fperm) != list(range(p.n_faces)):
+    if sorted(vperm) != list(range(q.n_vertices)) or sorted(fperm) != list(range(q.n_faces)):
         return None
     return vperm, fperm
+
+
+def _acceptance(p: Polyhedron, pts, q_pts):
+    """(p's flags, accept), p's points ``pts`` and q's ``q_pts`` on one scale
+    of p's kernel k: accept(kernel, vperm, fperm) is the Isometry with M the
+    k.frame_map of p's frame onto q's images if G_p[f][j] = G_q[pi f][pi j]
+    for each frame vertex f and every j, as ``kernel`` decides, else None."""
+    k, flags = p.kernel, list(_flags(p))
+
+    def gram_of(vs):  # G_ij = G_ji, each computed once
+        low = [[k.dot(u, v) for v in vs[:i + 1]] for i, u in enumerate(vs)]
+        return [row + [low[j][i] for j in range(i + 1, len(vs))] for i, row in enumerate(low)]
+
+    gram = gram_of(pts)
+    q_gram = gram if q_pts is pts else gram_of(q_pts)
+    framed = flags and k.frame(pts, gram)
+    if not framed:
+        raise DegenerateGeometryError("no faces or no three linearly independent vertices")
+    frame, frame_inv = framed
+
+    def accept(kernel, vperm, fperm):
+        if all(all(map(kernel.equal, gram[f], map(q_gram[vperm[f]].__getitem__, vperm)))
+               for f in frame):
+            return Isometry(*k.frame_map([q_pts[vperm[f]] for f in frame], frame_inv),
+                            vperm, fperm, k)
+    return flags, accept
 
 
 def isometry_group(p: Polyhedron, proper_only: bool = False) -> tuple[Isometry, ...]:
@@ -212,57 +238,55 @@ def isometry_group(p: Polyhedron, proper_only: bool = False) -> tuple[Isometry, 
     reaches are walked; each walk that keeps the rows adds a generator.
     A float group is snapped back to Q(sqrt2) only if every matrix snaps.
     """
-    k, verts = p.kernel, p.points
-    flags = list(_flags(p))
-    if not flags:
-        raise DegenerateGeometryError("no faces or no three linearly independent vertices")
-    gram = [[None] * len(verts) for _ in verts]
-    for i, j in itertools.combinations_with_replacement(range(len(verts)), 2):
-        gram[i][j] = gram[j][i] = k.dot(verts[i], verts[j])
-    framed = k.frame(verts, gram)
-    if framed is None:
-        raise DegenerateGeometryError("no faces or no three linearly independent vertices")
-    frame, frame_inv = framed
+    k = p.kernel
+    flags, accept = _acceptance(p, p.points, p.points)
     base = flags[0]
     candidates = {flag[:3] for flag in flags if flag[3] == base[3]}
 
-    def keeps_gram_rows(kernel, vperm):  # G_fj = G_pi(f)pi(j), frame f, every j
-        return all(all(map(kernel.equal, gram[f], map(gram[vperm[f]].__getitem__, vperm)))
-                   for f in frame)
-
     def element(vperm, fperm):
-        if ((vperm[base[0]], vperm[base[1]], fperm[base[2]]) not in candidates
-                or not keeps_gram_rows(k, vperm)):
+        iso = ((vperm[base[0]], vperm[base[1]], fperm[base[2]]) in candidates
+               and accept(k, vperm, fperm))
+        if not iso:
             raise InternalGeometryError("isometry group not closed under composition")
-        m, proper = k.frame_map([verts[vperm[f]] for f in frame], frame_inv)
-        return Isometry(m, proper, vperm, fperm, p.kernel)
+        return iso
 
     group = {base[:3]: element(tuple(range(p.n_vertices)), tuple(range(p.n_faces)))}
     gens: list = []
     for flag in flags:
         if flag[:3] not in candidates or flag[:3] in group:
             continue
-        perms = _automorphism(p, base, flag)
+        perms = _isomorphism(p, p, base, flag)
         if perms is None:
             continue
-        if keeps_gram_rows(k, perms[0]):
+        if accept(k, *perms):
             gens.append(perms)
             _close(group, gens, base[:3], element)
-        elif keeps_gram_rows(k.coarse, perms[0]):
+        elif accept(k.coarse, *perms):
             raise InternalGeometryError(
                 "a symmetry of the face lattice misses an isometry by more than"
                 " the tolerance but less than its square root")
-    isos = list(group.values())
-    snapped = []
-    for iso in isos:  # all or nothing: stop at the first matrix that does not snap
-        m = k.snap(iso.matrix)
-        if m is None:
-            break
-        snapped.append(iso._replace(matrix=m, kernel=EXACT))
-    else:
-        isos = snapped
-    isos.sort(key=lambda iso: iso.matrix)
+    # all or nothing: stop at the first matrix that does not snap
+    snapped = list(itertools.takewhile(lambda iso: iso.matrix is not None, (
+        iso._replace(matrix=k.snap(iso.matrix), kernel=EXACT) for iso in group.values())))
+    isos = sorted(snapped if len(snapped) == len(group) else group.values(),
+                  key=lambda iso: iso.matrix)
     return tuple(iso for iso in isos if iso.proper or not proper_only)
+
+
+def congruences(p: Polyhedron, q: Polyhedron) -> tuple[Isometry, ...]:
+    """Every congruence of p onto q, sorted by matrix as the group is: each
+    walk from p's base flag onto a flag of q that keeps the Gram rows, on one
+    lattice for exact meshes, in units of p's diameter for float ones.  Empty
+    if their V, E or F differ; ValueError for an exact mesh with a float one."""
+    if p.exact != q.exact:
+        raise ValueError("an exact mesh and a float mesh have no common scale")
+    if (p.n_vertices, p.n_edges, p.n_faces) != (q.n_vertices, q.n_edges, q.n_faces):
+        return ()
+    pts = p.kernel.coordinates(p.vertices, q.vertices)
+    flags, accept = _acceptance(p, pts[:p.n_vertices], pts[p.n_vertices:])
+    maps = (_isomorphism(p, q, flags[0], f) for f in _flags(q) if f[3] == flags[0][3])
+    isos = (accept(p.kernel, *perms) for perms in maps if perms)
+    return tuple(sorted(filter(None, isos), key=lambda iso: iso.matrix))
 
 
 def _close(group: dict, gens: Sequence, base, element) -> None:

@@ -19,7 +19,7 @@ from gyrolab.solids import (
     build_pseudo_rhombicuboctahedron,
     build_rhombicuboctahedron,
 )
-from gyrolab.symmetry import isometry_group
+from gyrolab.symmetry import congruences, isometry_group
 
 
 def perturb_strip_creases(net, targets):
@@ -346,6 +346,24 @@ def test_two_pieces_fold_into_either_solid(net50, turn, target):
     assert len(result.closure.checks) == 15 and result.closure.ok
     assert len(result.correspondence) == 18
     assert len(set(result.correspondence.values())) == 18
+
+
+_BUILDERS = {"rhombicuboctahedron": build_rhombicuboctahedron,
+             "pseudo-rhombicuboctahedron": build_pseudo_rhombicuboctahedron}
+
+
+@pytest.mark.parametrize("pieces,turn", [(3, turn) for turn in range(0, 360, 45)]
+                         + [(2, 0), (2, 45)])
+def test_folded_solid_is_congruent_to_its_target_only(net50, pieces, turn):
+    # whatever frame the builders use: the hull of the folded face corners
+    # is the named solid, moved, and not the other one
+    result = fold(net50 if pieces == 3 else two_piece_net(net50), turn)
+    folded = solids.Polyhedron(sorted({c for sqs in result.squares.values() for sq in sqs
+                                       if sq.role in ("face", "pole") for c in sq.corners}))
+    assert result.matched
+    for name, build in _BUILDERS.items():
+        want = len(isometry_group(build(50))) if name == result.target_name else 0
+        assert len(congruences(folded, build(50))) == want
 
 
 # -- closure by exact coincidence ----------------------------------------------

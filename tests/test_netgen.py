@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import random
 import xml.etree.ElementTree as ET
@@ -469,14 +470,19 @@ def test_plan_layout_is_pinned(edge, paper):
 # -- the sheet packer against its full search -------------------------------------
 
 
+# the three boxes, in order, cut into consecutive shelves
+_SHELVES = (((0, 1, 2),), ((0,), (1, 2)), ((0, 1), (2,)), ((0,), (1,), (2,)))
+
+
 def full_pack(sizes, avail_w, avail_h):
-    """``netgen._pack`` as it was: every rotation mask, square boxes too."""
+    """``netgen._pack`` of three boxes as it was: every rotation mask, square
+    boxes too."""
     n = len(sizes)
     for rows in (False, True):
         if rows:
             sizes = [(h, w) for w, h in sizes]
             avail_w, avail_h = avail_h, avail_w
-        for groups in netgen._SHELVES:
+        for groups in _SHELVES:
             for mask in range(2 ** n):
                 dims = [(sizes[i][1], sizes[i][0]) if (mask >> i) & 1 else sizes[i]
                         for i in range(n)]
@@ -518,3 +524,34 @@ def test_packing_skips_only_turns_of_square_boxes(monkeypatch):
     misfits = sum(isinstance(g, str) for g in got)
     assert 0 < misfits < len(got)
     assert any("no standard sheet" in g for g in got if isinstance(g, str))
+
+
+def test_two_piece_net_renders():
+    from test_foldsim import two_piece_net
+    root = ET.fromstring(render_svg(two_piece_net(generate_nets(30)), "A2"))
+    assert len(root.findall(f".//{SVG_NS}rect")) == 26
+    assert len([p for p in root.findall(f".//{SVG_NS}path") if p.get("class") == "cut"]) == 2
+    # at edge 50 the 550 x 250 mm belt piece and a 250 mm cap need more than A2
+    with pytest.raises(DoesNotFitError, match="A1"):
+        render_svg(two_piece_net(generate_nets(50)), "A2")
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_pack_places_any_number_of_boxes_inside_the_sheet(n):
+    rng = random.Random(n)
+    placed = 0
+    for _ in range(200):
+        sizes = [(Fraction(rng.randint(10, 300)), Fraction(rng.randint(10, 300))) for _ in range(n)]
+        sheet = (Fraction(rng.randint(100, 600)), Fraction(rng.randint(100, 600)))
+        out = netgen._pack(sizes, *sheet)
+        if out is None:
+            continue
+        placed += 1
+        boxes = []
+        for (w, h), (x, y, turned) in zip(sizes, out):
+            w, h = (h, w) if turned else (w, h)
+            assert 0 <= x and x + w <= sheet[0] and 0 <= y and y + h <= sheet[1]
+            boxes.append((x, y, x + w, y + h))
+        for a, b in itertools.combinations(boxes, 2):
+            assert a[2] <= b[0] or b[2] <= a[0] or a[3] <= b[1] or b[3] <= a[1]
+    assert placed >= 20

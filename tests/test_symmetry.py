@@ -36,6 +36,7 @@ from gyrolab.symmetry import (
     InternalGeometryError,
     Isometry,
     axis_feature_incidence,
+    congruences,
     is_vertex_transitive,
     isometry_group,
     polar_axis_rotations,
@@ -450,7 +451,7 @@ def least_squares_group(p) -> dict:
     for flag in flags:
         if flag[3] != base[3]:
             continue
-        perms = symmetry._automorphism(p, base, flag)
+        perms = symmetry._isomorphism(p, p, base, flag)
         if perms is None:
             continue
         images = [verts[j] for j in perms[0]]
@@ -613,7 +614,7 @@ def enumerated_group(p) -> tuple:
     base = flags[0]
     isos = []
     for flag in flags:
-        perms = flag[3] == base[3] and symmetry._automorphism(p, base, flag)
+        perms = flag[3] == base[3] and symmetry._isomorphism(p, p, base, flag)
         if perms and keeps_gram_rows(perms[0]):
             m = mat_mul(mat_transpose([verts[perms[0][f]] for f in frame]), frame_inv)
             isos.append(Isometry(m, geom.mat_det(m) > 0, *perms, k))  # by Q2 or float order, not the kernel
@@ -636,10 +637,23 @@ _CORPUS = {
 }
 _SCALES = ["2", "7/3", "1+1*sqrt2", "10^400", "10^-400"]
 
+# the square cupola J4 (octagon and top square), closed by a bottom square in
+# line with the top one (J28, orthobicupola) or turned 45 degrees (J29,
+# gyrobicupola): the same faces, the same vertex figures, two solids
+_J4 = ([(x, y, ZERO) for a, b in ((ONE, ONE + SQRT2), (ONE + SQRT2, ONE))
+        for x in (a, -a) for y in (b, -b)]
+       + [(x, y, SQRT2) for x in (ONE, -ONE) for y in (ONE, -ONE)])
+_JOHNSON = {
+    "J28": sorted(_J4 + [(x, y, -SQRT2) for x in (ONE, -ONE) for y in (ONE, -ONE)]),
+    "J29": sorted(_J4 + [(x, y, -SQRT2) for x, y in ((SQRT2, ZERO), (-SQRT2, ZERO),
+                                                      (ZERO, SQRT2), (ZERO, -SQRT2))]),
+}
+_SOLIDS = {**_CORPUS, **_JOHNSON}
+
 
 @functools.lru_cache(maxsize=None)
 def _corpus_faces(name):
-    return Polyhedron(_CORPUS[name]).faces
+    return Polyhedron(_SOLIDS[name]).faces
 
 
 def _corpus_mesh(name, edge) -> Polyhedron:
@@ -647,7 +661,7 @@ def _corpus_mesh(name, edge) -> Polyhedron:
     cube 2 sqrt2 - 2."""
     base, power = edge.split("^") if "^" in edge else (edge, "1")
     s = parse(base) ** int(power) / 2
-    return Polyhedron([tuple(x * s for x in v) for v in _CORPUS[name]], _corpus_faces(name))
+    return Polyhedron([tuple(x * s for x in v) for v in _SOLIDS[name]], _corpus_faces(name))
 
 
 @pytest.mark.parametrize("edge", _SCALES)
@@ -686,8 +700,8 @@ def test_walks_only_the_flags_no_element_reaches(rco, pseudo, monkeypatch):
     # with the across-size signature every candidate is an automorphism, and
     # each walk adds a generator
     walks = []
-    real = symmetry._automorphism
-    monkeypatch.setattr(symmetry, "_automorphism", lambda *a: walks.append(a) or real(*a))
+    real = symmetry._isomorphism
+    monkeypatch.setattr(symmetry, "_isomorphism", lambda *a: walks.append(a) or real(*a))
     for p, order in ((rco, 48), (pseudo, 16)):
         fresh = Polyhedron(p.vertices, p.faces)
         flags = list(symmetry._flags(fresh))
@@ -703,7 +717,7 @@ def test_walks_only_the_flags_no_element_reaches(rco, pseudo, monkeypatch):
 def _feed(monkeypatch, perms):
     """Make the walk of the first candidate flag return perms, and no later one."""
     fed = [perms]
-    monkeypatch.setattr(symmetry, "_automorphism", lambda *a: fed.pop() if fed else None)
+    monkeypatch.setattr(symmetry, "_isomorphism", lambda *a: fed.pop() if fed else None)
 
 
 def test_closure_rejects_a_product_that_maps_the_base_flag_off_the_candidates(rco, monkeypatch):
@@ -734,6 +748,74 @@ def test_closure_rejects_two_products_with_one_base_flag_image(cube):
     swap[i], swap[j] = j, i
     with pytest.raises(InternalGeometryError, match="not closed"):
         symmetry._close({base: ident}, [(ident.vertex_perm, tuple(swap))], base, None)
+
+
+# -- congruence of two meshes ------------------------------------------------------
+
+
+def test_no_congruence_between_different_solids(rco, pseudo, cube):
+    j28, j29 = _corpus_mesh("J28", "2"), _corpus_mesh("J29", "2")
+    assert len(congruences(j28, j28)) == len(congruences(j29, j29)) == 16
+    assert (j28.n_vertices, j28.n_edges, j28.n_faces) == (j29.n_vertices, j29.n_edges, j29.n_faces)
+    for p, q in ((rco, pseudo), (pseudo, rco), (j28, j29), (j29, j28),
+                 (build_rhombicuboctahedron(2), build_rhombicuboctahedron(3)), (rco, cube)):
+        assert congruences(p, q) == ()
+
+
+def test_self_congruences_are_the_group(rco, pseudo):
+    for p in (rco, pseudo, _corpus_mesh("J29", "7/3")):
+        assert congruences(p, p) == isometry_group(p)
+
+
+@functools.lru_cache(maxsize=None)
+def _corpus_group(name, edge) -> frozenset:
+    return frozenset(iso.matrix for iso in isometry_group(_corpus_mesh(name, edge)))
+
+
+# no shrinking: each shrink step reruns the exact search
+@settings(max_examples=40, deadline=None,
+          phases=[ph for ph in Phase if ph is not Phase.shrink])
+@given(st.sampled_from(sorted(_SOLIDS)), st.sampled_from(["2", "7/3", "1+1*sqrt2"]),
+       _rationals, _rationals, _rationals, st.tuples(_rationals, _rationals, _rationals),
+       st.booleans(), st.randoms(use_true_random=False))
+def test_congruences_recover_a_moved_shuffled_copy(name, edge, a, b, c, shift, invert, rng):
+    p = _corpus_mesh(name, edge)
+    rot = _cayley(a, b, c)
+    if invert:
+        rot = tuple(tuple(-x for x in row) for row in rot)
+    order = list(range(p.n_vertices))
+    rng.shuffle(order)  # vertex i of p is vertex order[i] of q
+    moved = [None] * p.n_vertices
+    for i, v in enumerate(p.vertices):
+        moved[order[i]] = tuple(x + t for x, t in zip(mat_vec(rot, v), shift))
+    faces = [tuple(order[i] for i in f) for f in p.faces]
+    rng.shuffle(faces)
+    q = Polyhedron(moved, faces)
+    found = congruences(p, q)
+    assert {iso.matrix for iso in found} == {mat_mul(rot, g) for g in _corpus_group(name, edge)}
+    assert len(found) == len(_corpus_group(name, edge))
+    cp, cq = geom.centroid(p.vertices), geom.centroid(q.vertices)
+    for iso in found:
+        for i, v in enumerate(p.vertices):
+            assert mat_vec(iso.matrix, vsub(v, cp)) == vsub(q.vertices[iso.vertex_perm[i]], cq)
+        for f, face in enumerate(p.faces):
+            assert set(q.faces[iso.face_perm[f]]) == {iso.vertex_perm[i] for i in face}
+
+
+def test_float_congruences_are_in_units_of_the_first_diameter(rco, pseudo):
+    text, twin = write_off(rco), write_off(pseudo)
+    a, b = (read_off(noisy_off(text, 1e-12, random.Random(seed))) for seed in (1, 2))
+    assert len(congruences(a, b)) == 48
+    assert congruences(a, read_off(noisy_off(twin, 1e-12, random.Random(3)))) == ()
+    grown = Polyhedron([tuple(x * (1 + 1e-6) for x in v) for v in a.vertices], a.faces, 1e-9)
+    assert len(isometry_group(grown)) == 48 and congruences(a, grown) == ()
+
+
+def test_an_exact_and_a_float_mesh_have_no_common_scale(rco):
+    with pytest.raises(ValueError, match="exact"):
+        congruences(rco, _float_mesh(rco, 1.0))
+    with pytest.raises(ValueError, match="exact"):
+        congruences(_float_mesh(rco, 1.0), rco)
 
 
 # -- lattice coordinates against Q2 ------------------------------------------------
