@@ -194,19 +194,6 @@ def _snap_one_term(x: float, tol: float, max_den: int) -> Q2 | None:
     return None
 
 
-def snap_matrix_to_q2(m: Mat3, tol: float = 1e-9) -> Mat3 | None:
-    rows = []
-    for row in m:
-        out = []
-        for x in row:
-            q = snap_scalar_to_q2(x, tol)
-            if q is None:
-                return None
-            out.append(q)
-        rows.append(tuple(out))
-    return tuple(rows)
-
-
 # -- predicate kernels ---------------------------------------------------------
 
 # Fixed thresholds of the float kernel; the exact kernel ignores them.
@@ -420,7 +407,12 @@ class ToleranceKernel:
         return m, self.sign(mat_det(m)) > 0
 
     def snap(self, m: Mat3) -> Mat3 | None:
-        return snap_matrix_to_q2(m, SNAP_EPS)
+        """m with each entry snapped into Q(sqrt2) within ``SNAP_EPS``; None if
+        an entry does not snap, found at the first such entry."""
+        snapped = list(itertools.takewhile(lambda q: q is not None, (
+            snap_scalar_to_q2(x, SNAP_EPS) for row in m for x in row)))
+        rows = tuple(tuple(snapped[i:i + 3]) for i in (0, 3, 6))
+        return rows if len(snapped) == 9 else None
 
     def vec(self, v: Sequence) -> tuple:
         return tuple(float(x) for x in v)

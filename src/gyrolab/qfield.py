@@ -23,8 +23,8 @@ int/``Fraction`` components and ``.a``/``.b`` return them as ``Fraction``.
 ``parse`` reads each numerator and denominator with ``int``, a rational
 value hashes by Python's numeric-hash rule on ints, and ``str`` prints
 each component in lowest terms.  ``fractions`` is imported only where a
-``Fraction`` goes in or out, so parsing, hashing and arithmetic never load
-it (nor ``decimal``, which it imports).
+``Fraction`` goes in or out, so parsing, hashing, arithmetic and comparison
+never load it (nor ``decimal``, which it imports).
 """
 
 from __future__ import annotations
@@ -92,11 +92,7 @@ class Q2:
     def coerce(cls, x: "Q2 | int | Fraction") -> "Q2":
         if isinstance(x, Q2):
             return x
-        if isinstance(x, int):
-            return cls(x)
-        from fractions import Fraction
-
-        if isinstance(x, Fraction):
+        if isinstance(x, int) or _is_fraction(x):
             return cls(x)
         raise TypeError(f"cannot interpret {type(x).__name__} as Q2")
 
@@ -215,9 +211,7 @@ class Q2:
             return self.p == other.p and self.q == other.q and self.d == other.d
         if isinstance(other, int):
             return not self.q and self.d == 1 and self.p == other
-        from fractions import Fraction
-
-        if isinstance(other, Fraction):
+        if _is_fraction(other):
             return (not self.q and self.p == other.numerator
                     and self.d == other.denominator)
         return NotImplemented
@@ -261,6 +255,11 @@ class Q2:
 
     def __repr__(self) -> str:
         return f"Q2({self.a!r}, {self.b!r})"
+
+
+def _is_fraction(x: object) -> bool:
+    """x is a ``Fraction``; decided without loading ``fractions``, before which there is none."""
+    return "fractions" in sys.modules and isinstance(x, sys.modules["fractions"].Fraction)
 
 
 def _ratio(text: str) -> tuple[int, int]:

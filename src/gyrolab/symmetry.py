@@ -32,7 +32,6 @@ only when every matrix snaps; otherwise the report is marked approximate.
 from __future__ import annotations
 
 import itertools
-import math
 from typing import Iterable, NamedTuple, Sequence
 
 from . import geom
@@ -228,7 +227,7 @@ def _acceptance(p: Polyhedron, pts, q_pts):
     return flags, accept
 
 
-def isometry_group(p: Polyhedron, proper_only: bool = False) -> tuple[Isometry, ...]:
+def isometry_group(p: Polyhedron) -> tuple[Isometry, ...]:
     """All orthogonal maps (about the vertex centroid) sending the vertex
     set onto itself and preserving the face set, in canonical order.
 
@@ -268,9 +267,8 @@ def isometry_group(p: Polyhedron, proper_only: bool = False) -> tuple[Isometry, 
     # all or nothing: stop at the first matrix that does not snap
     snapped = list(itertools.takewhile(lambda iso: iso.matrix is not None, (
         iso._replace(matrix=k.snap(iso.matrix), kernel=EXACT) for iso in group.values())))
-    isos = sorted(snapped if len(snapped) == len(group) else group.values(),
-                  key=lambda iso: iso.matrix)
-    return tuple(iso for iso in isos if iso.proper or not proper_only)
+    return tuple(sorted(snapped if len(snapped) == len(group) else group.values(),
+                        key=lambda iso: iso.matrix))
 
 
 def congruences(p: Polyhedron, q: Polyhedron) -> tuple[Isometry, ...]:
@@ -378,12 +376,10 @@ def _fixed_direction(iso: Isometry) -> Vec3:
 # -- feature incidence ---------------------------------------------------------
 
 
-def axis_feature_incidence(
-    p: Polyhedron, axis: RotationAxis | Vec3
-) -> tuple[Feature, Feature]:
+def axis_feature_incidence(p: Polyhedron, direction: Vec3) -> tuple[Feature, Feature]:
     """The two antipodal surface features (face center, vertex, edge
     midpoint) met by the axis line through the centroid."""
-    sides = p.on_axis(axis.direction if isinstance(axis, RotationAxis) else axis)
+    sides = p.on_axis(direction)
     for label, side in (("positive", sides[True]), ("negative", sides[False])):
         if len(side) != 1:
             raise InternalGeometryError(f"axis meets {len(side)} features on its {label} side")
@@ -395,16 +391,14 @@ def axis_feature_incidence(
 
 def polar_axis_rotations(p: Polyhedron) -> tuple[int, ...]:
     """Non-identity rotation angles (degrees) about the z axis present in
-    the proper group."""
-    angles = set()
-    for iso in isometry_group(p, proper_only=True):
-        k, m = iso.kernel, iso.matrix
-        if not all(k.is_zero(x) for x in (m[0][2], m[1][2], m[2][2] - 1)):
-            continue
-        deg = round(math.degrees(math.atan2(float(m[1][0]), float(m[0][0])))) % 360
-        if deg:
-            angles.add(deg)
-    return tuple(sorted(angles))
+    the proper group: 360 j / n to the nearest degree, j = 1 .. n - 1, for
+    the order n of the axis the group's kernel finds parallel to z; () if
+    there is none."""
+    proper = [iso for iso in isometry_group(p) if iso.proper]
+    k = proper[0].kernel
+    polar = [ax.order for ax in rotation_axes(p, proper)
+             if k.is_zero_vec(k.cross(k.vec(ax.direction), k.vec((0, 0, 1))))]
+    return tuple((720 * j + n) // (2 * n) for n in polar for j in range(1, n))
 
 
 def is_vertex_transitive(

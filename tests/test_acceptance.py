@@ -76,8 +76,8 @@ def test_criterion_4_polar_rotations(rco, pseudo):
             assert polar_axis_rotations(p) == (90, 180, 270)
             polar = [
                 iso.matrix
-                for iso in isometry_group(p, proper_only=True)
-                if mat_vec(iso.matrix, ez) == ez and iso.matrix != ident
+                for iso in isometry_group(p)
+                if iso.proper and mat_vec(iso.matrix, ez) == ez and iso.matrix != ident
             ]
             assert len(polar) == 3
             for m in polar:

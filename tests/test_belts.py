@@ -85,7 +85,7 @@ def test_belt_structure_invariants(rco):
 
 
 def test_belt_normals_are_the_order4_axes(rco):
-    proper = isometry_group(rco, proper_only=True)
+    proper = [g for g in isometry_group(rco) if g.proper]
     four_fold = {ax.direction for ax in rotation_axes(rco, proper) if ax.order == 4}
     normals = {b.plane_normal for b in find_belts(rco)}
     assert normals == four_fold

@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import importlib.util
 import io
 import itertools
 import json
@@ -661,3 +662,22 @@ print(json.dumps({
 """)
     assert facts == {"loaded_by_import": ["gyrolab"], "unbound": [], "q2": True, "builder": True,
                      "nope": "module 'gyrolab' has no attribute 'nope'"}
+
+
+def test_every_name_the_benchmark_shim_wraps_exists():
+    # perfbench/shim.py wraps gyrolab's functions by name, and loading it
+    # imports only json, sys and time: a rename fails here, not in a traced run
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.path.join(root, "perfbench", "shim.py")
+    spec = importlib.util.spec_from_file_location("shim", path)
+    shim = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(shim)
+    for module_name, funcs in shim.LAYERS.items():
+        module = importlib.import_module(f"gyrolab.{module_name}")
+        for attr in funcs:
+            owner_name, _, name = attr.rpartition(".")
+            owner = getattr(module, owner_name) if owner_name else module
+            assert callable(getattr(owner, name, None)), f"gyrolab.{module_name}.{attr}"
+    assert "ComparisonTable.to_text" in shim.LAYERS["analysis"]
+    solids = importlib.import_module("gyrolab.solids")
+    assert all(callable(getattr(solids, name, None)) for name in shim.BUILDERS)

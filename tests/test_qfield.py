@@ -1,5 +1,7 @@
 import math
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -318,3 +320,23 @@ def test_rational_hash_is_the_fraction_hash(r):
     assert hash(Q2(r)) == hash(r)
     if r.denominator == 1:
         assert hash(Q2(r.numerator)) == hash(r.numerator)
+
+
+def test_comparing_with_a_non_number_loads_no_fractions():
+    # no Fraction exists before ``fractions`` is loaded, so comparing or
+    # coercing anything else must not load it (nor ``decimal``, which it loads)
+    code = """
+import sys
+from gyrolab.qfield import Q2
+try:
+    Q2.coerce(1.5)
+    coerced = True
+except TypeError:
+    coerced = False
+print(Q2(1) == None, Q2(1) in [None, "x"], Q2(1) == 0.5, coerced,
+      sorted({"fractions", "decimal"} & set(sys.modules)))
+"""
+    src = os.path.dirname(os.path.dirname(qfield.__file__))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stdout == "False False False False []\n", proc.stderr

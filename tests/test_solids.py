@@ -45,6 +45,8 @@ from gyrolab.solids import (
     vertex_figure,
     write_off,
 )
+from gyrolab.symmetry import is_vertex_transitive, isometry_group, symmetry_report
+
 
 def brute_force_vertex_set(edge) -> set:
     """Independent oracle: distinct coordinate permutations of
@@ -217,6 +219,55 @@ def test_vertex_figures_all_3444(rco, pseudo):
     for p in (rco, pseudo):
         figures = {vertex_figure(p, v) for v in range(p.n_vertices)}
         assert figures == {(3, 4, 4, 4)}
+
+
+def _metric_invariants(p):
+    """Exact squared circumradii, midradii and face-plane distances (each as
+    a set), the volume summed over fan tetrahedra from the centroid, and each
+    vertex's sorted squared distances to the other vertices."""
+    c = centroid(p.vertices)
+    v = [vsub(x, c) for x in p.vertices]
+    mid = [tuple((a + b) / 2 for a, b in zip(v[i], v[j])) for i, j in p.edges]
+    planes, volume = collections.defaultdict(set), Q2(0)
+    for f in p.faces:
+        n = vcross(vsub(v[f[1]], v[f[0]]), vsub(v[f[2]], v[f[0]]))
+        planes[len(f)].add(vdot(n, v[f[0]]) ** 2 / vdot(n, n))
+        for a, b in zip(f[1:], f[2:]):
+            det = vdot(v[f[0]], vcross(v[a], v[b]))
+            volume += det if det > 0 else -det
+    profiles = [tuple(sorted(vdot(d, d) for d in (vsub(u, w) for w in v) if d != (0, 0, 0)))
+                for u in v]
+    return ({vdot(x, x) for x in v}, {vdot(m, m) for m in mid}, dict(planes), volume / 6,
+            profiles)
+
+
+@pytest.mark.parametrize("edge", ["2", "7/3+1/5*sqrt2"])
+def test_every_metric_invariant_agrees_but_the_distance_profiles(edge):
+    # the paper's central contrast, exactly: circumradius, midradius, face
+    # planes and volume agree; the pseudo twin's two vertex orbits first
+    # differ at the 18th smallest squared distance
+    s = parse(edge) / 2
+    s2 = s * s
+    rco = build_rhombicuboctahedron(parse(edge))
+    pseudo = build_pseudo_rhombicuboctahedron(parse(edge))
+    radii, midradii, planes, volume, rco_profiles = _metric_invariants(rco)
+    assert radii == {(5 + 2 * SQRT2) * s2}
+    assert midradii == {(4 + 2 * SQRT2) * s2}
+    assert planes == {3: {(Q2(Fraction(11, 3)) + 2 * SQRT2) * s2}, 4: {(3 + 2 * SQRT2) * s2}}
+    assert volume == (32 + 80 * SQRT2 / 3) * s2 * s
+    *same, profiles = _metric_invariants(pseudo)
+    assert same == [radii, midradii, planes, volume]
+    assert len(set(rco_profiles)) == 1
+    by_profile = collections.defaultdict(list)
+    for vertex, profile in enumerate(profiles):
+        by_profile[profile].append(vertex)
+    _, orbits = is_vertex_transitive(pseudo, isometry_group(pseudo))
+    assert sorted(map(tuple, by_profile.values())) == sorted(orbits)
+    assert symmetry_report(pseudo).orbit_sizes == (16, 8)
+    big, small = sorted(by_profile, key=lambda pr: -len(by_profile[pr]))
+    assert len(by_profile[big]) == 16 and len(by_profile[small]) == 8
+    assert big[:17] == small[:17]
+    assert (big[17], small[17]) == ((12 + 8 * SQRT2) * s2, (16 + 6 * SQRT2) * s2)
 
 
 def test_vertex_figure_cube(cube):
