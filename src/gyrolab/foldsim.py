@@ -2,11 +2,12 @@
 
 Every piece folds in its own flat grid (``netgen.square_corners``), in the
 plane z = 0 with outward normal +z, by one walk over its creases as a tree
-from square (0, 0); its ``netgen.Placement``, behind the gyration turn of
-the piece it marks, then carries it into space once.  Every crease line
-runs along a grid axis and every target is a multiple of 45 degrees, so
-each crease, like the gyration, is one ``geom.turn``: every placed corner
-stays in Q(sqrt2)^3 and every placed square is an exact L x L square.
+from square (0, 0).  The first piece keeps the builders' canonical pose, each
+later piece takes the first of its ``poses`` that its gluings allow, and the
+gyration turns the second piece about the belt axis z.  Every crease line
+runs along a grid axis and every target is a multiple of 45 degrees, so each
+crease, like the gyration, is one ``geom.turn``: every placed corner stays in
+Q(sqrt2)^3 and every placed square is an exact L x L square.
 
 Congruent squares overlap flat only by coinciding, so closure is decided by
 exact lookups, never by a distance search, with one rule for every
@@ -17,12 +18,13 @@ Each face square must also coincide with a face of the target solid.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import NamedTuple, Optional
 
-from .geom import Mat3, Vec3, mat_mul, mat_vec, turn, vadd, vdot, vsub
+from .geom import Mat3, Vec3, mat_mul, mat_transpose, mat_vec, turn, vadd, vcross, vdot, vsub
 from .netgen import CHECKS, NetSpec, shared_edge, square_corners
-from .qfield import ZERO, Q2
+from .qfield import ONE, SQRT2, ZERO, Q2
 from .solids import build_pseudo_rhombicuboctahedron, build_rhombicuboctahedron
 
 
@@ -205,24 +207,80 @@ def _fold_piece(net: NetSpec, piece: str, root: _Affine) -> list[PlacedSquare]:
             for sq in net.squares_of(piece)]
 
 
-def fold(net: NetSpec, gyration: int = 0) -> AssemblyResult:
-    """Fold every piece of the net and match them against the target solid.
+# the first piece's pose, the builders' canonical one: grid x, grid y and the
+# outward normal go to -y, -z and +x, and square 1 is the +x face
+_FIRST_FRAME = ((ZERO, ZERO, ONE), (-ONE, ZERO, ZERO), (ZERO, -ONE, ZERO))
+_IDENTITY = _Affine(turn((0, 0, 1), 0), (ZERO,) * 3)
 
-    ``gyration`` (degrees, any multiple of 45) turns the piece whose
-    placement is marked ``gyrate`` about its normal before gluing: for the
-    three-piece net, multiples of 90 reproduce the rhombicuboctahedron, odd
-    multiples of 45 the pseudo twin.
+
+def _moved(squares, move: _Affine) -> list[PlacedSquare]:
+    image = {c: move.apply(c) for c in {c for sq in squares for c in sq.corners}}
+    return [sq._replace(corners=tuple(image[c] for c in sq.corners)) for sq in squares]
+
+
+def poses(net: NetSpec, piece: str, placed: dict):
+    """Each way to lay a glue square of the piece, folded at the identity
+    root, on a square its gluing may land on in the ``placed`` pieces (piece
+    -> placed squares), with the number of its gluings onto them it misses.
+    The motion x -> M x + b takes the glue square's corners c onto the host's
+    h, walked forwards from each corner, then backwards: M = Y T^-1, with T's
+    columns c1 - c0, c3 - c0 and their cross product and Y's the same of h,
+    is exact and proper.  Glue squares come first, then host squares, then
+    corner orders; ValueError if no glue square has a placed host."""
+    def frame(c):
+        a, b = vsub(c[1], c[0]), vsub(c[3], c[0])
+        return a, b, vcross(a, b)
+
+    flat, targets_of = _fold_piece(net, piece, _IDENTITY), {}
+    squares = {(sq.piece, sq.pos): sq for sqs in (*placed.values(), flat) for sq in sqs}
+    mine = [g for g in net.gluing if g.piece == piece and g.host in placed]
+    tabs = [_land(net, squares, targets_of, g)[:2] for g in mine if g.edge_with is None]
+    if not tabs:
+        raise ValueError(f"inconsistent gluing instruction: {piece} lays no glue square"
+                         " on a placed piece")
+    for c, targets in tabs:
+        # T's columns are orthogonal: T^-1 is T's transpose, each row over its squared length
+        t_inv = tuple(tuple(x / vdot(col, col) for x in col) for col in frame(c))
+        # four corners have one target per host square, the last one first
+        for host, step, k in itertools.product(reversed(targets.values()), (1, -1), range(4)):
+            m = mat_mul(mat_transpose(frame([host.corners[(k + step * j) % 4]
+                                             for j in range(4)])), t_inv)
+            moved = _moved(flat, _Affine(m, vsub(host.corners[k], mat_vec(m, c[0]))))
+            squares.update(((piece, sq.pos), sq) for sq in moved)
+            yield moved, sum(_land(net, squares, targets_of, g)[2] is None for g in mine)
+
+
+def _solve(net: NetSpec, piece: str, placed: dict) -> list[PlacedSquare]:
+    """The first pose passing every gluing and laying no face square on a
+    placed one; else the first missing the fewest, so a broken net reports."""
+    faces = {sq.corner_set() for sqs in placed.values() for sq in sqs if sq.role != "glue"}
+    best = None
+    for squares, misses in poses(net, piece, placed):
+        if not misses and faces.isdisjoint(sq.corner_set() for sq in squares
+                                           if sq.role != "glue"):
+            return squares
+        best = best if best and best[1] <= misses else (squares, misses)
+    return best[0]
+
+
+def fold(net: NetSpec, gyration: int = 0) -> AssemblyResult:
+    """Fold and pose every piece of the net, and match them against the target solid.
+
+    ``gyration`` (degrees, any multiple of 45) turns the second piece about
+    the belt axis z once every piece is posed: for the three-piece net,
+    multiples of 90 reproduce the rhombicuboctahedron, odd multiples of 45
+    the pseudo twin.
     """
     if gyration % 45 != 0:
         raise ValueError(f"gyration {gyration} has no exact Q(sqrt2) trigonometry")
-    L = Q2(net.edge_len)
-    placed = {}
-    for p in net.placements:
-        spin = turn(p.frame[2], gyration if p.gyrate else 0)
-        offset = tuple(Q2(a, b) * L for a, b in p.offset)
-        # gyration o placement; the frame's images are the placement's columns
-        root = _Affine(mat_mul(spin, tuple(zip(*p.frame))), mat_vec(spin, offset))
-        placed[p.piece] = _fold_piece(net, p.piece, root)
+    s = Q2(net.edge_len) / 2
+    first, *later = net.pieces
+    placed = {first: _fold_piece(net, first, _Affine(_FIRST_FRAME, (s + s * SQRT2, s, s)))}
+    for piece in later:
+        placed[piece] = _solve(net, piece, placed)
+    if later:
+        placed[later[0]] = _moved(placed[later[0]],
+                                  _Affine(turn((0, 0, 1), gyration), (ZERO,) * 3))
     if gyration % 90 == 0:
         target, target_name = build_rhombicuboctahedron(net.edge_len), "rhombicuboctahedron"
     else:
@@ -253,6 +311,36 @@ def _witness(points, candidates) -> tuple[Vec3, Q2]:
     return min(map(farthest, candidates), key=lambda pd: pd[1])
 
 
+def _land(net: NetSpec, squares: dict, targets_of: dict, glue) -> tuple:
+    """The one coincidence rule of every ``netgen.Gluing`` on ``squares``
+    ((piece, pos) -> placed square): the glued points, their target point
+    sets, cached in ``targets_of``, and the host square they coincide with."""
+    def square(piece, pos) -> PlacedSquare:
+        if (piece, pos) not in squares:
+            raise ValueError(f"inconsistent gluing instruction: no square {piece}{pos}")
+        return squares[(piece, pos)]
+
+    sq = square(glue.piece, glue.pos)
+    points = sq.corners
+    if glue.edge_with is not None:
+        # decided on the flat grid: a tab folded back onto its side
+        # square shares all four corners with it in space
+        edge = shared_edge(sq, square(glue.piece, glue.edge_with))
+        points = sorted(points[square_corners(sq).index(q)] for q in edge)
+    key = (glue.host, glue.host_pos, len(points))
+    if key not in targets_of:
+        hosts = [square(glue.host, pos) for pos in (
+            [glue.host_pos] if glue.host_pos is not None else
+            [s.pos for s in net.squares_of(glue.host) if s.role == "face"])]
+        if not hosts:
+            raise ValueError(f"inconsistent gluing instruction: {glue.host} has no face square")
+        # a host's corner set, or its four edges
+        targets_of[key] = {frozenset(h.corners[k - j] for j in range(len(points))): h
+                           for h in reversed(hosts) for k in range(4)}
+    targets = targets_of[key]
+    return points, targets, targets.get(frozenset(points))
+
+
 def check_closure(result: AssemblyResult) -> ClosureReport:
     """Verify the gluing instructions on the folded result.
 
@@ -269,37 +357,13 @@ def check_closure(result: AssemblyResult) -> ClosureReport:
     """
     net = result.net
     placed = {(sq.piece, sq.pos): sq for sqs in result.squares.values() for sq in sqs}
-
-    def square(piece, pos) -> PlacedSquare:
-        if (piece, pos) not in placed:
-            raise ValueError(f"inconsistent gluing instruction: no square {piece}{pos}")
-        return placed[(piece, pos)]
-
     targets_of: dict[tuple, dict] = {}
     checks: list[ClosureCheck] = []
     for glue in net.gluing:
         if glue.check not in CHECKS:
             raise ValueError(f"inconsistent gluing instruction: unknown check {glue.check!r}")
         passed, failed = CHECKS[glue.check]
-        sq = square(glue.piece, glue.pos)
-        points = sq.corners
-        if glue.edge_with is not None:
-            # decided on the flat grid: a tab folded back onto its side
-            # square shares all four corners with it in space
-            edge = shared_edge(sq, square(glue.piece, glue.edge_with))
-            points = sorted(points[square_corners(sq).index(q)] for q in edge)
-        key = (glue.host, glue.host_pos, len(points))
-        if key not in targets_of:
-            hosts = [square(glue.host, pos) for pos in (
-                [glue.host_pos] if glue.host_pos is not None else
-                [s.pos for s in net.squares_of(glue.host) if s.role == "face"])]
-            if not hosts:
-                raise ValueError(f"inconsistent gluing instruction: {glue.host} has no face square")
-            # a host's corner set, or its four edges
-            targets_of[key] = {frozenset(h.corners[k - j] for j in range(len(points))): h
-                               for h in reversed(hosts) for k in range(4)}
-        targets = targets_of[key]
-        host = targets.get(frozenset(points))
+        points, targets, host = _land(net, placed, targets_of, glue)
         if host is not None:
             n = [s.pos for s in net.squares_of(host.piece)].index(host.pos) + 1
             checks.append(ClosureCheck(glue.check, glue.piece, glue.pos, True,

@@ -17,7 +17,7 @@ each geometric algorithm is written once and a ``Polyhedron`` picks its
 kernel once, from its coordinate type.
 
 ``turn`` is the one exact rotation: by a multiple of 45 degrees about a
-signed coordinate axis, which is every turn the gyrate cap and the fold's
+signed coordinate axis, which is every turn the gyration and the fold's
 creases make.
 """
 

@@ -12,16 +12,12 @@ A net is data, and ``foldsim`` folds any net from it alone.  A square's
 piece's creases make a tree from square (0, 0).  ``square_corners`` and
 ``shared_edge`` read that grid, and the boxes, outlines and SVG draw it with
 each piece's box moved to (0, 0), so the pieces that are folded are the
-pieces that are printed.  A ``Placement`` carries a piece's grid into
-space: the images of grid x, grid y and the outward normal as signed unit
-ints, an offset of a + b sqrt2 edge lengths per axis, and whether the
-gyration turns the piece about its normal.  The frame need not be a
-rotation: the south cap keeps grid y on +y while its normal is -z.  Pose
-convention: strip square 1 lies on the belt face whose outward normal is
-+x in the builders' canonical pose, each cap's pole square is centred on
-the polar axis z, and the gyration turns the north cap.  A ``Gluing`` names
-its check (a key of ``CHECKS``, which holds the detail texts), the glued
-square, its host and, for an edge, the neighbour sharing it.
+pieces that are printed.  A net carries no pose in space: ``foldsim`` solves
+each piece's from the gluing, and at turn 0 each cap lays its tab at cell
+(2, 0) in strip square 1, the north cap's pole on +z and the south cap's on
+-z.  A ``Gluing`` names its check (a key of ``CHECKS``, which holds the
+detail texts), the glued square, its host and, for an edge, the neighbour
+sharing it.
 
 Every crease lies on a square-square edge of the rhombicuboctahedron: the
 strip's join belt squares, a cap's join its pole to its sides, and a tab's
@@ -98,23 +94,16 @@ class Gluing(NamedTuple):
     edge_with: Optional[tuple[int, int]]  # None: all corners glued; else the edge shared with it
 
 
-class Placement(NamedTuple):
-    piece: str
-    frame: tuple[tuple[int, int, int], ...]  # images of grid x, grid y, the outward normal
-    offset: tuple[tuple, ...]  # per axis, rationals (a, b): a + b sqrt2 edge lengths
-    gyrate: bool  # the gyration turns this piece about its normal
-
-
 class NetSpec(NamedTuple):
     edge_len: Fraction  # mm
     squares: tuple[NetSquare, ...]
     creases: tuple[Crease, ...]
     gluing: tuple[Gluing, ...]
-    placements: tuple[Placement, ...]  # one per piece, in print order
 
     @property
     def pieces(self) -> tuple[str, ...]:
-        return tuple(p.piece for p in self.placements)
+        """Each piece once, in the order of its first square."""
+        return tuple(dict.fromkeys(sq.piece for sq in self.squares))
 
     def squares_of(self, piece: str) -> tuple[NetSquare, ...]:
         return tuple(s for s in self.squares if s.piece == piece)
@@ -167,16 +156,7 @@ def generate_nets(edge_len: Fraction | int = 50) -> NetSpec:
             gluing.append(Gluing("tab_in_belt_square", piece, tab, strip, None, None))
             gluing.append(Gluing("cap_edge_on_belt", piece, (dx, dy), strip, None, tab))
 
-    # walls and poles lie (1 + sqrt2) / 2 edges from the centre, and a cap's
-    # offset of -1/2 centres its pole square on the polar axis
-    h, far = Fraction(1, 2), (Fraction(1, 2), Fraction(1, 2))
-    placements = (
-        Placement(strip, ((0, -1, 0), (0, 0, -1), (1, 0, 0)), (far, (h, 0), (h, 0)), False),
-        Placement(caps[0], ((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((-h, 0), (-h, 0), far), True),
-        Placement(caps[1], ((1, 0, 0), (0, 1, 0), (0, 0, -1)),
-                  ((-h, 0), (-h, 0), (-h, -h)), False),
-    )
-    return NetSpec(edge, tuple(squares), tuple(creases), tuple(gluing), placements)
+    return NetSpec(edge, tuple(squares), tuple(creases), tuple(gluing))
 
 
 # -- 2D piece layout (edge lengths, y down) ------------------------------------
@@ -320,7 +300,7 @@ def resolve_paper(paper) -> tuple[str, tuple[Fraction, Fraction]]:
 
 
 def plan_layout(net: NetSpec, paper="A2"):
-    """Placements (piece -> (x, y, rotated)) on the sheet, or a
+    """Where each piece lies on the sheet (piece -> (x, y, rotated)), or a
     DoesNotFitError naming the smallest standard sheet that would fit."""
     name, (pw, ph) = resolve_paper(paper)
     sizes = [piece_bbox(net, piece) for piece in net.pieces]

@@ -194,31 +194,25 @@ def test_assembly_json(net50):
 # -- one crease-tree walk over netgen's layout ----------------------------------
 
 
-def _flat_embeddings(net):
-    """Each piece's flat grid in space: the strip in the plane x = t, the
-    caps in z = +-t, their pole squares centred on the polar axis."""
-    L = Q2(net.edge_len)
-    s = L / 2
-    t = (Q2(1) + Q2(0, 1)) * s
-    return {
-        "strip": lambda x, y: (t, s - x, s - y),
-        "cap_north": lambda x, y: (x - s, y - s, t),
-        "cap_south": lambda x, y: (x - s, y - s, -t),
-    }
-
-
 def test_straight_creases_keep_every_square_where_the_svg_draws_it(net50):
+    # the first piece at its frame, the strip in the plane x = t, and every
+    # later piece at the identity root, in the plane z = 0
     straight = tuple(c._replace(fold_target=180) for c in net50.creases)
     flat_net = net50._replace(creases=straight)
-    result = fold(flat_net, 0)
-    embed = _flat_embeddings(net50)
-    assert sum(len(sqs) for sqs in result.squares.values()) == 27
+    L = Q2(net50.edge_len)
+    s = L / 2
+    t = (Q2(1) + Q2(0, 1)) * s
+    embed = {"strip": lambda x, y: (t, s - x, s - y)}
+    folded = {"strip": fold(flat_net, 0).squares["strip"]}
+    for piece in net50.pieces[1:]:
+        embed[piece] = lambda x, y: (x, y, Q2(0))
+        folded[piece] = foldsim._fold_piece(flat_net, piece, foldsim._IDENTITY)
+    assert sum(len(sqs) for sqs in folded.values()) == 27
     squares = {(s.piece, s.pos): s for s in net50.squares}
-    L = net50.edge_len
-    for piece, sqs in result.squares.items():
+    for piece, sqs in folded.items():
         for sq in sqs:
             flat = square_corners(squares[(piece, sq.pos)])
-            assert sq.corners == tuple(embed[piece](Q2(u * L), Q2(v * L)) for u, v in flat)
+            assert sq.corners == tuple(embed[piece](L * u, L * v) for u, v in flat)
 
 
 def test_cap_missing_a_tab_still_folds_onto_the_solid(net50):
@@ -330,7 +324,6 @@ def two_piece_net(net):
         gluing=tuple(Gluing(g.check, *move(g.piece, g.pos), "belt", g.host_pos,
                             g.edge_with and move(g.piece, g.edge_with)[1])
                      for g in net.gluing if kept(g.piece, g.pos, g.edge_with)),
-        placements=(net.placements[0]._replace(piece="belt"), net.placements[1]),
     )
 
 
@@ -346,6 +339,43 @@ def test_two_pieces_fold_into_either_solid(net50, turn, target):
     assert len(result.closure.checks) == 15 and result.closure.ok
     assert len(result.correspondence) == 18
     assert len(set(result.correspondence.values())) == 18
+
+
+def test_a_later_piece_with_no_glue_square_on_a_placed_piece_is_inconsistent(net50):
+    gluing = tuple(g for g in net50.gluing if g.piece != "cap_north")
+    with pytest.raises(ValueError, match="inconsistent gluing instruction: cap_north"):
+        fold(net50._replace(gluing=gluing), 0)
+
+
+def test_each_cap_has_16_poses_and_the_caps_turn_chooses_the_solid(net50):
+    # every pose the gluing allows on the strip: 2 ends of the belt x 8 turns
+    placed = {"strip": fold(net50, 0).squares["strip"]}
+    caps = [list({tuple(sq.corners for sq in squares): squares
+                  for squares, misses in foldsim.poses(net50, piece, placed) if not misses}.values())
+            for piece in ("cap_north", "cap_south")]
+    assert [len(cap) for cap in caps] == [16, 16]
+
+    def pole(squares):
+        return next(sq.corners for sq in squares if sq.role == "pole")
+
+    faces = [sq for sq in placed["strip"] if sq.role == "face"]
+    found, named = {"opposite": [], "same": []}, {}
+    for north in caps[0]:
+        for south in caps[1]:
+            corners = frozenset(c for sq in faces + north + south if sq.role != "glue"
+                                for c in sq.corners)
+            if corners not in named:
+                folded = solids.Polyhedron(sorted(corners))
+                named[corners] = [name for name, build in _BUILDERS.items()
+                                  if congruences(folded, build(50))]
+            ends = "same" if pole(north)[0][2] == pole(south)[0][2] else "opposite"
+            # the caps' relative turn is a multiple of 90 iff their poles' shadows agree
+            square_turn = {c[:2] for c in pole(north)} == {c[:2] for c in pole(south)}
+            found[ends].append((square_turn, named[corners]))
+    assert len(found["opposite"]) == len(found["same"]) == 128
+    assert sorted(found["opposite"]) == ([(False, ["pseudo-rhombicuboctahedron"])] * 64
+                                         + [(True, ["rhombicuboctahedron"])] * 64)
+    assert all(names == [] for _, names in found["same"])
 
 
 _BUILDERS = {"rhombicuboctahedron": build_rhombicuboctahedron,
@@ -410,6 +440,7 @@ _CAP_TARGETS = [c.fold_target for c in generate_nets(50).creases if c.piece != "
        st.sampled_from(range(0, 360, 45)))
 @example(_CAP_TARGETS, 0)
 @example(_CAP_TARGETS, 45)
+@example([0] * 16, 0)  # every candidate pose lays a face square on the strip
 def test_tab_lookup_agrees_with_the_geometric_host_search(net50, targets, gyration):
     drawn = iter(targets)
     creases = tuple(c if c.piece == "strip" else c._replace(fold_target=next(drawn))
