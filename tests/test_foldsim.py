@@ -517,22 +517,22 @@ def test_a_bent_square_fails_a_lookup_without_raising(net50, monkeypatch, capsys
 # sha256 of the fold-check JSON at every turn: a change of layout or fold code
 # must reproduce these bytes exactly
 _PINNED_FOLD_SHA256 = {
-    ("50", 0): "e15d4c6e38779e99d1c255889946ea7daff95e77298865ec6986d81fd507af73",
-    ("50", 45): "17545af6eacf85966f51789c2bf2a029c9b103ec43f31d0b27f048d40ee53c43",
-    ("50", 90): "3b2619abf5c23997e15d7b175a80ab8b1adaef92a568bd00b89d317bfc2bf6ee",
-    ("50", 135): "6fae3f90a8a2f948968d8098d74c82b398a516cbf7e9f4eed945344a090bd9a6",
-    ("50", 180): "f8b93ebbd04c8642aa78d9f245b73a2e9154e2ae96b7faf8ad98e248b305b610",
-    ("50", 225): "ffe5bc535d2dce0aa9064a741cbca114ebc6cef73ff43b7284fb97ebedc2f70f",
-    ("50", 270): "6b6ec5cd0a24702a074d2904b982236f147f5761ebc43fbd96cbc791debdeb44",
-    ("50", 315): "0240ed17de038882beeba28a3ff49272106ad7e3271470e9b65108c0f28984b1",
-    ("7/3", 0): "9d5eba3bb3c3ac0cabcc9fd57595d3649edf9e11d822793a5c0596a348e9b4e9",
-    ("7/3", 45): "336f93829764a186777e046b6dfd20db2d554fa0b12deb6aa3265adbe2848f89",
-    ("7/3", 90): "0f0e2dbba9054ac4d0ba68f3d31151b43df8fd23d5bcad97ff5cb149ad8cf3c6",
-    ("7/3", 135): "609e4dc6f77134737a3838aad5c3a4daea995bc81dd021a544ee4128d9e148ad",
-    ("7/3", 180): "47a8bf93324964e48e6897645010cd75cbe900294dcda047ff0bbad2509a41d1",
-    ("7/3", 225): "feda67e7033e5fc35a97c6b33464b29ff820755921a64ac3c96ff4fa7b19d662",
-    ("7/3", 270): "1a59cf09871a3aaa938371569396dbc2817904b1540374c693da55dae63289be",
-    ("7/3", 315): "606aa985f8e97bd437216ef80083fe1dd540e32395220a679c26ebe0e1d761a2",
+    ("50", 0): "2a16709879badab0d4806eec66936933468f58feb3bc2fa91d5de9a3973845a3",
+    ("50", 45): "f68e0445b6e0fa54fe25bd40f7290518c4913214f09b553c59bbf492a8604d0e",
+    ("50", 90): "de7d02a5672d7836d7f1b434d188ad5176002c9c02678bc9ec59a1f97065ec2f",
+    ("50", 135): "ab6d771cb0b34169e93527925e289d3c3a9e1cc9622c97a1dafefe7e5bc5146b",
+    ("50", 180): "fe761aee06931f669a9b389b7bc232c7a42d69382c79da06eab52904c4bcb35d",
+    ("50", 225): "d727022f0c713262471a8b1adede93ab95ce32ad957a021ac016b63e0d0dc289",
+    ("50", 270): "ef5202b7dd8100795aeda6bb4ee89db34cb42c66940c312bf84509f693e3892f",
+    ("50", 315): "105a670e03b206401ab0c679f2f4a37269efedcaa99865671f3a113e9a18bdd5",
+    ("7/3", 0): "27a3e5dc6a568552ebcaf233253c7918efcaffcfd3be9b2b246d694e7de2c57a",
+    ("7/3", 45): "667369c19700059844af4906130edc972d96154b5fc9ae15a8978e79fcffa3cb",
+    ("7/3", 90): "b49e5ddcb925430d9160478568234f4f85268513ecc13e4370068ddbe92885a4",
+    ("7/3", 135): "b4ed56c66885bc2af39a9c44e5de767f505a04396bbec7e3c062fd5ed176125a",
+    ("7/3", 180): "207f9aab628df80599b93a8a02e9b5bbae1dc83585ccfd7e38087ac32cfff8d2",
+    ("7/3", 225): "7369460621e075c6f9aa9205db563427bfc6abd563470e04fbf1d9c71e26d5ec",
+    ("7/3", 270): "a015337e70a83e69717983c5d66b4c8e1e6e813672510376bf2757956a374113",
+    ("7/3", 315): "1b8005f5a123d420e8701de88be4e79b400b588c01b271c7aad9e42ee28437e2",
 }
 
 
