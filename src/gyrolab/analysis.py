@@ -36,15 +36,15 @@ class AnalysisReport(NamedTuple):
     edge_count: int
     face_count: int
     euler: int
-    # a partial report keeps these defaults
+    # a partial report keeps these defaults: None is a verdict never computed
     vertex_figures: tuple[tuple[int, ...], ...] = ()
-    uniform_vertex_figure: bool = False
-    faces_regular: bool = False
+    uniform_vertex_figure: Optional[bool] = None
+    faces_regular: Optional[bool] = None
     symmetry: Optional[SymmetryReport] = None
     belts: tuple[Belt, ...] = ()
     belt_overlap: Optional[BeltOverlap] = None
-    archimedean_candidate: bool = False
-    pseudo_uniform: bool = False
+    archimedean_candidate: Optional[bool] = None
+    pseudo_uniform: Optional[bool] = None
 
     @property
     def pole_pair_count(self) -> int:
@@ -146,8 +146,8 @@ def analyze(p: Polyhedron, name: str = "") -> AnalysisReport:
     )
 
 
-def _yn(v: bool) -> str:
-    return "yes" if v else "no"
+def _yn(v: Optional[bool]) -> str:
+    return "-" if v is None else "yes" if v else "no"
 
 
 def _figures(r: AnalysisReport) -> str:
@@ -248,7 +248,7 @@ class ComparisonTable(NamedTuple):
 
 def _summary(r: AnalysisReport) -> list[tuple[str, str]]:
     """One report's side of the comparison, as (label, value) rows; "-"
-    where the symmetry analysis did not run."""
+    where the symmetry analysis or a verdict did not run."""
     sym = r.symmetry
     by = sym.axes_by_order() if sym else {}
     breakdown = " + ".join(f"{by[o]}x order {o}" for o in sorted(by, reverse=True))
@@ -265,7 +265,7 @@ def _summary(r: AnalysisReport) -> list[tuple[str, str]]:
         ("axis breakdown", (breakdown or "0") if sym else "-"),
         ("belts", str(len(r.belts))),
         ("pole pairs", str(r.pole_pair_count)),
-        ("vertex transitive", _yn(sym is not None and sym.vertex_transitive)),
+        ("vertex transitive", _yn(sym and sym.vertex_transitive)),
         ("archimedean candidate", _yn(r.archimedean_candidate)),
         ("pseudo uniform", _yn(r.pseudo_uniform)),
     ]

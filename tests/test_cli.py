@@ -17,7 +17,7 @@ from conftest import DATA_DIR, fan_triangulated, make_cube, make_icosahedron, no
 from test_foldsim import _PINNED_FOLD_SHA256
 
 import gyrolab
-from gyrolab.analysis import analyze, text_report
+from gyrolab.analysis import analyze, compare, text_report
 from gyrolab.cli import main
 from gyrolab.qfield import Q2
 from gyrolab.qfield import parse as q2_parse
@@ -219,6 +219,24 @@ def test_analyze_broken_mesh_partial_exit_1(tmp_path, capsys, cube_off_text, mes
     assert "FAILED" in out and "symmetry group" not in out
     if mesh != "open square":
         assert "\n  convexity: vertex " in out
+
+
+def test_a_partial_report_prints_no_verdict_it_did_not_compute(tmp_path, capsys, rco):
+    # a fan-triangulated rco stops at validation: the JSON carries null, and
+    # compare "-", for every verdict after it, never a default
+    path = os.path.join(os.path.dirname(__file__), "golden", "inputs", "rco_0.off")
+    with open(path, encoding="utf-8") as fh:
+        text = fan_triangulated(fh.read())
+    bad = tmp_path / "fan.off"
+    bad.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "analyze", "--input", str(bad), "--json")
+    doc = json.loads(out)
+    assert (code, err, doc["partial"]) == (1, "", True)
+    assert doc["vertex_figures"]["uniform"] is doc["faces_regular"] is None
+    assert doc["flags"] == {"archimedean_candidate": None, "pseudo_uniform": None}
+    rows = {r.label: (r.left, r.right) for r in compare(analyze(read_off(text)), analyze(rco)).rows}
+    for label in ("vertex transitive", "archimedean candidate", "pseudo uniform"):
+        assert rows[label] == ("-", "yes" if label != "pseudo uniform" else "no")
 
 
 def test_noisy_input_fails_cleanly(tmp_path, capsys, rco, pseudo, cube_off_text):
