@@ -12,8 +12,8 @@ A net is data, and ``foldsim`` folds any net from it alone.  A square's
 piece's creases make a tree from square (0, 0).  ``square_corners`` and
 ``shared_edge`` read that grid, and the boxes, outlines and SVG draw it with
 each piece's box moved to (0, 0), so the pieces that are folded are the
-pieces that are printed.  A net carries no pose in space: ``foldsim`` solves
-each piece's from the gluing, and at turn 0 each cap lays its tab at cell
+pieces that are printed.  A net carries no pose in space: ``foldsim`` poses
+each piece from the gluing, and at turn 0 each cap lays its tab at cell
 (2, 0) in strip square 1, the north cap's pole on +z and the south cap's on
 -z.  A ``Gluing`` names its check (a key of ``CHECKS``, which holds the
 detail texts), the glued square, its host and, for an edge, the neighbour

@@ -347,6 +347,11 @@ def test_a_later_piece_with_no_glue_square_on_a_placed_piece_is_inconsistent(net
         fold(net50._replace(gluing=gluing), 0)
 
 
+def test_a_net_without_squares_is_inconsistent(net50):
+    with pytest.raises(ValueError, match="inconsistent gluing instruction"):
+        fold(net50._replace(squares=(), creases=(), gluing=()), 0)
+
+
 def test_each_cap_has_16_poses_and_the_caps_turn_chooses_the_solid(net50):
     # every pose the gluing allows on the strip: 2 ends of the belt x 8 turns
     placed = {"strip": fold(net50, 0).squares["strip"]}
