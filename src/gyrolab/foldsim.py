@@ -146,7 +146,7 @@ def text_report(result: AssemblyResult) -> str:
 
 class _Affine(NamedTuple):
     m: Mat3
-    b: Vec3 = (ZERO, ZERO, ZERO)
+    b: Vec3
 
     def apply(self, p: Vec3) -> Vec3:
         return vadd(mat_vec(self.m, p), self.b)
@@ -210,7 +210,7 @@ def _fold_piece(net: NetSpec, piece: str, root: _Affine) -> list[PlacedSquare]:
 # the first piece's pose, the builders' canonical one: grid x, grid y and the
 # outward normal go to -y, -z and +x, and square 1 is the +x face
 _FIRST_FRAME = ((ZERO, ZERO, ONE), (-ONE, ZERO, ZERO), (ZERO, -ONE, ZERO))
-_IDENTITY = _Affine(turn((0, 0, 1), 0))
+_IDENTITY = _Affine(turn((0, 0, 1), 0), (ZERO,) * 3)
 
 
 def _moved(squares, move: _Affine) -> list[PlacedSquare]:
@@ -281,7 +281,8 @@ def fold(net: NetSpec, gyration: int = 0) -> AssemblyResult:
     for piece in later:
         placed[piece] = _solve(net, piece, placed)
     if later:
-        placed[later[0]] = _moved(placed[later[0]], _Affine(turn((0, 0, 1), gyration)))
+        placed[later[0]] = _moved(placed[later[0]],
+                                  _Affine(turn((0, 0, 1), gyration), (ZERO,) * 3))
     if gyration % 90 == 0:
         target, target_name = build_rhombicuboctahedron(net.edge_len), "rhombicuboctahedron"
     else:

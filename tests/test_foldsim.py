@@ -287,7 +287,7 @@ def test_gluing_on_a_wrong_piece_is_inconsistent(net50, glue):
         check_closure(result)
 
 
-# -- any net: pieces, placements and gluings are data ---------------------------
+# -- any net: pieces and gluings are data, and the gluing places every piece -----
 
 
 def test_foldsim_names_no_piece_and_no_check():
@@ -356,7 +356,8 @@ def test_each_cap_has_16_poses_and_the_caps_turn_chooses_the_solid(net50):
     # every pose the gluing allows on the strip: 2 ends of the belt x 8 turns
     placed = {"strip": fold(net50, 0).squares["strip"]}
     caps = [list({tuple(sq.corners for sq in squares): squares
-                  for squares, misses in foldsim.poses(net50, piece, placed) if not misses}.values())
+                  for squares, misses in foldsim.poses(net50, piece, placed)
+                  if not misses}.values())
             for piece in ("cap_north", "cap_south")]
     assert [len(cap) for cap in caps] == [16, 16]
 
