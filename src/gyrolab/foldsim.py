@@ -208,7 +208,7 @@ def _fold_piece(net: NetSpec, piece: str, root: _Affine) -> list[PlacedSquare]:
 
 
 # the first piece's pose, the builders' canonical one: grid x, grid y and the
-# outward normal go to -y, -z and +x, and square 1 is the +x face
+# outward normal go to -y, -z and +x, and ``fold`` centres square 1 on the +x face
 _FIRST_FRAME = ((ZERO, ZERO, ONE), (-ONE, ZERO, ZERO), (ZERO, -ONE, ZERO))
 _IDENTITY = _Affine(turn((0, 0, 1), 0), (ZERO,) * 3)
 
