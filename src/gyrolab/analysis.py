@@ -4,7 +4,7 @@
 results into one deterministic report; ``compare`` renders the
 side-by-side table that separates the rhombicuboctahedron from its
 gyrate twin: same face census and vertex figures, very different
-symmetry inventory.
+symmetry inventory.  ``_values`` formats each value both views print.
 """
 
 from __future__ import annotations
@@ -146,65 +146,71 @@ def analyze(p: Polyhedron, name: str = "") -> AnalysisReport:
     )
 
 
-def _yn(v: Optional[bool]) -> str:
-    return "-" if v is None else "yes" if v else "no"
+def _text(v) -> str:
+    """A report value as printed: "-" for None, a value never computed."""
+    return "-" if v is None else ("yes" if v else "no") if isinstance(v, bool) else str(v)
 
 
-def _figures(r: AnalysisReport) -> str:
-    return ", ".join("(" + ",".join(map(str, f)) + ")" for f in r.vertex_figures)
+def _values(r: AnalysisReport) -> dict[str, str]:
+    """``compare``'s side of one report, label -> value in row order; the
+    text prints the same strings.  A partial report has no symmetry, and
+    every value after the counts is "-"."""
+    sym = r.symmetry  # None in a partial report; a SymmetryReport is never false
+    by_order = sorted(sym.axes_by_order().items(), reverse=True) if sym else ()
+    values = {
+        "faces": r.face_count,
+        "triangles": r.census.triangles,
+        "quads": r.census.quads,
+        "vertices": r.vertex_count,
+        "edges": r.edge_count,
+        "vertex figure": sym and ", ".join("(" + ",".join(map(str, f)) + ")"
+                                           for f in r.vertex_figures),
+        "proper group order": sym and sym.proper_order,
+        "full group order": sym and sym.full_order,
+        "axes": sym and len(sym.axes),
+        "axis breakdown": sym and (" + ".join(f"{n}x order {o}" for o, n in by_order) or 0),
+        "belts": sym and len(r.belts),
+        "pole pairs": sym and r.pole_pair_count,
+        "vertex transitive": sym and sym.vertex_transitive,
+        "archimedean candidate": r.archimedean_candidate,
+        "pseudo uniform": r.pseudo_uniform,
+    }
+    return {label: _text(v) for label, v in values.items()}
 
 
 def text_report(r: AnalysisReport) -> str:
-    """Human-readable summary; the last line carries the axis count."""
-    lines = [f"analysis: {r.name or 'polyhedron'} ({r.mode})"]
-    lines.append(f"validation: {'ok' if r.validation.ok else 'FAILED'}")
+    """Human-readable summary: ``_values``' strings plus the facts only the
+    text shows; the last line carries the axis count."""
+    v = _values(r)
+    lines = [f"analysis: {r.name or 'polyhedron'} ({r.mode})",
+             f"validation: {'ok' if r.validation.ok else 'FAILED'}"]
     if not r.validation.ok:
-        for c in r.validation.checks:
-            if not c.passed:
-                lines.append(f"  {c.name}: {c.detail}")
+        lines += [f"  {c.name}: {c.detail}" for c in r.validation.checks if not c.passed]
         if r.validation.open_edges:
             lines.append(f"  open edges: {list(r.validation.open_edges)}")
-    lines.append(
-        f"faces: {r.face_count} ({r.census.triangles} triangles,"
-        f" {r.census.quads} quads"
-        + (f", {r.census.other} other)" if r.census.other else ")")
-    )
-    lines.append(
-        f"vertices: {r.vertex_count}, edges: {r.edge_count},"
-        f" Euler characteristic: {r.euler}"
-    )
+    other = f", {r.census.other} other" if r.census.other else ""
+    lines += [f"faces: {v['faces']} ({v['triangles']} triangles, {v['quads']} quads{other})",
+              f"vertices: {v['vertices']}, edges: {v['edges']}, Euler characteristic: {r.euler}"]
     if r.partial:
         lines.append("analysis stopped: validation failed")
         return "\n".join(lines) + "\n"
-    uniform = " (uniform)" if r.uniform_vertex_figure else ""
-    lines.append(f"vertex figures: {_figures(r)}{uniform}")
-    lines.append(f"faces regular: {_yn(r.faces_regular)}")
-    belt_lens = ", ".join(str(b.length) for b in r.belts) or "none"
-    lines.append(
-        f"equatorial belts: {len(r.belts)} (lengths: {belt_lens});"
-        f" pole pairs: {r.pole_pair_count}"
-    )
-    sym = r.symmetry
-    lines.append(
-        f"symmetry group: {sym.full_order} (proper {sym.proper_order})"
-        + (" [approximate]" if sym.approximate else "")
-    )
-    by_order = sym.axes_by_order()
-    breakdown = " + ".join(
-        f"{by_order[o]} of order {o}" for o in sorted(by_order, reverse=True)
-    )
-    lines.append(f"axis breakdown: {breakdown or 'none'}")
-    lines.append(
-        f"vertex transitive: {_yn(sym.vertex_transitive)}"
-        f" ({len(sym.orbit_sizes)} orbit"
-        f"{'s' if len(sym.orbit_sizes) != 1 else ''}:"
-        f" {', '.join(map(str, sym.orbit_sizes))})"
-    )
-    lines.append(
-        f"archimedean candidate: {_yn(r.archimedean_candidate)};"
-        f" pseudo uniform: {_yn(r.pseudo_uniform)}"
-    )
-    lines.append(f"rotation axes: {len(sym.axes)}")
+    sym, lengths = r.symmetry, ", ".join(str(b.length) for b in r.belts)
+    by_order = sorted(sym.axes_by_order().items(), reverse=True)
+    orbits = sym.orbit_sizes
+    lines += [
+        f"vertex figures: {v['vertex figure']}" + (" (uniform)" if r.uniform_vertex_figure else ""),
+        f"faces regular: {_text(r.faces_regular)}",
+        f"equatorial belts: {v['belts']} (lengths: {lengths or 'none'});"
+        f" pole pairs: {v['pole pairs']}",
+        f"symmetry group: {v['full group order']} (proper {v['proper group order']})"
+        + (" [approximate]" if sym.approximate else ""),
+        "axis breakdown: " + (" + ".join(f"{n} of order {o}" for o, n in by_order) or "none"),
+        f"vertex transitive: {v['vertex transitive']} ({len(orbits)} orbit"
+        f"{'s' if len(orbits) != 1 else ''}: {', '.join(map(str, orbits))})",
+        f"archimedean candidate: {v['archimedean candidate']};"
+        f" pseudo uniform: {v['pseudo uniform']}",
+        f"rotation axes: {v['axes']}",
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -246,36 +252,9 @@ class ComparisonTable(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
-def _summary(r: AnalysisReport) -> list[tuple[str, str]]:
-    """One report's side of the comparison, as (label, value) rows; "-"
-    where the symmetry analysis or a verdict did not run."""
-    sym = r.symmetry
-    by = sym.axes_by_order() if sym else {}
-    breakdown = " + ".join(f"{by[o]}x order {o}" for o in sorted(by, reverse=True))
-    return [
-        ("faces", str(r.face_count)),
-        ("triangles", str(r.census.triangles)),
-        ("quads", str(r.census.quads)),
-        ("vertices", str(r.vertex_count)),
-        ("edges", str(r.edge_count)),
-        ("vertex figure", _figures(r)),
-        ("proper group order", str(sym.proper_order) if sym else "-"),
-        ("full group order", str(sym.full_order) if sym else "-"),
-        ("axes", str(len(sym.axes)) if sym else "-"),
-        ("axis breakdown", (breakdown or "0") if sym else "-"),
-        ("belts", str(len(r.belts))),
-        ("pole pairs", str(r.pole_pair_count)),
-        ("vertex transitive", _yn(sym and sym.vertex_transitive)),
-        ("archimedean candidate", _yn(r.archimedean_candidate)),
-        ("pseudo uniform", _yn(r.pseudo_uniform)),
-    ]
-
-
 def compare(a: AnalysisReport, b: AnalysisReport) -> ComparisonTable:
-    rows = tuple(
-        ComparisonRow(label, left, right)
-        for (label, left), (_, right) in zip(_summary(a), _summary(b))
-    )
+    right = _values(b)
+    rows = tuple(ComparisonRow(label, left, right[label]) for label, left in _values(a).items())
     return ComparisonTable(a.name or "left", b.name or "right", rows)
 
 

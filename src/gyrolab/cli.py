@@ -139,11 +139,9 @@ def cmd_net(parser, args) -> int:
 
 
 def cmd_fold_check(parser, args) -> int:
-    from fractions import Fraction
-
     from . import foldsim, netgen
 
-    net = netgen.generate_nets(Fraction(DEFAULT_NET_EDGE))
+    net = netgen.generate_nets(int(DEFAULT_NET_EDGE))
     result = foldsim.fold(net, args.gyration)
     if args.json:
         import json

@@ -166,7 +166,8 @@ def _fold_piece(net: NetSpec, piece: str, root: _Affine) -> list[PlacedSquare]:
     normal +z.  Each crease turns the child side by 180 degrees minus its
     target about the edge ``netgen.shared_edge`` gives, whose axis is e_z
     crossed with the grid step away from the root: T(child) = T(parent) o R,
-    with T(0, 0) = ``root``.
+    with T(0, 0) = ``root``.  R fixes the crease, so the child takes the
+    crease's two corners from its parent and places only its other two.
     """
     L = Q2(net.edge_len)
     squares = {sq.pos: sq for sq in net.squares_of(piece)}
@@ -179,31 +180,30 @@ def _fold_piece(net: NetSpec, piece: str, root: _Affine) -> list[PlacedSquare]:
             )
         if c.fold_target % 45 != 0 or not 0 <= c.fold_target <= 180:
             raise ValueError(f"crease target {c.fold_target} has no exact Q(sqrt2) trigonometry")
-        anchor = shared_edge(squares[c.a], squares[c.b])[0]
-        links.setdefault(c.a, []).append((c.b, anchor, c.fold_target))
-        links.setdefault(c.b, []).append((c.a, anchor, c.fold_target))
+        edge = shared_edge(squares[c.a], squares[c.b])
+        links.setdefault(c.a, []).append((c.b, edge, c.fold_target))
+        links.setdefault(c.b, []).append((c.a, edge, c.fold_target))
 
-    transforms = {(0, 0): root}
-    stack = [(0, 0)] if (0, 0) in squares else []
-    while stack:
-        pos = stack.pop()
-        for child, (u, v), target in links.get(pos, ()):
-            if child in transforms:
-                continue
-            m = turn((pos[1] - child[1], child[0] - pos[0], 0), 180 - target)  # e_z x step
-            anchor = (L * u, L * v, ZERO)
-            transforms[child] = transforms[pos].then_inner(
-                _Affine(m, vsub(anchor, mat_vec(m, anchor))))
-            stack.append(child)
-    if set(transforms) != set(squares) or len(net.creases_of(piece)) != len(squares) - 1:
+    points: dict[tuple, dict] = {}  # square -> grid corner -> placed point
+    stack = [((0, 0), root, {})] if (0, 0) in squares else []
+    while stack:  # each entry: a square, its motion and the corners its parent placed
+        pos, move, kept = stack.pop()
+        points[pos] = {g: kept[g] if g in kept else move.apply((L * g[0], L * g[1], ZERO))
+                       for g in square_corners(squares[pos])}
+        for child, edge, target in links.get(pos, ()):
+            if child not in points:
+                m = turn((pos[1] - child[1], child[0] - pos[0], 0), 180 - target)  # e_z x step
+                anchor = (L * edge[0][0], L * edge[0][1], ZERO)
+                stack.append((child, move.then_inner(_Affine(m, vsub(anchor, mat_vec(m, anchor)))),
+                              {g: points[pos][g] for g in edge}))
+    if set(points) != set(squares) or len(net.creases_of(piece)) != len(squares) - 1:
         raise ValueError(
             f"inconsistent gluing instruction: {piece} creases do not join"
             " every square to (0, 0) by exactly one path"
         )
 
     return [PlacedSquare(piece, sq.pos, sq.role,
-                         tuple(transforms[sq.pos].apply((L * u, L * v, ZERO))
-                               for u, v in square_corners(sq)))
+                         tuple(points[sq.pos][g] for g in square_corners(sq)))
             for sq in net.squares_of(piece)]
 
 

@@ -28,8 +28,9 @@ dihedral is 180 - 45 = 135 degrees.  ``foldsim`` verifies it: it folds
 every crease to that target in exact Q(sqrt2) and matches each face square
 against the hull-built target solid, so a wrong angle fails ``fold-check``.
 
-The module imports nothing from gyrolab: a net, its layout and its SVG are
-made from the squares and the edge alone, and no solid is built.
+The module imports no module that builds a solid: a net, its layout and its
+SVG are made from the squares and the edge alone.  An int edge stays an int,
+so folding the default net loads no ``fractions``.
 """
 
 from __future__ import annotations
@@ -37,20 +38,21 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 PAPER_SIZES = {  # smallest first: a misfit suggests the first that fits
-    "A4": (Fraction(210), Fraction(297)),
-    "A3": (Fraction(297), Fraction(420)),
-    "A2": (Fraction(420), Fraction(594)),
-    "A1": (Fraction(594), Fraction(841)),
-    "A0": (Fraction(841), Fraction(1189)),
+    "A4": (210, 297),
+    "A3": (297, 420),
+    "A2": (420, 594),
+    "A1": (594, 841),
+    "A0": (841, 1189),
 }
 
-MARGIN_MM = Fraction(10)
-GAP_MM = Fraction(5)
-MIN_SVG_EDGE = Fraction(1, 100)  # the SVG's 4 decimals move a corner by <= 1/200 of it
+MARGIN_MM = 10
+GAP_MM = 5
 
 PIECES = ("strip", "cap_north", "cap_south")
 WALLS = 8  # the strip's belt squares; one more square laps under the first
@@ -95,7 +97,7 @@ class Gluing(NamedTuple):
 
 
 class NetSpec(NamedTuple):
-    edge_len: Fraction  # mm
+    edge_len: int | Fraction  # mm
     squares: tuple[NetSquare, ...]
     creases: tuple[Crease, ...]
     gluing: tuple[Gluing, ...]
@@ -127,9 +129,14 @@ CHECKS = {
 # -- net construction ------------------------------------------------------------
 
 
-def generate_nets(edge_len: Fraction | int = 50) -> NetSpec:
-    """The three-piece net for a model with square side ``edge_len`` mm."""
-    edge = Fraction(edge_len)
+def generate_nets(edge_len: int | Fraction = 50) -> NetSpec:
+    """The three-piece net for a model with square side ``edge_len`` mm; an
+    int edge stays an int, and any other becomes a ``Fraction``."""
+    edge = edge_len
+    if not isinstance(edge, int):
+        from fractions import Fraction
+
+        edge = Fraction(edge)
     if edge <= 0:
         raise ValueError("edge length must be positive")
     fold = 180 - 360 // WALLS  # the strip's walls close into a ring
@@ -188,7 +195,7 @@ def _piece_box(net: NetSpec, piece: str) -> tuple[tuple[int, int], tuple[int, in
     return (min(xs), min(ys)), (max(xs) + 1, max(ys) + 1)
 
 
-def piece_bbox(net: NetSpec, piece: str) -> tuple[Fraction, Fraction]:
+def piece_bbox(net: NetSpec, piece: str) -> tuple[int | Fraction, int | Fraction]:
     """The width and height of the piece's layout box in mm."""
     (x0, y0), (x1, y1) = _piece_box(net, piece)
     return (x1 - x0) * net.edge_len, (y1 - y0) * net.edge_len
@@ -239,7 +246,7 @@ def _piece_outline_local(net: NetSpec, piece: str) -> list[tuple]:
 # -- packing ----------------------------------------------------------------------
 
 
-def _pack(sizes, avail_w: Fraction, avail_h: Fraction):
+def _pack(sizes, avail_w, avail_h):
     """Deterministic shelf packing of any number of boxes with optional
     90-degree rotation; returns (x, y, rotated) per box or None.  Columns
     are tried first; rows are columns on the transposed sheet.  A square
@@ -268,9 +275,9 @@ def _pack(sizes, avail_w: Fraction, avail_h: Fraction):
                 if total_w > avail_w or any(h > avail_h for h in heights):
                     continue
                 out = [None] * n
-                x = Fraction(0)
+                x = 0
                 for gi, g in enumerate(groups):
-                    y = Fraction(0)
+                    y = 0
                     for i in g:
                         xy = (y, x) if rows else (x, y)
                         out[i] = (*xy, bool((mask >> i) & 1))
@@ -280,13 +287,15 @@ def _pack(sizes, avail_w: Fraction, avail_h: Fraction):
     return None
 
 
-def resolve_paper(paper) -> tuple[str, tuple[Fraction, Fraction]]:
+def resolve_paper(paper) -> tuple[str, tuple]:
     """(name, (width, height) in mm) of a standard sheet name or a
     WIDTHxHEIGHT text; ValueError for anything else."""
     name = str(paper).strip()
     if name.upper() in PAPER_SIZES:
         return name.upper(), PAPER_SIZES[name.upper()]
     if "x" in name.lower():
+        from fractions import Fraction
+
         try:  # a side a float cannot hold, or holds as 0, cannot name the sheet
             w, h = map(Fraction, name.lower().split("x", 1))
             if float(w) > 0 and float(h) > 0:
@@ -329,11 +338,15 @@ def render_svg(net: NetSpec, paper="A2") -> str:
     """One printable SVG: solid 0.5 mm cut lines, dashed 0.35 mm creases,
     grey glue squares, 6 mm pole crosses, all scaled by L / 10 mm under a
     10 mm edge L; millimetre units, document size equal to the sheet;
-    ValueError under ``MIN_SVG_EDGE``.  Byte-identical across runs for
-    equal inputs."""
-    L = net.edge_len
-    if L < MIN_SVG_EDGE:
-        raise ValueError(f"edge {L} mm is below the SVG's smallest edge, {MIN_SVG_EDGE} mm")
+    ValueError under 1/100 mm, which the SVG's 4 decimals move a corner by
+    at most 1/200 of.  Byte-identical across runs for equal inputs."""
+    from fractions import Fraction
+
+    from . import __version__
+
+    L = Fraction(net.edge_len)  # so L / 2 stays exact
+    if L < Fraction(1, 100):
+        raise ValueError(f"edge {L} mm is below the SVG's smallest edge, 1/100 mm")
     name, (pw, ph), layout = plan_layout(net, paper)
     rects: list[str] = []
     creases: list[str] = []
@@ -395,7 +408,7 @@ def render_svg(net: NetSpec, paper="A2") -> str:
         ]
 
     desc_lines = [
-        "gyrolab 0.1.0 papercraft net",
+        f"gyrolab {__version__} papercraft net",
         f"square edge {float(L):g} mm; {len(net.pieces)} pieces, {len(net.squares)} squares,"
         f" {sum(sq.role == 'glue' for sq in net.squares)} glue squares",
         "strip: 9 squares (8 belt walls + 1 lap-joint square glued under square 1)",

@@ -8,6 +8,7 @@ from conftest import (
     RHOMBOHEDRON,
     TRUNCATED_CUBE,
     TRUNCATED_CUBOCTAHEDRON,
+    fan_triangulated,
     make_box,
     noisy_off,
 )
@@ -21,7 +22,13 @@ from gyrolab.analysis import (
     text_report,
 )
 from gyrolab.qfield import Q2
-from gyrolab.solids import Polyhedron, read_off, write_off
+from gyrolab.solids import (
+    Polyhedron,
+    build_pseudo_rhombicuboctahedron,
+    build_rhombicuboctahedron,
+    read_off,
+    write_off,
+)
 
 
 def test_rco_is_archimedean_candidate(rco):
@@ -196,3 +203,47 @@ def test_comparison_json(rco, pseudo):
     assert doc["schema"] == "gyrolab/1"
     by_label = {r["label"]: r for r in doc["rows"]}
     assert by_label["axes"] == {"label": "axes", "left": "13", "right": "5", "equal": False}
+
+
+# each value compare prints: the text line that prints it too (by its start)
+# and how it reads there; None where the text words it its own way
+TEXT_OF = {
+    "faces": ("faces: ", "faces: {} ("),
+    "triangles": ("faces: ", "({} triangles,"),
+    "quads": ("faces: ", " {} quads"),
+    "vertices": ("vertices: ", "vertices: {},"),
+    "edges": ("vertices: ", " edges: {},"),
+    "vertex figure": ("vertex figures: ", "vertex figures: {}"),
+    "proper group order": ("symmetry group: ", "(proper {})"),
+    "full group order": ("symmetry group: ", "symmetry group: {} ("),
+    "axes": ("rotation axes: ", "rotation axes: {}"),
+    "axis breakdown": ("axis breakdown: ", None),
+    "belts": ("equatorial belts: ", "equatorial belts: {} ("),
+    "pole pairs": ("equatorial belts: ", "; pole pairs: {}"),
+    "vertex transitive": ("vertex transitive: ", "vertex transitive: {} ("),
+    "archimedean candidate": ("archimedean candidate: ", "archimedean candidate: {};"),
+    "pseudo uniform": ("archimedean candidate: ", "; pseudo uniform: {}"),
+}
+
+
+def test_the_text_prints_what_compare_prints():
+    edge = Q2.parse("7/3+1/5*sqrt2")
+    rco, pseudo = build_rhombicuboctahedron(edge), build_pseudo_rhombicuboctahedron(edge)
+    noisy = read_off(noisy_off(write_off(rco), 1e-7, random.Random(11)), 1e-5)
+    fan = read_off(fan_triangulated(write_off(rco)))
+    for p, partial in ((rco, False), (pseudo, False), (noisy, False), (fan, True)):
+        r = analyze(p)
+        assert r.partial == partial
+        lines = text_report(r).splitlines()
+        values = {row.label: row.left for row in compare(r, analyze(rco)).rows}
+        assert set(values) == set(TEXT_OF)
+        unreached = set()
+        for label, (start, form) in TEXT_OF.items():
+            line = next((line for line in lines if line.startswith(start)), None)
+            if line is None:
+                unreached.add(label)
+            elif form is not None:
+                assert form.format(values[label]) in line, (label, line)
+        # a partial report prints "-" for exactly the rows its text never reaches
+        assert {label for label, v in values.items() if v == "-"} == unreached
+        assert bool(unreached) == partial

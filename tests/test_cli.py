@@ -6,6 +6,7 @@ import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -594,7 +595,8 @@ def test_subcommand_imports_only_what_it_runs(tmp_path, argv, modules, writes_js
     ``net`` loads no module that builds a solid, whether its pieces fit or not.
     ``build``, ``analyze`` and ``compare`` never load ``fractions``: not
     for a rational or Q(sqrt2) edge, nor for a float group that does not
-    snap (the cube with noise 1e-7)."""
+    snap (the cube with noise 1e-7).  Nor does ``fold-check``, whose net
+    has an int edge."""
     with open(CUBE_OFF) as fh:
         (tmp_path / "noisy.off").write_text(noisy_off(fh.read(), 1e-7, random.Random(7)))
     code, loaded = modules_loaded(*(a.format(tmp=tmp_path) for a in argv))
@@ -602,7 +604,7 @@ def test_subcommand_imports_only_what_it_runs(tmp_path, argv, modules, writes_js
     assert sorted(m for m in loaded if m.startswith("gyrolab")) == sorted(modules)
     assert not loaded & {"dataclasses", "inspect"}
     assert ("json" in loaded) == writes_json
-    if argv[0] in ("build", "analyze", "compare"):  # every Q2 is built from ints
+    if argv[0] != "net":  # every Q2 is built from ints
         assert not loaded & {"fractions", "decimal"}
 
 
@@ -612,6 +614,13 @@ def fresh_gyrolab(*argv):
     proc = subprocess.run([sys.executable, "-m", "gyrolab", *argv],
                           env=dict(os.environ, PYTHONPATH=src), capture_output=True, timeout=120)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_the_package_version_is_the_project_version():
+    path = os.path.join(os.path.dirname(os.path.dirname(__file__)), "pyproject.toml")
+    with open(path, encoding="utf-8") as fh:  # a regex: Python 3.10 has no tomllib
+        versions = re.findall(r'^version = "([^"]*)"$', fh.read(), re.M)
+    assert versions == [gyrolab.__version__]
 
 
 def test_fresh_calls_keep_their_exit_codes_and_streams(tmp_path, capsys):

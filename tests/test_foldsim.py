@@ -13,7 +13,14 @@ from gyrolab import foldsim, geom, solids
 from gyrolab.cli import main
 from gyrolab.foldsim import check_closure, fold
 from gyrolab.geom import mat_vec, vadd, vcross, vdot, vsub
-from gyrolab.netgen import Crease, Gluing, NetSquare, generate_nets, square_corners
+from gyrolab.netgen import (
+    Crease,
+    Gluing,
+    NetSquare,
+    generate_nets,
+    shared_edge,
+    square_corners,
+)
 from gyrolab.qfield import ONE, ZERO, Q2
 from gyrolab.solids import (
     build_pseudo_rhombicuboctahedron,
@@ -94,6 +101,16 @@ def test_placed_squares_are_exact_unit_squares(net50):
             for a, b in ((0, 2), (1, 3)):
                 d = vsub(c[b], c[a])
                 assert vdot(d, d) == L * L * Q2(2)
+
+
+@pytest.mark.parametrize("turn", [0, 45])
+def test_each_crease_corner_is_folded_once(net50, turn):
+    # a child takes the crease's two corners from its parent, the same objects
+    placed = {(sq.piece, sq.pos): sq for sqs in fold(net50, turn).squares.values() for sq in sqs}
+    for c in net50.creases:
+        a, b = placed[(c.piece, c.a)], placed[(c.piece, c.b)]
+        for g in shared_edge(a, b):
+            assert a.corners[square_corners(a).index(g)] is b.corners[square_corners(b).index(g)]
 
 
 def test_closure_check_details(net50):

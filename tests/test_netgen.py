@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import gyrolab
 from gyrolab import netgen
 from gyrolab.geom import centroid, exact_cos_sin, vcross, vdot, vsub
 from gyrolab.netgen import (
@@ -259,6 +260,12 @@ def test_svg_desc_counts_the_net(net50):
     creases = tuple(c for c in net50.creases if (c.piece, c.b) != ("cap_north", (2, 0)))
     assert desc(net50._replace(squares=squares, creases=creases)) == (
         "square edge 50 mm; 3 pieces, 26 squares, 8 glue squares")
+
+
+def test_svg_desc_names_the_running_version(net50, monkeypatch):
+    monkeypatch.setattr(gyrolab, "__version__", "9.8.7")
+    desc = ET.fromstring(render_svg(net50, "A2")).find(f"{SVG_NS}desc").text
+    assert desc.splitlines()[0] == "gyrolab 9.8.7 papercraft net"
 
 
 def test_svg_byte_identical_across_runs(net50):
