@@ -1,12 +1,13 @@
 """Rigid fold verification: assemble any net in exact arithmetic.
 
-Every piece folds in its own flat grid (``netgen.square_corners``), in the
-plane z = 0 with outward normal +z, by one walk over its creases as a tree
-from square (0, 0).  The first piece keeps the builders' canonical pose, each
-later piece takes the first of its ``poses`` that its gluings allow, and the
-gyration turns the second piece about the belt axis z.  Every crease line
-runs along a grid axis and every target is a multiple of 45 degrees, so each
-crease, like the gyration, is one ``geom.turn``: every placed corner stays in
+One primitive places paper: ``_fold_piece`` lays one square of a piece on
+four corners and hinges the rest outwards, crease by crease, as a tree from
+that square; a crease is a hinge that turns the far square inwards by 180
+degrees minus its target.  The first piece is laid from the builders' +x
+face, each later piece from a glue square on a host square, the first of its
+``poses`` its gluings allow, and the gyration refolds the second piece from
+its first square turned about the belt axis z by ``geom.turn``.  Every
+target and turn is a multiple of 45 degrees, so every placed corner stays in
 Q(sqrt2)^3 and every placed square is an exact L x L square.
 
 Congruent squares overlap flat only by coinciding, so closure is decided by
@@ -22,9 +23,9 @@ import itertools
 import math
 from typing import NamedTuple, Optional
 
-from .geom import Mat3, Vec3, mat_mul, mat_transpose, mat_vec, turn, vadd, vcross, vdot, vsub
+from .geom import Vec3, exact_cos_sin, mat_vec, turn, vadd, vcross, vdot, vsub
 from .netgen import CHECKS, NetSpec, shared_edge, square_corners
-from .qfield import ONE, SQRT2, ZERO, Q2
+from .qfield import SQRT2, ZERO, Q2
 from .solids import build_pseudo_rhombicuboctahedron, build_rhombicuboctahedron
 
 
@@ -141,33 +142,20 @@ def text_report(result: AssemblyResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-# -- affine transforms over Q2 ---------------------------------------------------
-
-
-class _Affine(NamedTuple):
-    m: Mat3
-    b: Vec3
-
-    def apply(self, p: Vec3) -> Vec3:
-        return vadd(mat_vec(self.m, p), self.b)
-
-    def then_inner(self, inner: "_Affine") -> "_Affine":
-        # self(inner(x))
-        return _Affine(mat_mul(self.m, inner.m), vadd(mat_vec(self.m, inner.b), self.b))
-
-
 # -- folding ---------------------------------------------------------------------
 
 
-def _fold_piece(net: NetSpec, piece: str, root: _Affine) -> list[PlacedSquare]:
-    """Fold one piece by walking its creases as a tree from square (0, 0).
+def _fold_piece(net: NetSpec, piece: str, root: tuple[int, int], corners) -> list[PlacedSquare]:
+    """Fold one piece: lay square ``root`` on the four ``corners`` (in
+    ``netgen.square_corners`` order), then hinge outwards along the creases,
+    walked as a tree from it.
 
-    The flat piece is its grid scaled by L in the plane z = 0, outward
-    normal +z.  Each crease turns the child side by 180 degrees minus its
-    target about the edge ``netgen.shared_edge`` gives, whose axis is e_z
-    crossed with the grid step away from the root: T(child) = T(parent) o R,
-    with T(0, 0) = ``root``.  R fixes the crease, so the child takes the
-    crease's two corners from its parent and places only its other two.
+    The root's outward normal n is its two sides from the first corner
+    crossed, over L, so |n| = L.  Across each crease a child keeps its
+    parent's two crease corners, the same objects, and lays its other two at
+    the crease corners plus w cos t - n sin t: w is the parent's side across
+    the crease, t is 180 degrees minus the crease's target, and the paper
+    turns towards -n, inwards.  The child's normal is n cos t + w sin t.
     """
     L = Q2(net.edge_len)
     squares = {sq.pos: sq for sq in net.squares_of(piece)}
@@ -180,26 +168,30 @@ def _fold_piece(net: NetSpec, piece: str, root: _Affine) -> list[PlacedSquare]:
             )
         if c.fold_target % 45 != 0 or not 0 <= c.fold_target <= 180:
             raise ValueError(f"crease target {c.fold_target} has no exact Q(sqrt2) trigonometry")
-        edge = shared_edge(squares[c.a], squares[c.b])
-        links.setdefault(c.a, []).append((c.b, edge, c.fold_target))
-        links.setdefault(c.b, []).append((c.a, edge, c.fold_target))
+        hinge = (shared_edge(squares[c.a], squares[c.b]), *exact_cos_sin(180 - c.fold_target))
+        links.setdefault(c.a, []).append((c.b, *hinge))
+        links.setdefault(c.b, []).append((c.a, *hinge))
 
     points: dict[tuple, dict] = {}  # square -> grid corner -> placed point
-    stack = [((0, 0), root, {})] if (0, 0) in squares else []
-    while stack:  # each entry: a square, its motion and the corners its parent placed
-        pos, move, kept = stack.pop()
-        points[pos] = {g: kept[g] if g in kept else move.apply((L * g[0], L * g[1], ZERO))
-                       for g in square_corners(squares[pos])}
-        for child, edge, target in links.get(pos, ()):
+    normal = tuple(x / L for x in vcross(vsub(corners[1], corners[0]), vsub(corners[3], corners[0])))
+    stack = ([(root, dict(zip(square_corners(squares[root]), corners)), normal)]
+             if root in squares else [])
+    while stack:  # each entry: a square, its placed corners and its normal
+        pos, at, n = stack.pop()
+        points[pos] = at
+        for child, edge, cos, sin in links.get(pos, ()):
             if child not in points:
-                m = turn((pos[1] - child[1], child[0] - pos[0], 0), 180 - target)  # e_z x step
-                anchor = (L * edge[0][0], L * edge[0][1], ZERO)
-                stack.append((child, move.then_inner(_Affine(m, vsub(anchor, mat_vec(m, anchor)))),
-                              {g: points[pos][g] for g in edge}))
+                dx, dy = child[0] - pos[0], child[1] - pos[1]
+                w = vsub(at[edge[0]], at[(edge[0][0] - dx, edge[0][1] - dy)])
+                out = tuple(wi * cos - ni * sin for wi, ni in zip(w, n))
+                child_at = {g: at[g] for g in edge}
+                child_at.update({(g[0] + dx, g[1] + dy): vadd(at[g], out) for g in edge})
+                stack.append((child, child_at,
+                              tuple(ni * cos + wi * sin for ni, wi in zip(n, w))))
     if set(points) != set(squares) or len(net.creases_of(piece)) != len(squares) - 1:
         raise ValueError(
             f"inconsistent gluing instruction: {piece} creases do not join"
-            " every square to (0, 0) by exactly one path"
+            f" every square to {root} by exactly one path"
         )
 
     return [PlacedSquare(piece, sq.pos, sq.role,
@@ -207,45 +199,29 @@ def _fold_piece(net: NetSpec, piece: str, root: _Affine) -> list[PlacedSquare]:
             for sq in net.squares_of(piece)]
 
 
-# the first piece's pose, the builders' canonical one: grid x, grid y and the
-# outward normal go to -y, -z and +x, and ``fold`` centres square 1 on the +x face
-_FIRST_FRAME = ((ZERO, ZERO, ONE), (-ONE, ZERO, ZERO), (ZERO, -ONE, ZERO))
-_IDENTITY = _Affine(turn((0, 0, 1), 0), (ZERO,) * 3)
-
-
-def _moved(squares, move: _Affine) -> list[PlacedSquare]:
-    image = {c: move.apply(c) for c in {c for sq in squares for c in sq.corners}}
-    return [sq._replace(corners=tuple(image[c] for c in sq.corners)) for sq in squares]
-
-
 def poses(net: NetSpec, piece: str, placed: dict):
-    """Each way to lay a glue square of the piece, folded at the identity
-    root, on a square its gluing may land on in the ``placed`` pieces (piece
-    -> placed squares), with the number of its gluings onto them it misses.
-    The motion x -> M x + b takes the glue square's corners c onto the host's
-    h, walked forwards from each corner, then backwards: M = Y T^-1, with T's
-    columns c1 - c0, c3 - c0 and their cross product and Y's the same of h,
-    is exact and proper.  Glue squares come first, then host squares, then
-    corner orders; ValueError if no glue square has a placed host."""
-    def frame(c):
-        a, b = vsub(c[1], c[0]), vsub(c[3], c[0])
-        return a, b, vcross(a, b)
-
-    flat, targets_of = _fold_piece(net, piece, _IDENTITY), {}
-    squares = {(sq.piece, sq.pos): sq for sqs in (*placed.values(), flat) for sq in sqs}
+    """Each way to lay a glue square of the piece on a square its gluing may
+    land on in the ``placed`` pieces (piece -> placed squares), with the
+    number of its gluings onto them it misses: the piece refolded from that
+    glue square, laid on the host's corners walked forwards from each
+    corner, then backwards.  Glue squares come first, in gluing order, then
+    host squares, in net order, then corner orders; ValueError if no glue
+    square has a placed host."""
+    # the piece's own squares stand unplaced until its first pose replaces
+    # them, so a missing glue square is refused before a refold from it
+    squares = {(sq.piece, sq.pos): sq
+               for sqs in (*placed.values(), net.squares_of(piece)) for sq in sqs}
     mine = [g for g in net.gluing if g.piece == piece and g.host in placed]
-    tabs = [_land(net, squares, targets_of, g)[:2] for g in mine if g.edge_with is None]
+    tabs = [(_square(squares, piece, g.pos).pos, _hosts(net, squares, g))
+            for g in mine if g.edge_with is None]
     if not tabs:
         raise ValueError(f"inconsistent gluing instruction: {piece} lays no glue square"
                          " on a placed piece")
-    for c, targets in tabs:
-        # T's columns are orthogonal: T^-1 is T's transpose, each row over its squared length
-        t_inv = tuple(tuple(x / vdot(col, col) for x in col) for col in frame(c))
-        # four corners have one target per host square, the last one first
-        for host, step, k in itertools.product(reversed(targets.values()), (1, -1), range(4)):
-            m = mat_mul(mat_transpose(frame([host.corners[(k + step * j) % 4]
-                                             for j in range(4)])), t_inv)
-            moved = _moved(flat, _Affine(m, vsub(host.corners[k], mat_vec(m, c[0]))))
+    targets_of: dict[tuple, dict] = {}
+    for pos, hosts in tabs:
+        for host, step, k in itertools.product(hosts, (1, -1), range(4)):
+            moved = _fold_piece(net, piece, pos, [host.corners[(k + step * j) % 4]
+                                                  for j in range(4)])
             squares.update(((piece, sq.pos), sq) for sq in moved)
             yield moved, sum(_land(net, squares, targets_of, g)[2] is None for g in mine)
 
@@ -276,13 +252,17 @@ def fold(net: NetSpec, gyration: int = 0) -> AssemblyResult:
     if not net.pieces:
         raise ValueError("inconsistent gluing instruction: the net has no square")
     s = Q2(net.edge_len) / 2
+    t = s + s * SQRT2
     first, *later = net.pieces
-    placed = {first: _fold_piece(net, first, _Affine(_FIRST_FRAME, (s + s * SQRT2, s, s)))}
+    # the builders' canonical pose: the first piece's square (0, 0) on the +x face
+    placed = {first: _fold_piece(net, first, (0, 0), ((t, s, s), (t, -s, s),
+                                                      (t, -s, -s), (t, s, -s)))}
     for piece in later:
         placed[piece] = _solve(net, piece, placed)
     if later:
-        placed[later[0]] = _moved(placed[later[0]],
-                                  _Affine(turn((0, 0, 1), gyration), (ZERO,) * 3))
+        m, root = turn((0, 0, 1), gyration), placed[later[0]][0]
+        placed[later[0]] = _fold_piece(net, later[0], root.pos,
+                                       [mat_vec(m, c) for c in root.corners])
     if gyration % 90 == 0:
         target, target_name = build_rhombicuboctahedron(net.edge_len), "rhombicuboctahedron"
     else:
@@ -313,32 +293,39 @@ def _witness(points, candidates) -> tuple[Vec3, Q2]:
     return min(map(farthest, candidates), key=lambda pd: pd[1])
 
 
+def _square(squares: dict, piece: str, pos) -> PlacedSquare:
+    if (piece, pos) not in squares:
+        raise ValueError(f"inconsistent gluing instruction: no square {piece}{pos}")
+    return squares[(piece, pos)]
+
+
+def _hosts(net: NetSpec, squares: dict, glue) -> list[PlacedSquare]:
+    """The squares a gluing may land on, in net order: its host square, or
+    with none named every face square of the host piece."""
+    hosts = [_square(squares, glue.host, pos) for pos in (
+        [glue.host_pos] if glue.host_pos is not None else
+        [s.pos for s in net.squares_of(glue.host) if s.role == "face"])]
+    if not hosts:
+        raise ValueError(f"inconsistent gluing instruction: {glue.host} has no face square")
+    return hosts
+
+
 def _land(net: NetSpec, squares: dict, targets_of: dict, glue) -> tuple:
     """The one coincidence rule of every ``netgen.Gluing`` on ``squares``
     ((piece, pos) -> placed square): the glued points, their target point
     sets, cached in ``targets_of``, and the host square they coincide with."""
-    def square(piece, pos) -> PlacedSquare:
-        if (piece, pos) not in squares:
-            raise ValueError(f"inconsistent gluing instruction: no square {piece}{pos}")
-        return squares[(piece, pos)]
-
-    sq = square(glue.piece, glue.pos)
+    sq = _square(squares, glue.piece, glue.pos)
     points = sq.corners
     if glue.edge_with is not None:
         # decided on the flat grid: a tab folded back onto its side
         # square shares all four corners with it in space
-        edge = shared_edge(sq, square(glue.piece, glue.edge_with))
+        edge = shared_edge(sq, _square(squares, glue.piece, glue.edge_with))
         points = sorted(points[square_corners(sq).index(q)] for q in edge)
     key = (glue.host, glue.host_pos, len(points))
     if key not in targets_of:
-        hosts = [square(glue.host, pos) for pos in (
-            [glue.host_pos] if glue.host_pos is not None else
-            [s.pos for s in net.squares_of(glue.host) if s.role == "face"])]
-        if not hosts:
-            raise ValueError(f"inconsistent gluing instruction: {glue.host} has no face square")
         # a host's corner set, or its four edges
         targets_of[key] = {frozenset(h.corners[k - j] for j in range(len(points))): h
-                           for h in reversed(hosts) for k in range(4)}
+                           for h in reversed(_hosts(net, squares, glue)) for k in range(4)}
     targets = targets_of[key]
     return points, targets, targets.get(frozenset(points))
 

@@ -17,8 +17,8 @@ each geometric algorithm is written once and a ``Polyhedron`` picks its
 kernel once, from its coordinate type.
 
 ``turn`` is the one exact rotation: by a multiple of 45 degrees about a
-signed coordinate axis, which is every turn the gyration and the fold's
-creases make.
+signed coordinate axis, which is every turn the pseudo twin's cap and the
+fold's gyration make.
 """
 
 from __future__ import annotations
@@ -148,18 +148,18 @@ def json_vec(v: Vec3) -> list:
 _SQRT2_F = math.sqrt(2.0)
 
 
-def snap_scalar_to_q2(x: float, tol: float = 1e-9, max_den: int = 64) -> Q2 | None:
-    """Nearest representable a + b*sqrt2 within tol, small denominators.
+def snap_scalar_to_q2(x: float) -> Q2 | None:
+    """Nearest representable a + b*sqrt2 within ``SNAP_EPS``, small denominators.
 
     Pure rationals and pure sqrt2 multiples are searched up to
-    ``max_den`` (``_snap_one_term``); mixed values only over small
+    ``SNAP_MAX_DEN`` (``_snap_one_term``); mixed values only over small
     coefficients (denominator up to 8, magnitude up to 2), which covers
     every entry an orthogonal matrix over Q(sqrt2) at this scale can have.
     For each a, b takes the nearest numerator for each denominator up to 8,
-    as ``_snap_one_term`` does: while tol is far below 1/56, at most one b
-    is within tol, the one ``limit_denominator(8)`` would find.
+    as ``_snap_one_term`` does: ``SNAP_EPS`` is far below 1/56, so at most
+    one b is within it, the one ``limit_denominator(8)`` would find.
     """
-    one_term = _snap_one_term(x, tol, max_den)
+    one_term = _snap_one_term(x)
     if one_term is not None:
         return one_term
     for q in range(1, 9):
@@ -167,29 +167,30 @@ def snap_scalar_to_q2(x: float, tol: float = 1e-9, max_den: int = 64) -> Q2 | No
             y = (x - num / q) / _SQRT2_F
             for r in range(1, 9):
                 s = round(y * r)
-                if abs(s) <= 2 * r and abs(x - num / q - s / r * _SQRT2_F) <= tol:
+                if abs(s) <= 2 * r and abs(x - num / q - s / r * _SQRT2_F) <= SNAP_EPS:
                     return _reduced(num * r, s * q, q * r)
     return None
 
 
-def _snap_one_term(x: float, tol: float, max_den: int) -> Q2 | None:
-    """p/q, else p/q*sqrt2, within tol of x with q <= max_den; None if neither.
+def _snap_one_term(x: float) -> Q2 | None:
+    """p/q, else p/q*sqrt2, within ``SNAP_EPS`` of x with q <= ``SNAP_MAX_DEN``;
+    None if neither.
 
     Each denominator q is tried with its nearest numerator, p = round(x*q)
     (of x/sqrt2 for the second).  Two distinct fractions with denominators
-    up to N lie at least 1/(N(N-1)) apart (1/4032 for N = 64), so while
-    2*tol is below that, at most one of them is within tol of x: the first q
-    that passes finds the fraction ``Fraction(x).limit_denominator(max_den)``
-    finds, with ints only.
+    up to N lie at least 1/(N(N-1)) apart (1/4032 for N = 64), and
+    ``SNAP_EPS`` is below half that, so at most one of them is within it of
+    x: the first q that passes finds the fraction
+    ``Fraction(x).limit_denominator(SNAP_MAX_DEN)`` finds, with ints only.
     """
-    for q in range(1, max_den + 1):
+    for q in range(1, SNAP_MAX_DEN + 1):
         p = round(x * q)
-        if abs(x - p / q) <= tol:
+        if abs(x - p / q) <= SNAP_EPS:
             return _reduced(p, 0, q)
     y = x / _SQRT2_F
-    for q in range(1, max_den + 1):
+    for q in range(1, SNAP_MAX_DEN + 1):
         p = round(y * q)
-        if abs(x - p / q * _SQRT2_F) <= tol:
+        if abs(x - p / q * _SQRT2_F) <= SNAP_EPS:
             return _reduced(0, p, q)
     return None
 
@@ -199,6 +200,7 @@ def _snap_one_term(x: float, tol: float, max_den: int) -> Q2 | None:
 # Fixed thresholds of the float kernel; the exact kernel ignores them.
 LEAD_EPS = 1e-6  # leading component of a unit direction
 SNAP_EPS = 1e-9  # matrix entries snapped into Q(sqrt2); under 1/8064, so a snap is unique
+SNAP_MAX_DEN = 64  # the largest denominator of a one-term snap; 1/8064 = 1/(2 * 64 * 63)
 SCALAR_DIGITS = 9  # rounding of directions
 
 
@@ -410,7 +412,7 @@ class ToleranceKernel:
         """m with each entry snapped into Q(sqrt2) within ``SNAP_EPS``; None if
         an entry does not snap, found at the first such entry."""
         snapped = list(itertools.takewhile(lambda q: q is not None, (
-            snap_scalar_to_q2(x, SNAP_EPS) for row in m for x in row)))
+            snap_scalar_to_q2(x) for row in m for x in row)))
         rows = tuple(tuple(snapped[i:i + 3]) for i in (0, 3, 6))
         return rows if len(snapped) == 9 else None
 

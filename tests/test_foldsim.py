@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import inspect
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -223,13 +224,55 @@ def test_straight_creases_keep_every_square_where_the_svg_draws_it(net50):
     folded = {"strip": fold(flat_net, 0).squares["strip"]}
     for piece in net50.pieces[1:]:
         embed[piece] = lambda x, y: (x, y, Q2(0))
-        folded[piece] = foldsim._fold_piece(flat_net, piece, foldsim._IDENTITY)
+        folded[piece] = foldsim._fold_piece(flat_net, piece, (0, 0), [
+            (L * u, L * v, Q2(0)) for u, v in ((0, 0), (1, 0), (1, 1), (0, 1))])
     assert sum(len(sqs) for sqs in folded.values()) == 27
     squares = {(s.piece, s.pos): s for s in net50.squares}
     for piece, sqs in folded.items():
         for sq in sqs:
             flat = square_corners(squares[(piece, sq.pos)])
             assert sq.corners == tuple(embed[piece](L * u, L * v) for u, v in flat)
+
+
+@pytest.mark.parametrize("step", [(1, 0), (-1, 0), (0, 1), (0, -1)])
+def test_a_hinge_turns_the_flat_continuation_about_the_crease_line(net50, step):
+    # square (0, 0) laid on every square face of the rco, both ways round:
+    # axis-aligned faces, and tilted ones whose side (sqrt2/2, -sqrt2/2, 0)
+    # is an exact unit vector; the child folds towards -n by 180 - target
+    rco = build_rhombicuboctahedron(50)
+    L = Q2(50)
+    faces = [[rco.vertices[i] for i in f] for f in rco.faces if len(f) == 4]
+    assert len(faces) == 18
+    for face, target in itertools.product(faces, range(0, 181, 45)):
+        net = net50._replace(squares=(NetSquare("p", (0, 0), "face"), NetSquare("p", step, "face")),
+                             creases=(Crease("p", (0, 0), step, target),), gluing=())
+        for c in (face, face[::-1]):
+            x, y = vsub(c[1], c[0]), vsub(c[3], c[0])
+            n = vcross(x, y)
+
+            def flat(g):  # the root's plane, continued past its edges
+                return vadd(c[0], vadd(tuple(g[0] * v for v in x), tuple(g[1] * v for v in y)))
+
+            root, child = foldsim._fold_piece(net, "p", (0, 0), c)
+            assert root.corners == tuple(c)
+            crease = [g for g in square_corners(child) if g in square_corners(root)]
+            u = tuple(v / L for v in vsub(flat(crease[1]), flat(crease[0])))
+            w = vsub(flat(crease[0]), flat((crease[0][0] - step[0], crease[0][1] - step[1])))
+            if vdot(vcross(n, w), u) < 0:  # a turn about n x w takes w towards -n
+                u = tuple(-v for v in u)
+            m = rodrigues(u, *geom.exact_cos_sin(180 - target))
+            for g, corner in zip(square_corners(child), child.corners):
+                if g not in crease:
+                    a = flat((g[0] - step[0], g[1] - step[1]))
+                    assert corner == vadd(a, mat_vec(m, vsub(flat(g), a)))
+
+
+@pytest.mark.parametrize("pieces,turn", [(3, 0), (3, 45), (2, 0), (2, 45)])
+def test_a_piece_refolds_the_same_from_any_of_its_squares(net50, pieces, turn):
+    net = net50 if pieces == 3 else two_piece_net(net50)
+    for piece, squares in fold(net, turn).squares.items():
+        for sq in squares:
+            assert foldsim._fold_piece(net, piece, sq.pos, sq.corners) == squares
 
 
 def test_cap_missing_a_tab_still_folds_onto_the_solid(net50):
@@ -284,23 +327,27 @@ def test_strip_missing_a_square_is_inconsistent(net50):
         check_closure(result)
 
 
-@pytest.mark.parametrize("glue", [
-    Gluing("cap_edge_on_belt", "strip", (1, 0), "strip", None, (1, 1)),
-    Gluing("tab_in_belt_square", "cap_east", (1, 0), "strip", None, None),
-    Gluing("cap_edge_on_belt", "cap_east", (1, 0), "strip", None, (2, 0)),
-    Gluing("cap_edge_on_belt", "cap_north", (0, 0), "strip", None, (2, 0)),
-    Gluing("tab_in_belt_square", "cap_north", (2, 0), "cap_east", None, None),
-    Gluing("lap_joint", "strip", (8, 0), "strip", (9, 0), None),
+@pytest.mark.parametrize("glue,match", [
+    (Gluing("cap_edge_on_belt", "strip", (1, 0), "strip", None, (1, 1)), ""),
+    (Gluing("tab_in_belt_square", "cap_east", (1, 0), "strip", None, None), ""),
+    (Gluing("cap_edge_on_belt", "cap_east", (1, 0), "strip", None, (2, 0)), ""),
+    (Gluing("cap_edge_on_belt", "cap_north", (0, 0), "strip", None, (2, 0)), ""),
+    (Gluing("tab_in_belt_square", "cap_north", (2, 0), "cap_east", None, None), ""),
+    (Gluing("lap_joint", "strip", (8, 0), "strip", (9, 0), None), ""),
+    # looked up before the piece is refolded from it
+    (Gluing("tab_in_belt_square", "cap_north", (5, 5), "strip", None, None),
+     r": no square cap_north\(5, 5\)"),
 ], ids=["edge-to-a-square-the-piece-lacks", "tab-on-unknown-piece", "edge-on-unknown-piece",
-        "edge-sharing-no-single-edge", "host-piece-unknown", "host-square-missing"])
-def test_gluing_on_a_wrong_piece_is_inconsistent(net50, glue):
+        "edge-sharing-no-single-edge", "host-piece-unknown", "host-square-missing",
+        "tab-square-the-piece-lacks"])
+def test_gluing_on_a_wrong_piece_is_inconsistent(net50, glue, match):
     # a KeyError, TypeError or AttributeError would escape pytest.raises(ValueError)
     bad = net50._replace(gluing=net50.gluing + (glue,))
-    with pytest.raises(ValueError, match="inconsistent gluing instruction"):
+    with pytest.raises(ValueError, match="inconsistent gluing instruction" + match):
         fold(bad, 0)
     result = fold(net50, 0)
     result.net = bad
-    with pytest.raises(ValueError, match="inconsistent gluing instruction"):
+    with pytest.raises(ValueError, match="inconsistent gluing instruction" + match):
         check_closure(result)
 
 

@@ -315,7 +315,7 @@ def test_one_term_snap_equals_the_fraction_reference():
     # 21,000 values; the mixed search after it is the reference's own code
     tol = geom.SNAP_EPS
     values = _snap_inputs(random.Random(20261019), 750, tol)
-    got = [_parts(geom._snap_one_term(x, tol, 64)) for x in values]
+    got = [_parts(geom._snap_one_term(x)) for x in values]
     assert got == [_parts(_one_term_by_fractions(x, tol)) for x in values]
     # every rational and sqrt2 multiple within tol snaps, at 5 of the 7 offsets
     assert sum(g is not None for g in got) >= 2 * 750 * 5
@@ -324,7 +324,7 @@ def test_one_term_snap_equals_the_fraction_reference():
 def test_snap_equals_the_fraction_reference():
     tol = geom.SNAP_EPS
     values = _snap_inputs(random.Random(20261020), 15, tol)
-    got = [_parts(snap_scalar_to_q2(x, tol)) for x in values]
+    got = [_parts(snap_scalar_to_q2(x)) for x in values]
     assert got == [_parts(_snap_by_fractions(x, tol)) for x in values]
     assert sum(q2[1] and q2[0] for q2 in got if q2) > 0  # some mixed a + b*sqrt2
 
