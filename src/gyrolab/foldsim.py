@@ -4,16 +4,16 @@ One primitive places paper: ``_fold_piece`` lays one square of a piece on
 four corners and hinges the rest outwards, crease by crease, as a tree from
 that square; a crease is a hinge that turns the far square inwards by 180
 degrees minus its target.  The first piece is laid from the builders' +x
-face, each later piece from a glue square on a host square, the first of its
-``poses`` its gluings allow, and the gyration refolds the second piece from
-its first square turned about the belt axis z by ``geom.turn``.  Every
-target and turn is a multiple of 45 degrees, so every placed corner stays in
-Q(sqrt2)^3 and every placed square is an exact L x L square.
+face, each later piece from a glue square laid same side out on a host
+square, the first of its ``poses`` its gluings allow, and the gyration
+refolds the second piece from its first square turned about z by ``turn``.
+Every target and turn is a multiple of 45 degrees, so every placed corner
+stays in Q(sqrt2)^3 and every placed square is an exact L x L square.
 
-Congruent squares overlap flat only by coinciding, so closure is decided by
-exact lookups, never by a distance search, with one rule for every
-``netgen.Gluing``: the glued square's corners, or the edge it shares with a
-neighbour, coincide with a host square or one of that square's edges.
+Congruent squares overlap flat only by coinciding, so the closure of any
+assembly is decided by exact lookups, never by a distance search, with one
+rule for every ``netgen.Gluing``: the glued square's corners, or the edge it
+shares with a neighbour, coincide with a host square or one of its edges.
 Each face square must also coincide with a face of the target solid.
 """
 
@@ -64,18 +64,15 @@ class ClosureReport(NamedTuple):
         return tuple(c for c in self.checks if not c.passed)
 
 
-class AssemblyResult:
-    """The folded pieces and their match; the closure checks run when it is made."""
-
-    def __init__(self, net: NetSpec, gyration: int, target_name: str, squares: dict,
-                 matched: bool, correspondence: dict) -> None:
-        self.net = net
-        self.gyration = gyration
-        self.target_name = target_name
-        self.squares = squares
-        self.matched = matched
-        self.correspondence = correspondence
-        self.closure = check_closure(self)
+class AssemblyResult(NamedTuple):
+    """The folded pieces (piece -> placed squares), their match and closure checks."""
+    net: NetSpec
+    gyration: int
+    target_name: str
+    squares: dict
+    matched: bool
+    correspondence: dict
+    closure: ClosureReport
 
     @property
     def closure_residual(self) -> Q2:
@@ -203,10 +200,11 @@ def poses(net: NetSpec, piece: str, placed: dict):
     """Each way to lay a glue square of the piece on a square its gluing may
     land on in the ``placed`` pieces (piece -> placed squares), with the
     number of its gluings onto them it misses: the piece refolded from that
-    glue square, laid on the host's corners walked forwards from each
-    corner, then backwards.  Glue squares come first, in gluing order, then
-    host squares, in net order, then corner orders; ValueError if no glue
-    square has a placed host."""
+    glue square, laid on the four turns of the host's corner cycle, same side
+    out: walked backwards, the piece would turn over and every crease bend it
+    away from the solid.  Glue squares come first, in gluing order, then host
+    squares, in net order, then turns; ValueError if no glue square has a
+    placed host."""
     # the piece's own squares stand unplaced until its first pose replaces
     # them, so a missing glue square is refused before a refold from it
     squares = {(sq.piece, sq.pos): sq
@@ -219,9 +217,8 @@ def poses(net: NetSpec, piece: str, placed: dict):
                          " on a placed piece")
     targets_of: dict[tuple, dict] = {}
     for pos, hosts in tabs:
-        for host, step, k in itertools.product(hosts, (1, -1), range(4)):
-            moved = _fold_piece(net, piece, pos, [host.corners[(k + step * j) % 4]
-                                                  for j in range(4)])
+        for host, k in itertools.product(hosts, range(4)):
+            moved = _fold_piece(net, piece, pos, host.corners[k:] + host.corners[:k])
             squares.update(((piece, sq.pos), sq) for sq in moved)
             yield moved, sum(_land(net, squares, targets_of, g)[2] is None for g in mine)
 
@@ -276,7 +273,8 @@ def fold(net: NetSpec, gyration: int = 0) -> AssemblyResult:
                       for sq in faces if sq.corner_set() in face_sets}
     matched = (len(correspondence) == len(faces)
                and {c for sq in faces for c in sq.corners} == set(target.vertices))
-    return AssemblyResult(net, gyration, target_name, placed, matched, correspondence)
+    return AssemblyResult(net, gyration, target_name, placed, matched, correspondence,
+                          check_closure(net, placed))
 
 
 # -- closure checks ----------------------------------------------------------------
@@ -330,8 +328,8 @@ def _land(net: NetSpec, squares: dict, targets_of: dict, glue) -> tuple:
     return points, targets, targets.get(frozenset(points))
 
 
-def check_closure(result: AssemblyResult) -> ClosureReport:
-    """Verify the gluing instructions on the folded result.
+def check_closure(net: NetSpec, squares: dict) -> ClosureReport:
+    """Verify the net's gluing on any assembly's ``squares`` (piece -> placed squares).
 
     Each ``netgen.Gluing`` passes when the glued square's corners, or the
     edge it shares with its ``edge_with`` neighbour on the flat grid, coincide
@@ -342,10 +340,9 @@ def check_closure(result: AssemblyResult) -> ClosureReport:
     entry, not an exception: its witness is the point farthest from its
     nearest target point, and ``deviation_sq`` that squared distance, zero
     exactly when the point set coincides.  An instruction naming an unknown
-    check, or a square the fold did not place, is a ValueError.
+    check, or a square not placed, is a ValueError.
     """
-    net = result.net
-    placed = {(sq.piece, sq.pos): sq for sqs in result.squares.values() for sq in sqs}
+    placed = {(sq.piece, sq.pos): sq for sqs in squares.values() for sq in sqs}
     targets_of: dict[tuple, dict] = {}
     checks: list[ClosureCheck] = []
     for glue in net.gluing:

@@ -259,7 +259,7 @@ def isometry_group(p: Polyhedron) -> tuple[Isometry, ...]:
             continue
         if accept(k, *perms):
             gens.append(perms)
-            _close(group, gens, base[:3], element)
+            _close(group, gens, base[:3], element)  # remade there: element checks face_perm
         elif accept(k.coarse, *perms):
             raise InternalGeometryError(
                 "a symmetry of the face lattice misses an isometry by more than"

@@ -20,6 +20,7 @@ from test_foldsim import _PINNED_FOLD_SHA256
 import gyrolab
 from gyrolab.analysis import analyze, compare, text_report
 from gyrolab.cli import main
+from gyrolab.geom import mat_vec, turn
 from gyrolab.qfield import Q2
 from gyrolab.qfield import parse as q2_parse
 from gyrolab.solids import (
@@ -101,6 +102,16 @@ def test_build_to_file(tmp_path, capsys):
     code, _, _ = run(capsys, "build", "--solid", "rco", "-o", str(out_file))
     assert code == 0
     assert out_file.read_text().startswith("OFF\n24 26 48")
+
+
+@pytest.mark.parametrize("argv", [("build", "--solid", "rco", "-o", "missing/x.off"),
+                                  ("net", "-o", "missing/x.svg")], ids=["build", "net"])
+def test_an_unwritable_output_is_one_error_line(tmp_path, capsys, argv):
+    path = tmp_path / argv[-1]
+    code, out, err = run(capsys, *argv[:-1], str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+    assert "Traceback" not in err and not path.parent.exists()
 
 
 def test_analyze_rco_text_ends_with_axes(capsys):
@@ -364,6 +375,23 @@ def test_scale_ladder(tmp_path, capsys, solid, noisy, tol):
         reports[k] = (code, out.split("\n", 1)[1], err)
     assert reports[0][0] == 0
     assert all(r == reports[0] for r in reports.values())
+
+
+def test_a_tilted_twin_snaps_entries_with_both_terms(tmp_path, capsys):
+    # turned 45 degrees about x, the twin's symmetries have entries a + b sqrt2
+    # with a and b both nonzero: only the mixed stage of snap_scalar_to_q2 snaps them
+    twin = build_pseudo_rhombicuboctahedron(2)
+    m = turn((1, 0, 0), 45)
+    mesh = tmp_path / "mesh.off"
+    reports = []
+    for poly in (twin, Polyhedron([mat_vec(m, v) for v in twin.vertices], twin.faces)):
+        mesh.write_text(noisy_off(write_off(poly), 1e-12, random.Random("tilt")),
+                        encoding="utf-8")
+        code, out, err = run(capsys, "analyze", "--input", str(mesh))
+        assert (code, err) == (0, "")
+        reports.append(out.split("\n", 1)[1])
+    assert "symmetry group: 16 (proper 8)\n" in reports[1] and "[approximate]" not in reports[1]
+    assert reports[1] == reports[0]
 
 
 def test_empty_off_is_a_partial_report(tmp_path, capsys):

@@ -479,6 +479,12 @@ def test_off_counts_line_matches_contents(rco):
         ("OFF\n1 0 0\nnan 0 0\n", 3),
         ("OFF\n2 0 0\n0 0 0\n0 inf 0\n", 4),
         ("OFF\n1 0 0\n# comment\n0 0 -inf\n", 4),
+        ("OFF\n", 1),  # missing counts line
+        ("OFF\n1 x 0\n", 2),  # non-integer counts
+        ("OFF\n2 0 0\n0 0 0\n", 3),  # expected 2 vertex lines
+        ("OFF\n1 0 0\n0 a 0\n", 3),  # bad coordinate
+        ("OFF\n1 2 0\n0 0 0\n3 0 0 0\n", 4),  # expected 2 face lines
+        ("OFF\n1 1 0\n0 0 0\nx\n", 4),  # bad face line
     ],
 )
 def test_off_parse_errors_carry_line_numbers(text, line):

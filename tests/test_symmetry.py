@@ -1,8 +1,10 @@
 import functools
+import inspect
 import itertools
 import math
 import os
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -628,6 +630,9 @@ _CORPUS = {
     "truncated cuboctahedron": TRUNCATED_CUBOCTAHEDRON,
     "rco": sorted(solids._rco_points()),
     "pseudo": sorted(solids._pseudo_points()),
+    # six triangles on an isosceles base: a mirror in the base and one across it
+    "isosceles bipyramid": sorted((Q2(x), Q2(y), Q2(z)) for x, y, z in (
+        (0, 0, 2), (0, 0, -2), (2, 0, 0), (-1, 1, 0), (-1, -1, 0))),
 }
 _SCALES = ["2", "7/3", "1+1*sqrt2", "10^400", "10^-400"]
 
@@ -652,7 +657,7 @@ def _corpus_faces(name):
 
 def _corpus_mesh(name, edge) -> Polyhedron:
     """The corpus solid scaled by edge/2: the sets have edge 2, the truncated
-    cube 2 sqrt2 - 2."""
+    cube 2 sqrt2 - 2, the bipyramid's base a short side of 2."""
     base, power = edge.split("^") if "^" in edge else (edge, "1")
     s = parse(base) ** int(power) / 2
     return Polyhedron([tuple(x * s for x in v) for v in _SOLIDS[name]], _corpus_faces(name))
@@ -664,7 +669,8 @@ def test_generated_group_equals_the_enumerated_one(name, edge):
     p = _corpus_mesh(name, edge)
     group = isometry_group(p)
     assert group == enumerated_group(p)  # elements, matrices, permutations, order
-    assert len(group) == {"octagonal prism": 32, "pseudo": 16}.get(name, 48)
+    orders = {"octagonal prism": 32, "pseudo": 16, "isosceles bipyramid": 4}
+    assert len(group) == orders.get(name, 48)
 
 
 @pytest.mark.parametrize("noise", [0.0, 1e-10])
@@ -682,13 +688,14 @@ def test_generated_group_equals_the_enumerated_one_after_off(name, edge, noise):
     (name, *rung) for name in ("pseudo", "rco") for rung in ((1e-10, 1e-9), (1e-7, 1e-5))])
 def test_polar_axis_rotations(name, noise, tol):
     # every solid's polar axis has order 4 but the octagonal prism's, of
-    # order 8; at noise 1e-7 and tolerance 1e-5 the group does not snap and
-    # its directions carry the noise
+    # order 8, and the bipyramid's, which is no axis (a step of 360); at noise
+    # 1e-7 and tolerance 1e-5 the group does not snap and its directions carry
+    # the noise
     p = _corpus_mesh(name, "2")
     if tol:
         p = read_off(noisy_off(write_off(p), noise, random.Random(name)), tol)
         assert isometry_group(p)[0].kernel.exact == (noise < 1e-9)
-    step = 45 if name == "octagonal prism" else 90
+    step = {"octagonal prism": 45, "isosceles bipyramid": 360}.get(name, 90)
     assert polar_axis_rotations(p) == tuple(range(step, 360, step))
 
 
@@ -717,6 +724,68 @@ def test_walks_only_the_flags_no_element_reaches(rco, pseudo, monkeypatch):
         walks.clear()
         assert len(isometry_group(fresh)) == order
         assert 1 <= len(walks) <= 4
+
+
+def _walk_exit(p, q, base, image):
+    """The check that ends the walk of p's flag ``base`` onto q's flag
+    ``image``, as its source line; None if the walk returns a map."""
+    code, lines = symmetry._isomorphism.__code__, []
+
+    def tracer(frame, event, arg):
+        if frame.f_code is code:
+            if event == "line":
+                lines.append(frame.f_lineno)
+            return tracer
+        return None
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        perms = symmetry._isomorphism(p, q, base, image)
+    finally:
+        sys.settrace(previous)
+    source, first = inspect.getsourcelines(code)
+    return None if perms else source[lines[-2] - first].strip()  # the line before "return None"
+
+
+@pytest.mark.parametrize("through_off", [False, True], ids=["exact", "off"])
+def test_the_isosceles_bipyramid_clashes_at_a_vertex(through_off):
+    # all six faces and their neighbours are triangles, so every flag is a
+    # candidate; the walks that are no automorphism map a vertex twice
+    p = _corpus_mesh("isosceles bipyramid", "2")
+    if through_off:
+        p = read_off(write_off(p))
+    rep = symmetry_report(p)
+    assert (rep.full_order, rep.proper_order, rep.axes_by_order(), rep.orbit_sizes) == (
+        4, 2, {2: 1}, (2, 2, 1))
+    assert not rep.approximate
+    flags = list(symmetry._flags(p))
+    exits = Counter(_walk_exit(p, p, flags[0], flag) for flag in flags)
+    assert exits == {None: 12, "if vmap.setdefault(u, w) != w:": 24}
+
+
+def test_a_walk_onto_an_open_edge_stops(cube):
+    # the cube without its first face: the walk meets an edge of one face
+    p = Polyhedron(cube.vertices, cube.faces[1:])
+    base = next(symmetry._flags(p))
+    assert _walk_exit(p, p, base, base) == "if h is None or h_img is None:"
+
+
+def test_a_walk_onto_a_quotient_is_no_bijection(cube):
+    # the hemicube, the cube with opposite vertices and faces as one: each
+    # walk of the cube onto it is consistent everywhere and two to one
+    anti = [cube.points.index(tuple(-x for x in v)) for v in cube.points]  # opposite vertex
+    keep = sorted({min(i, j) for i, j in enumerate(anti)})
+    cls = [keep.index(min(i, j)) for i, j in enumerate(anti)]
+    sets = [frozenset(f) for f in cube.faces]
+    faces = [tuple(map(cls.__getitem__, f)) for fi, f in enumerate(cube.faces)
+             if fi < sets.index(frozenset(anti[i] for i in f))]
+    hemicube = Polyhedron([cube.vertices[i] for i in keep], faces)
+    assert (hemicube.n_vertices, hemicube.n_edges, hemicube.n_faces) == (4, 6, 3)
+    base = next(symmetry._flags(cube))
+    exits = {_walk_exit(cube, hemicube, base, flag) for flag in symmetry._flags(hemicube)}
+    assert exits == {"if sorted(vperm) != list(range(q.n_vertices))"
+                     " or sorted(fperm) != list(range(q.n_faces)):"}
 
 
 # -- the closure proof ------------------------------------------------------------
