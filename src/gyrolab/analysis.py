@@ -5,6 +5,8 @@ results into one deterministic report; ``compare`` renders the
 side-by-side table that separates the rhombicuboctahedron from its
 gyrate twin: same face census and vertex figures, very different
 symmetry inventory.  ``_values`` formats each value both views print.
+``AnalysisReport.to_dict`` alone writes the ``gyrolab/1`` analysis JSON:
+the records of ``solids``, ``symmetry`` and ``belts`` name no keys.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from typing import NamedTuple, Optional
 
 from . import belts as belts_mod
 from .belts import Belt, BeltOverlap
+from .geom import Vec3
+from .qfield import Q2
 from .solids import (
     FaceCensus,
     Polyhedron,
@@ -51,18 +55,20 @@ class AnalysisReport(NamedTuple):
         return sum(1 for b in self.belts if b.pole_faces is not None)
 
     def to_dict(self) -> dict:
+        """The analysis document, every key of every nested record named here."""
+        sym, overlap = self.symmetry, self.belt_overlap
         return {
             "schema": SCHEMA,
             "kind": "analysis",
             "name": self.name,
             "mode": self.mode,
             "partial": self.partial,
-            "validation": self.validation.to_dict(),
-            "census": {
-                "triangles": self.census.triangles,
-                "quads": self.census.quads,
-                "other": self.census.other,
+            "validation": {
+                "ok": self.validation.ok,
+                "checks": [c._asdict() for c in self.validation.checks],
+                "open_edges": [list(e) for e in self.validation.open_edges],
             },
+            "census": self.census._asdict(),
             "counts": {
                 "vertices": self.vertex_count,
                 "edges": self.edge_count,
@@ -74,24 +80,51 @@ class AnalysisReport(NamedTuple):
                 "figures": [list(f) for f in self.vertex_figures],
             },
             "faces_regular": self.faces_regular,
-            "symmetry": self.symmetry.to_dict() if self.symmetry else None,
-            "belts": [b.to_dict() for b in self.belts],
-            "belt_overlap": (
+            "symmetry": sym and {  # None in a partial report
+                "proper_order": sym.proper_order,
+                "full_order": sym.full_order,
+                "axes": [
+                    {
+                        "direction": _vec(ax.direction),
+                        "order": ax.order,
+                        "features": [{"type": f.kind, "point": _vec(f.point)}
+                                     for f in ax.features],
+                    }
+                    for ax in sym.axes
+                ],
+                "vertex_transitive": sym.vertex_transitive,
+                "vertex_transitive_proper": sym.vertex_transitive_proper,
+                "orbits": {
+                    "count": len(sym.orbit_sizes),
+                    "sizes": list(sym.orbit_sizes),
+                },
+                "class_equation_ok": sym.class_equation_ok,
+                "approximate": sym.approximate,
+            },
+            "belts": [
                 {
-                    "pairwise": {
-                        f"{i},{j}": n for (i, j), n in sorted(self.belt_overlap.pairwise.items())
-                    },
-                    "union": self.belt_overlap.union_size,
-                    "quads": self.belt_overlap.quad_count,
+                    "faces": list(b.faces),
+                    "length": b.length,
+                    "normal": _vec(b.plane_normal),
+                    "poles": list(b.pole_faces) if b.pole_faces else None,
                 }
-                if self.belt_overlap
-                else None
-            ),
+                for b in self.belts
+            ],
+            "belt_overlap": overlap and {  # None in a partial report or with no belts
+                "pairwise": {f"{i},{j}": n for (i, j), n in sorted(overlap.pairwise.items())},
+                "union": overlap.union_size,
+                "quads": overlap.quad_count,
+            },
             "flags": {
                 "archimedean_candidate": self.archimedean_candidate,
                 "pseudo_uniform": self.pseudo_uniform,
             },
         }
+
+
+def _vec(v: Vec3) -> list:
+    """Exact scalars as their text form, floats as JSON numbers."""
+    return [str(c) if isinstance(c, Q2) else float(c) for c in v]
 
 
 def _faces_regular(p: Polyhedron) -> bool:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from . import geom
 from .geom import Vec3
 from .solids import Polyhedron
 
@@ -28,14 +27,6 @@ class Belt(NamedTuple):
     @property
     def length(self) -> int:
         return len(self.faces)
-
-    def to_dict(self) -> dict:
-        return {
-            "faces": list(self.faces),
-            "length": self.length,
-            "normal": geom.json_vec(self.plane_normal),
-            "poles": list(self.pole_faces) if self.pole_faces else None,
-        }
 
 
 class BeltOverlap(NamedTuple):

@@ -137,11 +137,6 @@ def _unit_scaled(points: Sequence[Vec3]) -> tuple[int, list]:
     return e, [tuple(math.ldexp(x, -e) for x in v) for v in points]
 
 
-def json_vec(v: Vec3) -> list:
-    """Exact scalars as their text form, floats as JSON numbers."""
-    return [str(c) if isinstance(c, Q2) else float(c) for c in v]
-
-
 # -- float -> Q2 snapping ------------------------------------------------------
 
 

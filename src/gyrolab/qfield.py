@@ -40,7 +40,7 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 _RATIONAL = r"-?\d+(?:/\d+)?"
-_LITERAL_RE = re.compile(
+_LITERAL_RE = (  # matched through re's cache, compiled on the first parse
     rf"^(?P<rat>{_RATIONAL})?"
     rf"(?:(?P<sgn>[+-])?(?:(?P<coef>\d+(?:/\d+)?)\*)?(?P<s2>sqrt2))?\Z"
 )
@@ -104,7 +104,7 @@ class Q2:
         term ("sqrt2", "-3/4*sqrt2"), or the combined form ("1+1*sqrt2").
         No whitespace.
         """
-        m = _LITERAL_RE.match(text)
+        m = re.match(_LITERAL_RE, text)
         if m is None or (m.group("rat") is None and m.group("s2") is None):
             raise ValueError(f"invalid Q2 literal: {text!r}")
         if m.group("s2") and m.group("rat") and m.group("sgn") is None:

@@ -69,16 +69,6 @@ class ValidationReport(NamedTuple):
     def ok(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail}
-                for c in self.checks
-            ],
-            "open_edges": [list(e) for e in self.open_edges],
-        }
-
 
 def check_tolerance(tolerance: float) -> float:
     """``tolerance`` itself if 0 < tolerance < 1; ValueError otherwise.  It is
@@ -568,20 +558,16 @@ def read_off(text: str, tolerance: float = 1e-9) -> Polyhedron:
     return Polyhedron(verts, faces, tolerance)
 
 
-def to_json_dict(p: Polyhedron, name: str = "") -> dict:
+def to_json(p: Polyhedron, name: str = "") -> str:
     """Exact model dump using the Q2 text serialization."""
+    import json
+
     if not p.exact:
         raise ValueError("JSON model dump requires an exact polyhedron")
-    return {
+    return json.dumps({
         "schema": "gyrolab/1",
         "kind": "polyhedron",
         "name": name,
         "vertices": [[str(c) for c in v] for v in p.vertices],
         "faces": [list(f) for f in p.faces],
-    }
-
-
-def to_json(p: Polyhedron, name: str = "") -> str:
-    import json
-
-    return json.dumps(to_json_dict(p, name), indent=2) + "\n"
+    }, indent=2) + "\n"

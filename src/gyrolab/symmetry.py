@@ -93,21 +93,11 @@ class Feature(NamedTuple):
     ref: object  # face/vertex index or (i, j) edge pair
     point: Vec3
 
-    def to_dict(self) -> dict:
-        return {"type": self.kind, "point": geom.json_vec(self.point)}
-
 
 class RotationAxis(NamedTuple):
     direction: Vec3  # the kernel's canonical direction
     order: int
     features: tuple[Feature, Feature]  # the two the axis line meets
-
-    def to_dict(self) -> dict:
-        return {
-            "direction": geom.json_vec(self.direction),
-            "order": self.order,
-            "features": [f.to_dict() for f in self.features],
-        }
 
 
 class SymmetryReport(NamedTuple):
@@ -125,21 +115,6 @@ class SymmetryReport(NamedTuple):
         for ax in self.axes:
             out[ax.order] = out.get(ax.order, 0) + 1
         return out
-
-    def to_dict(self) -> dict:
-        return {
-            "proper_order": self.proper_order,
-            "full_order": self.full_order,
-            "axes": [ax.to_dict() for ax in self.axes],
-            "vertex_transitive": self.vertex_transitive,
-            "vertex_transitive_proper": self.vertex_transitive_proper,
-            "orbits": {
-                "count": len(self.orbit_sizes),
-                "sizes": list(self.orbit_sizes),
-            },
-            "class_equation_ok": self.class_equation_ok,
-            "approximate": self.approximate,
-        }
 
 
 # -- group search -------------------------------------------------------------

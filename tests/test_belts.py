@@ -119,7 +119,7 @@ def test_belt_count_scale_invariant(rco):
 
 
 def test_belt_json_shape(rco):
-    doc = find_belts(rco)[0].to_dict()
+    doc = analyze(rco).to_dict()["belts"][0]
     assert set(doc) == {"faces", "length", "normal", "poles"}
     assert doc["length"] == 8
     assert len(doc["poles"]) == 2

@@ -350,6 +350,14 @@ def test_noise_ladder(tmp_path, capsys, ladder_off, solid, edge, eps, tol):
         assert (sym["full_order"], len(sym["axes"])) == (full, axes)
         assert sym["orbits"]["sizes"] == orbits
         assert len(doc["belts"]) == belts
+        # the float side of the JSON writer: unsnapped axis directions, feature
+        # points and belt normals are numbers; snapped directions are Q2 text
+        kind = float if sym["approximate"] else str
+        assert all(isinstance(c, kind) for ax in sym["axes"] for c in ax["direction"])
+        points = [c for ax in sym["axes"] for f in ax["features"] for c in f["point"]]
+        normals = [c for b in doc["belts"] for c in b["normal"]]
+        assert all(isinstance(c, float) for c in points + normals)
+        assert sym["approximate"] or solid != "icosahedron"  # no Q(sqrt2) group
         assert not err
     else:
         assert code == 1

@@ -1,6 +1,7 @@
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -262,7 +263,7 @@ def test_equal_values_share_components_however_built(x):
 
 def parse_by_fractions(text):
     """Q2.parse as it was on Fraction: (p, q, d), or the error's type and text."""
-    m = qfield._LITERAL_RE.match(text)
+    m = re.match(qfield._LITERAL_RE, text)
     try:
         if m is None or (m.group("rat") is None and m.group("s2") is None):
             raise ValueError(f"invalid Q2 literal: {text!r}")

@@ -24,6 +24,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from gyrolab import geom, solids, symmetry
+from gyrolab.analysis import analyze
 from gyrolab.geom import mat_mul, mat_transpose, mat_vec, snap_scalar_to_q2, vcross, vdot, vsub
 from gyrolab.qfield import ONE, SQRT2, ZERO, Q2, parse
 from gyrolab.solids import (
@@ -354,8 +355,8 @@ def test_group_outside_q2_stays_float_and_approximate():
     assert all(isinstance(x, float) for ax in rep.axes for x in ax.direction)
 
 
-def test_report_json_shape(rco_sym):
-    doc = rco_sym.to_dict()
+def test_report_json_shape(rco):
+    doc = analyze(rco).to_dict()["symmetry"]
     assert set(doc) == {
         "proper_order", "full_order", "axes", "vertex_transitive",
         "vertex_transitive_proper", "orbits", "class_equation_ok", "approximate",
